@@ -56,7 +56,7 @@ class FinCategory:
     ``composition`` maps ``(g, f)`` to ``g after f`` and must contain an
     entry for exactly the composable pairs (``cod(f) == dom(g)``),
     identities included.  Instances are treated as immutable after
-    construction.
+    construction: the hom sets are indexed once, in ``__post_init__``.
     """
 
     objects: tuple[str, ...]
@@ -64,6 +64,16 @@ class FinCategory:
     identities: dict[str, str]
     composition: dict[tuple[str, str], str]
     name: str = field(default="", compare=False)
+    _homs: dict[tuple[str, str], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        homs: dict[tuple[str, str], list[str]] = {}
+        for n in sorted(self.arrows):
+            ar = self.arrows[n]
+            homs.setdefault((ar.dom, ar.cod), []).append(n)
+        self._homs = {k: tuple(v) for k, v in homs.items()}
 
     @classmethod
     def build(
@@ -130,9 +140,7 @@ class FinCategory:
         """Arrows from ``a`` to ``b`` in lexicographic order."""
         if a not in self.objects or b not in self.objects:
             raise InputError(f"unknown object in hom({a!r}, {b!r})")
-        return tuple(
-            sorted(n for n, ar in self.arrows.items() if ar.dom == a and ar.cod == b)
-        )
+        return self._homs.get((a, b), ())
 
     def is_identity(self, arrow_name: str) -> bool:
         a = self.arrow(arrow_name)

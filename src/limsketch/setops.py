@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, InputError
-from .fincat import FinCategory, ValidationReport, category_from_json_dict, category_to_json_dict
+from .fincat import (
+    Arrow,
+    FinCategory,
+    ValidationReport,
+    category_from_json_dict,
+    category_to_json_dict,
+)
 
 DEFAULT_TUPLE_BUDGET = 10**6
 
@@ -204,30 +211,112 @@ def limit_of_diagram(
 ) -> tuple[tuple[str, ...], ...]:
     """Enumerate the limit of ``diag`` as compatible tuples.
 
-    Tuple components follow ``sorted(shape.objects)``.  A tuple is kept
-    when every shape arrow carries its source component to its target
-    component.  The full cartesian product is budgeted by ``max_tuples``.
+    Tuple components follow ``sorted(shape.objects)`` and tuples come in
+    the product order of the carriers as stored.  A tuple is kept when
+    every shape arrow carries its source component to its target
+    component.
+
+    The tuples are found by a join that binds one shape object at a time
+    (see :func:`_join_plan`), so the work follows the fibers walked, not
+    the cartesian product.  ``max_tuples`` bounds that work: the product
+    of the scanned carriers is checked before enumerating (it is exact
+    for a shape without arrows), and the candidates visited are counted
+    while enumerating.  Either one above ``max_tuples`` raises
+    :class:`BudgetExceeded`.
     """
     order = sorted(shape.objects)
-    size = 1
-    for obj in order:
-        size *= len(diag.carrier.get(obj, ()))
-        if size > max_tuples:
-            where = f" at {label}" if label else ""
+    carriers = {obj: diag.carrier.get(obj, ()) for obj in order}
+    arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
+    where = f" at {label}" if label else ""
+    plan = _join_plan(order, arrows)
+    scanned = math.prod(len(carriers[step.obj]) for step in plan if step.kind == _SCAN)
+    if scanned > max_tuples:
+        raise BudgetExceeded(f"limit tuple budget exceeded{where}: product exceeds {max_tuples}")
+    if not arrows:
+        return tuple(itertools.product(*carriers.values()))
+
+    rows: list[tuple[str, ...]] = [()]
+    visited = 0
+    for kind, obj, via, src, checks in plan:
+        carrier = carriers[obj]
+        if kind == _SCAN:
+            visited += len(rows) * len(carrier)
+        elif kind == _IMAGE:
+            visited += len(rows)
+        else:
+            fibers: dict[str | None, list[str]] = {}
+            for x in carrier:
+                fibers.setdefault(diag.action[via].get(x), []).append(x)
+            visited += sum(len(fibers.get(r[src], ())) for r in rows)
+        if visited > max_tuples:
             raise BudgetExceeded(
-                f"limit tuple budget exceeded{where}: product exceeds {max_tuples}"
+                f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
             )
-    index = {obj: i for i, obj in enumerate(order)}
-    checks = [
-        (index[arrow.dom], index[arrow.cod], diag.action[name])
-        for name, arrow in sorted(shape.arrows.items())
-        if not shape.is_identity(name)
-    ]
-    out: list[tuple[str, ...]] = []
-    for combo in itertools.product(*(diag.carrier.get(obj, ()) for obj in order)):
-        if all(act.get(combo[i]) == combo[j] for i, j, act in checks):
-            out.append(combo)
+        if kind == _SCAN:
+            rows = [r + (x,) for r in rows for x in carrier]
+        elif kind == _IMAGE:
+            act, members = diag.action[via], set(carrier)
+            rows = [r + (y,) for r in rows if (y := act.get(r[src])) in members]
+        else:
+            rows = [r + (x,) for r in rows for x in fibers.get(r[src], ())]
+        if checks:
+            acts = [(i, j, diag.action[name]) for i, j, name in checks]
+            rows = [r for r in rows if all(f.get(r[i]) == r[j] for i, j, f in acts)]
+
+    bound = [step.obj for step in plan]
+    if bound == order:
+        return tuple(rows)
+    # restore product order over ``order`` by carrier positions
+    perm = [bound.index(obj) for obj in order]
+    rank = [{x: k for k, x in enumerate(carriers[obj])} for obj in order]
+    out = [tuple(r[k] for k in perm) for r in rows]
+    out.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
     return tuple(out)
+
+
+_SCAN, _IMAGE, _FIBER = "scan", "image", "fiber"
+
+
+class _JoinStep(NamedTuple):
+    kind: str
+    obj: str
+    via: str | None  # the arrow that yields the candidates, for _IMAGE and _FIBER
+    src: int  # slot of the bound end of ``via``
+    checks: tuple[tuple[int, int, str], ...]  # (dom slot, cod slot, arrow)
+
+
+def _join_plan(order: list[str], arrows: list[Arrow]) -> list[_JoinStep]:
+    """Order in which :func:`limit_of_diagram` binds the shape objects.
+
+    The next object bound is the least codomain of an arrow out of a
+    bound object (one candidate: the ``_IMAGE`` of the bound component),
+    else the least domain of an arrow into a bound object (candidates:
+    the ``_FIBER`` of the arrow over the bound component), else the least
+    unbound object (``_SCAN`` of its carrier).  Every other arrow is
+    checked at the step that binds its second end.
+    """
+    slot: dict[str, int] = {}
+    plan: list[_JoinStep] = []
+    pending = list(arrows)
+    while len(slot) < len(order):
+        image = [a for a in pending if a.dom in slot and a.cod not in slot]
+        fiber = [a for a in pending if a.cod in slot and a.dom not in slot]
+        if image:
+            via = min(image, key=lambda a: (a.cod, a.name))
+            kind, obj, src = _IMAGE, via.cod, slot[via.dom]
+        elif fiber:
+            via = min(fiber, key=lambda a: (a.dom, a.name))
+            kind, obj, src = _FIBER, via.dom, slot[via.cod]
+        else:
+            via = None
+            kind, obj, src = _SCAN, min(o for o in order if o not in slot), -1
+        slot[obj] = len(slot)
+        pending = [a for a in pending if a is not via]
+        ready = [a for a in pending if a.dom in slot and a.cod in slot]
+        pending = [a for a in pending if a not in ready]
+        checks = tuple((slot[a.dom], slot[a.cod], a.name) for a in ready)
+        plan.append(_JoinStep(kind, obj, via and via.name, src, checks))
+    return plan
 
 
 # -- quotients ---------------------------------------------------------------

@@ -556,6 +556,9 @@ def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
         unknown = set(rec) - _CONE_FIELDS
         if unknown:
             raise InputError(f"cone {idx}: unknown fields {sorted(unknown)}")
+        missing = _CONE_FIELDS - set(rec)
+        if missing:
+            raise InputError(f"cone {idx}: missing cone fields {sorted(missing)}")
         shape = category_from_json_dict(rec["shape"])
         diag = rec["diagram"]
         if not isinstance(diag, dict) or set(diag) != {"objects", "arrows"}:

@@ -1,9 +1,9 @@
 """Independent brute-force oracles and seeded instance generators.
 
 These deliberately avoid the engine's own data paths: limits are checked
-by filtering the full cartesian product with nested loops, quotients by a
-naive merge-and-push fixpoint over explicit partitions, pushouts by a
-plain disjoint-set over the literal pair lists.
+by filtering the full cartesian product with nested loops in product
+order, quotients by a naive merge-and-push fixpoint over explicit
+partitions, pushouts by a plain disjoint-set over the literal pair lists.
 """
 
 from __future__ import annotations
@@ -14,25 +14,33 @@ from limsketch.fincat import FinCategory
 from limsketch.setops import SetPresentation, make_presentation
 
 
-def brute_limit(shape: FinCategory, diag: SetPresentation) -> set[tuple[str, ...]]:
-    """Filter the full product by compatibility, one shape arrow at a time."""
+def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
+    """Compatible tuples in product order.
+
+    One nested loop per object of ``sorted(shape.objects)``, each over its
+    carrier as stored; a full tuple is kept when every non-identity shape
+    arrow carries its source component to its target component.
+    """
     order = sorted(shape.objects)
-    combos: list[tuple[str, ...]] = [()]
-    for obj in order:
-        combos = [c + (x,) for c in combos for x in diag.carrier.get(obj, ())]
-    index = {obj: i for i, obj in enumerate(order)}
-    out: set[tuple[str, ...]] = set()
-    for combo in combos:
-        good = True
-        for name, arrow in shape.arrows.items():
-            if shape.is_identity(name):
-                continue
-            if diag.action[name][combo[index[arrow.dom]]] != combo[index[arrow.cod]]:
-                good = False
-                break
-        if good:
-            out.add(combo)
-    return out
+    arrows = [a for name, a in shape.arrows.items() if not shape.is_identity(name)]
+    out: list[tuple[str, ...]] = []
+
+    def loop(prefix: tuple[str, ...]) -> None:
+        if len(prefix) == len(order):
+            value = dict(zip(order, prefix))
+            if all(diag.action[a.name][value[a.dom]] == value[a.cod] for a in arrows):
+                out.append(prefix)
+            return
+        for x in diag.carrier.get(order[len(prefix)], ()):
+            loop(prefix + (x,))
+
+    loop(())
+    return tuple(out)
+
+
+def brute_limit(shape: FinCategory, diag: SetPresentation) -> set[tuple[str, ...]]:
+    """The limit tuples as a set, from :func:`ordered_brute_limit`."""
+    return set(ordered_brute_limit(shape, diag))
 
 
 def naive_quotient_partition(

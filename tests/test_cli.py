@@ -225,3 +225,16 @@ def test_serialized_documents_reparse_to_equal_values(workspace):
     pres_text = workspace["iso_pres"].read_text()
     pres = presentation_loads(pres_text)
     assert presentation_dumps(pres) == pres_text
+
+
+@pytest.mark.parametrize("field", ["peak", "shape", "diagram", "legs"])
+def test_cone_without_required_field_exits_two(workspace, tmp_path, field):
+    doc = json.loads(workspace["iso_sketch"].read_text())
+    del doc["cones"][0][field]
+    sketch = tmp_path / "cone_missing.json"
+    sketch.write_text(json.dumps(doc))
+    proc = run_cli(
+        "check", "--sketch", str(sketch), "--presentation", str(workspace["terminal"])
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: cone 0: missing cone fields ['{field}']\n"

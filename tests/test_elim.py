@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from limsketch.elim import (
     BASE_TAG,
     FAITHFUL,
@@ -14,6 +16,7 @@ from limsketch.elim import (
     tag_base,
     tag_free,
 )
+from limsketch.errors import BudgetExceeded
 from limsketch.setops import make_presentation
 from limsketch.sketchlib import gap_map, is_model
 
@@ -203,6 +206,19 @@ def test_budget_zero_returns_stage_zero_trace():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=0)
     assert trace.verdict == "budget-exhausted"
     assert len(trace.stages) == 1 and trace.core is None
+
+
+def test_arrow_free_cone_is_refused_by_its_product():
+    # stage 1 holds 24 + 2 * 24^2 elements at a, so the stage-2 pair cone
+    # has more than 10^6 tuples; the refusal comes before any enumeration
+    sketch = binary_sketch()
+    pres = make_presentation(
+        sketch.base, {"a": [f"x{i:02d}" for i in range(24)], "p": []}, {"pi1": {}, "pi2": {}}
+    )
+    with pytest.raises(
+        BudgetExceeded, match="^stage 2: limit tuple budget exceeded at cone c0: product exceeds"
+    ):
+        reflect_elim(pres, sketch, budget=8, mode=PRUNED)
 
 
 def test_reflection_map_is_natural_and_lands_in_core():

@@ -135,6 +135,9 @@ def test_category_json_round_trip():
     for cat in (one_object_category(), iso_category(), binary_category()):
         again = category_loads(category_dumps(cat))
         assert again == cat
+        for a in cat.objects:
+            for b in cat.objects:
+                assert again.hom(a, b) == cat.hom(a, b)
 
 
 def test_category_json_rejects_unknown_fields():

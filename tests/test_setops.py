@@ -20,12 +20,20 @@ from limsketch.setops import (
     terminal_presentation,
     validate_presentation,
 )
-from limsketch.sketchlib import gap_map, restrict_along, sketch_binary_product, sketch_iso_forcing
+from limsketch.sketchlib import (
+    cone_limit,
+    gap_map,
+    restrict_along,
+    sketch_binary_product,
+    sketch_iso_forcing,
+    sketch_two_cover_sheaf,
+)
 
 from tests.oracles import (
     brute_limit,
     dsu_partition,
     naive_quotient_partition,
+    ordered_brute_limit,
     random_functorial_base,
     random_pairs,
     random_presentation,
@@ -80,6 +88,34 @@ def test_limit_budget_is_enforced():
     )
     with pytest.raises(BudgetExceeded):
         limit_of_diagram(shape, diag, max_tuples=1000, label="cone c0")
+
+
+def identity_cospan(n: int):
+    """The sheaf's cospan zU, zV -> zW with identity restrictions on n elements."""
+    sketch = sketch_two_cover_sheaf()
+    s = [f"s{i:03d}" for i in range(n)]
+    ident = {x: x for x in s}
+    pres = make_presentation(
+        sketch.base,
+        {"T": [], "U": s, "V": s, "W": s},
+        {"tu": {}, "tv": {}, "tw": {}, "uw": ident, "vw": ident},
+    )
+    return pres, sketch.cones[0]
+
+
+def test_limit_cost_follows_output_not_product():
+    # 128^3 candidates exceed the default budget; the join visits 3 * 128
+    pres, cone = identity_cospan(128)
+    got = cone_limit(pres, cone)
+    assert got == tuple((x, x, x) for x in pres.carrier["U"])
+
+
+def test_limit_budget_counts_visited_candidates():
+    # scanned product 20 is within the budget, the 60 visited candidates are not
+    pres, cone = identity_cospan(20)
+    assert len(cone_limit(pres, cone, max_tuples=60)) == 20
+    with pytest.raises(BudgetExceeded, match="limit tuple budget exceeded at cone c0: visited"):
+        cone_limit(pres, cone, max_tuples=59)
 
 
 def test_limit_output_is_deterministic():
@@ -263,6 +299,26 @@ def test_limits_match_oracle_randomized():
         got = limit_of_diagram(shape, diag)
         assert set(got) == brute_limit(shape, diag)
         assert len(set(got)) == len(got)
+
+
+def test_limits_match_ordered_oracle_randomized():
+    apex_last = FinCategory.build(
+        "sh_apex_last", ["zU", "zV", "zW"], [("zuw", "zU", "zW"), ("zvw", "zV", "zW")], {}
+    )
+    endo = FinCategory.build(
+        "sh_endo", ["a", "b"], [("e", "a", "a"), ("ab", "a", "b")],
+        {("e", "e"): "e", ("ab", "e"): "ab"},
+    )
+    disconnected = FinCategory.build("sh_disconnected", ["p", "q", "r"], [("rp", "r", "p")], {})
+    shapes = shape_pool() + [apex_last, endo, disconnected]
+    rng = random.Random(2012)
+    for _ in range(300):
+        shape = rng.choice(shapes)
+        diag = random_presentation(rng, shape, max_size=6)
+        if rng.random() < 0.5:
+            # product order follows the carriers as stored, sorted or not
+            diag.carrier = {o: tuple(rng.sample(c, len(c))) for o, c in diag.carrier.items()}
+        assert limit_of_diagram(shape, diag) == ordered_brute_limit(shape, diag)
 
 
 # -- natural transformations ---------------------------------------------------
