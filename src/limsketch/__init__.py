@@ -39,7 +39,6 @@ from .setops import (
     functorial_quotient,
     limit_of_diagram,
     make_presentation,
-    pushout_classes,
     terminal_presentation,
 )
 from .sketchlib import (

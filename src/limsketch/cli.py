@@ -19,6 +19,7 @@ from .setops import (
     NatTransSpec,
     SetPresentation,
     presentation_from_json_dict,
+    string_map,
 )
 from .sketchlib import (
     BUILDERS,
@@ -71,7 +72,14 @@ def _load_nat_trans(path: str, source: SetPresentation, target: SetPresentation)
     data = _read_json(path)
     if not isinstance(data, dict) or set(data) != {"components"}:
         raise InputError(f"{path}: transformation document needs exactly 'components'")
-    nat = NatTransSpec(source, target, {o: dict(m) for o, m in data["components"].items()})
+    components = data["components"]
+    if not isinstance(components, dict):
+        raise InputError(f"{path}: 'components' must be an object")
+    nat = NatTransSpec(
+        source,
+        target,
+        {o: dict(string_map(m, f"{path}: component at {o!r}")) for o, m in components.items()},
+    )
     for obj in source.base.objects:
         nat.components.setdefault(obj, {})
     report = nat.validate()

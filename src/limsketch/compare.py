@@ -1,12 +1,13 @@
 """Stage-wise comparison between the staged and the classical construction.
 
-The comparison transformation is built by structural recursion on
-provenance: stage 0 is the identity on X, a base class maps through the
-already-established image of any member (all members are checked to
-agree), and a free element over a limit tuple maps to the class of the
-corresponding formal pair in the completion.  Every naturality square
-and every stage-commutation square is checked explicitly; a failure is
-reported with a witness and never repaired.
+The comparison transformation alpha is built by the one provenance
+replay of :func:`limsketch.universal.replay`, run over the staged trace
+from the identity on X: a base class maps through the unit of the
+matching completion stage applied to the image of its members (all
+members are checked to agree), and a free element over a limit tuple
+maps to the class of the corresponding formal pair in the completion.
+Every naturality square and every stage-commutation square is checked
+explicitly; a failure is reported with a witness and never repaired.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .elim import BASE_TAG, FAITHFUL, FREE_TAG, ReflectionTrace
-from .errors import EngineError, InputError, PreconditionError
-from .kelly import KellyTrace, pair_element_id, tag_sum_pair
-from .setops import NatTransSpec, SetPresentation, compose_nat, identity_nat
+from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
+from .errors import InputError, PreconditionError
+from .kelly import KellyTrace
+from .setops import NatTransSpec, SetPresentation, compose_nat, encode_components, identity_nat
 from .sketchlib import LimitSketch
-from .universal import FactorisationResult, solve_factorisation
+from .universal import Components, FactorisationResult, replay, solve_factorisation
 
 
 @dataclass
@@ -45,10 +46,7 @@ class AlphaTrace:
             "stages": [
                 {
                     "index": s.index,
-                    "components": {
-                        o: dict(sorted(s.components[o].items()))
-                        for o in sorted(s.components)
-                    },
+                    "components": encode_components(s.components),
                     "naturality_ok": s.naturality_ok,
                     "commutation_ok": s.commutation_ok,
                     "witness": s.witness,
@@ -70,6 +68,18 @@ def _check_naturality(
             right = components[arrow.cod][source.action[name][x]]
             if left != right:
                 return f"naturality breaks at arrow {name!r} on {x!r}"
+    return None
+
+
+def _check_commutation(
+    stage: Stage, unit: Components, prev: Components, comp: Components
+) -> str | None:
+    """Does alpha_i . p = unit_i . alpha_(i-1) hold on the previous total?"""
+    assert stage.prev_total is not None and stage.p_prev is not None
+    for d in stage.prev_total.base.objects:
+        for x in stage.prev_total.carrier[d]:
+            if comp[d][tag_base(stage.p_prev[d][x])] != unit[d][prev[d][x]]:
+                return f"stage {stage.index}: square breaks at {d!r} on {x!r}"
     return None
 
 
@@ -97,77 +107,23 @@ def build_alpha(
         raise InputError(
             f"completion trace has {len(kelly_trace.stages)} stages, need {depth}"
         )
-    base = sketch.base
-    cones = {c.name: c for c in sketch.cones}
-
-    # Stage 0: identity on X up to the base tag.
-    components = {
-        d: {f"{BASE_TAG}:{x}": x for x in x_elim.carrier[d]} for d in base.objects
-    }
-    stages = [
-        AlphaStage(
-            0,
-            components,
-            _check_naturality(elim_trace.stages[0].total, kelly_trace.object_at(0), components)
-            is None,
-            True,
-        )
-    ]
-    for i in range(1, depth + 1):
+    # replay step i is elim stage i; for i > 0 it is matched with completion stage i
+    kelly_steps = [None] + [st.step for st in kelly_trace.stages[:depth]]
+    units = [None] + [step.unit.components for step in kelly_steps[1:]]
+    maps = replay(
+        elim_trace.replay_steps(depth),
+        {d: {x: x for x in x_elim.carrier[d]} for d in x_elim.base.objects},
+        sketch,
+        units.__getitem__,
+        lambda i, d, element, cone, arrow, w: kelly_steps[i].pair_class(d, cone, arrow, w),
+    )
+    stages: list[AlphaStage] = []
+    for i, comp in enumerate(maps):
         stage = elim_trace.stages[i]
-        kelly_step = kelly_trace.stages[i - 1].step
-        prev_alpha = stages[-1].components
-        unit = kelly_step.unit.components
-        proj = kelly_step.quotient.projection
-        target = kelly_trace.object_at(i)
-        comp: dict[str, dict[str, str]] = {d: {} for d in base.objects}
-        witness: str | None = None
-        assert stage.prev_classes is not None and stage.p_prev is not None
-        for d in base.objects:
-            for class_id, members in stage.prev_classes[d].items():
-                images = {unit[d][prev_alpha[d][m]] for m in members}
-                if len(images) != 1:
-                    raise EngineError(
-                        f"alpha construction failed: class {class_id!r} at {d!r} "
-                        f"has inconsistent images {sorted(images)}"
-                    )
-                comp[d][f"{BASE_TAG}:{class_id}"] = images.pop()
-            for fid in stage.free.carrier[d]:
-                cone_name, t, w = stage.free_prov[fid]
-                cone = cones[cone_name]
-                order = cone.shape_order()
-                imaged = tuple(
-                    prev_alpha[cone.diagram.on_object(z)][w[k]]
-                    for k, z in enumerate(order)
-                )
-                pid = pair_element_id(cone_name, t, imaged)
-                tagged = tag_sum_pair(pid)
-                if tagged not in proj[d]:
-                    raise EngineError(
-                        f"alpha construction failed: pair {pid!r} missing in the "
-                        f"completion sum at {d!r}"
-                    )
-                comp[d][f"{FREE_TAG}:{fid}"] = proj[d][tagged]
-        nat_witness = _check_naturality(stage.total, target, comp)
-        commutation_ok = True
-        for d in base.objects:
-            for x in elim_trace.stages[i - 1].total.carrier[d]:
-                left = comp[d][f"{BASE_TAG}:{stage.p_prev[d][x]}"]
-                right = unit[d][prev_alpha[d][x]]
-                if left != right:
-                    commutation_ok = False
-                    witness = f"stage {i}: square breaks at {d!r} on {x!r}"
-                    break
-            if not commutation_ok:
-                break
+        nat_witness = _check_naturality(stage.total, kelly_trace.object_at(i), comp)
+        square = _check_commutation(stage, units[i], stages[-1].components, comp) if i else None
         stages.append(
-            AlphaStage(
-                i,
-                comp,
-                nat_witness is None,
-                commutation_ok,
-                witness or nat_witness,
-            )
+            AlphaStage(i, comp, nat_witness is None, square is None, square or nat_witness)
         )
     return AlphaTrace(stages)
 

@@ -24,18 +24,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import BudgetExceeded, InputError, PreconditionError
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     SetPresentation,
+    Witness,
     disjoint_sum,
     empty_presentation,
+    encode_carriers,
+    encode_components,
     functorial_quotient,
     identity_nat,
     same_fiber_pairs,
     validate_presentation,
+    witness_id,
+    witness_presentation,
 )
 from .sketchlib import LimitSketch, cone_limit, gap_map, is_model
 
@@ -48,13 +54,9 @@ BASE_TAG = "B"
 FREE_TAG = "E"
 
 
-def _lp(s: str) -> str:
-    return f"{len(s)}:{s}"
-
-
 def free_element_id(cone_name: str, arrow: str, w: tuple[str, ...]) -> str:
     """Injective, deterministic identifier for a free element."""
-    return "F" + _lp(cone_name) + _lp(arrow) + str(len(w)) + "#" + "".join(_lp(c) for c in w)
+    return witness_id("F", cone_name, arrow, w)
 
 
 def tag_base(class_id: str) -> str:
@@ -85,14 +87,14 @@ class Stage:
     ``p_prev`` projects the previous total onto this base (absent at
     stage 0); ``limits_prev`` holds the previous stage's full limit sets
     from which ``free`` was carved; ``prev_classes`` lists the members of
-    each base class.
+    each base class (at stage 0, each element of X is its own class).
     """
 
     index: int
     base: SetPresentation
     free: SetPresentation
     total: SetPresentation
-    free_prov: dict[str, tuple[str, str, tuple[str, ...]]]
+    free_prov: dict[str, Witness]
     limits_prev: dict[str, tuple[tuple[str, ...], ...]]
     kan_unit: dict[str, dict[tuple[str, ...], str]]
     p_prev: dict[str, dict[str, str]] | None = None
@@ -110,10 +112,26 @@ class Stage:
             return StageElement("free", obj, cone=cone, arrow=arrow, limit_tuple=w)
         raise InputError(f"untagged stage element {tagged_id!r}")
 
+    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
+        """Replay view at ``obj``: base classes carry members, free elements a witness."""
+        assert self.prev_classes is not None
+        for class_id, members in self.prev_classes[obj].items():
+            yield f"{BASE_TAG}:{class_id}", members, ()
+        prov = self.free_prov
+        for fid in self.free.carrier[obj]:
+            yield f"{FREE_TAG}:{fid}", (), (prov[fid],)
+
     def pair_counts(self) -> tuple[int, int]:
         one = sum(len(v) for v in self.rule1.values())
         two = sum(len(v) for v in self.rule2.values())
         return one, two
+
+
+class Rename(dict):
+    """Replay step that renames one to one: ``self[obj]`` maps new ids to old."""
+
+    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
+        return ((new, (old,), ()) for new, old in self[obj].items())
 
 
 @dataclass
@@ -133,6 +151,15 @@ class ReflectionTrace:
     def converged(self) -> bool:
         return self.verdict == "converged"
 
+    def replay_steps(self, depth: int | None = None) -> list[Stage | Rename]:
+        """Stages 0..``depth`` from X; by default stages 0..``converged_at``, then B:k -> k."""
+        if depth is not None:
+            return self.stages[: depth + 1]
+        assert self.converged_at is not None and self.core is not None
+        core = self.core
+        leave = Rename({d: {k: tag_base(k) for k in core.carrier[d]} for d in core.base.objects})
+        return [*self.stages[: self.converged_at + 1], leave]
+
     def to_json_dict(self) -> dict:
         stages = []
         for st in self.stages:
@@ -140,12 +167,10 @@ class ReflectionTrace:
             stages.append(
                 {
                     "index": st.index,
-                    "base": {o: list(st.base.carrier[o]) for o in st.base.base.objects},
-                    "free": {o: list(st.free.carrier[o]) for o in st.free.base.objects},
-                    "total": {o: list(st.total.carrier[o]) for o in st.total.base.objects},
-                    "p": None
-                    if st.p_prev is None
-                    else {o: dict(sorted(st.p_prev[o].items())) for o in sorted(st.p_prev)},
+                    "base": encode_carriers(st.base),
+                    "free": encode_carriers(st.free),
+                    "total": encode_carriers(st.total),
+                    "p": None if st.p_prev is None else encode_components(st.p_prev),
                     "rule1": r1,
                     "rule2": r2,
                 }
@@ -157,12 +182,8 @@ class ReflectionTrace:
             "converged_at": self.converged_at,
             "core_kind": self.core_kind,
             "stages": stages,
-            "core": None
-            if self.core is None
-            else {o: list(self.core.carrier[o]) for o in self.core.base.objects},
-            "rho": None
-            if self.rho is None
-            else {o: dict(sorted(self.rho.components[o].items())) for o in sorted(self.rho.components)},
+            "core": None if self.core is None else encode_carriers(self.core),
+            "rho": None if self.rho is None else encode_components(self.rho.components),
         }
 
     def dumps(self) -> str:
@@ -185,6 +206,7 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
         free_prov={},
         limits_prev={},
         kan_unit={},
+        prev_classes={d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects},
     )
 
 
@@ -256,7 +278,7 @@ def relation_two(
 @dataclass
 class FreeStep:
     free: SetPresentation
-    prov: dict[str, tuple[str, str, tuple[str, ...]]]
+    prov: dict[str, Witness]
     limits: dict[str, tuple[tuple[str, ...], ...]]
     kan_unit_raw: dict[str, dict[tuple[str, ...], str]]
 
@@ -304,37 +326,21 @@ def e_step(
                 selected.append(w)
         kept[cone.name] = tuple(selected)
 
-    carrier: dict[str, list[str]] = {d: [] for d in base.objects}
-    prov: dict[str, tuple[str, str, tuple[str, ...]]] = {}
-    kan_unit_raw: dict[str, dict[tuple[str, ...], str]] = {}
-    for cone in sketch.cones:
-        unit: dict[tuple[str, ...], str] = {}
-        for d in base.objects:
-            for t in base.hom(cone.peak, d):
-                for w in kept[cone.name]:
-                    fid = free_element_id(cone.name, t, w)
-                    prov[fid] = (cone.name, t, w)
-                    carrier[d].append(fid)
-                    if t == base.identities[cone.peak]:
-                        unit[w] = fid
-        kan_unit_raw[cone.name] = unit
     for d in base.objects:
-        if len(carrier[d]) > max_elements:
+        size = sum(len(base.hom(c.peak, d)) * len(kept[c.name]) for c in sketch.cones)
+        if size > max_elements:
             raise BudgetExceeded(
                 f"free part at stage {stage.index + 1} object {d!r} has "
-                f"{len(carrier[d])} elements (cap {max_elements})"
+                f"{size} elements (cap {max_elements})"
             )
-    action: dict[str, dict[str, str]] = {}
-    for name, arrow in base.arrows.items():
-        mapping: dict[str, str] = {}
-        for fid in carrier[arrow.dom]:
-            cone_name, t, w = prov[fid]
-            composed = base.compose(name, t)
-            mapping[fid] = free_element_id(cone_name, composed, w)
-        action[name] = mapping
-    free = SetPresentation(
-        base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action
+    free, prov = witness_presentation(
+        "F", base, [(c.name, c.peak, kept[c.name]) for c in sketch.cones]
     )
+    identity_at = {c.name: base.identities[c.peak] for c in sketch.cones}
+    kan_unit_raw: dict[str, dict[tuple[str, ...], str]] = {c.name: {} for c in sketch.cones}
+    for fid, (cone_name, t, w) in prov.items():
+        if t == identity_at[cone_name]:
+            kan_unit_raw[cone_name][w] = fid
     return FreeStep(free, prov, limits, kan_unit_raw)
 
 

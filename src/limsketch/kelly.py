@@ -17,17 +17,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import InputError
+from .errors import EngineError, InputError
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     QuotientMap,
     SetPresentation,
+    Witness,
     compose_nat,
+    disjoint_sum,
+    encode_carriers,
+    encode_components,
     functorial_quotient,
     identity_nat,
     validate_presentation,
+    witness_id,
+    witness_presentation,
 )
 from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model
 
@@ -35,13 +42,9 @@ SUM_BASE_TAG = "X"
 SUM_PAIR_TAG = "P"
 
 
-def _lp(s: str) -> str:
-    return f"{len(s)}:{s}"
-
-
 def pair_element_id(cone_name: str, arrow: str, w: tuple[str, ...]) -> str:
     """Injective identifier for a formal pair (arrow, limit tuple)."""
-    return "K" + _lp(cone_name) + _lp(arrow) + str(len(w)) + "#" + "".join(_lp(c) for c in w)
+    return witness_id("K", cone_name, arrow, w)
 
 
 def tag_sum_base(x: str) -> str:
@@ -59,9 +62,25 @@ class CompletionStep:
     obj: SetPresentation
     unit: NatTransSpec
     quotient: QuotientMap
-    pair_prov: dict[str, tuple[str, str, tuple[str, ...]]]
+    pair_prov: dict[str, Witness]
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
+
+    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
+        """Replay view at ``obj``: a class carries its X members, and its pairs are witnesses."""
+        x_tag, p_cut, prov = f"{SUM_BASE_TAG}:", len(SUM_PAIR_TAG) + 1, self.pair_prov
+        for class_id, members in self.quotient.classes[obj].items():
+            carried = tuple(m[len(x_tag) :] for m in members if m.startswith(x_tag))
+            witnesses = tuple(prov[m[p_cut:]] for m in members if not m.startswith(x_tag))
+            yield class_id, carried, witnesses
+
+    def pair_class(self, obj: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
+        """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``."""
+        pid = pair_element_id(cone, arrow, w)
+        try:
+            return self.quotient.projection[obj][f"{SUM_PAIR_TAG}:{pid}"]
+        except KeyError:
+            raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
 
     def r_counts(self) -> tuple[int, int]:
         return (
@@ -77,34 +96,10 @@ def _completion(
 ) -> CompletionStep:
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in cones}
-    carrier: dict[str, list[str]] = {
-        d: [tag_sum_base(x) for x in pres.carrier[d]] for d in base.objects
-    }
-    pair_prov: dict[str, tuple[str, str, tuple[str, ...]]] = {}
-    for cone in cones:
-        for d in base.objects:
-            for t in base.hom(cone.peak, d):
-                for w in limits[cone.name]:
-                    pid = pair_element_id(cone.name, t, w)
-                    pair_prov[pid] = (cone.name, t, w)
-                    carrier[d].append(tag_sum_pair(pid))
-    action: dict[str, dict[str, str]] = {}
-    for name, arrow in base.arrows.items():
-        mapping: dict[str, str] = {}
-        for x in pres.carrier[arrow.dom]:
-            mapping[tag_sum_base(x)] = tag_sum_base(pres.action[name][x])
-        for tagged in carrier[arrow.dom]:
-            if not tagged.startswith(f"{SUM_PAIR_TAG}:"):
-                continue
-            pid = tagged[len(SUM_PAIR_TAG) + 1 :]
-            cone_name, t, w = pair_prov[pid]
-            mapping[tagged] = tag_sum_pair(
-                pair_element_id(cone_name, base.compose(name, t), w)
-            )
-        action[name] = mapping
-    sum_pres = SetPresentation(
-        base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action
+    pairs, pair_prov = witness_presentation(
+        "K", base, [(c.name, c.peak, limits[c.name]) for c in cones]
     )
+    sum_pres, _, _ = disjoint_sum(pres, pairs, tags=(SUM_BASE_TAG, SUM_PAIR_TAG))
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     r1: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
@@ -196,6 +191,11 @@ class KellyTrace:
     def converged(self) -> bool:
         return self.verdict == "converged"
 
+    def replay_steps(self) -> list[CompletionStep]:
+        """Completion steps 1..``converged_at``, from X to the core."""
+        assert self.converged_at is not None
+        return [st.step for st in self.stages[: self.converged_at]]
+
     def object_at(self, index: int) -> SetPresentation:
         if index == 0:
             return self.start
@@ -208,11 +208,8 @@ class KellyTrace:
             stages.append(
                 {
                     "index": st.index,
-                    "carrier": {o: list(st.obj.carrier[o]) for o in st.obj.base.objects},
-                    "unit": {
-                        o: dict(sorted(st.step.unit.components[o].items()))
-                        for o in sorted(st.step.unit.components)
-                    },
+                    "carrier": encode_carriers(st.obj),
+                    "unit": encode_components(st.step.unit.components),
                     "r0": r0,
                     "r1": r1,
                 }
@@ -222,15 +219,8 @@ class KellyTrace:
             "verdict": self.verdict,
             "converged_at": self.converged_at,
             "stages": stages,
-            "core": None
-            if self.core is None
-            else {o: list(self.core.carrier[o]) for o in self.core.base.objects},
-            "rho": None
-            if self.rho is None
-            else {
-                o: dict(sorted(self.rho.components[o].items()))
-                for o in sorted(self.rho.components)
-            },
+            "core": None if self.core is None else encode_carriers(self.core),
+            "rho": None if self.rho is None else encode_components(self.rho.components),
         }
 
     def dumps(self) -> str:

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, InputError
 from .fincat import (
@@ -25,6 +25,43 @@ from .fincat import (
 )
 
 DEFAULT_TUPLE_BUDGET = 10**6
+
+# A witness: (cone name, arrow out of the cone's peak, limit tuple).
+Witness = tuple[str, str, tuple[str, ...]]
+
+
+def witness_id(kind: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
+    """Injective id of the witness (``cone``, ``arrow``, ``w``); ``kind`` names the engine.
+
+    Every field is length-prefixed, so ids need no escaping at any depth.
+    """
+    return f"{kind}{len(cone)}:{cone}{len(arrow)}:{arrow}{len(w)}#" + "".join(
+        [f"{len(c)}:{c}" for c in w]
+    )
+
+
+def encode_components(m: Mapping[str, Mapping[str, str]]) -> dict[str, dict[str, str]]:
+    """Per-object maps with objects and elements sorted, for JSON reports."""
+    return {o: dict(sorted(m[o].items())) for o in sorted(m)}
+
+
+def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
+    """The carriers of ``pres`` as stored, object by object, for JSON reports."""
+    return {o: list(pres.carrier[o]) for o in pres.base.objects}
+
+
+def string_list(value: object, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else :class:`InputError`."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{what} must be a list of strings")
+    return value
+
+
+def string_map(value: object, what: str) -> dict[str, str]:
+    """``value`` if it is a JSON object of strings, else :class:`InputError`."""
+    if not isinstance(value, dict) or not all(isinstance(x, str) for x in value.values()):
+        raise InputError(f"{what} must be an object of strings")
+    return value
 
 
 @dataclass
@@ -158,17 +195,29 @@ class NatTransSpec:
     def validate(self) -> ValidationReport:
         report = ValidationReport()
         base = self.source.base
+        # a foreign key comes with a missing key or a surplus: only then look
+        odd_objects = len(self.components) != len(base.objects)
         for obj in base.objects:
             comp = self.components.get(obj)
             if comp is None:
                 report.add("component-missing", f"no component at {obj!r}")
+                odd_objects = True
                 continue
             tgt = set(self.target.carrier.get(obj, ()))
-            for x in self.source.carrier.get(obj, ()):
+            src = self.source.carrier.get(obj, ())
+            odd_keys = len(comp) != len(src)
+            for x in src:
                 if x not in comp:
                     report.add("component-partial", f"at {obj!r}: undefined on {x!r}")
+                    odd_keys = True
                 elif comp[x] not in tgt:
                     report.add("component-range", f"at {obj!r}: {x!r} maps outside")
+            if odd_keys:
+                for x in sorted(comp.keys() - src):
+                    report.add("component-domain", f"at {obj!r}: defined on foreign {x!r}")
+        if odd_objects:
+            for obj in sorted(self.components.keys() - base.objects):
+                report.add("component-object", f"component at unknown object {obj!r}")
         for name, arrow in sorted(base.arrows.items()):
             src_act = self.source.action.get(name, {})
             tgt_act = self.target.action.get(name, {})
@@ -323,12 +372,12 @@ def _join_plan(order: list[str], arrows: list[Arrow]) -> list[_JoinStep]:
 
 
 class _DisjointSet:
-    """Union-find with canonical (lexicographically least) representatives."""
+    """Union-find with canonical (least) representatives, over any ordered hashables."""
 
     def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+        self.parent: dict[Hashable, Hashable] = {}
 
-    def find(self, x: str) -> str:
+    def find(self, x: Hashable) -> Hashable:
         parent = self.parent
         root = x
         while parent.get(root, root) != root:
@@ -337,7 +386,7 @@ class _DisjointSet:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: str, b: str) -> bool:
+    def union(self, a: Hashable, b: Hashable) -> bool:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
@@ -410,43 +459,6 @@ def functorial_quotient(
     return QuotientMap(pres, target, projection, classes)
 
 
-def pushout_classes(
-    f: Mapping[str, object],
-    g: Mapping[str, object],
-    cod_f: Iterable[object],
-    cod_g: Iterable[object],
-) -> dict[tuple[str, object], tuple[str, object]]:
-    """Partition ``cod_f + cod_g`` by identifying ``f(a)`` with ``g(a)``.
-
-    Elements are tagged ``("f", x)`` / ``("g", y)``; the returned lookup
-    sends each tagged element to the least tagged member of its class.
-    ``f`` and ``g`` must share the same domain keys.
-    """
-    if set(f) != set(g):
-        raise InputError("pushout legs have different domains")
-    parent: dict[tuple[str, object], tuple[str, object]] = {}
-
-    def find(x: tuple[str, object]) -> tuple[str, object]:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a in sorted(f):
-        left, right = find(("f", f[a])), find(("g", g[a]))
-        if left != right:
-            lo, hi = (left, right) if left < right else (right, left)
-            parent[hi] = lo
-    lookup: dict[tuple[str, object], tuple[str, object]] = {}
-    for y in cod_f:
-        lookup[("f", y)] = find(("f", y))
-    for y in cod_g:
-        lookup[("g", y)] = find(("g", y))
-    return lookup
-
-
 def same_fiber_pairs(
     gamma: Mapping[str, object],
     act: Mapping[str, str],
@@ -458,24 +470,12 @@ def same_fiber_pairs(
     pushout is explored from the shared domain alone; per class a sorted
     chain of pairs is emitted (same closure as all pairs).
     """
-    parent: dict[tuple[str, object], tuple[str, object]] = {}
-
-    def find(x: tuple[str, object]) -> tuple[str, object]:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
+    forest = _DisjointSet()
     for a in sorted(gamma):
-        left, right = find(("f", gamma[a])), find(("g", act[a]))
-        if left != right:
-            lo, hi = (left, right) if left < right else (right, left)
-            parent[hi] = lo
+        forest.union(("f", gamma[a]), ("g", act[a]))
     groups: dict[tuple[str, object], list[str]] = {}
     for y in targets:
-        groups.setdefault(find(("g", y)), []).append(y)
+        groups.setdefault(forest.find(("g", y)), []).append(y)
     pairs: list[tuple[str, str]] = []
     for _, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
         members.sort()
@@ -515,6 +515,35 @@ def disjoint_sum(
     return SetPresentation(base, carrier, action), inj_left, inj_right
 
 
+def witness_presentation(
+    kind: str,
+    base: FinCategory,
+    limits: Iterable[tuple[str, str, Iterable[tuple[str, ...]]]],
+) -> tuple[SetPresentation, dict[str, Witness]]:
+    """The sum over cones c of hom(peak_c, -) x L_c, and the witness of each element.
+
+    ``limits`` lists (c, peak_c, L_c); elements are named by :func:`witness_id`
+    and an arrow a sends the witness (c, t, w) to (c, a . t, w).
+    """
+    carrier: dict[str, list[str]] = {d: [] for d in base.objects}
+    prov: dict[str, Witness] = {}
+    for cone, peak, tuples in limits:
+        for d in base.objects:
+            for t in base.hom(peak, d):
+                for w in tuples:
+                    wid = witness_id(kind, cone, t, w)
+                    prov[wid] = (cone, t, w)
+                    carrier[d].append(wid)
+    action: dict[str, dict[str, str]] = {}
+    for name, arrow in base.arrows.items():
+        mapping: dict[str, str] = {}
+        for wid in carrier[arrow.dom]:
+            cone, t, w = prov[wid]
+            mapping[wid] = witness_id(kind, cone, base.compose(name, t), w)
+        action[name] = mapping
+    return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
+
+
 # -- JSON interchange --------------------------------------------------------
 
 _PRESENTATION_FIELDS = {"category", "carrier", "action"}
@@ -524,12 +553,10 @@ def presentation_to_json_dict(pres: SetPresentation, category: str | dict | None
     cat: str | dict = category if category is not None else category_to_json_dict(pres.base)
     return {
         "category": cat,
-        "carrier": {o: list(pres.carrier[o]) for o in pres.base.objects},
-        "action": {
-            a: dict(sorted(pres.action[a].items()))
-            for a in sorted(pres.base.arrows)
-            if not pres.base.is_identity(a)
-        },
+        "carrier": encode_carriers(pres),
+        "action": encode_components(
+            {a: pres.action[a] for a in pres.base.arrows if not pres.base.is_identity(a)}
+        ),
     }
 
 
@@ -573,12 +600,14 @@ def presentation_from_json_dict(
     action = data["action"]
     if not isinstance(carrier, dict) or not isinstance(action, dict):
         raise InputError("'carrier' and 'action' must be objects")
-    for obj in carrier:
+    for obj, elements in carrier.items():
         if obj not in cat.objects:
             raise InputError(f"carrier names unknown object {obj!r}")
-    for arrow in action:
+        string_list(elements, f"carrier of {obj!r}")
+    for arrow, mapping in action.items():
         if arrow not in cat.arrows:
             raise InputError(f"action names unknown arrow {arrow!r}")
+        string_map(mapping, f"action of {arrow!r}")
     pres = make_presentation(cat, carrier, action)
     report = validate_presentation(pres)
     if not report.ok:

@@ -1,12 +1,13 @@
 """Executable reflection property: construct the factorisation, certify uniqueness.
 
-Given a converged reflection trace for X and a map f from X into a model
-M, the factorisation g with g . rho = f is built by replaying the trace:
-base classes inherit the (checked) common image of their members, and a
-free element over a limit tuple w maps through the inverse of M's gap
-map, which exists exactly because M is a model.  Uniqueness is certified
-separately by exhausting all natural transformations from the core when
-the search space is small enough; the construction never feeds the search.
+Both engines present a stage as bundles: each element carries earlier
+elements, fresh witnesses (cone, arrow, limit tuple), or both.
+:func:`replay` walks them once, for the stage comparison in ``compare``
+and here for the g with g . rho = f of a map f from X into a model M: a
+witness maps through the inverse of M's gap map, which exists exactly
+because M is a model.  Uniqueness is certified separately by exhausting
+all natural transformations from the core when the search space is
+small enough; the construction never feeds the search.
 """
 
 from __future__ import annotations
@@ -14,18 +15,73 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .elim import BASE_TAG, FREE_TAG, ReflectionTrace
+from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
-from .kelly import SUM_BASE_TAG, SUM_PAIR_TAG, KellyTrace
-from .setops import NatTransSpec, SetPresentation, compose_nat
+from .kelly import KellyTrace
+from .setops import NatTransSpec, SetPresentation, compose_nat, encode_components
 from .sketchlib import LimitSketch, gap_map, is_model
 
 DEFAULT_ENUM_CAP = 10**6
 
+Components = dict[str, dict[str, str]]
+
+
+def replay(
+    steps: Iterable,
+    start: Mapping[str, Mapping[str, str]],
+    sketch: LimitSketch,
+    carry: Callable[[int], Mapping[str, Mapping[str, str]] | None],
+    witness: Callable[[int, str, str, str, str, tuple[str, ...]], str],
+) -> Iterator[Components]:
+    """Extend a map on X along replay steps; yield the map after each step.
+
+    ``start[d][x]`` is the image of each element x of X at object d.  A
+    step's ``classes(d)`` yields ``(element, carried, witnesses)``.  At
+    step i the image of an element is the one value shared by its
+    carried members' images, each sent through ``carry(i)`` unless that
+    is None, and by ``witness(i, d, element, cone, arrow, v)`` for each
+    witness, where v is the witness tuple imaged through the current map.
+    Conflicting images raise :class:`EngineError`.
+    """
+    objects, current = sketch.base.objects, start
+    cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
+    for i, step in enumerate(steps):
+        unit = carry(i)
+        # per cone, the current map at each tuple position
+        position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
+        nxt: Components = {}
+        for d in objects:
+            here, after = current[d], None if unit is None else unit[d]
+            out: dict[str, str] = {}
+            for element, carried, witnesses in step.classes(d):
+                values = set()
+                for m in carried:
+                    values.add(here[m] if after is None else after[here[m]])
+                for cone, arrow, w in witnesses:
+                    v = tuple(map(getitem, position_maps[cone], w))
+                    values.add(witness(i, d, element, cone, arrow, v))
+                if len(values) != 1:
+                    raise EngineError(
+                        f"class image conflict at replay step {i} object {d!r}: "
+                        f"{element!r} maps to {sorted(values)}"
+                    )
+                out[element] = values.pop()
+            nxt[d] = out
+        current = nxt
+        yield current
+
 
 @dataclass
 class FactorisationResult:
+    """The factorisation g, with one log entry per witness sent through M.
+
+    Entry keys: step (index into ``replay_steps()``), object, element,
+    cone, arrow, tuple (the witness tuple imaged in M) and gap_inverse.
+    """
+
     g: NatTransSpec
     commutes: bool
     log: list[dict] = field(default_factory=list)
@@ -51,124 +107,6 @@ def _check_model(model: SetPresentation, sketch: LimitSketch, max_tuples: int) -
         raise PreconditionError(f"not a model: cone {bad.cone!r} gap map not bijective")
 
 
-def _solve_elim(
-    trace: ReflectionTrace,
-    f: NatTransSpec,
-    model: SetPresentation,
-    sketch: LimitSketch,
-    inverses: dict[str, dict[tuple[str, ...], str]],
-    log: list[dict],
-) -> dict[str, dict[str, str]]:
-    objects = sketch.base.objects
-    cones = {c.name: c for c in sketch.cones}
-    # g_tagged maps tagged elements of the current stage total into M.
-    g_tagged = {
-        d: {f"{BASE_TAG}:{x}": f.components[d][x] for x in trace.stages[0].base.carrier[d]}
-        for d in objects
-    }
-    assert trace.converged_at is not None
-    for stage in trace.stages[1 : trace.converged_at + 1]:
-        assert stage.prev_classes is not None
-        nxt: dict[str, dict[str, str]] = {d: {} for d in objects}
-        for d in objects:
-            for class_id, members in stage.prev_classes[d].items():
-                values = {g_tagged[d][m] for m in members}
-                if len(values) != 1:
-                    raise EngineError(
-                        f"class image conflict at stage {stage.index} object {d!r}: "
-                        f"class {class_id!r} maps to {sorted(values)}"
-                    )
-                nxt[d][f"{BASE_TAG}:{class_id}"] = values.pop()
-            for fid in stage.free.carrier[d]:
-                cone_name, t, w = stage.free_prov[fid]
-                cone = cones[cone_name]
-                order = cone.shape_order()
-                mvec = tuple(
-                    g_tagged[cone.diagram.on_object(z)][w[i]] for i, z in enumerate(order)
-                )
-                try:
-                    u = inverses[cone_name][mvec]
-                except KeyError:
-                    raise EngineError(
-                        f"image tuple {mvec!r} is not hit by the gap map of {cone_name!r}"
-                    ) from None
-                nxt[d][f"{FREE_TAG}:{fid}"] = model.action[t][u]
-                log.append(
-                    {
-                        "stage": stage.index,
-                        "object": d,
-                        "free": fid,
-                        "tuple": list(mvec),
-                        "gap_inverse": u,
-                        "arrow": t,
-                    }
-                )
-        g_tagged = nxt
-    assert trace.core is not None
-    return {
-        d: {k: g_tagged[d][f"{BASE_TAG}:{k}"] for k in trace.core.carrier[d]}
-        for d in objects
-    }
-
-
-def _solve_kelly(
-    trace: KellyTrace,
-    f: NatTransSpec,
-    model: SetPresentation,
-    sketch: LimitSketch,
-    inverses: dict[str, dict[tuple[str, ...], str]],
-    log: list[dict],
-) -> dict[str, dict[str, str]]:
-    objects = sketch.base.objects
-    cones = {c.name: c for c in sketch.cones}
-    g_prev = {d: dict(f.components[d]) for d in objects}
-    assert trace.converged_at is not None
-    for st in trace.stages[: trace.converged_at]:
-        step = st.step
-        nxt: dict[str, dict[str, str]] = {d: {} for d in objects}
-        for d in objects:
-            for class_id, members in step.quotient.classes[d].items():
-                values = set()
-                for m in members:
-                    if m.startswith(f"{SUM_BASE_TAG}:"):
-                        values.add(g_prev[d][m[len(SUM_BASE_TAG) + 1 :]])
-                    else:
-                        pid = m[len(SUM_PAIR_TAG) + 1 :]
-                        cone_name, t, w = step.pair_prov[pid]
-                        cone = cones[cone_name]
-                        order = cone.shape_order()
-                        mvec = tuple(
-                            g_prev[cone.diagram.on_object(z)][w[i]]
-                            for i, z in enumerate(order)
-                        )
-                        try:
-                            u = inverses[cone_name][mvec]
-                        except KeyError:
-                            raise EngineError(
-                                f"image tuple {mvec!r} is not hit by the gap map "
-                                f"of {cone_name!r}"
-                            ) from None
-                        values.add(model.action[t][u])
-                        log.append(
-                            {
-                                "stage": st.index,
-                                "object": d,
-                                "pair": pid,
-                                "tuple": list(mvec),
-                                "gap_inverse": u,
-                                "arrow": t,
-                            }
-                        )
-                if len(values) != 1:
-                    raise EngineError(
-                        f"class image conflict at completion stage {st.index} "
-                        f"object {d!r}: class {class_id!r} maps to {sorted(values)}"
-                    )
-                nxt[d][class_id] = values.pop()
-        g_prev = nxt
-    return g_prev
-
-
 def solve_factorisation(
     trace: ReflectionTrace | KellyTrace,
     f: NatTransSpec,
@@ -176,22 +114,31 @@ def solve_factorisation(
     sketch: LimitSketch,
     max_tuples: int = 10**6,
 ) -> FactorisationResult:
-    """Construct g with g . rho = f by provenance replay through the trace.
+    """Construct g with g . rho = f by replaying the trace from f.
 
-    Accepts either engine's trace; both are extended stage by stage.  The
-    returned g is verified to commute with rho and to be natural before
-    being handed back; a broken trace surfaces as an error, never as a
-    silently wrong g.
+    Accepts either engine's trace.  The returned g is verified to commute
+    with rho and to be natural before being handed back; a broken trace
+    surfaces as an error, never as a silently wrong g.
     """
     if not trace.converged:
         raise PreconditionError("factorisation needs a converged trace")
     _check_model(model, sketch, max_tuples)
     inverses = _gap_inverses(model, sketch)
     log: list[dict] = []
-    if isinstance(trace, ReflectionTrace):
-        components = _solve_elim(trace, f, model, sketch, inverses, log)
-    else:
-        components = _solve_kelly(trace, f, model, sketch, inverses, log)
+
+    def through_model(i: int, d: str, element: str, cone: str, arrow: str, v: tuple) -> str:
+        try:
+            u = inverses[cone][v]
+        except KeyError:
+            raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}") from None
+        log.append(dict(
+            step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
+        ))
+        return model.action[arrow][u]
+
+    steps, components = trace.replay_steps(), f.components
+    for components in replay(steps, components, sketch, lambda i: None, through_model):
+        pass
     assert trace.core is not None and trace.rho is not None
     g = NatTransSpec(trace.core, model, components)
     report = g.validate()
@@ -261,10 +208,7 @@ class UniquenessVerdict:
         return {
             "uniqueness": self.status,
             "search_space": self.search_space,
-            "witnesses": [
-                {o: dict(sorted(w.components[o].items())) for o in sorted(w.components)}
-                for w in self.witnesses
-            ],
+            "witnesses": [encode_components(w.components) for w in self.witnesses],
         }
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import random
 
+from typing import Iterable, Mapping
+
+from limsketch.errors import InputError
 from limsketch.fincat import FinCategory
 from limsketch.setops import SetPresentation, make_presentation
 
@@ -96,6 +99,44 @@ def dsu_partition(elements: list, pairs: list[tuple]) -> set[frozenset]:
     for e in elements:
         groups.setdefault(find(e), set()).add(e)
     return {frozenset(g) for g in groups.values()}
+
+
+def pushout_classes(
+    f: Mapping[str, object],
+    g: Mapping[str, object],
+    cod_f: Iterable[object],
+    cod_g: Iterable[object],
+) -> dict[tuple[str, object], tuple[str, object]]:
+    """Partition ``cod_f + cod_g`` by identifying ``f(a)`` with ``g(a)``.
+
+    Elements are tagged ``("f", x)`` / ``("g", y)``; the returned lookup
+    sends each tagged element to the least tagged member of its class.
+    ``f`` and ``g`` must share the same domain keys.  This is the
+    reference for ``setops.same_fiber_pairs``.
+    """
+    if set(f) != set(g):
+        raise InputError("pushout legs have different domains")
+    parent: dict[tuple[str, object], tuple[str, object]] = {}
+
+    def find(x: tuple[str, object]) -> tuple[str, object]:
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a in sorted(f):
+        left, right = find(("f", f[a])), find(("g", g[a]))
+        if left != right:
+            lo, hi = (left, right) if left < right else (right, left)
+            parent[hi] = lo
+    lookup: dict[tuple[str, object], tuple[str, object]] = {}
+    for y in cod_f:
+        lookup[("f", y)] = find(("f", y))
+    for y in cod_g:
+        lookup[("g", y)] = find(("g", y))
+    return lookup
 
 
 def model_oracle(pres, sketch) -> bool:

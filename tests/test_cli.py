@@ -238,3 +238,54 @@ def test_cone_without_required_field_exits_two(workspace, tmp_path, field):
     )
     assert proc.returncode == 2
     assert proc.stderr == f"input error: cone 0: missing cone fields ['{field}']\n"
+
+
+ISO_MAP = {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}}
+ISO_PRES = {
+    "category": "iso_forcing",
+    "carrier": {"a": ["x1", "x2"], "b": ["y"]},
+    "action": {"t": {"x1": "y", "x2": "y"}},
+}
+
+
+@pytest.mark.parametrize(
+    ("document", "bad", "message"),
+    [
+        ("map", {"components": {**ISO_MAP, "zz": {"q": "m"}}}, "unknown object 'zz'"),
+        (
+            "map",
+            {"components": {**ISO_MAP, "a": {"x1": "m", "x2": "m", "ghost": "m"}}},
+            "defined on foreign 'ghost'",
+        ),
+        ("map", {"components": {**ISO_MAP, "a": ["m", "m"]}}, "component at 'a' must be"),
+        ("map", {"components": ["a"]}, "'components' must be an object"),
+        ("presentation", {**ISO_PRES, "carrier": {"a": "xy", "b": ["y"]}}, "carrier of 'a'"),
+        (
+            "presentation",
+            {**ISO_PRES, "carrier": {"a": [1], "b": ["y"]}, "action": {"t": {"1": "y"}}},
+            "carrier of 'a'",
+        ),
+        ("presentation", {**ISO_PRES, "action": {"t": ["y", "y"]}}, "action of 't'"),
+    ],
+    ids=[
+        "unknown-object-key",
+        "foreign-element-key",
+        "list-component",
+        "list-components",
+        "string-carrier",
+        "integer-element",
+        "list-action",
+    ],
+)
+def test_malformed_map_or_presentation_exits_two(workspace, tmp_path, document, bad, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(bad))
+    pres = path if document == "presentation" else workspace["iso_pres"]
+    fmap = path if document == "map" else workspace["iso_map"]
+    proc = run_cli(
+        "universal", "--sketch", "iso_forcing", "--presentation", str(pres),
+        "--model", str(workspace["iso_model"]), "--map", str(fmap),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
