@@ -13,7 +13,6 @@ from .elim import (
     PRUNED,
     ReflectionTrace,
     Stage,
-    StageElement,
     e_step,
     elim_stage,
     reflect_elim,

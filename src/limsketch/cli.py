@@ -14,12 +14,12 @@ from pathlib import Path
 from . import compare as compare_mod
 from . import elim, kelly, universal
 from .errors import BudgetExceeded, EngineError, InputError, PreconditionError
+from .fincat import string_map
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     SetPresentation,
     presentation_from_json_dict,
-    string_map,
 )
 from .sketchlib import (
     BUILDERS,

@@ -9,10 +9,15 @@ next base merges the current total S = B + E under two kinds of pairs:
 * rule (2) merges a freshly added witness with the base element it
   rectifies, via their common lift through the previous stage's limits.
 
-The free part of the next stage is rebuilt from the current limits (in
-pruned mode, only from tuples the new base does not already hit), and a
-run converges either when the stable core of the base is a model or when
-the free part dies out on a model base.
+The free part of the next stage is rebuilt from the current limits, and
+a run converges either when the stable core of the base is a model or
+when the free part dies out on a model base.  Faithful mode adds a
+witness for every limit tuple of S.  Pruned mode adds one only for the
+tuples w whose image p . w in the next base Q is not hit by Q's gap map,
+and finds them quotient first: it enumerates the small limit of Q, drops
+the hit tuples, and lifts each unhit tuple u to the limit of S restricted
+to the fibres of p over u's components.  Those lifts are exactly the
+tuples w with p . w = u, so the large limit of S is never enumerated.
 
 Element identifiers carry full provenance.  A base identifier is the
 least member of the merged class; a free identifier encodes its cone,
@@ -29,7 +34,9 @@ from typing import Iterator
 from .errors import BudgetExceeded, InputError, PreconditionError
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
+    LimitJoin,
     NatTransSpec,
+    QuotientMap,
     SetPresentation,
     Witness,
     disjoint_sum,
@@ -43,7 +50,7 @@ from .setops import (
     witness_id,
     witness_presentation,
 )
-from .sketchlib import LimitSketch, cone_limit, gap_map, is_model
+from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model, restrict_along
 
 FAITHFUL = "faithful"
 PRUNED = "pruned"
@@ -67,27 +74,17 @@ def tag_free(free_id: str) -> str:
     return f"{FREE_TAG}:{free_id}"
 
 
-@dataclass(frozen=True)
-class StageElement:
-    """Provenance view of one element of a stage total."""
-
-    kind: str  # "base" | "free"
-    obj: str
-    base_class: str | None = None
-    cone: str | None = None
-    arrow: str | None = None
-    limit_tuple: tuple[str, ...] | None = None
-
-
 @dataclass
 class Stage:
     """One stage of the staged reflection.
 
     ``total`` is the tagged disjoint sum of ``base`` and ``free``;
     ``p_prev`` projects the previous total onto this base (absent at
-    stage 0); ``limits_prev`` holds the previous stage's full limit sets
-    from which ``free`` was carved; ``prev_classes`` lists the members of
-    each base class (at stage 0, each element of X is its own class).
+    stage 0); ``limits_prev`` holds, per cone, the limit tuples of the
+    previous total that ``free`` is built from (all of them in faithful
+    mode, only those over tuples unhit in this base in pruned mode);
+    ``prev_classes`` lists the members of each base class (at stage 0,
+    each element of X is its own class).
     """
 
     index: int
@@ -102,15 +99,6 @@ class Stage:
     prev_classes: dict[str, dict[str, tuple[str, ...]]] | None = None
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
-
-    def element(self, obj: str, tagged_id: str) -> StageElement:
-        if tagged_id.startswith(f"{BASE_TAG}:"):
-            return StageElement("base", obj, base_class=tagged_id[len(BASE_TAG) + 1 :])
-        if tagged_id.startswith(f"{FREE_TAG}:"):
-            fid = tagged_id[len(FREE_TAG) + 1 :]
-            cone, arrow, w = self.free_prov[fid]
-            return StageElement("free", obj, cone=cone, arrow=arrow, limit_tuple=w)
-        raise InputError(f"untagged stage element {tagged_id!r}")
 
     def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
         """Replay view at ``obj``: base classes carry members, free elements a witness."""
@@ -244,8 +232,9 @@ def relation_two(
     For a cone c, shape object z, arrow t out of the diagram image of z
     and limit tuple w of the previous stage, the free element carried by
     the composite t . leg_z over w is paired with the projection of the
-    t-action of the z-component of w.  In pruned mode the free element
-    may have been skipped, in which case no pair is emitted.
+    t-action of the z-component of w.  The tuples w are those of
+    ``limits_prev``, which the free part was built from, so every free
+    element named here exists in both modes.
     """
     if stage.index < 1:
         return {}
@@ -254,7 +243,6 @@ def relation_two(
     base = sketch.base
     prev = stage.prev_total
     proj = stage.p_prev
-    present = {d: set(stage.total.carrier[d]) for d in base.objects}
     out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     for cone in sketch.cones:
         tuples = stage.limits_prev.get(cone.name, ())
@@ -268,8 +256,6 @@ def relation_two(
                     act = prev.action[t]
                     for w in tuples:
                         free_tagged = tag_free(free_element_id(cone.name, t_leg, w))
-                        if free_tagged not in present[d]:
-                            continue
                         base_tagged = tag_base(proj[d][act[w[z_idx]]])
                         out[d].add((free_tagged, base_tagged))
     return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
@@ -287,54 +273,49 @@ def e_step(
     stage: Stage,
     sketch: LimitSketch,
     mode: str = FAITHFUL,
-    next_base: SetPresentation | None = None,
-    next_p: dict[str, dict[str, str]] | None = None,
+    quotient: QuotientMap | None = None,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> FreeStep:
     """Build the next free part from the current stage's limits.
 
     Faithful mode adds one element per (cone, arrow out of the peak,
-    limit tuple).  Pruned mode drops a tuple when its projection into the
-    next base already lies in that base's gap image, which keeps the
-    transient population from growing without changing the reflection up
-    to isomorphism; this requires ``next_base`` and ``next_p``.
+    limit tuple of the total).  Pruned mode needs ``quotient``, the
+    projection p of the total onto the next base Q, and keeps only the
+    limit tuples w whose image p . w is not in the gap image of Q, which
+    keeps the transient population from growing without changing the
+    reflection up to isomorphism.  It finds them with :func:`_unhit_lifts`,
+    without enumerating the limit of the total.  ``limits`` holds the
+    tuples kept, in the product order of the total's carriers.
+
+    ``max_tuples`` bounds the candidates visited per cone: in the limit of
+    the total in faithful mode; in the limit of Q plus all the lifts, as
+    one running count, in pruned mode.
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
+    if mode == PRUNED and quotient is None:
+        raise PreconditionError("pruned e_step needs the quotient onto the next base")
     base = sketch.base
     limits: dict[str, tuple[tuple[str, ...], ...]] = {}
-    kept: dict[str, tuple[tuple[str, ...], ...]] = {}
     for cone in sketch.cones:
         try:
-            tuples = cone_limit(stage.total, cone, max_tuples=max_tuples)
+            if mode == FAITHFUL:
+                limits[cone.name] = cone_limit(stage.total, cone, max_tuples=max_tuples)
+            else:
+                limits[cone.name] = _unhit_lifts(stage.total, quotient, cone, max_tuples)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {stage.index + 1}: {exc}") from None
-        limits[cone.name] = tuples
-        if mode == FAITHFUL:
-            kept[cone.name] = tuples
-            continue
-        if next_base is None or next_p is None:
-            raise PreconditionError("pruned e_step needs the next base and projection")
-        gap_image = set(gap_map(next_base, cone).values())
-        order = cone.shape_order()
-        objs = [cone.diagram.on_object(z) for z in order]
-        selected = []
-        for w in tuples:
-            pushed = tuple(next_p[objs[i]][w[i]] for i in range(len(order)))
-            if pushed not in gap_image:
-                selected.append(w)
-        kept[cone.name] = tuple(selected)
 
     for d in base.objects:
-        size = sum(len(base.hom(c.peak, d)) * len(kept[c.name]) for c in sketch.cones)
+        size = sum(len(base.hom(c.peak, d)) * len(limits[c.name]) for c in sketch.cones)
         if size > max_elements:
             raise BudgetExceeded(
                 f"free part at stage {stage.index + 1} object {d!r} has "
                 f"{size} elements (cap {max_elements})"
             )
     free, prov = witness_presentation(
-        "F", base, [(c.name, c.peak, kept[c.name]) for c in sketch.cones]
+        "F", base, [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     )
     identity_at = {c.name: base.identities[c.peak] for c in sketch.cones}
     kan_unit_raw: dict[str, dict[tuple[str, ...], str]] = {c.name: {} for c in sketch.cones}
@@ -342,6 +323,39 @@ def e_step(
         if t == identity_at[cone_name]:
             kan_unit_raw[cone_name][w] = fid
     return FreeStep(free, prov, limits, kan_unit_raw)
+
+
+def _unhit_lifts(
+    total: SetPresentation,
+    quotient: QuotientMap,
+    cone: Cone,
+    max_tuples: int,
+) -> tuple[tuple[str, ...], ...]:
+    """The limit tuples w of ``total`` at ``cone`` with p . w unhit in the quotient.
+
+    Each such w lies over a tuple u of the quotient's limit outside its
+    gap image, and the w over u are the limit of ``total`` restricted to
+    the classes of u's components.  One join plan serves the quotient's
+    limit and every lift, and one count of visited candidates runs
+    through all of them.
+    """
+    join = LimitJoin(cone.shape)
+    label = f"cone {cone.name}"
+    target = quotient.target
+    small, spent = join.run(restrict_along(target, cone), max_tuples, label)
+    hit = set(gap_map(target, cone).values())
+    order = cone.shape_order()
+    classes = [quotient.classes[cone.diagram.on_object(z)] for z in order]
+    diag = restrict_along(total, cone)
+    lifted: list[tuple[str, ...]] = []
+    for u in small:
+        if u in hit:
+            continue
+        fibres = {z: cls[x] for z, cls, x in zip(order, classes, u)}
+        tuples, spent = join.run(diag, max_tuples, label, carriers=fibres, spent=spent)
+        lifted.extend(tuples)
+    # the total's carriers are sorted, so sorting restores their product order
+    return tuple(sorted(lifted))
 
 
 def elim_stage(
@@ -360,13 +374,7 @@ def elim_stage(
             merged.setdefault(d, []).extend(pairs)
     quotient = functorial_quotient(stage.total, merged)
     step = e_step(
-        stage,
-        sketch,
-        mode,
-        next_base=quotient.target,
-        next_p=quotient.projection,
-        max_tuples=max_tuples,
-        max_elements=max_elements,
+        stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
     total, _, _ = disjoint_sum(quotient.target, step.free, tags=(BASE_TAG, FREE_TAG))
     for d in sketch.base.objects:

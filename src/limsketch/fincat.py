@@ -304,6 +304,32 @@ def identity_functor(category: FinCategory) -> CatFunctor:
 _CATEGORY_FIELDS = {"objects", "arrows", "identities", "compose"}
 
 
+def string_list(value: object, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else :class:`InputError`."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{what} must be a list of strings")
+    return value
+
+
+def string_map(value: object, what: str) -> dict[str, str]:
+    """``value`` if it is a JSON object of strings, else :class:`InputError`."""
+    if not isinstance(value, dict) or not all(isinstance(x, str) for x in value.values()):
+        raise InputError(f"{what} must be an object of strings")
+    return value
+
+
+def _records(data: dict, key: str, fields: set[str], kind: str) -> list[dict[str, str]]:
+    """``data[key]`` if it is a list of objects with exactly ``fields``, all strings."""
+    records = data[key]
+    if not isinstance(records, list):
+        raise InputError(f"category {key!r} must be a list of records")
+    for rec in records:
+        if not isinstance(rec, dict) or set(rec) != fields:
+            raise InputError(f"bad {kind} record {rec!r}")
+        string_map(rec, f"{kind} record {rec!r}")
+    return records
+
+
 def category_to_json_dict(category: FinCategory) -> dict:
     return {
         "objects": sorted(category.objects),
@@ -328,28 +354,20 @@ def category_from_json_dict(data: dict, name: str = "") -> FinCategory:
     missing = _CATEGORY_FIELDS - set(data)
     if missing:
         raise InputError(f"missing category fields: {sorted(missing)}")
+    objects = string_list(data["objects"], "category 'objects'")
+    identities = string_map(data["identities"], "category 'identities'")
     arrows: dict[str, Arrow] = {}
-    for rec in data["arrows"]:
-        if set(rec) != {"id", "dom", "cod"}:
-            raise InputError(f"bad arrow record {rec!r}")
+    for rec in _records(data, "arrows", {"id", "dom", "cod"}, "arrow"):
         if rec["id"] in arrows:
             raise InputError(f"duplicate arrow {rec['id']!r}")
         arrows[rec["id"]] = Arrow(rec["id"], rec["dom"], rec["cod"])
     compose: dict[tuple[str, str], str] = {}
-    for rec in data["compose"]:
-        if set(rec) != {"g", "f", "gf"}:
-            raise InputError(f"bad compose record {rec!r}")
+    for rec in _records(data, "compose", {"g", "f", "gf"}, "compose"):
         key = (rec["g"], rec["f"])
         if key in compose:
             raise InputError(f"duplicate compose entry {key!r}")
         compose[key] = rec["gf"]
-    return FinCategory(
-        tuple(sorted(data["objects"])),
-        arrows,
-        dict(data["identities"]),
-        compose,
-        name=name,
-    )
+    return FinCategory(tuple(sorted(objects)), arrows, dict(identities), compose, name=name)
 
 
 def category_dumps(category: FinCategory) -> str:

@@ -22,6 +22,8 @@ from .fincat import (
     ValidationReport,
     category_from_json_dict,
     category_to_json_dict,
+    string_list,
+    string_map,
 )
 
 DEFAULT_TUPLE_BUDGET = 10**6
@@ -48,20 +50,6 @@ def encode_components(m: Mapping[str, Mapping[str, str]]) -> dict[str, dict[str,
 def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
     """The carriers of ``pres`` as stored, object by object, for JSON reports."""
     return {o: list(pres.carrier[o]) for o in pres.base.objects}
-
-
-def string_list(value: object, what: str) -> list[str]:
-    """``value`` if it is a JSON list of strings, else :class:`InputError`."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise InputError(f"{what} must be a list of strings")
-    return value
-
-
-def string_map(value: object, what: str) -> dict[str, str]:
-    """``value`` if it is a JSON object of strings, else :class:`InputError`."""
-    if not isinstance(value, dict) or not all(isinstance(x, str) for x in value.values()):
-        raise InputError(f"{what} must be an object of strings")
-    return value
 
 
 @dataclass
@@ -273,54 +261,90 @@ def limit_of_diagram(
     while enumerating.  Either one above ``max_tuples`` raises
     :class:`BudgetExceeded`.
     """
-    order = sorted(shape.objects)
-    carriers = {obj: diag.carrier.get(obj, ()) for obj in order}
-    arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
-    where = f" at {label}" if label else ""
-    plan = _join_plan(order, arrows)
-    scanned = math.prod(len(carriers[step.obj]) for step in plan if step.kind == _SCAN)
-    if scanned > max_tuples:
-        raise BudgetExceeded(f"limit tuple budget exceeded{where}: product exceeds {max_tuples}")
-    if not arrows:
-        return tuple(itertools.product(*carriers.values()))
+    return LimitJoin(shape).run(diag, max_tuples, label)[0]
 
-    rows: list[tuple[str, ...]] = [()]
-    visited = 0
-    for kind, obj, via, src, checks in plan:
-        carrier = carriers[obj]
-        if kind == _SCAN:
-            visited += len(rows) * len(carrier)
-        elif kind == _IMAGE:
-            visited += len(rows)
-        else:
-            fibers: dict[str | None, list[str]] = {}
-            for x in carrier:
-                fibers.setdefault(diag.action[via].get(x), []).append(x)
-            visited += sum(len(fibers.get(r[src], ())) for r in rows)
-        if visited > max_tuples:
-            raise BudgetExceeded(
-                f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
-            )
-        if kind == _SCAN:
-            rows = [r + (x,) for r in rows for x in carrier]
-        elif kind == _IMAGE:
-            act, members = diag.action[via], set(carrier)
-            rows = [r + (y,) for r in rows if (y := act.get(r[src])) in members]
-        else:
-            rows = [r + (x,) for r in rows for x in fibers.get(r[src], ())]
-        if checks:
-            acts = [(i, j, diag.action[name]) for i, j, name in checks]
-            rows = [r for r in rows if all(f.get(r[i]) == r[j] for i, j, f in acts)]
 
-    bound = [step.obj for step in plan]
-    if bound == order:
-        return tuple(rows)
-    # restore product order over ``order`` by carrier positions
-    perm = [bound.index(obj) for obj in order]
-    rank = [{x: k for k, x in enumerate(carriers[obj])} for obj in order]
-    out = [tuple(r[k] for k in perm) for r in rows]
-    out.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
-    return tuple(out)
+class LimitJoin:
+    """The join plan of one shape, made once and run over many diagrams.
+
+    :meth:`run` can restrict each carrier to a subset, which enumerates
+    the limit tuples with every component in its subset, and it carries
+    a running count of candidates visited across runs, so that one
+    ``max_tuples`` bounds a whole sequence of joins.
+    """
+
+    def __init__(self, shape: FinCategory) -> None:
+        self.order = sorted(shape.objects)
+        self.arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
+        self.plan = _join_plan(self.order, self.arrows)
+
+    def run(
+        self,
+        diag: SetPresentation,
+        max_tuples: int = DEFAULT_TUPLE_BUDGET,
+        label: str = "",
+        carriers: Mapping[str, tuple[str, ...]] | None = None,
+        spent: int = 0,
+    ) -> tuple[tuple[tuple[str, ...], ...], int]:
+        """The limit of ``diag`` over ``carriers`` (default: its own), and the new count.
+
+        The product of the scanned carriers of this join is checked
+        against ``max_tuples``; the candidates it visits are added to the
+        ``spent`` already visited, and that running count is checked too.
+        """
+        order, plan = self.order, self.plan
+        if carriers is None:
+            carriers = diag.carrier
+        carriers = {obj: carriers.get(obj, ()) for obj in order}
+        where = f" at {label}" if label else ""
+        scanned = math.prod(len(carriers[step.obj]) for step in plan if step.kind == _SCAN)
+        if scanned > max_tuples:
+            raise BudgetExceeded(f"limit tuple budget exceeded{where}: product exceeds {max_tuples}")
+        visited = spent
+        if not self.arrows:
+            visited += scanned
+            if visited > max_tuples:
+                raise BudgetExceeded(
+                    f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
+                )
+            return tuple(itertools.product(*carriers.values())), visited
+
+        rows: list[tuple[str, ...]] = [()]
+        for kind, obj, via, src, checks in plan:
+            carrier = carriers[obj]
+            if kind == _SCAN:
+                visited += len(rows) * len(carrier)
+            elif kind == _IMAGE:
+                visited += len(rows)
+            else:
+                fibers: dict[str | None, list[str]] = {}
+                for x in carrier:
+                    fibers.setdefault(diag.action[via].get(x), []).append(x)
+                visited += sum(len(fibers.get(r[src], ())) for r in rows)
+            if visited > max_tuples:
+                raise BudgetExceeded(
+                    f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
+                )
+            if kind == _SCAN:
+                rows = [r + (x,) for r in rows for x in carrier]
+            elif kind == _IMAGE:
+                act, members = diag.action[via], set(carrier)
+                rows = [r + (y,) for r in rows if (y := act.get(r[src])) in members]
+            else:
+                rows = [r + (x,) for r in rows for x in fibers.get(r[src], ())]
+            if checks:
+                acts = [(i, j, diag.action[name]) for i, j, name in checks]
+                rows = [r for r in rows if all(f.get(r[i]) == r[j] for i, j, f in acts)]
+
+        bound = [step.obj for step in plan]
+        if bound == order:
+            return tuple(rows), visited
+        # restore product order over ``order`` by carrier positions
+        perm = [bound.index(obj) for obj in order]
+        rank = [{x: k for k, x in enumerate(carriers[obj])} for obj in order]
+        out = [tuple(r[k] for k in perm) for r in rows]
+        out.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
+        return tuple(out), visited
 
 
 _SCAN, _IMAGE, _FIBER = "scan", "image", "fiber"

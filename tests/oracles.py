@@ -8,6 +8,7 @@ partitions, pushouts by a plain disjoint-set over the literal pair lists.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from typing import Iterable, Mapping
@@ -155,6 +156,36 @@ def model_oracle(pres, sketch) -> bool:
     return True
 
 
+def pushed_filter_limits(
+    total: SetPresentation,
+    next_base: SetPresentation,
+    projection: Mapping[str, Mapping[str, str]],
+    sketch,
+) -> dict[str, set[tuple[str, ...]]]:
+    """The pruning rule by its definition, per cone.
+
+    Enumerates the whole limit of ``total`` by brute force, pushes each
+    tuple through ``projection`` into ``next_base``, and keeps the tuples
+    whose image no peak element of ``next_base`` hits through the legs.
+    """
+    from limsketch.sketchlib import restrict_along
+
+    out: dict[str, set[tuple[str, ...]]] = {}
+    for cone in sketch.cones:
+        order = sorted(cone.shape.objects)
+        objs = [cone.diagram.object_map[z] for z in order]
+        hit = {
+            tuple(next_base.action[cone.legs[z]][x] for z in order)
+            for x in next_base.carrier[cone.peak]
+        }
+        out[cone.name] = {
+            w
+            for w in brute_limit(cone.shape, restrict_along(total, cone))
+            if tuple(projection[d][c] for d, c in zip(objs, w)) not in hit
+        }
+    return out
+
+
 # -- seeded random instances -------------------------------------------------
 
 
@@ -229,3 +260,80 @@ def random_pairs(
         u, v = rng.sample(list(pres.carrier[o]), 2)
         out.setdefault(o, []).append((u, v))
     return out
+
+
+def random_valid_presentation(
+    rng: random.Random, base: FinCategory, max_size: int = 6
+) -> SetPresentation:
+    """A seeded random presentation that satisfies the composition table.
+
+    Only the generating arrows (the non-identity arrows that are no
+    composite of two non-identity arrows) are drawn; every other action
+    is derived through the table.  Objects are filled codomains first, so
+    ``base`` must have no cycle of non-identity arrows.  Each element
+    draws its generator images uniformly among the admissible ones, those
+    whose derived composites agree with every equation of the table; an
+    object without an admissible choice gets an empty carrier.
+    """
+    nonid = [a for n, a in sorted(base.arrows.items()) if not base.is_identity(n)]
+    composites = {
+        gf
+        for (g, f), gf in base.composition.items()
+        if not base.is_identity(g) and not base.is_identity(f)
+    }
+    generators = [a for a in nonid if a.name not in composites]
+    filled: list[str] = []
+    while len(filled) < len(base.objects):
+        ready = [
+            o
+            for o in base.objects
+            if o not in filled and all(a.cod in filled for a in nonid if a.dom == o)
+        ]
+        if not ready:
+            raise ValueError(f"{base.name}: a cycle of non-identity arrows")
+        filled.append(min(ready))
+    carrier: dict[str, list[str]] = {}
+    action: dict[str, dict[str, str]] = {a.name: {} for a in nonid}
+    for d in filled:
+        outs = [a.name for a in generators if a.dom == d]
+        admissible = []
+        for images in itertools.product(*(carrier[base.arrows[g].cod] for g in outs)):
+            derived = _derive_actions(base, action, dict(zip(outs, images)))
+            if derived is not None:
+                admissible.append(derived)
+        size = rng.randint(0, max_size) if admissible else 0
+        carrier[d] = [f"{d}e{i}" for i in range(size)]
+        for x in carrier[d]:
+            for name, y in rng.choice(admissible).items():
+                action[name][x] = y
+        reached = {a.name for a in nonid if a.dom == d}
+        if admissible and set(admissible[0]) != reached:
+            raise ValueError(f"{base.name}: generators do not reach every arrow out of {d!r}")
+    return make_presentation(base, carrier, action)
+
+
+def _derive_actions(
+    base: FinCategory,
+    action: Mapping[str, Mapping[str, str]],
+    images: dict[str, str],
+) -> dict[str, str] | None:
+    """Close generator images of one element under the composition table.
+
+    ``action`` must already be complete on the codomains; returns the
+    image under every arrow reached, or None when two factorisations of
+    one arrow disagree.
+    """
+    value = dict(images)
+    changed = True
+    while changed:
+        changed = False
+        for (g, f), gf in sorted(base.composition.items()):
+            if f not in value or base.is_identity(g):
+                continue
+            y = action[g][value[f]]
+            if gf not in value:
+                value[gf] = y
+                changed = True
+            elif value[gf] != y:
+                return None
+    return value

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from limsketch.fincat import category_to_json_dict
 from limsketch.setops import presentation_dumps
 from limsketch.sketchlib import sketch_dumps, sketch_iso_forcing, sketch_binary_product
 
@@ -286,6 +287,44 @@ def test_malformed_map_or_presentation_exits_two(workspace, tmp_path, document, 
         "universal", "--sketch", "iso_forcing", "--presentation", str(pres),
         "--model", str(workspace["iso_model"]), "--map", str(fmap),
     )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def _iso_category(edit) -> dict:
+    category = category_to_json_dict(sketch_iso_forcing().base)
+    edit(category)
+    return category
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda c: c["objects"].append(["z"]), "category 'objects' must be a list of strings"),
+        (lambda c: c["arrows"][0].update(id=7), "must be an object of strings"),
+        (lambda c: c["arrows"][0].update(dom=["a"]), "must be an object of strings"),
+        (lambda c: c["arrows"][0].update(cod=None), "must be an object of strings"),
+        (lambda c: c["identities"].update(a=1), "category 'identities' must be an object of strings"),
+        (lambda c: c["compose"][0].update(gf={"t": "t"}), "must be an object of strings"),
+        (lambda c: c["arrows"].append("t"), "bad arrow record 't'"),
+        (lambda c: c["compose"].append(["t", "id_a", "t"]), "bad compose record"),
+    ],
+    ids=[
+        "object",
+        "arrow-id",
+        "arrow-dom",
+        "arrow-cod",
+        "identity",
+        "compose-entry",
+        "arrow-record",
+        "compose-record",
+    ],
+)
+def test_malformed_category_exits_two(tmp_path, edit, message):
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps({**ISO_PRES, "category": _iso_category(edit)}))
+    proc = run_cli("check", "--sketch", "iso_forcing", "--presentation", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from limsketch.elim import (
@@ -16,9 +18,12 @@ from limsketch.elim import (
     tag_base,
     tag_free,
 )
+from limsketch.compare import reflector_iso_check
 from limsketch.errors import BudgetExceeded
-from limsketch.setops import make_presentation
-from limsketch.sketchlib import gap_map, is_model
+from limsketch.fincat import CatFunctor, FinCategory
+from limsketch.kelly import reflect_kelly
+from limsketch.setops import make_presentation, validate_presentation
+from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, build_sketch, gap_map, is_model
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -31,6 +36,7 @@ from tests.fixtures import (
     sheaf_fixture,
     sheaf_sketch,
 )
+from tests.oracles import pushed_filter_limits, random_valid_presentation
 
 
 # -- e_step (exercised through elim_stage, which wires the pruning inputs) ----
@@ -208,17 +214,47 @@ def test_budget_zero_returns_stage_zero_trace():
     assert len(trace.stages) == 1 and trace.core is None
 
 
-def test_arrow_free_cone_is_refused_by_its_product():
-    # stage 1 holds 24 + 2 * 24^2 elements at a, so the stage-2 pair cone
-    # has more than 10^6 tuples; the refusal comes before any enumeration
-    sketch = binary_sketch()
-    pres = make_presentation(
-        sketch.base, {"a": [f"x{i:02d}" for i in range(24)], "p": []}, {"pi1": {}, "pi2": {}}
+def _points(sketch, n):
+    return make_presentation(
+        sketch.base, {"a": [f"x{i:02d}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
     )
+
+
+def test_arrow_free_cone_is_refused_by_its_product():
+    # faithful stage 1 holds 24 + 2 * 24^2 elements at a, so the stage-2
+    # pair cone has more than 10^6 tuples; the refusal comes before any
+    # enumeration
+    sketch = binary_sketch()
     with pytest.raises(
         BudgetExceeded, match="^stage 2: limit tuple budget exceeded at cone c0: product exceeds"
     ):
-        reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+        reflect_elim(_points(sketch, 24), sketch, budget=8, mode=FAITHFUL)
+
+
+def test_pruned_binary_24_converges_to_the_closed_form():
+    # pruned mode enumerates the quotient's 24^2 pairs at stage 2, not the
+    # (24 + 2 * 24^2)^2 pairs of the total
+    sketch = binary_sketch()
+    pres = _points(sketch, 24)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    assert trace.converged and trace.converged_at == 2
+    assert trace.core.size() == {"a": 24, "p": 576}
+    verdict = reflector_iso_check(trace, reflect_kelly(pres, sketch, budget=8), sketch)
+    assert verdict.ok, verdict.detail
+
+
+def test_pruned_budget_counts_the_quotient_limit_and_the_lifts():
+    # stage 1 visits the 16 pairs of the quotient, then lifts each unhit
+    # pair to its one preimage: 32 candidates in one running count
+    sketch = binary_sketch()
+    pres = _points(sketch, 4)
+    with pytest.raises(
+        BudgetExceeded,
+        match="^stage 1: limit tuple budget exceeded at cone c0: visited candidates exceed 31$",
+    ):
+        reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=31)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=32)
+    assert trace.converged and trace.core.size() == {"a": 4, "p": 16}
 
 
 def test_reflection_map_is_natural_and_lands_in_core():
@@ -296,10 +332,81 @@ def test_stage_element_provenance_view():
     sketch = iso_sketch()
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=FAITHFUL)
     stage1 = trace.stages[1]
-    for tagged in stage1.total.carrier["b"]:
-        elem = stage1.element("b", tagged)
-        if elem.kind == "free":
-            assert elem.cone == "c0"
-            assert elem.limit_tuple == (tag_base("y"),)
+    seen = set()
+    for tagged, members, witnesses in stage1.classes("b"):
+        seen.add(tagged)
+        if tagged.startswith(f"{FREE_TAG}:"):
+            ((cone, _, limit_tuple),) = witnesses
+            assert members == ()
+            assert cone == "c0"
+            assert limit_tuple == (tag_base("y"),)
         else:
-            assert elem.base_class == tag_base("y")
+            assert witnesses == ()
+            assert tagged == tag_base(tag_base("y"))
+    assert seen == set(stage1.total.carrier["b"])
+
+
+# -- the pruning rule against its definition -------------------------------------
+
+
+def _assert_pruned_limits_match_oracle(pres, sketch, budget=8):
+    trace = reflect_elim(pres, sketch, budget=budget, mode=PRUNED)
+    for prev, stage in zip(trace.stages, trace.stages[1:]):
+        expected = pushed_filter_limits(prev.total, stage.base, stage.p_prev, sketch)
+        for cone in sketch.cones:
+            kept = stage.limits_prev[cone.name]
+            assert len(set(kept)) == len(kept)
+            assert set(kept) == expected[cone.name], (cone.name, stage.index)
+    return trace
+
+
+def test_pruned_limits_match_oracle_on_fixtures():
+    for sketch, pres in (
+        (iso_sketch(), iso_fixture()),
+        (binary_sketch(), binary_fixture()),
+        (binary_sketch(), binary_collapsed_fixture()),
+        (sheaf_sketch(), sheaf_fixture()),
+    ):
+        assert _assert_pruned_limits_match_oracle(pres, sketch).converged
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pruned_limits_match_oracle_on_binary_points(n):
+    sketch = binary_sketch()
+    trace = _assert_pruned_limits_match_oracle(_points(sketch, n), sketch)
+    assert trace.converged and trace.core.size() == {"a": n, "p": n * n}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_pruned_limits_match_oracle_on_random_presentations(name):
+    sketch = build_sketch(name)
+    rng = random.Random(f"pruned-oracle:{name}")
+    for _ in range(12):
+        pres = random_valid_presentation(rng, sketch.base, max_size=6)
+        assert validate_presentation(pres).ok
+        _assert_pruned_limits_match_oracle(pres, sketch)
+
+
+def test_pruned_limits_match_oracle_on_several_lifts():
+    # s: a -> b is no leg, so rule (1) merges its images at b and an unhit
+    # pair of the quotient lifts to several pairs of the total; the
+    # reflection is infinite, so the runs stop at the stage budget
+    base = FinCategory.build(
+        "stray", ["a", "b", "c"], [("t", "a", "b"), ("s", "a", "b"), ("r", "a", "c")], {}
+    )
+    shape = FinCategory.build("pair_shape", ["zb", "zc"], [], {})
+    diagram = CatFunctor(shape, base, {"zb": "b", "zc": "c"}, {"id_zb": "id_b", "id_zc": "id_c"})
+    sketch = LimitSketch(base, (Cone("c0", base, "a", shape, diagram, {"zb": "t", "zc": "r"}),))
+    rng = random.Random("pruned-oracle:stray")
+    several = 0
+    for _ in range(12):
+        trace = _assert_pruned_limits_match_oracle(
+            random_valid_presentation(rng, base, max_size=4), sketch, budget=2
+        )
+        for stage in trace.stages[1:]:
+            images = [
+                (stage.p_prev["b"][wb], stage.p_prev["c"][wc])
+                for wb, wc in stage.limits_prev["c0"]
+            ]
+            several += len(images) - len(set(images))
+    assert several > 0
