@@ -6,7 +6,7 @@ Every map from a presentation into a model factors uniquely through the
 reflection.  The factorisation is constructed by provenance replay (base
 classes inherit their members' image, free witnesses go through the
 inverse of the model's gap map); uniqueness is certified independently
-by exhausting every natural transformation out of the core.
+by enumerating every natural transformation out of the core.
 """
 
 from limsketch import NatTransSpec, make_presentation, sketch_binary_product
@@ -35,8 +35,9 @@ for witness, value in sorted(result.g.components["p"].items()):
     print("  ", witness, "->", value)
 print("gap-inverse steps used:", len(result.log))
 
-# Uniqueness by brute force: all natural transformations core -> M,
-# filtered by commutation with the reflection map.
+# Uniqueness by enumeration: all natural transformations core -> M (a
+# join over the elements of the core), filtered by commutation with the
+# reflection map.
 enum = enumerate_nat_trans(trace.core, M)
 print("\nnatural transformations core -> M:", len(enum.transformations),
       "of", enum.search_space, "candidates")

@@ -51,7 +51,6 @@ from .sketchlib import (
     sketch_binary_product,
     sketch_equalizer,
     sketch_iso_forcing,
-    sketch_monoid_budgeted,
     sketch_two_cover_sheaf,
     validate_cone,
 )

@@ -88,6 +88,17 @@ def _load_nat_trans(path: str, source: SetPresentation, target: SetPresentation)
     return nat
 
 
+# numeric flags that bound stages or work; each must be >= 0
+_COUNT_FLAGS = ("budget", "max_tuples", "max_elements", "enum_cap")
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    for dest in _COUNT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise InputError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -242,7 +253,7 @@ def cmd_builders(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.name:
         raise InputError("builders emit needs a builder name")
-    sketch = build_sketch(args.name, budget=args.budget)
+    sketch = build_sketch(args.name)
     _emit(sketch_dumps(sketch), args.out)
     return EXIT_OK
 
@@ -298,7 +309,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_builders = sub.add_parser("builders", help="list or emit built-in sketches")
     p_builders.add_argument("action", choices=["list", "emit"])
     p_builders.add_argument("name", nargs="?", default=None)
-    p_builders.add_argument("--budget", type=int, default=6)
     p_builders.add_argument("--out", default=None)
     p_builders.set_defaults(func=cmd_builders)
     return parser
@@ -308,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

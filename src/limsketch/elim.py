@@ -339,10 +339,11 @@ def _unhit_lifts(
     limit and every lift, and one count of visited candidates runs
     through all of them.
     """
-    join = LimitJoin(cone.shape)
+    join = LimitJoin.of_shape(cone.shape)
     label = f"cone {cone.name}"
     target = quotient.target
-    small, spent = join.run(restrict_along(target, cone), max_tuples, label)
+    qdiag = restrict_along(target, cone)
+    small, spent = join.run(qdiag.action, qdiag.carrier, max_tuples, label)
     hit = set(gap_map(target, cone).values())
     order = cone.shape_order()
     classes = [quotient.classes[cone.diagram.on_object(z)] for z in order]
@@ -352,7 +353,7 @@ def _unhit_lifts(
         if u in hit:
             continue
         fibres = {z: cls[x] for z, cls, x in zip(order, classes, u)}
-        tuples, spent = join.run(diag, max_tuples, label, carriers=fibres, spent=spent)
+        tuples, spent = join.run(diag.action, fibres, max_tuples, label, spent=spent)
         lifted.extend(tuples)
     # the total's carriers are sorted, so sorting restores their product order
     return tuple(sorted(lifted))

@@ -13,11 +13,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .fincat import (
-    Arrow,
     FinCategory,
     ValidationReport,
     category_from_json_dict,
@@ -261,57 +260,81 @@ def limit_of_diagram(
     while enumerating.  Either one above ``max_tuples`` raises
     :class:`BudgetExceeded`.
     """
-    return LimitJoin(shape).run(diag, max_tuples, label)[0]
+    return LimitJoin.of_shape(shape).run(diag.action, diag.carrier, max_tuples, label)[0]
 
 
 class LimitJoin:
-    """The join plan of one shape, made once and run over many diagrams.
+    """The join plan of one finite graph, made once and run over many labellings.
 
-    :meth:`run` can restrict each carrier to a subset, which enumerates
-    the limit tuples with every component in its subset, and it carries
+    The graph has ordered ``nodes`` and ``edges`` (key, dom, cod).  A run
+    gives each node a carrier and each edge key a function, and returns
+    every tuple (one component per node, in ``nodes`` order) whose dom
+    component each edge's function sends to its cod component, in the
+    product order of the carriers.  Edges are told apart by position, so
+    several may share one key.  A cone's limit is the join over its
+    shape's non-identity arrows (:meth:`of_shape`); the natural
+    transformations out of a presentation are the join over its category
+    of elements (``universal.enumerate_nat_trans``).
+
+    :meth:`run` takes the carriers per call, so it can enumerate the
+    limit tuples with every component in a given subset, and it carries
     a running count of candidates visited across runs, so that one
     ``max_tuples`` bounds a whole sequence of joins.
     """
 
-    def __init__(self, shape: FinCategory) -> None:
-        self.order = sorted(shape.objects)
-        self.arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
-        self.plan = _join_plan(self.order, self.arrows)
+    def __init__(
+        self,
+        nodes: Sequence[Hashable],
+        edges: Sequence[tuple[str, Hashable, Hashable]],
+    ) -> None:
+        self.nodes = list(nodes)
+        position = {node: k for k, node in enumerate(self.nodes)}
+        self.keys = [key for key, _, _ in edges]
+        self.plan = _join_plan(
+            len(self.nodes), [(position[dom], position[cod]) for _, dom, cod in edges], self.keys
+        )
+
+    @classmethod
+    def of_shape(cls, shape: FinCategory) -> LimitJoin:
+        """The join of a cone shape: its objects sorted, its non-identity arrows by name."""
+        arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
+        return cls(sorted(shape.objects), [(a.name, a.dom, a.cod) for a in arrows])
 
     def run(
         self,
-        diag: SetPresentation,
-        max_tuples: int = DEFAULT_TUPLE_BUDGET,
+        action: Mapping[str, Mapping[str, str]],
+        carriers: Mapping[Hashable, tuple[str, ...]],
+        max_tuples: int | None = DEFAULT_TUPLE_BUDGET,
         label: str = "",
-        carriers: Mapping[str, tuple[str, ...]] | None = None,
         spent: int = 0,
     ) -> tuple[tuple[tuple[str, ...], ...], int]:
-        """The limit of ``diag`` over ``carriers`` (default: its own), and the new count.
+        """The limit tuples over ``carriers`` (a missing node has none), and the new count.
 
-        The product of the scanned carriers of this join is checked
-        against ``max_tuples``; the candidates it visits are added to the
+        ``action[key]`` is the function of the edges with that key.  The
+        product of the scanned carriers of this join is checked against
+        ``max_tuples``; the candidates it visits are added to the
         ``spent`` already visited, and that running count is checked too.
+        ``max_tuples=None`` checks neither.
         """
-        order, plan = self.order, self.plan
-        if carriers is None:
-            carriers = diag.carrier
-        carriers = {obj: carriers.get(obj, ()) for obj in order}
+        plan = self.plan
+        cars = [carriers.get(node, ()) for node in self.nodes]
         where = f" at {label}" if label else ""
-        scanned = math.prod(len(carriers[step.obj]) for step in plan if step.kind == _SCAN)
-        if scanned > max_tuples:
+        limit = math.inf if max_tuples is None else max_tuples
+        scanned = math.prod(len(cars[step.obj]) for step in plan if step.kind == _SCAN)
+        if scanned > limit:
             raise BudgetExceeded(f"limit tuple budget exceeded{where}: product exceeds {max_tuples}")
         visited = spent
-        if not self.arrows:
+        if not self.keys:
             visited += scanned
-            if visited > max_tuples:
+            if visited > limit:
                 raise BudgetExceeded(
                     f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
                 )
-            return tuple(itertools.product(*carriers.values())), visited
+            return tuple(itertools.product(*cars)), visited
 
         rows: list[tuple[str, ...]] = [()]
         for kind, obj, via, src, checks in plan:
-            carrier = carriers[obj]
+            carrier = cars[obj]
             if kind == _SCAN:
                 visited += len(rows) * len(carrier)
             elif kind == _IMAGE:
@@ -319,29 +342,31 @@ class LimitJoin:
             else:
                 fibers: dict[str | None, list[str]] = {}
                 for x in carrier:
-                    fibers.setdefault(diag.action[via].get(x), []).append(x)
+                    fibers.setdefault(action[via].get(x), []).append(x)
                 visited += sum(len(fibers.get(r[src], ())) for r in rows)
-            if visited > max_tuples:
+            if visited > limit:
                 raise BudgetExceeded(
                     f"limit tuple budget exceeded{where}: visited candidates exceed {max_tuples}"
                 )
             if kind == _SCAN:
                 rows = [r + (x,) for r in rows for x in carrier]
             elif kind == _IMAGE:
-                act, members = diag.action[via], set(carrier)
+                act, members = action[via], set(carrier)
                 rows = [r + (y,) for r in rows if (y := act.get(r[src])) in members]
             else:
                 rows = [r + (x,) for r in rows for x in fibers.get(r[src], ())]
             if checks:
-                acts = [(i, j, diag.action[name]) for i, j, name in checks]
+                acts = [(i, j, action[key]) for i, j, key in checks]
                 rows = [r for r in rows if all(f.get(r[i]) == r[j] for i, j, f in acts)]
 
         bound = [step.obj for step in plan]
-        if bound == order:
+        if bound == sorted(bound):
             return tuple(rows), visited
-        # restore product order over ``order`` by carrier positions
-        perm = [bound.index(obj) for obj in order]
-        rank = [{x: k for k, x in enumerate(carriers[obj])} for obj in order]
+        # restore product order over ``nodes`` by carrier positions
+        perm = [0] * len(bound)
+        for k, obj in enumerate(bound):
+            perm[obj] = k
+        rank = [{x: k for k, x in enumerate(carrier)} for carrier in cars]
         out = [tuple(r[k] for k in perm) for r in rows]
         out.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
         return tuple(out), visited
@@ -352,43 +377,43 @@ _SCAN, _IMAGE, _FIBER = "scan", "image", "fiber"
 
 class _JoinStep(NamedTuple):
     kind: str
-    obj: str
-    via: str | None  # the arrow that yields the candidates, for _IMAGE and _FIBER
+    obj: int  # the node bound, by position
+    via: str | None  # key of the edge that yields the candidates, for _IMAGE and _FIBER
     src: int  # slot of the bound end of ``via``
-    checks: tuple[tuple[int, int, str], ...]  # (dom slot, cod slot, arrow)
+    checks: tuple[tuple[int, int, str], ...]  # (dom slot, cod slot, edge key)
 
 
-def _join_plan(order: list[str], arrows: list[Arrow]) -> list[_JoinStep]:
-    """Order in which :func:`limit_of_diagram` binds the shape objects.
+def _join_plan(n: int, edges: list[tuple[int, int]], keys: list[str]) -> list[_JoinStep]:
+    """Order in which :meth:`LimitJoin.run` binds the nodes ``0 .. n-1``.
 
-    The next object bound is the least codomain of an arrow out of a
-    bound object (one candidate: the ``_IMAGE`` of the bound component),
-    else the least domain of an arrow into a bound object (candidates:
-    the ``_FIBER`` of the arrow over the bound component), else the least
-    unbound object (``_SCAN`` of its carrier).  Every other arrow is
-    checked at the step that binds its second end.
+    The next node bound is the least codomain of an edge out of a bound
+    node (one candidate: the ``_IMAGE`` of the bound component), else the
+    least domain of an edge into a bound node (candidates: the ``_FIBER``
+    of the edge over the bound component), else the least unbound node
+    (``_SCAN`` of its carrier); ties go to the first edge.  Every other
+    edge is checked at the step that binds its second end.
     """
-    slot: dict[str, int] = {}
+    slot: dict[int, int] = {}
     plan: list[_JoinStep] = []
-    pending = list(arrows)
-    while len(slot) < len(order):
-        image = [a for a in pending if a.dom in slot and a.cod not in slot]
-        fiber = [a for a in pending if a.cod in slot and a.dom not in slot]
+    pending = list(range(len(edges)))
+    while len(slot) < n:
+        image = [i for i in pending if edges[i][0] in slot and edges[i][1] not in slot]
+        fiber = [i for i in pending if edges[i][1] in slot and edges[i][0] not in slot]
         if image:
-            via = min(image, key=lambda a: (a.cod, a.name))
-            kind, obj, src = _IMAGE, via.cod, slot[via.dom]
+            via = min(image, key=lambda i: edges[i][1])
+            kind, obj, src = _IMAGE, edges[via][1], slot[edges[via][0]]
         elif fiber:
-            via = min(fiber, key=lambda a: (a.dom, a.name))
-            kind, obj, src = _FIBER, via.dom, slot[via.cod]
+            via = min(fiber, key=lambda i: edges[i][0])
+            kind, obj, src = _FIBER, edges[via][0], slot[edges[via][1]]
         else:
             via = None
-            kind, obj, src = _SCAN, min(o for o in order if o not in slot), -1
+            kind, obj, src = _SCAN, min(o for o in range(n) if o not in slot), -1
         slot[obj] = len(slot)
-        pending = [a for a in pending if a is not via]
-        ready = [a for a in pending if a.dom in slot and a.cod in slot]
-        pending = [a for a in pending if a not in ready]
-        checks = tuple((slot[a.dom], slot[a.cod], a.name) for a in ready)
-        plan.append(_JoinStep(kind, obj, via and via.name, src, checks))
+        pending = [i for i in pending if i != via]
+        ready = [i for i in pending if edges[i][0] in slot and edges[i][1] in slot]
+        pending = [i for i in pending if i not in ready]
+        checks = tuple((slot[edges[i][0]], slot[edges[i][1]], keys[i]) for i in ready)
+        plan.append(_JoinStep(kind, obj, None if via is None else keys[via], src, checks))
     return plan
 
 

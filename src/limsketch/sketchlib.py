@@ -294,50 +294,6 @@ def sketch_two_cover_sheaf() -> LimitSketch:
     return LimitSketch(base, (cone,), name="two_cover_sheaf")
 
 
-# Generators and relations of the monoid sketch: four objects, thirteen
-# arrows, and the commutativity relations that present multiplication,
-# unit, and the two product decompositions of the triple object.
-MONOID_OBJECTS = ("g0", "g1", "g2", "g3")
-
-MONOID_GENERATORS: tuple[tuple[str, str, str], ...] = (
-    ("mu", "g2", "g1"),
-    ("eta", "g0", "g1"),
-    ("p12_1", "g3", "g1"),
-    ("p12_2", "g3", "g2"),
-    ("p21_1", "g3", "g1"),
-    ("p21_2", "g3", "g2"),
-    ("p1", "g2", "g1"),
-    ("p2", "g2", "g1"),
-    ("mu_up", "g3", "g2"),
-    ("mu_dn", "g3", "g2"),
-    ("eta_up", "g1", "g2"),
-    ("eta_dn", "g1", "g2"),
-    ("bang", "g1", "g0"),
-)
-
-# Each relation equates two parallel composites, written as generator
-# words with the rightmost arrow applied first.  The empty word is the
-# identity on the shared endpoint.
-MONOID_RELATIONS: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
-    (("p1", "mu_up"), ("p12_1",)),
-    (("p2", "mu_up"), ("mu", "p12_2")),
-    (("p1", "mu_dn"), ("p21_1",)),
-    (("p2", "mu_dn"), ("mu", "p21_2")),
-    (("mu", "mu_dn"), ("mu", "mu_up")),
-    (("p1", "eta_up"), ()),
-    (("p2", "eta_up"), ("eta", "bang")),
-    (("p2", "eta_dn"), ()),
-    (("p1", "eta_dn"), ("eta", "bang")),
-    (("mu", "eta_dn"), ()),
-    (("mu", "eta_up"), ()),
-)
-
-
-def monoid_quiver() -> tuple[tuple[str, str, str], ...]:
-    """The thirteen generating arrows of the monoid sketch."""
-    return MONOID_GENERATORS
-
-
 def build_category_budgeted(
     name: str,
     objects: list[str],
@@ -455,48 +411,6 @@ def build_category_budgeted(
     return category
 
 
-def sketch_monoid_budgeted(budget: int) -> LimitSketch:
-    """Materialize the monoid sketch by bounded rewriting.
-
-    The presentation has unbounded hom-sets (words alternating the unit
-    and the terminal arrow never reduce), so for every budget this raises
-    :class:`BudgetExceeded` rather than returning a truncated category.
-    """
-    base = build_category_budgeted(
-        "monoid",
-        list(MONOID_OBJECTS),
-        list(MONOID_GENERATORS),
-        list(MONOID_RELATIONS),
-        budget,
-    )
-    empty_shape = FinCategory.build("empty_shape", [], [], {})
-    cones = [
-        Cone(
-            "c0",
-            base,
-            "g0",
-            empty_shape,
-            CatFunctor(empty_shape, base, {}, {}),
-            {},
-        )
-    ]
-    span = FinCategory.build("span_shape", ["zl", "zr"], [], {})
-    for idx, (peak, left_leg, right_leg) in enumerate(
-        [("g2", "p1", "p2"), ("g3", "p21_1", "p21_2"), ("g3", "p12_1", "p12_2")],
-        start=1,
-    ):
-        left_obj = base.arrows[left_leg].cod
-        right_obj = base.arrows[right_leg].cod
-        diagram = CatFunctor(
-            span,
-            base,
-            {"zl": left_obj, "zr": right_obj},
-            {"id_zl": base.identities[left_obj], "id_zr": base.identities[right_obj]},
-        )
-        cones.append(Cone(f"c{idx}", base, peak, span, diagram, {"zl": left_leg, "zr": right_leg}))
-    return LimitSketch(base, tuple(cones), name="monoid")
-
-
 BUILDERS = {
     "iso_forcing": sketch_iso_forcing,
     "binary_product": sketch_binary_product,
@@ -506,14 +420,12 @@ BUILDERS = {
 
 
 def builder_names() -> tuple[str, ...]:
-    return tuple(sorted(BUILDERS)) + ("monoid_budgeted",)
+    return tuple(sorted(BUILDERS))
 
 
-def build_sketch(name: str, budget: int = 6) -> LimitSketch:
+def build_sketch(name: str) -> LimitSketch:
     if name in BUILDERS:
         return BUILDERS[name]()
-    if name == "monoid_budgeted":
-        return sketch_monoid_budgeted(budget)
     raise InputError(f"unknown builder {name!r}")
 
 

@@ -5,14 +5,14 @@ elements, fresh witnesses (cone, arrow, limit tuple), or both.
 :func:`replay` walks them once, for the stage comparison in ``compare``
 and here for the g with g . rho = f of a map f from X into a model M: a
 witness maps through the inverse of M's gap map, which exists exactly
-because M is a model.  Uniqueness is certified separately by exhausting
-all natural transformations from the core when the search space is
-small enough; the construction never feeds the search.
+because M is a model.  Uniqueness is certified separately by enumerating
+all natural transformations from the core, a limit over its category of
+elements found by the cone-limit join, when the closed-form search space
+is small enough; the construction never feeds the search.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from operator import getitem
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
 from .kelly import KellyTrace
-from .setops import NatTransSpec, SetPresentation, compose_nat, encode_components
+from .setops import LimitJoin, NatTransSpec, SetPresentation, compose_nat, encode_components
 from .sketchlib import LimitSketch, gap_map, is_model
 
 DEFAULT_ENUM_CAP = 10**6
@@ -169,32 +169,64 @@ def enumerate_nat_trans(
     target: SetPresentation,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> EnumerationResult:
-    """All natural transformations source => target, by exhaustive search.
+    """All natural transformations source => target, as a limit over the elements of source.
+
+    A transformation picks a value in ``target`` at d for each element x
+    of ``source`` at d, and every non-identity arrow a: d -> e must send
+    the value at x to the value at a(x): Nat(source, target) is the limit
+    of target . pi over the category of elements of ``source``.  One
+    :class:`LimitJoin` over that graph enumerates it: a node (d, x) per
+    element, objects in ``base.objects`` order and elements in carrier
+    order, ranging over ``target.carrier[d]``; an edge (d, x) -> (e, a(x))
+    per arrow a, acting by ``target.action[a]``.  The transformations
+    come in the product order of the nodes' carriers, the order in which
+    a candidate-by-candidate search finds them.
+
+    A node whose target carrier is one element takes that value and stays
+    out of the join: an edge into it always holds (``target``'s actions
+    stay in its carriers), and an edge out of it fixes the value at its
+    other end.  The join's rows are thus as wide as
+    the nodes with a choice, at most log2 of the search space.
 
     The candidate space is the product over objects of all component
-    functions; above ``cap`` candidates the enumeration refuses and
-    reports the computed size instead of guessing.
+    functions, computed in closed form; above ``cap`` candidates the
+    enumeration refuses and reports that size instead of guessing.  An
+    empty space returns no transformation without a join.
     """
     if source.base != target.base:
         raise InputError("enumeration needs presentations over one category")
     space = _search_space(source, target)
     if space > cap:
         return EnumerationResult("inconclusive", [], space)
+    if space == 0:
+        return EnumerationResult("ok", [], space)
     base = source.base
-    objects = [d for d in base.objects if source.carrier[d]]
-    per_object: list[list[dict[str, str]]] = []
-    for d in objects:
-        xs = source.carrier[d]
-        choices = list(itertools.product(target.carrier[d], repeat=len(xs)))
-        per_object.append([dict(zip(xs, combo)) for combo in choices])
+    nodes = [(d, x) for d in base.objects for x in source.carrier[d]]
+    fixed = {(d, x): target.carrier[d][0] for d, x in nodes if len(target.carrier[d]) == 1}
+    free = [node for node in nodes if node not in fixed]
+    carriers = {(d, x): target.carrier[d] for d, x in free}
+    edges: list[tuple[str, tuple[str, str], tuple[str, str]]] = []
+    for name, a in sorted(base.arrows.items()):
+        if base.is_identity(name):
+            continue
+        act = target.action[name]
+        for x in source.carrier[a.dom]:
+            u, v = (a.dom, x), (a.cod, source.action[name][x])
+            if v in fixed:
+                continue
+            if u in fixed:
+                carriers[v] = tuple(y for y in carriers[v] if y == act[fixed[u]])
+            else:
+                edges.append((name, u, v))
+    # no step holds more rows than the space, which the cap already bounds
+    tuples, _ = LimitJoin(free, edges).run(target.action, carriers, max_tuples=None)
     found: list[NatTransSpec] = []
-    for assignment in itertools.product(*per_object):
-        components = {d: dict(comp) for d, comp in zip(objects, assignment)}
-        for d in base.objects:
-            components.setdefault(d, {})
-        cand = NatTransSpec(source, target, components)
-        if cand.validate().ok:
-            found.append(cand)
+    for t in tuples:
+        value = {**fixed, **dict(zip(free, t))}
+        components: Components = {d: {} for d in base.objects}
+        for d, x in nodes:
+            components[d][x] = value[d, x]
+        found.append(NatTransSpec(source, target, components))
     return EnumerationResult("ok", found, space)
 
 

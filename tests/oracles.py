@@ -3,7 +3,9 @@
 These deliberately avoid the engine's own data paths: limits are checked
 by filtering the full cartesian product with nested loops in product
 order, quotients by a naive merge-and-push fixpoint over explicit
-partitions, pushouts by a plain disjoint-set over the literal pair lists.
+partitions, pushouts by a plain disjoint-set over the literal pair lists,
+natural transformations by validating every candidate of the product of
+all component functions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Mapping
 
 from limsketch.errors import InputError
 from limsketch.fincat import FinCategory
-from limsketch.setops import SetPresentation, make_presentation
+from limsketch.setops import NatTransSpec, SetPresentation, make_presentation
 
 
 def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
@@ -45,6 +47,32 @@ def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tupl
 def brute_limit(shape: FinCategory, diag: SetPresentation) -> set[tuple[str, ...]]:
     """The limit tuples as a set, from :func:`ordered_brute_limit`."""
     return set(ordered_brute_limit(shape, diag))
+
+
+def brute_nat_trans(source: SetPresentation, target: SetPresentation) -> list[NatTransSpec]:
+    """Every natural transformation source => target, in product order.
+
+    The candidates are the product over the objects (in ``base.objects``
+    order) of all component functions, each the product of the target
+    carrier over the source carrier; a candidate is kept when
+    ``NatTransSpec.validate`` passes.
+    """
+    base = source.base
+    objects = [d for d in base.objects if source.carrier[d]]
+    per_object: list[list[dict[str, str]]] = []
+    for d in objects:
+        xs = source.carrier[d]
+        choices = list(itertools.product(target.carrier[d], repeat=len(xs)))
+        per_object.append([dict(zip(xs, combo)) for combo in choices])
+    found: list[NatTransSpec] = []
+    for assignment in itertools.product(*per_object):
+        components = {d: dict(comp) for d, comp in zip(objects, assignment)}
+        for d in base.objects:
+            components.setdefault(d, {})
+        cand = NatTransSpec(source, target, components)
+        if cand.validate().ok:
+            found.append(cand)
+    return found
 
 
 def naive_quotient_partition(

@@ -216,6 +216,37 @@ def test_reflect_kelly_budget_zero_exits_three(workspace):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize(
+    ("flag", "command"),
+    [
+        ("--budget", ["reflect", "--engine", "elim"]),
+        ("--budget", ["reflect", "--engine", "kelly"]),
+        ("--budget", ["compare"]),
+        ("--max-tuples", ["check"]),
+        ("--max-tuples", ["reflect", "--engine", "kelly"]),
+        ("--max-elements", ["reflect", "--engine", "elim"]),
+        ("--enum-cap", ["universal"]),
+    ],
+)
+def test_negative_count_flag_exits_two(workspace, flag, command):
+    args = [
+        *command, "--sketch", str(workspace["binary_sketch"]),
+        "--presentation", str(workspace["binary_pres"]), flag, "-1",
+    ]
+    if command[0] == "universal":
+        args += ["--model", str(workspace["binary_model"]), "--map", str(workspace["binary_map"])]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {flag} must be >= 0, got -1\n"
+    assert proc.stdout == ""
+
+
+def test_builders_emit_unknown_name_exits_two():
+    proc = run_cli("builders", "emit", "monoid_budgeted")
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: unknown builder 'monoid_budgeted'\n"
+
+
 def test_serialized_documents_reparse_to_equal_values(workspace):
     from limsketch.setops import presentation_loads
     from limsketch.sketchlib import sketch_loads

@@ -13,13 +13,11 @@ from limsketch.sketchlib import (
     build_sketch,
     builder_names,
     is_model,
-    monoid_quiver,
     sketch_binary_product,
     sketch_dumps,
     sketch_equalizer,
     sketch_iso_forcing,
     sketch_loads,
-    sketch_monoid_budgeted,
     sketch_two_cover_sheaf,
     validate_cone,
     validate_sketch,
@@ -128,25 +126,8 @@ def test_model_checker_agrees_with_inversion_oracle():
 
 def test_builder_names_listing():
     names = builder_names()
-    assert "iso_forcing" in names and "monoid_budgeted" in names
-
-
-def test_monoid_quiver_has_thirteen_distinct_generators():
-    quiver = monoid_quiver()
-    assert len(quiver) == 13
-    assert len({g[0] for g in quiver}) == 13
-    assert {g[1] for g in quiver} | {g[2] for g in quiver} <= {"g0", "g1", "g2", "g3"}
-
-
-def test_monoid_builder_reports_non_stabilization():
-    for budget in (2, 4):
-        with pytest.raises(BudgetExceeded, match="not stabilized"):
-            sketch_monoid_budgeted(budget)
-
-
-def test_monoid_builder_rejects_bad_budget():
-    with pytest.raises(InputError):
-        sketch_monoid_budgeted(0)
+    assert "iso_forcing" in names
+    assert names == tuple(sorted(BUILDERS))
 
 
 def test_budgeted_builder_handles_finite_presentations():
@@ -157,6 +138,15 @@ def test_budgeted_builder_handles_finite_presentations():
     assert idem.compose("e", "e") == "e"
     walking = build_category_budgeted("walk", ["a", "b"], [("t", "a", "b")], [], budget=4)
     assert sorted(walking.arrows) == ["id_a", "id_b", "t"]
+
+
+def test_budgeted_builder_refuses_infinite_presentations_and_bad_budgets():
+    # a free endomorphism has the words e, e.e, e.e.e, ...: no budget stabilizes them
+    for budget in (2, 4):
+        with pytest.raises(BudgetExceeded, match="not stabilized"):
+            build_category_budgeted("free_endo", ["a"], [("e", "a", "a")], [], budget=budget)
+    with pytest.raises(InputError, match="budget must be positive"):
+        build_category_budgeted("walk", ["a", "b"], [("t", "a", "b")], [], budget=0)
 
 
 def test_sketch_json_round_trip():

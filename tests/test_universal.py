@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
+
+import limsketch.universal as universal_mod
 
 from limsketch.elim import PRUNED, reflect_elim
 from limsketch.errors import PreconditionError
+from limsketch.fincat import FinCategory
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import empty_presentation, terminal_presentation
+from limsketch.setops import empty_presentation, make_presentation, terminal_presentation
+from limsketch.sketchlib import BUILDERS
 from limsketch.universal import (
     check_uniqueness,
     enumerate_nat_trans,
@@ -13,8 +20,10 @@ from limsketch.universal import (
 )
 
 from tests.fixtures import (
+    binary_collapsed_fixture,
     binary_fixture,
     binary_model,
+    binary_singleton_model,
     binary_sketch,
     iso_fixture,
     iso_model,
@@ -24,6 +33,7 @@ from tests.fixtures import (
     sheaf_model,
     sheaf_sketch,
 )
+from tests.oracles import brute_nat_trans, random_valid_presentation
 
 
 def test_terminal_codomain_gives_constant_factorisation():
@@ -158,3 +168,124 @@ def test_factorisation_is_deterministic():
         result = solve_factorisation(trace, f, model, sketch)
         outputs.append(result.g.components)
     assert outputs[0] == outputs[1]
+
+
+# -- the join against the candidate-by-candidate oracle -----------------------
+
+
+def components_of(transformations) -> list[dict[str, dict[str, str]]]:
+    return [t.components for t in transformations]
+
+
+def assert_matches_oracle(source, target) -> None:
+    result = enumerate_nat_trans(source, target)
+    assert result.status == "ok"
+    assert components_of(result.transformations) == components_of(brute_nat_trans(source, target))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_enumeration_matches_oracle_on_random_pairs(name):
+    base = BUILDERS[name]().base
+    compared = 0
+    for seed in range(40):
+        rng = random.Random(f"nat-trans:{name}:{seed}")
+        source = random_valid_presentation(rng, base, max_size=3)
+        target = random_valid_presentation(rng, base, max_size=3)
+        result = enumerate_nat_trans(source, target, cap=20_000)
+        if result.status == "inconclusive":
+            continue
+        oracle = brute_nat_trans(source, target)
+        assert components_of(result.transformations) == components_of(oracle), seed
+        compared += 1
+    assert compared >= 30
+
+
+@pytest.mark.parametrize(
+    ("fixture", "sketch", "models"),
+    [
+        (iso_fixture, iso_sketch, [iso_model, lambda s: terminal_presentation(s.base)]),
+        (binary_fixture, binary_sketch, [binary_model, binary_singleton_model]),
+        (binary_collapsed_fixture, binary_sketch, [binary_model, binary_singleton_model]),
+        (sheaf_fixture, sheaf_sketch, [sheaf_model]),
+    ],
+)
+def test_enumeration_matches_oracle_from_fixture_cores(fixture, sketch, models):
+    s = sketch()
+    trace = reflect_elim(fixture(s), s, budget=8, mode=PRUNED)
+    for model in models:
+        assert_matches_oracle(trace.core, model(s))
+    assert_matches_oracle(trace.core, trace.core)
+
+
+def test_enumeration_of_empty_source_matches_oracle():
+    sketch = sheaf_sketch()
+    assert_matches_oracle(empty_presentation(sketch.base), sheaf_model(sketch))
+
+
+def test_enumeration_over_disconnected_element_graph():
+    sketch = binary_sketch()
+    # (a, v) is joined to nothing; the pair q hangs off (a, u) by both projections
+    source = make_presentation(
+        sketch.base, {"a": ["u", "v"], "p": ["q"]}, {"pi1": {"q": "u"}, "pi2": {"q": "u"}}
+    )
+    assert_matches_oracle(source, binary_model(sketch))
+    assert len(enumerate_nat_trans(source, binary_model(sketch)).transformations) == 4
+
+
+def test_zero_space_returns_before_any_join(monkeypatch):
+    base = FinCategory.build("iso_and_point", ["a", "b", "c"], [("t", "a", "b")], {})
+    big = [f"x{i}" for i in range(40)]
+    source = make_presentation(
+        base, {"a": big, "b": ["y"], "c": ["z"]}, {"t": {x: "y" for x in big}}
+    )
+    target = make_presentation(
+        base, {"a": [f"m{i}" for i in range(10)], "b": ["n"], "c": []},
+        {"t": {f"m{i}": "n" for i in range(10)}},
+    )
+
+    def no_join(*args, **kwargs):
+        raise AssertionError("a join ran on an empty search space")
+
+    monkeypatch.setattr(universal_mod, "LimitJoin", no_join)
+    result = enumerate_nat_trans(source, target)
+    assert (result.status, result.transformations, result.search_space) == ("ok", [], 0)
+
+
+def test_counterexample_keeps_the_first_two_commuting_in_order():
+    # rho out of an empty presentation: every transformation commutes with it
+    sketch = binary_sketch()
+    core = binary_fixture(sketch)
+    model = binary_model(sketch)
+    empty = empty_presentation(sketch.base)
+    rho = nat(empty, core, {"a": {}, "p": {}})
+    trace = SimpleNamespace(converged=True, core=core, rho=rho)
+    f = nat(empty, model, {"a": {}, "p": {}})
+    verdict = check_uniqueness(trace, f, model, sketch)
+    assert verdict.status == "counterexample"
+    assert components_of(verdict.witnesses) == components_of(brute_nat_trans(core, model)[:2])
+
+
+def test_single_valued_nodes_stay_out_of_the_join(monkeypatch):
+    sketch = binary_sketch()
+    pairs = [f"{x}{y}" for x in "uvw" for y in "uvw"]
+    source = make_presentation(
+        sketch.base,
+        {"a": list("uvw"), "p": pairs},
+        {"pi1": {q: q[0] for q in pairs}, "pi2": {q: q[1] for q in pairs}},
+    )
+    # a has a choice of two values, p only one: the join sees the three a-nodes
+    target = make_presentation(
+        sketch.base, {"a": ["0", "1"], "p": ["*"]}, {"pi1": {"*": "0"}, "pi2": {"*": "0"}}
+    )
+    widths = []
+    real_join = universal_mod.LimitJoin
+
+    def recording_join(nodes, edges):
+        widths.append(len(nodes))
+        return real_join(nodes, edges)
+
+    monkeypatch.setattr(universal_mod, "LimitJoin", recording_join)
+    assert_matches_oracle(source, target)
+    assert widths == [3]
+    # every pair projects to 0, so each of u, v, w must go to 0
+    assert len(enumerate_nat_trans(source, target).transformations) == 1
