@@ -51,10 +51,6 @@ def tag_sum_base(x: str) -> str:
     return f"{SUM_BASE_TAG}:{x}"
 
 
-def tag_sum_pair(pid: str) -> str:
-    return f"{SUM_PAIR_TAG}:{pid}"
-
-
 @dataclass
 class CompletionStep:
     """One application of the completion to a presentation."""
@@ -65,6 +61,8 @@ class CompletionStep:
     pair_prov: dict[str, Witness]
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
+    # the inverse of ``pair_prov`` up to the tag: witness -> its pair's element of the sum
+    pair_elements: dict[Witness, str]
 
     def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
         """Replay view at ``obj``: a class carries its X members, and its pairs are witnesses."""
@@ -76,10 +74,10 @@ class CompletionStep:
 
     def pair_class(self, obj: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
         """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``."""
-        pid = pair_element_id(cone, arrow, w)
         try:
-            return self.quotient.projection[obj][f"{SUM_PAIR_TAG}:{pid}"]
+            return self.quotient.projection[obj][self.pair_elements[cone, arrow, w]]
         except KeyError:
+            pid = pair_element_id(cone, arrow, w)
             raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
 
     def r_counts(self) -> tuple[int, int]:
@@ -99,7 +97,8 @@ def _completion(
     pairs, pair_prov = witness_presentation(
         "K", base, [(c.name, c.peak, limits[c.name]) for c in cones]
     )
-    sum_pres, _, _ = disjoint_sum(pres, pairs, tags=(SUM_BASE_TAG, SUM_PAIR_TAG))
+    sum_pres, _, inj_pairs = disjoint_sum(pres, pairs, tags=(SUM_BASE_TAG, SUM_PAIR_TAG))
+    pair_elements = {pair_prov[p]: e for inj in inj_pairs.values() for p, e in inj.items()}
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     r1: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
@@ -111,7 +110,7 @@ def _completion(
                 for a in pres.carrier[cone.peak]:
                     r0[d].add(
                         (
-                            tag_sum_pair(pair_element_id(cone.name, t, gm[a])),
+                            pair_elements[cone.name, t, gm[a]],
                             tag_sum_base(pres.action[t][a]),
                         )
                     )
@@ -124,7 +123,7 @@ def _completion(
                     for w in limits[cone.name]:
                         r1[d].add(
                             (
-                                tag_sum_pair(pair_element_id(cone.name, t_leg, w)),
+                                pair_elements[cone.name, t_leg, w],
                                 tag_sum_base(pres.action[t][w[z_idx]]),
                             )
                         )
@@ -146,6 +145,7 @@ def _completion(
         pair_prov,
         {d: tuple(sorted(r0[d])) for d in base.objects if r0[d]},
         {d: tuple(sorted(r1[d])) for d in base.objects if r1[d]},
+        pair_elements,
     )
 
 

@@ -31,14 +31,23 @@ DEFAULT_TUPLE_BUDGET = 10**6
 Witness = tuple[str, str, tuple[str, ...]]
 
 
+def witness_head(kind: str, cone: str, arrow: str) -> str:
+    """The part of a witness id fixed by ``kind``, ``cone`` and ``arrow``."""
+    return f"{kind}{len(cone)}:{cone}{len(arrow)}:{arrow}"
+
+
+def witness_tail(w: tuple[str, ...]) -> str:
+    """The part of a witness id fixed by the limit tuple ``w``."""
+    return f"{len(w)}#" + "".join([f"{len(c)}:{c}" for c in w])
+
+
 def witness_id(kind: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
     """Injective id of the witness (``cone``, ``arrow``, ``w``); ``kind`` names the engine.
 
     Every field is length-prefixed, so ids need no escaping at any depth.
+    An id is its :func:`witness_head` followed by its :func:`witness_tail`.
     """
-    return f"{kind}{len(cone)}:{cone}{len(arrow)}:{arrow}{len(w)}#" + "".join(
-        [f"{len(c)}:{c}" for c in w]
-    )
+    return witness_head(kind, cone, arrow) + witness_tail(w)
 
 
 def encode_components(m: Mapping[str, Mapping[str, str]]) -> dict[str, dict[str, str]]:
@@ -64,20 +73,6 @@ class SetPresentation:
     carrier: dict[str, tuple[str, ...]]
     action: dict[str, dict[str, str]]
     name: str = field(default="", compare=False)
-
-    def elements(self, obj: str) -> tuple[str, ...]:
-        try:
-            return self.carrier[obj]
-        except KeyError:
-            raise InputError(f"presentation has no carrier for object {obj!r}") from None
-
-    def apply(self, arrow_name: str, element: str) -> str:
-        try:
-            return self.action[arrow_name][element]
-        except KeyError:
-            raise InputError(
-                f"action of {arrow_name!r} undefined on element {element!r}"
-            ) from None
 
     def size(self) -> dict[str, int]:
         return {o: len(self.carrier[o]) for o in self.base.objects}
@@ -172,12 +167,6 @@ class NatTransSpec:
     source: SetPresentation
     target: SetPresentation
     components: dict[str, dict[str, str]]
-
-    def at(self, obj: str, element: str) -> str:
-        try:
-            return self.components[obj][element]
-        except KeyError:
-            raise InputError(f"component at {obj!r} undefined on {element!r}") from None
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
@@ -572,23 +561,28 @@ def witness_presentation(
     """The sum over cones c of hom(peak_c, -) x L_c, and the witness of each element.
 
     ``limits`` lists (c, peak_c, L_c); elements are named by :func:`witness_id`
-    and an arrow a sends the witness (c, t, w) to (c, a . t, w).
+    and an arrow a sends the witness (c, t, w) to (c, a . t, w).  Each id
+    is encoded once: the tail of w once per tuple, and the row of ids over
+    L_c once per (c, t).  An action maps the row of (c, t) onto the row of
+    (c, a . t), so its values are the carrier's own strings.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     prov: dict[str, Witness] = {}
+    rows: dict[tuple[str, str], list[str]] = {}
     for cone, peak, tuples in limits:
+        tails = [witness_tail(w) for w in tuples]
         for d in base.objects:
             for t in base.hom(peak, d):
-                for w in tuples:
-                    wid = witness_id(kind, cone, t, w)
-                    prov[wid] = (cone, t, w)
-                    carrier[d].append(wid)
+                head = witness_head(kind, cone, t)
+                row = rows[cone, t] = [head + tail for tail in tails]
+                prov.update(zip(row, [(cone, t, w) for w in tuples]))
+                carrier[d].extend(row)
     action: dict[str, dict[str, str]] = {}
     for name, arrow in base.arrows.items():
         mapping: dict[str, str] = {}
-        for wid in carrier[arrow.dom]:
-            cone, t, w = prov[wid]
-            mapping[wid] = witness_id(kind, cone, base.compose(name, t), w)
+        for (cone, t), row in rows.items():
+            if base.arrows[t].cod == arrow.dom:
+                mapping.update(zip(row, rows[cone, base.compose(name, t)]))
         action[name] = mapping
     return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
 

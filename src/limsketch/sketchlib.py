@@ -18,6 +18,7 @@ from .fincat import (
     ValidationReport,
     category_from_json_dict,
     category_to_json_dict,
+    string_map,
     validate_category,
     validate_functor,
 )
@@ -461,6 +462,8 @@ def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
     if "category" not in data or "cones" not in data:
         raise InputError("sketch document needs 'category' and 'cones'")
     base = category_from_json_dict(data["category"])
+    if not isinstance(data["cones"], list):
+        raise InputError("sketch 'cones' must be a list of cone objects")
     cones: list[Cone] = []
     for idx, rec in enumerate(data["cones"]):
         if not isinstance(rec, dict):
@@ -475,8 +478,11 @@ def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
         diag = rec["diagram"]
         if not isinstance(diag, dict) or set(diag) != {"objects", "arrows"}:
             raise InputError(f"cone {idx}: diagram needs exactly 'objects' and 'arrows'")
-        diagram = CatFunctor(shape, base, dict(diag["objects"]), dict(diag["arrows"]))
-        cones.append(Cone(f"c{idx}", base, rec["peak"], shape, diagram, dict(rec["legs"])))
+        objects = string_map(diag["objects"], f"cone {idx}: diagram 'objects'")
+        arrows = string_map(diag["arrows"], f"cone {idx}: diagram 'arrows'")
+        legs = string_map(rec["legs"], f"cone {idx}: 'legs'")
+        diagram = CatFunctor(shape, base, dict(objects), dict(arrows))
+        cones.append(Cone(f"c{idx}", base, rec["peak"], shape, diagram, dict(legs)))
     sketch = LimitSketch(base, tuple(cones), name=name)
     report = validate_sketch(sketch)
     if not report.ok:

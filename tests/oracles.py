@@ -5,7 +5,7 @@ by filtering the full cartesian product with nested loops in product
 order, quotients by a naive merge-and-push fixpoint over explicit
 partitions, pushouts by a plain disjoint-set over the literal pair lists,
 natural transformations by validating every candidate of the product of
-all component functions.
+all component functions, witness summands by encoding every id afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from limsketch.errors import InputError
 from limsketch.fincat import FinCategory
-from limsketch.setops import NatTransSpec, SetPresentation, make_presentation
+from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
 
 
 def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
@@ -212,6 +212,36 @@ def pushed_filter_limits(
             if tuple(projection[d][c] for d, c in zip(objs, w)) not in hit
         }
     return out
+
+
+def brute_witness_presentation(
+    kind: str,
+    base: FinCategory,
+    limits: Iterable[tuple[str, str, Iterable[tuple[str, ...]]]],
+) -> tuple[SetPresentation, dict[str, Witness]]:
+    """The witness summand by its definition: every id encoded afresh.
+
+    Each element (c, t, w) of the sum over cones c of hom(peak_c, -) x L_c
+    is named by ``witness_id``, and each arrow a sends it to the id of
+    (c, a . t, w), encoded again for every arrow and element.
+    """
+    carrier: dict[str, list[str]] = {d: [] for d in base.objects}
+    prov: dict[str, Witness] = {}
+    for cone, peak, tuples in limits:
+        for d in base.objects:
+            for t in base.hom(peak, d):
+                for w in tuples:
+                    wid = witness_id(kind, cone, t, w)
+                    prov[wid] = (cone, t, w)
+                    carrier[d].append(wid)
+    action: dict[str, dict[str, str]] = {}
+    for name, arrow in base.arrows.items():
+        mapping: dict[str, str] = {}
+        for wid in carrier[arrow.dom]:
+            cone, t, w = prov[wid]
+            mapping[wid] = witness_id(kind, cone, base.compose(name, t), w)
+        action[name] = mapping
+    return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
 
 
 # -- seeded random instances -------------------------------------------------

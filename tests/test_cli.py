@@ -272,6 +272,45 @@ def test_cone_without_required_field_exits_two(workspace, tmp_path, field):
     assert proc.stderr == f"input error: cone 0: missing cone fields ['{field}']\n"
 
 
+def _set_legs(doc):
+    doc["cones"][0]["legs"] = ["t"]
+
+
+def _set_diagram_objects(doc):
+    doc["cones"][0]["diagram"]["objects"] = ["b"]
+
+
+def _set_diagram_arrows(doc):
+    doc["cones"][0]["diagram"]["arrows"] = ["id_b"]
+
+
+def _set_cones(doc):
+    doc["cones"] = "x"
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (_set_legs, "cone 0: 'legs' must be an object of strings"),
+        (_set_diagram_objects, "cone 0: diagram 'objects' must be an object of strings"),
+        (_set_diagram_arrows, "cone 0: diagram 'arrows' must be an object of strings"),
+        (_set_cones, "sketch 'cones' must be a list of cone objects"),
+    ],
+    ids=["list-legs", "list-diagram-objects", "list-diagram-arrows", "string-cones"],
+)
+def test_malformed_sketch_exits_two(workspace, tmp_path, edit, message):
+    doc = json.loads(workspace["iso_sketch"].read_text())
+    edit(doc)
+    sketch = tmp_path / "malformed_sketch.json"
+    sketch.write_text(json.dumps(doc))
+    proc = run_cli(
+        "reflect", "--sketch", str(sketch), "--presentation", str(workspace["terminal"])
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {message}\n"
+    assert "Traceback" not in proc.stderr
+
+
 ISO_MAP = {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}}
 ISO_PRES = {
     "category": "iso_forcing",

@@ -2,12 +2,14 @@
 
 Each test corrupts one converged or stage-aligned trace the way a broken
 engine could: two classes with different images are merged, a formal
-pair is dropped from a completion's projection, or a witness tuple is
-replaced by one outside the limit.  Both ``solve_factorisation`` and
+pair is dropped from a completion's projection or from its provenance,
+or a witness tuple is replaced by one outside the limit.  Both ``solve_factorisation`` and
 ``build_alpha`` must raise ``EngineError``.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -88,6 +90,22 @@ def test_alpha_refuses_missing_formal_pair(binary):
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
     del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
     with pytest.raises(EngineError, match="missing in the completion sum at 'p'"):
+        build_alpha(elim_trace, kelly_trace, sketch)
+
+
+def test_alpha_refuses_formal_pair_without_provenance(binary):
+    sketch, pres, _, _ = binary
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    stage = elim_trace.stages[1]
+    fid = stage.free.carrier["p"][0]
+    cone, arrow, w = stage.free_prov[fid]
+    witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
+    step = kelly_trace.stages[0].step
+    pid = pair_element_id(*witness)
+    assert step.pair_prov.pop(pid) == witness
+    del step.pair_elements[witness]
+    message = f"pair {pid!r} missing in the completion sum at 'p'"
+    with pytest.raises(EngineError, match=re.escape(message)):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 

@@ -1,0 +1,154 @@
+"""The witness summand against its definition, on every stage both engines build.
+
+``witness_presentation`` encodes each id once and maps each action row by
+row; ``brute_witness_presentation`` encodes every id afresh.  Both engines
+are run with that function wrapped, so each call is checked against the
+oracle on the very inputs the engine gave it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limsketch import elim, kelly
+from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
+from limsketch.errors import BudgetExceeded
+from limsketch.kelly import reflect_kelly
+from limsketch.setops import (
+    make_presentation,
+    witness_head,
+    witness_id,
+    witness_presentation,
+    witness_tail,
+)
+from limsketch.sketchlib import BUILDERS, build_sketch
+
+from tests.fixtures import (
+    binary_fixture,
+    binary_sketch,
+    iso_fixture,
+    iso_sketch,
+    sheaf_fixture,
+    sheaf_sketch,
+)
+from tests.oracles import brute_witness_presentation, random_valid_presentation
+
+
+@pytest.fixture()
+def checked(monkeypatch):
+    """Route both engines' witness summands through the oracle; count the calls."""
+    calls: list[str] = []
+
+    def both(kind, base, limits):
+        limits = [(cone, peak, tuple(tuples)) for cone, peak, tuples in limits]
+        got, got_prov = witness_presentation(kind, base, limits)
+        want, want_prov = brute_witness_presentation(kind, base, limits)
+        assert got.carrier == want.carrier
+        assert {a: list(m.items()) for a, m in got.action.items()} == {
+            a: list(m.items()) for a, m in want.action.items()
+        }
+        assert list(got_prov.items()) == list(want_prov.items())
+        # action values are the carrier's own strings
+        own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
+        for name, mapping in got.action.items():
+            cod = own[base.arrows[name].cod]
+            assert all(id(y) in cod for y in mapping.values())
+        calls.append(kind)
+        return got, got_prov
+
+    monkeypatch.setattr(elim, "witness_presentation", both)
+    monkeypatch.setattr(kelly, "witness_presentation", both)
+    return calls
+
+
+def _run_all(pres, sketch, budget):
+    """Faithful and pruned elim and kelly over ``pres``; a budget refusal ends a run."""
+    runs = [
+        lambda: reflect_elim(pres, sketch, budget=budget, mode=FAITHFUL),
+        lambda: reflect_elim(pres, sketch, budget=budget, mode=PRUNED),
+        lambda: reflect_kelly(pres, sketch, budget=budget, stop_on_convergence=False),
+    ]
+    for run in runs:
+        try:
+            run()
+        except BudgetExceeded:
+            pass
+
+
+@pytest.mark.parametrize(
+    ("sketch", "fixture"),
+    [(iso_sketch, iso_fixture), (binary_sketch, binary_fixture), (sheaf_sketch, sheaf_fixture)],
+    ids=["iso", "binary", "sheaf"],
+)
+def test_fixture_stages_match_oracle(checked, sketch, fixture):
+    s = sketch()
+    pres = fixture(s)
+    faithful = reflect_elim(pres, s, budget=2, mode=FAITHFUL)
+    pruned = reflect_elim(pres, s, mode=PRUNED)
+    kelly_trace = reflect_kelly(pres, s, budget=2, stop_on_convergence=False)
+    assert pruned.converged
+    built = len(faithful.stages) - 1 + len(pruned.stages) - 1 + len(kelly_trace.stages)
+    assert len(checked) == built > 0
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_binary_product_stages_match_oracle(checked, n):
+    sketch = binary_sketch()
+    pres = make_presentation(
+        sketch.base, {"a": [f"x{i}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
+    )
+    trace = reflect_elim(pres, sketch, mode=PRUNED)
+    assert trace.converged and trace.core.size() == {"a": n, "p": n * n}
+    reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
+    reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
+    assert checked.count("F") == len(trace.stages) and checked.count("K") == 2
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_random_presentations_match_oracle(checked, name):
+    sketch = build_sketch(name)
+    rng = random.Random(f"witness-oracle:{name}")
+    for _ in range(20):
+        _run_all(random_valid_presentation(rng, sketch.base, max_size=4), sketch, budget=2)
+    assert "F" in checked and "K" in checked
+
+
+def _decode(kind: str, wid: str) -> tuple[str, str, tuple[str, ...]]:
+    """Read (cone, arrow, w) back from a witness id of engine ``kind``."""
+    pos = len(kind)
+
+    def number(sep: str) -> int:
+        nonlocal pos
+        cut = wid.index(sep, pos)
+        value, pos = int(wid[pos:cut]), cut + 1
+        return value
+
+    def string() -> str:
+        nonlocal pos
+        size = number(":")
+        pos += size
+        return wid[pos - size : pos]
+
+    assert wid.startswith(kind)
+    cone, arrow = string(), string()
+    w = tuple(string() for _ in range(number("#")))
+    assert pos == len(wid)
+    return cone, arrow, w
+
+
+# fields made of the codec's own separators and length digits
+FIELD = st.text(alphabet="0123456789:#ab", max_size=6)
+WITNESS = st.tuples(FIELD, FIELD, st.lists(FIELD, max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["F", "K"]), WITNESS)
+def test_witness_id_is_head_then_tail_and_decodes(kind, witness):
+    cone, arrow, w = witness
+    wid = witness_id(kind, cone, arrow, w)
+    assert wid == witness_head(kind, cone, arrow) + witness_tail(w)
+    assert _decode(kind, wid) == witness
