@@ -27,7 +27,6 @@ from .fincat import (
     CatFunctor,
     FinCategory,
     ValidationReport,
-    hom,
     validate_category,
     validate_functor,
 )

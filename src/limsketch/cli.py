@@ -14,7 +14,7 @@ from pathlib import Path
 from . import compare as compare_mod
 from . import elim, kelly, universal
 from .errors import BudgetExceeded, EngineError, InputError, PreconditionError
-from .fincat import string_map
+from .fincat import check_document
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
@@ -41,19 +41,28 @@ EXIT_PRECONDITION = 4
 def _read_json(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: JSON parse error: {exc}") from None
+
+
+def _load(path: str, loader, **kwargs):
+    """``loader`` applied to the JSON document at ``path``; its faults name the file."""
+    data = _read_json(path)
+    try:
+        return loader(data, **kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_sketch(source: str) -> LimitSketch:
     """A sketch argument is either a builder name or a JSON file path."""
     if source in BUILDERS:
         return build_sketch(source)
-    return sketch_from_json_dict(_read_json(source), name=source)
+    return _load(source, sketch_from_json_dict, name=source)
 
 
 def _resolve_category(name: str):
@@ -63,28 +72,24 @@ def _resolve_category(name: str):
 
 
 def _load_presentation(path: str, sketch: LimitSketch) -> SetPresentation:
-    return presentation_from_json_dict(
-        _read_json(path), base=sketch.base, resolve_category=_resolve_category
+    return _load(
+        path, presentation_from_json_dict, base=sketch.base, resolve_category=_resolve_category
     )
 
 
-def _load_nat_trans(path: str, source: SetPresentation, target: SetPresentation) -> NatTransSpec:
-    data = _read_json(path)
-    if not isinstance(data, dict) or set(data) != {"components"}:
-        raise InputError(f"{path}: transformation document needs exactly 'components'")
-    components = data["components"]
-    if not isinstance(components, dict):
-        raise InputError(f"{path}: 'components' must be an object")
-    nat = NatTransSpec(
-        source,
-        target,
-        {o: dict(string_map(m, f"{path}: component at {o!r}")) for o, m in components.items()},
-    )
+TRANSFORMATION_SCHEMA = {"components": {"*": {"*": str}}}
+
+
+def _nat_trans_from_json_dict(
+    data: dict, source: SetPresentation, target: SetPresentation
+) -> NatTransSpec:
+    check_document(data, TRANSFORMATION_SCHEMA)
+    nat = NatTransSpec(source, target, {o: dict(m) for o, m in data["components"].items()})
     for obj in source.base.objects:
         nat.components.setdefault(obj, {})
     report = nat.validate()
     if not report.ok:
-        raise InputError(f"{path}: invalid transformation: {report.violations[0]}")
+        raise InputError(f"invalid transformation: {report.violations[0]}")
     return nat
 
 
@@ -222,7 +227,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
     sketch = _load_sketch(args.sketch)
     pres = _load_presentation(args.presentation, sketch)
     model = _load_presentation(args.model, sketch)
-    f = _load_nat_trans(args.map, pres, model)
+    f = _load(args.map, _nat_trans_from_json_dict, source=pres, target=model)
     trace = elim.reflect_elim(
         pres,
         sketch,

@@ -147,10 +147,6 @@ class FinCategory:
         return self.identities.get(a.dom) == arrow_name and a.dom == a.cod
 
 
-def hom(category: FinCategory, a: str, b: str) -> tuple[str, ...]:
-    return category.hom(a, b)
-
-
 def validate_category(category: FinCategory) -> ValidationReport:
     """Check every category law exhaustively and report violations."""
     report = ValidationReport()
@@ -198,12 +194,13 @@ def validate_category(category: FinCategory) -> ValidationReport:
             if (g, f) not in table:
                 report.add("compose-partial", f"composable pair ({g!r},{f!r}) has no entry")
     for f in sorted(arrows.values(), key=lambda a: a.name):
-        left = table.get((category.identities.get(f.cod, ""), f.name))
+        id_cod, id_dom = category.identities.get(f.cod, ""), category.identities.get(f.dom, "")
+        left = table.get((id_cod, f.name))
         if left is not None and left != f.name:
-            report.add("unit-left", f"compose(id_{f.cod}, {f.name!r}) = {left!r}")
-        right = table.get((f.name, category.identities.get(f.dom, "")))
+            report.add("unit-left", f"compose({id_cod!r}, {f.name!r}) = {left!r}")
+        right = table.get((f.name, id_dom))
         if right is not None and right != f.name:
-            report.add("unit-right", f"compose({f.name!r}, id_{f.dom}) = {right!r}")
+            report.add("unit-right", f"compose({f.name!r}, {id_dom!r}) = {right!r}")
     # Associativity over every composable triple; built-in categories are
     # small enough that the cubic loop is immediate.
     for h in sorted(arrows):
@@ -290,44 +287,47 @@ def validate_functor(functor: CatFunctor) -> ValidationReport:
     return report
 
 
-def identity_functor(category: FinCategory) -> CatFunctor:
-    return CatFunctor(
-        category,
-        category,
-        {o: o for o in category.objects},
-        {a: a for a in category.arrows},
-    )
-
-
 # -- JSON interchange ------------------------------------------------------
 
-_CATEGORY_FIELDS = {"objects", "arrows", "identities", "compose"}
+CATEGORY_SCHEMA = {
+    "objects": [str],
+    "arrows": [{"id": str, "dom": str, "cod": str}],
+    "identities": {"*": str},
+    "compose": [{"g": str, "f": str, "gf": str}],
+}
 
 
-def string_list(value: object, what: str) -> list[str]:
-    """``value`` if it is a JSON list of strings, else :class:`InputError`."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise InputError(f"{what} must be a list of strings")
-    return value
+def check_document(value: object, schema: object, path: str = "$") -> None:
+    """Raise :class:`InputError` at the JSON path of the first place ``value`` leaves ``schema``.
 
-
-def string_map(value: object, what: str) -> dict[str, str]:
-    """``value`` if it is a JSON object of strings, else :class:`InputError`."""
-    if not isinstance(value, dict) or not all(isinstance(x, str) for x in value.values()):
-        raise InputError(f"{what} must be an object of strings")
-    return value
-
-
-def _records(data: dict, key: str, fields: set[str], kind: str) -> list[dict[str, str]]:
-    """``data[key]`` if it is a list of objects with exactly ``fields``, all strings."""
-    records = data[key]
-    if not isinstance(records, list):
-        raise InputError(f"category {key!r} must be a list of records")
-    for rec in records:
-        if not isinstance(rec, dict) or set(rec) != fields:
-            raise InputError(f"bad {kind} record {rec!r}")
-        string_map(rec, f"{kind} record {rec!r}")
-    return records
+    A schema is ``str``; ``[s]``, a list of ``s``; ``{"*": s}``, an object
+    of ``s`` under any keys; or a dict of fields, an object with exactly
+    those fields.  This is the only shape check of every input document.
+    """
+    if schema is str:
+        if not isinstance(value, str):
+            raise InputError(f"{path} must be a string")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise InputError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            check_document(item, schema[0], f"{path}[{i}]")
+    else:
+        if not isinstance(value, dict):
+            raise InputError(f"{path} must be an object")
+        if "*" in schema:
+            fields = dict.fromkeys(value, schema["*"])
+        else:
+            fields = schema
+            unknown = sorted(value.keys() - fields)
+            if unknown:
+                raise InputError(f"{path}: unknown fields {unknown}")
+            missing = sorted(fields.keys() - value.keys())
+            if missing:
+                raise InputError(f"{path}: missing fields {missing}")
+        for key, sub in fields.items():
+            step = f".{key}" if key.isidentifier() else f"[{key!r}]"
+            check_document(value[key], sub, path + step)
 
 
 def category_to_json_dict(category: FinCategory) -> dict:
@@ -346,28 +346,21 @@ def category_to_json_dict(category: FinCategory) -> dict:
 
 
 def category_from_json_dict(data: dict, name: str = "") -> FinCategory:
-    if not isinstance(data, dict):
-        raise InputError("category document must be a JSON object")
-    unknown = set(data) - _CATEGORY_FIELDS
-    if unknown:
-        raise InputError(f"unknown category fields: {sorted(unknown)}")
-    missing = _CATEGORY_FIELDS - set(data)
-    if missing:
-        raise InputError(f"missing category fields: {sorted(missing)}")
-    objects = string_list(data["objects"], "category 'objects'")
-    identities = string_map(data["identities"], "category 'identities'")
+    check_document(data, CATEGORY_SCHEMA)
     arrows: dict[str, Arrow] = {}
-    for rec in _records(data, "arrows", {"id", "dom", "cod"}, "arrow"):
+    for rec in data["arrows"]:
         if rec["id"] in arrows:
             raise InputError(f"duplicate arrow {rec['id']!r}")
         arrows[rec["id"]] = Arrow(rec["id"], rec["dom"], rec["cod"])
     compose: dict[tuple[str, str], str] = {}
-    for rec in _records(data, "compose", {"g", "f", "gf"}, "compose"):
+    for rec in data["compose"]:
         key = (rec["g"], rec["f"])
         if key in compose:
             raise InputError(f"duplicate compose entry {key!r}")
         compose[key] = rec["gf"]
-    return FinCategory(tuple(sorted(objects)), arrows, dict(identities), compose, name=name)
+    return FinCategory(
+        tuple(sorted(data["objects"])), arrows, dict(data["identities"]), compose, name=name
+    )
 
 
 def category_dumps(category: FinCategory) -> str:

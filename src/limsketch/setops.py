@@ -17,12 +17,12 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .fincat import (
+    CATEGORY_SCHEMA,
     FinCategory,
     ValidationReport,
     category_from_json_dict,
     category_to_json_dict,
-    string_list,
-    string_map,
+    check_document,
 )
 
 DEFAULT_TUPLE_BUDGET = 10**6
@@ -95,7 +95,11 @@ def make_presentation(
                 given = action[arrow_name]
             except KeyError:
                 raise InputError(f"no action given for arrow {arrow_name!r}") from None
-            act[arrow_name] = {x: given[x] for x in carr[arrow.dom]}
+            try:
+                act[arrow_name] = {x: given[x] for x in carr[arrow.dom]}
+            except KeyError as exc:
+                x = exc.args[0]
+                raise InputError(f"action of {arrow_name!r} undefined on {x!r}") from None
     return SetPresentation(base, carr, act, name=name)
 
 
@@ -589,7 +593,8 @@ def witness_presentation(
 
 # -- JSON interchange --------------------------------------------------------
 
-_PRESENTATION_FIELDS = {"category", "carrier", "action"}
+# ``category``, when present, is a builder name or an inline category.
+PRESENTATION_SCHEMA = {"carrier": {"*": [str]}, "action": {"*": {"*": str}}}
 
 
 def presentation_to_json_dict(pres: SetPresentation, category: str | dict | None = None) -> dict:
@@ -614,43 +619,33 @@ def presentation_from_json_dict(
     ``resolve_category``; when ``base`` is supplied the document must
     describe a presentation over that same category.
     """
-    if not isinstance(data, dict):
-        raise InputError("presentation document must be a JSON object")
-    unknown = set(data) - _PRESENTATION_FIELDS
-    if unknown:
-        raise InputError(f"unknown presentation fields: {sorted(unknown)}")
-    if "carrier" not in data or "action" not in data:
-        raise InputError("presentation document needs 'carrier' and 'action'")
+    schema = PRESENTATION_SCHEMA
+    if isinstance(data, dict) and "category" in data:
+        named = isinstance(data["category"], str)
+        schema = {**schema, "category": str if named else CATEGORY_SCHEMA}
+    check_document(data, schema)
     cat = base
-    cat_field = data.get("category")
-    if cat_field is not None:
-        if isinstance(cat_field, str):
+    if "category" in data:
+        if named:
             if resolve_category is None:
-                raise InputError(f"cannot resolve category name {cat_field!r}")
-            named = resolve_category(cat_field)
-            if named is None:
-                raise InputError(f"unknown category name {cat_field!r}")
-            cat = named
-        elif isinstance(cat_field, dict):
-            cat = category_from_json_dict(cat_field)
+                raise InputError(f"cannot resolve category name {data['category']!r}")
+            cat = resolve_category(data["category"])
+            if cat is None:
+                raise InputError(f"unknown category name {data['category']!r}")
         else:
-            raise InputError("'category' must be a name or an inline object")
+            cat = category_from_json_dict(data["category"])
         if base is not None and cat != base:
             raise InputError("presentation category differs from the sketch category")
     if cat is None:
         raise InputError("presentation document has no category and none was supplied")
     carrier = data["carrier"]
     action = data["action"]
-    if not isinstance(carrier, dict) or not isinstance(action, dict):
-        raise InputError("'carrier' and 'action' must be objects")
-    for obj, elements in carrier.items():
+    for obj in carrier:
         if obj not in cat.objects:
             raise InputError(f"carrier names unknown object {obj!r}")
-        string_list(elements, f"carrier of {obj!r}")
-    for arrow, mapping in action.items():
+    for arrow in action:
         if arrow not in cat.arrows:
             raise InputError(f"action names unknown arrow {arrow!r}")
-        string_map(mapping, f"action of {arrow!r}")
     pres = make_presentation(cat, carrier, action)
     report = validate_presentation(pres)
     if not report.ok:

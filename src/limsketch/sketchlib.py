@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, InputError
+from .errors import InputError
 from .fincat import (
+    CATEGORY_SCHEMA,
     CatFunctor,
     FinCategory,
     ValidationReport,
     category_from_json_dict,
     category_to_json_dict,
-    string_map,
+    check_document,
     validate_category,
     validate_functor,
 )
@@ -95,18 +96,20 @@ def validate_cone(cone: Cone) -> ValidationReport:
         if composite != leg_tgt:
             report.add(
                 "leg-naturality",
-                f"shape arrow {name!r}: diagram . leg_{arrow.dom} = "
-                f"{composite!r} but leg_{arrow.cod} = {leg_tgt!r}",
+                f"shape arrow {name!r}: diagram . leg at {arrow.dom!r} = "
+                f"{composite!r} but leg at {arrow.cod!r} = {leg_tgt!r}",
             )
     return report
 
 
 def validate_sketch(sketch: LimitSketch) -> ValidationReport:
+    """Check the base, then each cone's shape and, if the shape is a category, the cone."""
     report = validate_category(sketch.base)
     for cone in sketch.cones:
-        sub = validate_cone(cone)
+        shape = validate_category(cone.shape)
+        sub, prefix = (validate_cone(cone), "") if shape.ok else (shape, "shape: ")
         for v in sub.violations:
-            report.add(f"cone {cone.name}: {v.rule}", v.detail)
+            report.add(f"cone {cone.name}: {prefix}{v.rule}", v.detail)
     return report
 
 
@@ -295,123 +298,6 @@ def sketch_two_cover_sheaf() -> LimitSketch:
     return LimitSketch(base, (cone,), name="two_cover_sheaf")
 
 
-def build_category_budgeted(
-    name: str,
-    objects: list[str],
-    generators: list[tuple[str, str, str]],
-    relations: list[tuple[tuple[str, ...], tuple[str, ...]]],
-    budget: int,
-) -> FinCategory:
-    """Materialize a finitely presented category by bounded word rewriting.
-
-    Words are composable generator sequences (rightmost applied first),
-    rewritten leftmost-first by the relations oriented shortlex-decreasing.
-    The build fails with :class:`BudgetExceeded` unless the set of normal
-    forms stops growing strictly below the length budget and is closed
-    under composition; no silent guess is ever returned.
-    """
-    if budget <= 0:
-        raise InputError("budget must be positive")
-    gen = {g[0]: (g[1], g[2]) for g in generators}
-
-    def endpoints(word: tuple[str, ...]) -> tuple[str, str]:
-        return gen[word[-1]][0], gen[word[0]][1]
-
-    def shortlex_key(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-        return (len(word), word)
-
-    rules: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for lhs, rhs in relations:
-        if shortlex_key(lhs) == shortlex_key(rhs):
-            continue
-        big, small = (lhs, rhs) if shortlex_key(lhs) > shortlex_key(rhs) else (rhs, lhs)
-        rules.append((big, small))
-    rules.sort(key=lambda r: shortlex_key(r[0]))
-
-    def reduce_word(word: tuple[str, ...]) -> tuple[str, ...]:
-        changed = True
-        steps = 0
-        while changed:
-            changed = False
-            steps += 1
-            if steps > 10 * budget + 100:
-                raise BudgetExceeded(f"rewriting of {word!r} did not terminate in budget")
-            for big, small in rules:
-                k = len(big)
-                for i in range(len(word) - k + 1):
-                    if word[i : i + k] == big:
-                        word = word[:i] + small + word[i + k :]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return word
-
-    # Breadth-first enumeration of composable words by length; a level
-    # contributing no new normal form ends the search.
-    normal: set[tuple[str, ...]] = set()
-    frontier: list[tuple[str, ...]] = [(g,) for g in sorted(gen)]
-    for word in frontier:
-        normal.add(reduce_word(word))
-    stabilized_at = None
-    for length in range(2, budget + 1):
-        new_found = False
-        next_frontier: list[tuple[str, ...]] = []
-        for word in frontier:
-            _, cod = endpoints(word)
-            for g in sorted(gen):
-                if gen[g][0] != cod:
-                    continue
-                # word applies first, g last: prepend in composite order
-                extended = (g,) + word
-                nf = reduce_word(extended)
-                if nf not in normal and nf != ():
-                    normal.add(nf)
-                    new_found = True
-                next_frontier.append(extended)
-        frontier = next_frontier
-        if not new_found:
-            stabilized_at = length
-            break
-    if stabilized_at is None:
-        raise BudgetExceeded(
-            f"hom-sets not stabilized within budget {budget}: "
-            f"{len(normal)} normal forms and still growing"
-        )
-
-    arrow_names: dict[tuple[str, ...], str] = {}
-    arrows: list[tuple[str, str, str]] = []
-    for word in sorted(normal, key=shortlex_key):
-        label = ".".join(word)
-        dom, cod = endpoints(word)
-        arrow_names[word] = label
-        arrows.append((label, dom, cod))
-    compose: dict[tuple[str, str], str] = {}
-    for wg in sorted(normal, key=shortlex_key):
-        for wf in sorted(normal, key=shortlex_key):
-            if endpoints(wf)[1] != endpoints(wg)[0]:
-                continue
-            nf = reduce_word(wg + wf)
-            if nf == ():
-                target = f"id_{endpoints(wf)[0]}"
-            else:
-                if nf not in arrow_names:
-                    raise BudgetExceeded(
-                        f"composition escapes the budget {budget}: "
-                        f"{wg!r} . {wf!r} reduces to unseen {nf!r}"
-                    )
-                target = arrow_names[nf]
-            compose[(arrow_names[wg], arrow_names[wf])] = target
-    category = FinCategory.build(name, objects, arrows, compose)
-    report = validate_category(category)
-    if not report.ok:
-        # Non-confluent rewriting shows up as a broken table; never guess.
-        raise BudgetExceeded(
-            f"presentation not confluent within budget {budget}: {report.violations[0]}"
-        )
-    return category
-
-
 BUILDERS = {
     "iso_forcing": sketch_iso_forcing,
     "binary_product": sketch_binary_product,
@@ -432,8 +318,17 @@ def build_sketch(name: str) -> LimitSketch:
 
 # -- JSON interchange --------------------------------------------------------
 
-_SKETCH_FIELDS = {"category", "cones"}
-_CONE_FIELDS = {"peak", "shape", "diagram", "legs"}
+SKETCH_SCHEMA = {
+    "category": CATEGORY_SCHEMA,
+    "cones": [
+        {
+            "peak": str,
+            "shape": CATEGORY_SCHEMA,
+            "diagram": {"objects": {"*": str}, "arrows": {"*": str}},
+            "legs": {"*": str},
+        }
+    ],
+}
 
 
 def sketch_to_json_dict(sketch: LimitSketch) -> dict:
@@ -454,35 +349,14 @@ def sketch_to_json_dict(sketch: LimitSketch) -> dict:
 
 
 def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
-    if not isinstance(data, dict):
-        raise InputError("sketch document must be a JSON object")
-    unknown = set(data) - _SKETCH_FIELDS
-    if unknown:
-        raise InputError(f"unknown sketch fields: {sorted(unknown)}")
-    if "category" not in data or "cones" not in data:
-        raise InputError("sketch document needs 'category' and 'cones'")
+    check_document(data, SKETCH_SCHEMA)
     base = category_from_json_dict(data["category"])
-    if not isinstance(data["cones"], list):
-        raise InputError("sketch 'cones' must be a list of cone objects")
     cones: list[Cone] = []
     for idx, rec in enumerate(data["cones"]):
-        if not isinstance(rec, dict):
-            raise InputError(f"cone {idx} must be an object")
-        unknown = set(rec) - _CONE_FIELDS
-        if unknown:
-            raise InputError(f"cone {idx}: unknown fields {sorted(unknown)}")
-        missing = _CONE_FIELDS - set(rec)
-        if missing:
-            raise InputError(f"cone {idx}: missing cone fields {sorted(missing)}")
         shape = category_from_json_dict(rec["shape"])
         diag = rec["diagram"]
-        if not isinstance(diag, dict) or set(diag) != {"objects", "arrows"}:
-            raise InputError(f"cone {idx}: diagram needs exactly 'objects' and 'arrows'")
-        objects = string_map(diag["objects"], f"cone {idx}: diagram 'objects'")
-        arrows = string_map(diag["arrows"], f"cone {idx}: diagram 'arrows'")
-        legs = string_map(rec["legs"], f"cone {idx}: 'legs'")
-        diagram = CatFunctor(shape, base, dict(objects), dict(arrows))
-        cones.append(Cone(f"c{idx}", base, rec["peak"], shape, diagram, dict(legs)))
+        diagram = CatFunctor(shape, base, dict(diag["objects"]), dict(diag["arrows"]))
+        cones.append(Cone(f"c{idx}", base, rec["peak"], shape, diagram, dict(rec["legs"])))
     sketch = LimitSketch(base, tuple(cones), name=name)
     report = validate_sketch(sketch)
     if not report.ok:

@@ -269,7 +269,7 @@ def test_cone_without_required_field_exits_two(workspace, tmp_path, field):
         "check", "--sketch", str(sketch), "--presentation", str(workspace["terminal"])
     )
     assert proc.returncode == 2
-    assert proc.stderr == f"input error: cone 0: missing cone fields ['{field}']\n"
+    assert proc.stderr == f"input error: {sketch}: $.cones[0]: missing fields ['{field}']\n"
 
 
 def _set_legs(doc):
@@ -291,10 +291,10 @@ def _set_cones(doc):
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
-        (_set_legs, "cone 0: 'legs' must be an object of strings"),
-        (_set_diagram_objects, "cone 0: diagram 'objects' must be an object of strings"),
-        (_set_diagram_arrows, "cone 0: diagram 'arrows' must be an object of strings"),
-        (_set_cones, "sketch 'cones' must be a list of cone objects"),
+        (_set_legs, "$.cones[0].legs must be an object"),
+        (_set_diagram_objects, "$.cones[0].diagram.objects must be an object"),
+        (_set_diagram_arrows, "$.cones[0].diagram.arrows must be an object"),
+        (_set_cones, "$.cones must be a list"),
     ],
     ids=["list-legs", "list-diagram-objects", "list-diagram-arrows", "string-cones"],
 )
@@ -307,7 +307,7 @@ def test_malformed_sketch_exits_two(workspace, tmp_path, edit, message):
         "reflect", "--sketch", str(sketch), "--presentation", str(workspace["terminal"])
     )
     assert proc.returncode == 2
-    assert proc.stderr == f"input error: {message}\n"
+    assert proc.stderr == f"input error: {sketch}: {message}\n"
     assert "Traceback" not in proc.stderr
 
 
@@ -328,15 +328,24 @@ ISO_PRES = {
             {"components": {**ISO_MAP, "a": {"x1": "m", "x2": "m", "ghost": "m"}}},
             "defined on foreign 'ghost'",
         ),
-        ("map", {"components": {**ISO_MAP, "a": ["m", "m"]}}, "component at 'a' must be"),
-        ("map", {"components": ["a"]}, "'components' must be an object"),
-        ("presentation", {**ISO_PRES, "carrier": {"a": "xy", "b": ["y"]}}, "carrier of 'a'"),
+        ("map", {"components": {**ISO_MAP, "a": ["m", "m"]}}, "$.components.a must be an object"),
+        ("map", {"components": ["a"]}, "$.components must be an object"),
+        (
+            "presentation",
+            {**ISO_PRES, "carrier": {"a": "xy", "b": ["y"]}},
+            "$.carrier.a must be a list",
+        ),
         (
             "presentation",
             {**ISO_PRES, "carrier": {"a": [1], "b": ["y"]}, "action": {"t": {"1": "y"}}},
-            "carrier of 'a'",
+            "$.carrier.a[0] must be a string",
         ),
-        ("presentation", {**ISO_PRES, "action": {"t": ["y", "y"]}}, "action of 't'"),
+        (
+            "presentation",
+            {**ISO_PRES, "action": {"t": ["y", "y"]}},
+            "$.action.t must be an object",
+        ),
+        ("model", {**ISO_PRES, "carrier": {"a": "m", "b": ["n"]}}, "$.carrier.a must be a list"),
     ],
     ids=[
         "unknown-object-key",
@@ -346,19 +355,21 @@ ISO_PRES = {
         "string-carrier",
         "integer-element",
         "list-action",
+        "string-model-carrier",
     ],
 )
 def test_malformed_map_or_presentation_exits_two(workspace, tmp_path, document, bad, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(bad))
     pres = path if document == "presentation" else workspace["iso_pres"]
+    model = path if document == "model" else workspace["iso_model"]
     fmap = path if document == "map" else workspace["iso_map"]
     proc = run_cli(
         "universal", "--sketch", "iso_forcing", "--presentation", str(pres),
-        "--model", str(workspace["iso_model"]), "--map", str(fmap),
+        "--model", str(model), "--map", str(fmap),
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"input error: {path}: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
 
 
@@ -371,14 +382,20 @@ def _iso_category(edit) -> dict:
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
-        (lambda c: c["objects"].append(["z"]), "category 'objects' must be a list of strings"),
-        (lambda c: c["arrows"][0].update(id=7), "must be an object of strings"),
-        (lambda c: c["arrows"][0].update(dom=["a"]), "must be an object of strings"),
-        (lambda c: c["arrows"][0].update(cod=None), "must be an object of strings"),
-        (lambda c: c["identities"].update(a=1), "category 'identities' must be an object of strings"),
-        (lambda c: c["compose"][0].update(gf={"t": "t"}), "must be an object of strings"),
-        (lambda c: c["arrows"].append("t"), "bad arrow record 't'"),
-        (lambda c: c["compose"].append(["t", "id_a", "t"]), "bad compose record"),
+        (lambda c: c["objects"].append(["z"]), "$.category.objects[2] must be a string"),
+        (lambda c: c["arrows"][0].update(id=7), "$.category.arrows[0].id must be a string"),
+        (lambda c: c["arrows"][0].update(dom=["a"]), "$.category.arrows[0].dom must be a string"),
+        (lambda c: c["arrows"][0].update(cod=None), "$.category.arrows[0].cod must be a string"),
+        (lambda c: c["identities"].update(a=1), "$.category.identities.a must be a string"),
+        (
+            lambda c: c["compose"][0].update(gf={"t": "t"}),
+            "$.category.compose[0].gf must be a string",
+        ),
+        (lambda c: c["arrows"].append("t"), "$.category.arrows[3] must be an object"),
+        (
+            lambda c: c["compose"].append(["t", "id_a", "t"]),
+            "$.category.compose[4] must be an object",
+        ),
     ],
     ids=[
         "object",
@@ -396,5 +413,5 @@ def test_malformed_category_exits_two(tmp_path, edit, message):
     path.write_text(json.dumps({**ISO_PRES, "category": _iso_category(edit)}))
     proc = run_cli("check", "--sketch", "iso_forcing", "--presentation", str(path))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"input error: {path}: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr

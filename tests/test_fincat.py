@@ -9,7 +9,6 @@ from limsketch.fincat import (
     FinCategory,
     category_dumps,
     category_loads,
-    identity_functor,
     validate_category,
     validate_functor,
 )
@@ -93,7 +92,9 @@ def test_hom_is_deterministic():
 
 
 def test_identity_functor_validates():
-    assert validate_functor(identity_functor(iso_category())).ok
+    cat = iso_category()
+    identity = CatFunctor(cat, cat, {o: o for o in cat.objects}, {a: a for a in cat.arrows})
+    assert validate_functor(identity).ok
 
 
 def test_constant_functor_validates():

@@ -9,7 +9,6 @@ from limsketch.fincat import validate_category, validate_functor
 from limsketch.setops import make_presentation, terminal_presentation
 from limsketch.sketchlib import (
     BUILDERS,
-    build_category_budgeted,
     build_sketch,
     builder_names,
     is_model,
@@ -128,25 +127,6 @@ def test_builder_names_listing():
     names = builder_names()
     assert "iso_forcing" in names
     assert names == tuple(sorted(BUILDERS))
-
-
-def test_budgeted_builder_handles_finite_presentations():
-    idem = build_category_budgeted(
-        "idem", ["a"], [("e", "a", "a")], [(("e", "e"), ("e",))], budget=5
-    )
-    assert validate_category(idem).ok
-    assert idem.compose("e", "e") == "e"
-    walking = build_category_budgeted("walk", ["a", "b"], [("t", "a", "b")], [], budget=4)
-    assert sorted(walking.arrows) == ["id_a", "id_b", "t"]
-
-
-def test_budgeted_builder_refuses_infinite_presentations_and_bad_budgets():
-    # a free endomorphism has the words e, e.e, e.e.e, ...: no budget stabilizes them
-    for budget in (2, 4):
-        with pytest.raises(BudgetExceeded, match="not stabilized"):
-            build_category_budgeted("free_endo", ["a"], [("e", "a", "a")], [], budget=budget)
-    with pytest.raises(InputError, match="budget must be positive"):
-        build_category_budgeted("walk", ["a", "b"], [("t", "a", "b")], [], budget=0)
 
 
 def test_sketch_json_round_trip():
