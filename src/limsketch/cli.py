@@ -7,14 +7,15 @@ error, 3 budget exhausted or exceeded, 4 precondition violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from . import compare as compare_mod
 from . import elim, kelly, universal
-from .errors import BudgetExceeded, EngineError, InputError, PreconditionError
-from .fincat import check_document
+from .errors import EngineError, InputError
+from .fincat import check_document, write_report
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
@@ -27,15 +28,13 @@ from .sketchlib import (
     build_sketch,
     builder_names,
     is_model,
-    sketch_dumps,
     sketch_from_json_dict,
+    sketch_to_json_dict,
 )
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
-EXIT_INPUT = 2
 EXIT_BUDGET = 3
-EXIT_PRECONDITION = 4
 
 
 def _read_json(path: str) -> dict:
@@ -104,11 +103,15 @@ def _check_counts(args: argparse.Namespace) -> None:
             raise InputError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _sink(out: str | None):
+    """The report's destination: the file ``out``, or stdout."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(payload: object, out: str | None) -> None:
+    """Write the JSON report of ``payload`` to ``out`` as it is encoded."""
+    with _sink(out) as sink:
+        write_report(payload, sink)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -116,7 +119,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     pres = _load_presentation(args.presentation, sketch)
     report = is_model(pres, sketch, max_tuples=args.max_tuples)
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
+        _emit(report.to_json_dict(), args.out)
     else:
         lines = []
         for check in report.checks:
@@ -131,7 +134,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             if check.unhit_tuple:
                 lines.append(f"  unhit tuple: {check.unhit_tuple}")
         lines.append(f"model: {str(report.is_model).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
+        with _sink(args.out) as sink:
+            sink.write("\n".join(lines) + "\n")
     return EXIT_OK if report.is_model else EXIT_NEGATIVE
 
 
@@ -147,7 +151,6 @@ def cmd_reflect(args: argparse.Namespace) -> int:
             max_tuples=args.max_tuples,
             max_elements=args.max_elements,
         )
-        payload = trace.dumps()
         sizes = [
             (st.index, {o: len(st.total.carrier[o]) for o in sketch.base.objects})
             for st in trace.stages
@@ -156,13 +159,12 @@ def cmd_reflect(args: argparse.Namespace) -> int:
         trace = kelly.reflect_kelly(
             pres, sketch, budget=args.budget, max_tuples=args.max_tuples
         )
-        payload = trace.dumps()
         sizes = [(0, {o: len(pres.carrier[o]) for o in sketch.base.objects})]
         sizes += [
             (st.index, {o: len(st.obj.carrier[o]) for o in sketch.base.objects})
             for st in trace.stages
         ]
-    _emit(payload, args.out)
+    _emit(trace.to_json_dict(), args.out)
     for index, size in sizes:
         line = " ".join(f"{o}={size[o]}" for o in sketch.base.objects)
         print(f"stage {index}: {line}")
@@ -217,7 +219,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("budget exhausted before both constructions converged")
         return EXIT_BUDGET
     iso = compare_mod.reflector_iso_check(elim_conv, kelly_conv, sketch)
-    _emit(compare_mod.comparison_report(alpha, iso), args.out)
+    # the report lists only alpha's maps; let the traces go before writing it
+    del faithful, kelly_stages, elim_conv, kelly_conv
+    _emit(compare_mod.comparison_to_json_dict(alpha, iso), args.out)
     print(f"alpha squares: {'pass' if alpha.ok else 'FAIL'}")
     print(f"reflector isomorphism: {'verified' if iso.ok else 'FAIL'}")
     return EXIT_OK if alpha.ok and iso.ok else EXIT_NEGATIVE
@@ -241,7 +245,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
         return EXIT_BUDGET
     result = universal.solve_factorisation(trace, f, model, sketch)
     verdict = universal.check_uniqueness(trace, f, model, sketch, cap=args.enum_cap)
-    _emit(universal.universal_report(result, verdict), args.out)
+    _emit(universal.universal_to_json_dict(result, verdict), args.out)
     print(f"factorisation exists and commutes: {str(result.commutes).lower()}")
     print(f"uniqueness: {verdict.status} (search space {verdict.search_space})")
     if verdict.status == "unique":
@@ -259,7 +263,7 @@ def cmd_builders(args: argparse.Namespace) -> int:
     if not args.name:
         raise InputError("builders emit needs a builder name")
     sketch = build_sketch(args.name)
-    _emit(sketch_dumps(sketch), args.out)
+    _emit(sketch_to_json_dict(sketch), args.out)
     return EXIT_OK
 
 
@@ -325,18 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ explicitly; a failure is reported with a witness and never repaired.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
 from .errors import InputError, PreconditionError
+from .fincat import report_text
 from .kelly import KellyTrace
-from .setops import NatTransSpec, SetPresentation, compose_nat, encode_components, identity_nat
+from .setops import NatTransSpec, SetPresentation, compose_nat, identity_nat
 from .sketchlib import LimitSketch
 from .universal import Components, FactorisationResult, replay, solve_factorisation
 
@@ -46,7 +46,7 @@ class AlphaTrace:
             "stages": [
                 {
                     "index": s.index,
-                    "components": encode_components(s.components),
+                    "components": s.components,  # as built: the encoder sorts keys
                     "naturality_ok": s.naturality_ok,
                     "commutation_ok": s.commutation_ok,
                     "witness": s.witness,
@@ -166,6 +166,9 @@ def reflector_iso_check(
     return IsoVerdict(ok_first and ok_second, forward, backward, detail)
 
 
+def comparison_to_json_dict(alpha: AlphaTrace, iso: IsoVerdict) -> dict:
+    return {"alpha": alpha.to_json_dict(), "reflector_iso": iso.to_json_dict()}
+
+
 def comparison_report(alpha: AlphaTrace, iso: IsoVerdict) -> str:
-    payload = {"alpha": alpha.to_json_dict(), "reflector_iso": iso.to_json_dict()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return report_text(comparison_to_json_dict(alpha, iso))

@@ -27,11 +27,11 @@ needed and identifiers stay unambiguous at any stage depth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import BudgetExceeded, InputError, PreconditionError
+from .fincat import report_text
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     LimitJoin,
@@ -42,12 +42,10 @@ from .setops import (
     disjoint_sum,
     empty_presentation,
     encode_carriers,
-    encode_components,
     functorial_quotient,
     identity_nat,
     same_fiber_pairs,
     validate_presentation,
-    witness_id,
     witness_presentation,
 )
 from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model, restrict_along
@@ -59,11 +57,6 @@ DEFAULT_STAGE_BUDGET = 8
 
 BASE_TAG = "B"
 FREE_TAG = "E"
-
-
-def free_element_id(cone_name: str, arrow: str, w: tuple[str, ...]) -> str:
-    """Injective, deterministic identifier for a free element."""
-    return witness_id("F", cone_name, arrow, w)
 
 
 def tag_base(class_id: str) -> str:
@@ -83,6 +76,8 @@ class Stage:
     stage 0); ``limits_prev`` holds, per cone, the limit tuples of the
     previous total that ``free`` is built from (all of them in faithful
     mode, only those over tuples unhit in this base in pruned mode);
+    ``free_rows[c, t]`` lists the ids of ``free`` over ``limits_prev[c]``
+    in order, for each arrow t out of the peak of c;
     ``prev_classes`` lists the members of each base class (at stage 0,
     each element of X is its own class).
     """
@@ -93,6 +88,7 @@ class Stage:
     total: SetPresentation
     free_prov: dict[str, Witness]
     limits_prev: dict[str, tuple[tuple[str, ...], ...]]
+    free_rows: dict[tuple[str, str], list[str]]
     kan_unit: dict[str, dict[tuple[str, ...], str]]
     p_prev: dict[str, dict[str, str]] | None = None
     prev_total: SetPresentation | None = None
@@ -158,7 +154,7 @@ class ReflectionTrace:
                     "base": encode_carriers(st.base),
                     "free": encode_carriers(st.free),
                     "total": encode_carriers(st.total),
-                    "p": None if st.p_prev is None else encode_components(st.p_prev),
+                    "p": st.p_prev,
                     "rule1": r1,
                     "rule2": r2,
                 }
@@ -171,11 +167,11 @@ class ReflectionTrace:
             "core_kind": self.core_kind,
             "stages": stages,
             "core": None if self.core is None else encode_carriers(self.core),
-            "rho": None if self.rho is None else encode_components(self.rho.components),
+            "rho": None if self.rho is None else self.rho.components,
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return report_text(self.to_json_dict())
 
 
 def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
@@ -193,6 +189,7 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
         total=total,
         free_prov={},
         limits_prev={},
+        free_rows={},
         kan_unit={},
         prev_classes={d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects},
     )
@@ -234,7 +231,7 @@ def relation_two(
     the composite t . leg_z over w is paired with the projection of the
     t-action of the z-component of w.  The tuples w are those of
     ``limits_prev``, which the free part was built from, so every free
-    element named here exists in both modes.
+    element named here exists in both modes: ``free_rows`` has its id.
     """
     if stage.index < 1:
         return {}
@@ -254,10 +251,8 @@ def relation_two(
                 for t in base.hom(zobj, d):
                     t_leg = base.compose(t, leg)
                     act = prev.action[t]
-                    for w in tuples:
-                        free_tagged = tag_free(free_element_id(cone.name, t_leg, w))
-                        base_tagged = tag_base(proj[d][act[w[z_idx]]])
-                        out[d].add((free_tagged, base_tagged))
+                    for w, fid in zip(tuples, stage.free_rows[cone.name, t_leg]):
+                        out[d].add((tag_free(fid), tag_base(proj[d][act[w[z_idx]]])))
     return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
 
 
@@ -266,6 +261,7 @@ class FreeStep:
     free: SetPresentation
     prov: dict[str, Witness]
     limits: dict[str, tuple[tuple[str, ...], ...]]
+    rows: dict[tuple[str, str], list[str]]
     kan_unit_raw: dict[str, dict[tuple[str, ...], str]]
 
 
@@ -314,15 +310,14 @@ def e_step(
                 f"free part at stage {stage.index + 1} object {d!r} has "
                 f"{size} elements (cap {max_elements})"
             )
-    free, prov = witness_presentation(
+    free, prov, rows = witness_presentation(
         "F", base, [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     )
-    identity_at = {c.name: base.identities[c.peak] for c in sketch.cones}
-    kan_unit_raw: dict[str, dict[tuple[str, ...], str]] = {c.name: {} for c in sketch.cones}
-    for fid, (cone_name, t, w) in prov.items():
-        if t == identity_at[cone_name]:
-            kan_unit_raw[cone_name][w] = fid
-    return FreeStep(free, prov, limits, kan_unit_raw)
+    kan_unit_raw = {
+        c.name: dict(zip(limits[c.name], rows[c.name, base.identities[c.peak]]))
+        for c in sketch.cones
+    }
+    return FreeStep(free, prov, limits, rows, kan_unit_raw)
 
 
 def _unhit_lifts(
@@ -395,6 +390,7 @@ def elim_stage(
         total=total,
         free_prov=step.prov,
         limits_prev=step.limits,
+        free_rows=step.rows,
         kan_unit=kan_unit,
         p_prev=quotient.projection,
         prev_total=stage.total,

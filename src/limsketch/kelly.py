@@ -15,11 +15,11 @@ and keeps class identifiers flat for provenance replay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EngineError, InputError
+from .fincat import report_text
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
@@ -29,7 +29,6 @@ from .setops import (
     compose_nat,
     disjoint_sum,
     encode_carriers,
-    encode_components,
     functorial_quotient,
     identity_nat,
     validate_presentation,
@@ -94,7 +93,7 @@ def _completion(
 ) -> CompletionStep:
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in cones}
-    pairs, pair_prov = witness_presentation(
+    pairs, pair_prov, _ = witness_presentation(
         "K", base, [(c.name, c.peak, limits[c.name]) for c in cones]
     )
     sum_pres, _, inj_pairs = disjoint_sum(pres, pairs, tags=(SUM_BASE_TAG, SUM_PAIR_TAG))
@@ -209,7 +208,7 @@ class KellyTrace:
                 {
                     "index": st.index,
                     "carrier": encode_carriers(st.obj),
-                    "unit": encode_components(st.step.unit.components),
+                    "unit": st.step.unit.components,
                     "r0": r0,
                     "r1": r1,
                 }
@@ -220,11 +219,11 @@ class KellyTrace:
             "converged_at": self.converged_at,
             "stages": stages,
             "core": None if self.core is None else encode_carriers(self.core),
-            "rho": None if self.rho is None else encode_components(self.rho.components),
+            "rho": None if self.rho is None else self.rho.components,
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return report_text(self.to_json_dict())
 
 
 def reflect_kelly(

@@ -23,6 +23,7 @@ from .fincat import (
     category_from_json_dict,
     category_to_json_dict,
     check_document,
+    report_text,
 )
 
 DEFAULT_TUPLE_BUDGET = 10**6
@@ -48,11 +49,6 @@ def witness_id(kind: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
     An id is its :func:`witness_head` followed by its :func:`witness_tail`.
     """
     return witness_head(kind, cone, arrow) + witness_tail(w)
-
-
-def encode_components(m: Mapping[str, Mapping[str, str]]) -> dict[str, dict[str, str]]:
-    """Per-object maps with objects and elements sorted, for JSON reports."""
-    return {o: dict(sorted(m[o].items())) for o in sorted(m)}
 
 
 def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
@@ -84,7 +80,7 @@ def make_presentation(
     action: Mapping[str, Mapping[str, str]],
     name: str = "",
 ) -> SetPresentation:
-    """Normalize carriers/actions, filling identity actions automatically."""
+    """Normalize carriers/actions, filling identity actions; an entry off its domain fails."""
     carr = {o: tuple(sorted(set(carrier.get(o, ())))) for o in base.objects}
     act: dict[str, dict[str, str]] = {}
     for arrow_name, arrow in base.arrows.items():
@@ -100,6 +96,9 @@ def make_presentation(
             except KeyError as exc:
                 x = exc.args[0]
                 raise InputError(f"action of {arrow_name!r} undefined on {x!r}") from None
+            if len(given) > len(act[arrow_name]):
+                x = min(given.keys() - act[arrow_name].keys())
+                raise InputError(f"action of {arrow_name!r} defined on {x!r}, not in {arrow.dom!r}")
     return SetPresentation(base, carr, act, name=name)
 
 
@@ -561,14 +560,14 @@ def witness_presentation(
     kind: str,
     base: FinCategory,
     limits: Iterable[tuple[str, str, Iterable[tuple[str, ...]]]],
-) -> tuple[SetPresentation, dict[str, Witness]]:
-    """The sum over cones c of hom(peak_c, -) x L_c, and the witness of each element.
+) -> tuple[SetPresentation, dict[str, Witness], dict[tuple[str, str], list[str]]]:
+    """The sum over cones c of hom(peak_c, -) x L_c, the witness of each element, the rows.
 
     ``limits`` lists (c, peak_c, L_c); elements are named by :func:`witness_id`
     and an arrow a sends the witness (c, t, w) to (c, a . t, w).  Each id
     is encoded once: the tail of w once per tuple, and the row of ids over
-    L_c once per (c, t).  An action maps the row of (c, t) onto the row of
-    (c, a . t), so its values are the carrier's own strings.
+    L_c, in order, once per (c, t).  An action maps the row of (c, t) onto
+    the row of (c, a . t), so its values are the carrier's own strings.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     prov: dict[str, Witness] = {}
@@ -588,7 +587,8 @@ def witness_presentation(
             if base.arrows[t].cod == arrow.dom:
                 mapping.update(zip(row, rows[cone, base.compose(name, t)]))
         action[name] = mapping
-    return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
+    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
+    return pres, prov, rows
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -602,9 +602,9 @@ def presentation_to_json_dict(pres: SetPresentation, category: str | dict | None
     return {
         "category": cat,
         "carrier": encode_carriers(pres),
-        "action": encode_components(
-            {a: pres.action[a] for a in pres.base.arrows if not pres.base.is_identity(a)}
-        ),
+        "action": {
+            a: pres.action[a] for a in sorted(pres.base.arrows) if not pres.base.is_identity(a)
+        },
     }
 
 
@@ -654,7 +654,7 @@ def presentation_from_json_dict(
 
 
 def presentation_dumps(pres: SetPresentation) -> str:
-    return json.dumps(presentation_to_json_dict(pres), sort_keys=True, indent=2) + "\n"
+    return report_text(presentation_to_json_dict(pres))
 
 
 def presentation_loads(text: str, base: FinCategory | None = None, resolve_category=None) -> SetPresentation:

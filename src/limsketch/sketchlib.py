@@ -20,6 +20,7 @@ from .fincat import (
     category_from_json_dict,
     category_to_json_dict,
     check_document,
+    report_text,
     validate_category,
     validate_functor,
 )
@@ -57,12 +58,6 @@ class LimitSketch:
     base: FinCategory
     cones: tuple[Cone, ...]
     name: str = field(default="", compare=False)
-
-    def cone(self, name: str) -> Cone:
-        for c in self.cones:
-            if c.name == name:
-                return c
-        raise InputError(f"unknown cone {name!r}")
 
 
 def validate_cone(cone: Cone) -> ValidationReport:
@@ -210,14 +205,10 @@ def is_model(
 # -- built-in sketches -------------------------------------------------------
 
 
-def _one_object_shape(name: str = "shape") -> FinCategory:
-    return FinCategory.build(name, ["z"], [], {})
-
-
 def sketch_iso_forcing() -> LimitSketch:
     """Two objects, one arrow t: a -> b; the single cone forces t bijective."""
     base = FinCategory.build("iso_forcing", ["a", "b"], [("t", "a", "b")], {})
-    shape = _one_object_shape("iso_shape")
+    shape = FinCategory.build("iso_shape", ["z"], [], {})
     diagram = CatFunctor(shape, base, {"z": "b"}, {"id_z": "id_b"})
     cone = Cone("c0", base, "a", shape, diagram, {"z": "t"})
     return LimitSketch(base, (cone,), name="iso_forcing")
@@ -365,7 +356,7 @@ def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
 
 
 def sketch_dumps(sketch: LimitSketch) -> str:
-    return json.dumps(sketch_to_json_dict(sketch), sort_keys=True, indent=2) + "\n"
+    return report_text(sketch_to_json_dict(sketch))
 
 
 def sketch_loads(text: str, name: str = "") -> LimitSketch:

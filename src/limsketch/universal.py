@@ -13,15 +13,15 @@ is small enough; the construction never feeds the search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
+from .fincat import report_text
 from .kelly import KellyTrace
-from .setops import LimitJoin, NatTransSpec, SetPresentation, compose_nat, encode_components
+from .setops import LimitJoin, NatTransSpec, SetPresentation, compose_nat
 from .sketchlib import LimitSketch, gap_map, is_model
 
 DEFAULT_ENUM_CAP = 10**6
@@ -236,13 +236,6 @@ class UniquenessVerdict:
     search_space: int
     witnesses: list[NatTransSpec] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "uniqueness": self.status,
-            "search_space": self.search_space,
-            "witnesses": [encode_components(w.components) for w in self.witnesses],
-        }
-
 
 def check_uniqueness(
     trace: ReflectionTrace | KellyTrace,
@@ -273,14 +266,14 @@ def check_uniqueness(
     raise EngineError("no commuting transformation found although one was constructed")
 
 
-def universal_report(
-    result: FactorisationResult | None,
-    verdict: UniquenessVerdict,
-) -> str:
-    payload = {
+def universal_to_json_dict(result: FactorisationResult | None, verdict: UniquenessVerdict) -> dict:
+    return {
         "exists": result is not None,
         "commutes": bool(result and result.commutes),
         "uniqueness": verdict.status,
         "search_space": verdict.search_space,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def universal_report(result: FactorisationResult | None, verdict: UniquenessVerdict) -> str:
+    return report_text(universal_to_json_dict(result, verdict))

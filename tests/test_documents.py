@@ -307,6 +307,33 @@ def test_partial_action_exits_two(tmp_path):
     )
 
 
+def test_action_on_an_element_outside_the_carrier_exits_two(tmp_path):
+    pres = write(
+        tmp_path,
+        "X.json",
+        {
+            "category": "iso_forcing",
+            "carrier": {"a": ["x1", "x2"], "b": ["y"]},
+            "action": {"t": {"x1": "y", "x2": "y", "ghost": "nowhere"}},
+        },
+    )
+    assert check("iso_forcing", pres) == (
+        2,
+        "",
+        f"input error: {pres}: action of 't' defined on 'ghost', not in 'a'\n",
+    )
+
+
+def test_identity_of_an_unknown_object_exits_two(tmp_path):
+    doc = sketch_to_json_dict(build_sketch("iso_forcing"))
+    doc["category"]["identities"]["zz"] = "t"
+    sketch = write(tmp_path, "S.json", doc)
+    code, out, err = check(sketch, write(tmp_path, "X.json", {"carrier": {}, "action": {}}))
+    assert (code, out) == (2, "")
+    violation = "identity-object: identity given for unknown object 'zz'"
+    assert err == f"input error: {sketch}: invalid sketch: {violation}\n"
+
+
 def test_null_category_exits_two(tmp_path):
     pres = write(tmp_path, "X.json", {**EQUALIZER_EMPTY, "category": None})
     code, out, err = check("equalizer", pres)

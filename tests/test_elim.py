@@ -10,7 +10,6 @@ from limsketch.elim import (
     FREE_TAG,
     PRUNED,
     elim_stage,
-    free_element_id,
     initial_stage,
     reflect_elim,
     relation_one,
@@ -22,7 +21,7 @@ from limsketch.compare import reflector_iso_check
 from limsketch.errors import BudgetExceeded
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import make_presentation, validate_presentation
+from limsketch.setops import make_presentation, validate_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, build_sketch, gap_map, is_model
 
 from tests.fixtures import (
@@ -71,7 +70,7 @@ def test_free_action_post_composes_arrows():
         assert arrow == "id_p"
         for proj in ("pi1", "pi2"):
             image = stage1.free.action[proj][fid]
-            assert image == free_element_id(cone, proj, w)
+            assert image == witness_id("F", cone, proj, w)
 
 
 def test_kan_unit_points_at_identity_witnesses():
@@ -79,7 +78,7 @@ def test_kan_unit_points_at_identity_witnesses():
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
     unit = stage1.kan_unit["c0"]
     (w,) = stage1.limits_prev["c0"]
-    assert unit[w] == tag_free(free_element_id("c0", "id_a", w))
+    assert unit[w] == tag_free(witness_id("F", "c0", "id_a", w))
     assert unit[w] in stage1.total.carrier["a"]
 
 
@@ -126,7 +125,7 @@ def test_rule_two_iso_stage_one_pair():
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
     pairs = relation_two(stage1, sketch)
     w = (tag_base("y"),)
-    expected = (tag_free(free_element_id("c0", "t", w)), tag_base(tag_base("y")))
+    expected = (tag_free(witness_id("F", "c0", "t", w)), tag_base(tag_base("y")))
     assert pairs == {"b": (expected,)}
 
 
@@ -285,7 +284,9 @@ def _stage_invariants(trace, sketch):
             for fid in stage.free.carrier[arrow.dom]:
                 cone, t, w = stage.free_prov[fid]
                 composed = sketch.base.compose(name, t)
-                assert stage.free.action[name][fid] == free_element_id(cone, composed, w)
+                assert stage.free.action[name][fid] == witness_id("F", cone, composed, w)
+        for (cone, t), row in stage.free_rows.items():
+            assert row == [witness_id("F", cone, t, w) for w in stage.limits_prev[cone]]
 
 
 def test_stage_invariants_on_all_fixtures():

@@ -3,7 +3,10 @@
 Each case runs one command through ``cli.main`` with ``--out`` and checks
 the exit code, the sha256 of the report file and the sha256 of stdout
 against values recorded before the provenance replay was unified.  A
-refactor that is meant to keep outputs must keep every digest.
+refactor that is meant to keep outputs must keep every digest.  The CLI
+streams its reports, so each one is also checked against the library's
+string for the same objects, and the largest, ``compare`` on
+``binary_product`` at |a| = 2 (38.6 MB), against a recording sink.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from limsketch import cli
+from limsketch import cli, compare, elim, kelly, universal
+from limsketch.fincat import write_report
 from limsketch.setops import presentation_dumps
 
 from tests.fixtures import (
@@ -91,9 +95,14 @@ def run_case(family: str, command: str, tmp: Path) -> tuple[int, str, str, str]:
     paths["pres"].write_text(presentation_dumps(make_pres(sketch)))
     paths["model"].write_text(presentation_dumps(make_model(sketch)))
     paths["map"].write_text(json.dumps({"components": components}))
-    out = tmp / "report.json"
     argv = [a.format(model=paths["model"], map=paths["map"]) for a in COMMANDS[command]]
-    argv += ["--sketch", builder, "--presentation", str(paths["pres"]), "--out", str(out)]
+    return run_cli(argv + ["--sketch", builder, "--presentation", str(paths["pres"])], tmp)
+
+
+def run_cli(argv: list[str], tmp: Path) -> tuple[int, str, str, str]:
+    """Run ``argv`` with ``--out`` under ``tmp``; return exit code, digests, stdout."""
+    out = tmp / "report.json"
+    argv = [*argv, "--out", str(out)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
@@ -107,3 +116,106 @@ def run_case(family: str, command: str, tmp: Path) -> tuple[int, str, str, str]:
 def test_report_digest(family: str, command: str, tmp_path: Path) -> None:
     code, report, out_digest, text = run_case(family, command, tmp_path)
     assert (code, report, out_digest) == GOLDEN[f"{family}/{command}"], text
+
+
+def record_calls(monkeypatch, module, name: str, calls: list) -> None:
+    """Wrap ``module.name`` so that each call appends its arguments and result to ``calls``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def library_string(command: str, calls: dict[str, list]) -> str:
+    """The library's report string for the objects the CLI's run of ``command`` built."""
+    if command == "compare":
+        args, _, _ = calls["comparison_to_json_dict"][-1]
+        return compare.comparison_report(*args)
+    if command == "universal":
+        args, _, _ = calls["universal_to_json_dict"][-1]
+        return universal.universal_report(*args)
+    engine = "reflect_kelly" if command == "reflect-kelly" else "reflect_elim"
+    _, _, trace = calls[engine][-1]
+    return trace.dumps()
+
+
+RECORDED = (
+    (elim, "reflect_elim"),
+    (kelly, "reflect_kelly"),
+    (compare, "comparison_to_json_dict"),
+    (universal, "universal_to_json_dict"),
+)
+
+
+@pytest.mark.parametrize("case", sorted(k for k, v in GOLDEN.items() if v[0] == 0))
+def test_streamed_report_is_the_library_string(case: str, tmp_path: Path, monkeypatch) -> None:
+    calls: dict[str, list] = {name: [] for _, name in RECORDED}
+    for module, name in RECORDED:
+        record_calls(monkeypatch, module, name, calls[name])
+    family, command = case.split("/")
+    assert run_case(family, command, tmp_path)[0] == 0
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert report == library_string(command, calls)
+
+
+# ``compare --sketch binary_product`` at |a| = 2, default flags: 122,518
+# elements over the faithful stages, listed in a 38.6 MB report
+PRODUCT_N2 = {
+    "category": "binary_product",
+    "carrier": {"a": ["x0", "x1"], "p": []},
+    "action": {"pi1": {}, "pi2": {}},
+}
+PRODUCT_N2_GOLDEN = (
+    0,
+    "e0e24474d2abb8b21d11154d86ee65f1c32cb9fe4fceace7d35d97ad7ebd354c",
+    "10b3f9683972cb74ca258d6c435e0beecaa4662e3ec06846d7b1e48f8c53f446",
+)
+
+
+@pytest.fixture(scope="module")
+def product_compare(tmp_path_factory):
+    """The CLI's ``compare`` on PRODUCT_N2: exit code, digests, stdout, and (alpha, iso)."""
+    tmp = tmp_path_factory.mktemp("product")
+    pres = tmp / "X.json"
+    pres.write_text(json.dumps(PRODUCT_N2))
+    calls: list = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        record_calls(monkeypatch, compare, "comparison_to_json_dict", calls)
+        argv = ["compare", "--sketch", "binary_product", "--presentation", str(pres)]
+        result = run_cli(argv, tmp)
+    (tmp / "report.json").unlink()
+    return result, calls[-1][0]
+
+
+def test_product_compare_report_digest(product_compare) -> None:
+    (code, report, out_digest, text), _ = product_compare
+    assert (code, report, out_digest) == PRODUCT_N2_GOLDEN, text
+
+
+class RecordingSink:
+    """A text sink that keeps the size of each write and the digest of them all."""
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+
+def test_writer_streams_the_product_report_in_batches(product_compare) -> None:
+    _, (alpha, iso) = product_compare
+    sink = RecordingSink()
+    write_report(compare.comparison_to_json_dict(alpha, iso), sink)
+    total = sum(sink.sizes)
+    assert total > 38_000_000
+    assert len(sink.sizes) > 1 and max(sink.sizes) < total
+    assert sink.digest.hexdigest() == PRODUCT_N2_GOLDEN[1]
+    library = compare.comparison_report(alpha, iso)
+    assert hashlib.sha256(library.encode("utf-8")).hexdigest() == PRODUCT_N2_GOLDEN[1]

@@ -45,9 +45,12 @@ def checked(monkeypatch):
 
     def both(kind, base, limits):
         limits = [(cone, peak, tuple(tuples)) for cone, peak, tuples in limits]
-        got, got_prov = witness_presentation(kind, base, limits)
+        got, got_prov, got_rows = witness_presentation(kind, base, limits)
         want, want_prov = brute_witness_presentation(kind, base, limits)
         assert got.carrier == want.carrier
+        for (cone, t), row in got_rows.items():
+            tuples = next(ts for c, _, ts in limits if c == cone)
+            assert row == [witness_id(kind, cone, t, w) for w in tuples]
         assert {a: list(m.items()) for a, m in got.action.items()} == {
             a: list(m.items()) for a, m in want.action.items()
         }
@@ -58,7 +61,7 @@ def checked(monkeypatch):
             cod = own[base.arrows[name].cod]
             assert all(id(y) in cod for y in mapping.values())
         calls.append(kind)
-        return got, got_prov
+        return got, got_prov, got_rows
 
     monkeypatch.setattr(elim, "witness_presentation", both)
     monkeypatch.setattr(kelly, "witness_presentation", both)
