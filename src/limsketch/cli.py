@@ -105,7 +105,10 @@ def _check_counts(args: argparse.Namespace) -> None:
 
 def _sink(out: str | None):
     """The report's destination: the file ``out``, or stdout."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _emit(payload: object, out: str | None) -> None:

@@ -61,13 +61,16 @@ def _check_naturality(
     target: SetPresentation,
     components: dict[str, dict[str, str]],
 ) -> str | None:
+    """The first square that breaks, arrow by arrow, each side mapped over the carrier."""
     base = source.base
     for name, arrow in sorted(base.arrows.items()):
-        for x in source.carrier[arrow.dom]:
-            left = target.action[name][components[arrow.dom][x]]
-            right = components[arrow.cod][source.action[name][x]]
-            if left != right:
-                return f"naturality breaks at arrow {name!r} on {x!r}"
+        xs = source.carrier[arrow.dom]
+        at_dom, at_cod = components[arrow.dom].__getitem__, components[arrow.cod].__getitem__
+        left = list(map(target.action[name].__getitem__, map(at_dom, xs)))
+        right = list(map(at_cod, map(source.action[name].__getitem__, xs)))
+        if left != right:
+            x = next(x for x, u, v in zip(xs, left, right) if u != v)
+            return f"naturality breaks at arrow {name!r} on {x!r}"
     return None
 
 
@@ -115,7 +118,7 @@ def build_alpha(
         {d: {x: x for x in x_elim.carrier[d]} for d in x_elim.base.objects},
         sketch,
         units.__getitem__,
-        lambda i, d, element, cone, arrow, w: kelly_steps[i].pair_class(d, cone, arrow, w),
+        lambda i, d, ids, cone, arrow, images: kelly_steps[i].pair_classes(d, cone, arrow, images),
     )
     stages: list[AlphaStage] = []
     for i, comp in enumerate(maps):

@@ -47,6 +47,7 @@ from .setops import (
     same_fiber_pairs,
     validate_presentation,
     witness_presentation,
+    witness_sum,
 )
 from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model, restrict_along
 
@@ -76,8 +77,8 @@ class Stage:
     stage 0); ``limits_prev`` holds, per cone, the limit tuples of the
     previous total that ``free`` is built from (all of them in faithful
     mode, only those over tuples unhit in this base in pruned mode);
-    ``free_rows[c, t]`` lists the ids of ``free`` over ``limits_prev[c]``
-    in order, for each arrow t out of the peak of c;
+    ``free_rows[c, t]`` lists the ids in ``total`` of the free elements
+    over ``limits_prev[c]`` in order, for each arrow t out of the peak of c;
     ``prev_classes`` lists the members of each base class (at stage 0,
     each element of X is its own class).
     """
@@ -97,13 +98,15 @@ class Stage:
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
     def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
-        """Replay view at ``obj``: base classes carry members, free elements a witness."""
+        """Replay view of ``base`` at ``obj``: each class carries its members."""
         assert self.prev_classes is not None
         for class_id, members in self.prev_classes[obj].items():
             yield f"{BASE_TAG}:{class_id}", members, ()
-        prov = self.free_prov
-        for fid in self.free.carrier[obj]:
-            yield f"{FREE_TAG}:{fid}", (), (prov[fid],)
+
+    def witness_rows(self) -> Iterator[tuple[str, str, tuple[tuple[str, ...], ...], list[str]]]:
+        """Replay view of ``free``: per (cone, arrow), the limit tuples and the ids over them."""
+        for (cone, arrow), ids in self.free_rows.items():
+            yield cone, arrow, self.limits_prev[cone], ids
 
     def pair_counts(self) -> tuple[int, int]:
         one = sum(len(v) for v in self.rule1.values())
@@ -252,7 +255,7 @@ def relation_two(
                     t_leg = base.compose(t, leg)
                     act = prev.action[t]
                     for w, fid in zip(tuples, stage.free_rows[cone.name, t_leg]):
-                        out[d].add((tag_free(fid), tag_base(proj[d][act[w[z_idx]]])))
+                        out[d].add((fid, tag_base(proj[d][act[w[z_idx]]])))
     return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
 
 
@@ -372,7 +375,7 @@ def elim_stage(
     step = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
-    total, _, _ = disjoint_sum(quotient.target, step.free, tags=(BASE_TAG, FREE_TAG))
+    total, _, rows = witness_sum(quotient.target, step.free, step.rows, (BASE_TAG, FREE_TAG))
     for d in sketch.base.objects:
         if len(total.carrier[d]) > max_elements:
             raise BudgetExceeded(
@@ -380,8 +383,8 @@ def elim_stage(
                 f"{len(total.carrier[d])} elements (cap {max_elements})"
             )
     kan_unit = {
-        cone: {w: tag_free(fid) for w, fid in units.items()}
-        for cone, units in step.kan_unit_raw.items()
+        c.name: dict(zip(step.limits[c.name], rows[c.name, sketch.base.identities[c.peak]]))
+        for c in sketch.cones
     }
     return Stage(
         index=stage.index + 1,
@@ -390,7 +393,7 @@ def elim_stage(
         total=total,
         free_prov=step.prov,
         limits_prev=step.limits,
-        free_rows=step.rows,
+        free_rows=rows,
         kan_unit=kan_unit,
         p_prev=quotient.projection,
         prev_total=stage.total,

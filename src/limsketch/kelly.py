@@ -27,13 +27,13 @@ from .setops import (
     SetPresentation,
     Witness,
     compose_nat,
-    disjoint_sum,
     encode_carriers,
     functorial_quotient,
     identity_nat,
     validate_presentation,
     witness_id,
     witness_presentation,
+    witness_sum,
 )
 from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model
 
@@ -44,10 +44,6 @@ SUM_PAIR_TAG = "P"
 def pair_element_id(cone_name: str, arrow: str, w: tuple[str, ...]) -> str:
     """Injective identifier for a formal pair (arrow, limit tuple)."""
     return witness_id("K", cone_name, arrow, w)
-
-
-def tag_sum_base(x: str) -> str:
-    return f"{SUM_BASE_TAG}:{x}"
 
 
 @dataclass
@@ -71,11 +67,13 @@ class CompletionStep:
             witnesses = tuple(prov[m[p_cut:]] for m in members if not m.startswith(x_tag))
             yield class_id, carried, witnesses
 
-    def pair_class(self, obj: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
-        """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``."""
+    def pair_classes(self, obj: str, cone: str, arrow: str, tuples: list) -> list[str]:
+        """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``."""
+        projection, elements = self.quotient.projection[obj], self.pair_elements
         try:
-            return self.quotient.projection[obj][self.pair_elements[cone, arrow, w]]
+            return [projection[elements[cone, arrow, w]] for w in tuples]
         except KeyError:
+            w = next(w for w in tuples if elements.get((cone, arrow, w)) not in projection)
             pid = pair_element_id(cone, arrow, w)
             raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
 
@@ -93,11 +91,13 @@ def _completion(
 ) -> CompletionStep:
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in cones}
-    pairs, pair_prov, _ = witness_presentation(
+    pairs, pair_prov, rows = witness_presentation(
         "K", base, [(c.name, c.peak, limits[c.name]) for c in cones]
     )
-    sum_pres, _, inj_pairs = disjoint_sum(pres, pairs, tags=(SUM_BASE_TAG, SUM_PAIR_TAG))
-    pair_elements = {pair_prov[p]: e for inj in inj_pairs.values() for p, e in inj.items()}
+    sum_pres, inj, pair_rows = witness_sum(pres, pairs, rows, (SUM_BASE_TAG, SUM_PAIR_TAG))
+    pair_elements = {
+        (c, t, w): e for (c, t), row in pair_rows.items() for w, e in zip(limits[c], row)
+    }
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     r1: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
@@ -106,35 +106,22 @@ def _completion(
         order = cone.shape_order()
         for d in base.objects:
             for t in base.hom(cone.peak, d):
+                act, into = pres.action[t], inj[d]
                 for a in pres.carrier[cone.peak]:
-                    r0[d].add(
-                        (
-                            pair_elements[cone.name, t, gm[a]],
-                            tag_sum_base(pres.action[t][a]),
-                        )
-                    )
+                    r0[d].add((pair_elements[cone.name, t, gm[a]], into[act[a]]))
         for z_idx, z in enumerate(order):
             zobj = cone.diagram.on_object(z)
             leg = cone.legs[z]
             for d in base.objects:
                 for t in base.hom(zobj, d):
-                    t_leg = base.compose(t, leg)
-                    for w in limits[cone.name]:
-                        r1[d].add(
-                            (
-                                pair_elements[cone.name, t_leg, w],
-                                tag_sum_base(pres.action[t][w[z_idx]]),
-                            )
-                        )
-    pairs = {
-        d: tuple(sorted(r0[d] | r1[d]))
-        for d in base.objects
-        if r0[d] or r1[d]
-    }
+                    act, into = pres.action[t], inj[d]
+                    row = pair_rows[cone.name, base.compose(t, leg)]
+                    for w, e in zip(limits[cone.name], row):
+                        r1[d].add((e, into[act[w[z_idx]]]))
+    pairs = {d: tuple(sorted(r0[d] | r1[d])) for d in base.objects if r0[d] or r1[d]}
     quotient = functorial_quotient(sum_pres, pairs)
     unit_components = {
-        d: {x: quotient.projection[d][tag_sum_base(x)] for x in pres.carrier[d]}
-        for d in base.objects
+        d: {x: quotient.projection[d][tx] for x, tx in inj[d].items()} for d in base.objects
     }
     unit = NatTransSpec(pres, quotient.target, unit_components)
     return CompletionStep(

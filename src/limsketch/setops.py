@@ -80,25 +80,25 @@ def make_presentation(
     action: Mapping[str, Mapping[str, str]],
     name: str = "",
 ) -> SetPresentation:
-    """Normalize carriers/actions, filling identity actions; an entry off its domain fails."""
+    """Normalize carriers/actions, filling identity actions; a stray entry or moved point fails."""
     carr = {o: tuple(sorted(set(carrier.get(o, ())))) for o in base.objects}
     act: dict[str, dict[str, str]] = {}
     for arrow_name, arrow in base.arrows.items():
+        given = action.get(arrow_name)
         if base.is_identity(arrow_name):
-            act[arrow_name] = {x: x for x in carr[arrow.dom]}
-        else:
-            try:
-                given = action[arrow_name]
-            except KeyError:
-                raise InputError(f"no action given for arrow {arrow_name!r}") from None
-            try:
-                act[arrow_name] = {x: given[x] for x in carr[arrow.dom]}
-            except KeyError as exc:
-                x = exc.args[0]
-                raise InputError(f"action of {arrow_name!r} undefined on {x!r}") from None
-            if len(given) > len(act[arrow_name]):
-                x = min(given.keys() - act[arrow_name].keys())
-                raise InputError(f"action of {arrow_name!r} defined on {x!r}, not in {arrow.dom!r}")
+            given = {x: x for x in carr[arrow.dom]} | dict(given or {})
+        elif given is None:
+            raise InputError(f"no action given for arrow {arrow_name!r}")
+        try:
+            act[arrow_name] = {x: given[x] for x in carr[arrow.dom]}
+        except KeyError as exc:
+            x = exc.args[0]
+            raise InputError(f"action of {arrow_name!r} undefined on {x!r}") from None
+        if len(given) > len(act[arrow_name]):
+            x = min(given.keys() - act[arrow_name].keys())
+            raise InputError(f"action of {arrow_name!r} defined on {x!r}, not in {arrow.dom!r}")
+        if base.is_identity(arrow_name) and (moved := [x for x, y in given.items() if y != x]):
+            raise InputError(f"identity action {arrow_name!r} moves {min(moved)!r}")
     return SetPresentation(base, carr, act, name=name)
 
 
@@ -564,10 +564,11 @@ def witness_presentation(
     """The sum over cones c of hom(peak_c, -) x L_c, the witness of each element, the rows.
 
     ``limits`` lists (c, peak_c, L_c); elements are named by :func:`witness_id`
-    and an arrow a sends the witness (c, t, w) to (c, a . t, w).  Each id
-    is encoded once: the tail of w once per tuple, and the row of ids over
-    L_c, in order, once per (c, t).  An action maps the row of (c, t) onto
-    the row of (c, a . t), so its values are the carrier's own strings.
+    and an arrow a sends the witness (c, t, w) to (c, a . t, w).  The row of
+    (c, t) lists the ids over L_c in order, so position k of every row of c
+    lies over the k-th tuple of L_c.  Each id is encoded once (the tail of w
+    once per tuple) and an action maps the row of (c, t) onto the row of
+    (c, a . t), so its values are the carrier's own strings.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     prov: dict[str, Witness] = {}
@@ -580,15 +581,42 @@ def witness_presentation(
                 row = rows[cone, t] = [head + tail for tail in tails]
                 prov.update(zip(row, [(cone, t, w) for w in tuples]))
                 carrier[d].extend(row)
-    action: dict[str, dict[str, str]] = {}
+    action: dict[str, dict[str, str]] = {name: {} for name in base.arrows}
+    _act_on_rows(base, rows, action)
+    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
+    return pres, prov, rows
+
+
+def _act_on_rows(base: FinCategory, rows: Mapping, action: dict[str, dict[str, str]]) -> None:
+    """Add to each ``action[a]`` the map of the row of (c, t) onto the row of (c, a . t)."""
     for name, arrow in base.arrows.items():
-        mapping: dict[str, str] = {}
+        mapping = action[name]
         for (cone, t), row in rows.items():
             if base.arrows[t].cod == arrow.dom:
                 mapping.update(zip(row, rows[cone, base.compose(name, t)]))
-        action[name] = mapping
-    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
-    return pres, prov, rows
+
+
+def witness_sum(
+    left: SetPresentation,
+    right: SetPresentation,
+    rows: Mapping[tuple[str, str], list[str]],
+    tags: tuple[str, str],
+) -> tuple[SetPresentation, dict[str, dict[str, str]], dict[tuple[str, str], list[str]]]:
+    """:func:`disjoint_sum` of ``left`` and the witness summand ``right``, from its ``rows``.
+
+    Each row is tagged once, and the sum's carriers and actions hold those
+    tagged strings: an arrow a maps the tagged row of (c, t) onto that of
+    (c, a . t).  Returns the sum, the injection of ``left`` and the tagged rows.
+    """
+    total, inj, _ = disjoint_sum(left, empty_presentation(right.base), tags)
+    prefix = f"{tags[1]}:"
+    tagged = {key: [prefix + x for x in row] for key, row in rows.items()}
+    carrier = {obj: list(xs) for obj, xs in total.carrier.items()}
+    for (_, t), row in tagged.items():
+        carrier[left.base.arrows[t].cod].extend(row)
+    _act_on_rows(left.base, tagged, total.action)
+    total.carrier = {obj: tuple(sorted(xs)) for obj, xs in carrier.items()}
+    return total, inj, tagged
 
 
 # -- JSON interchange --------------------------------------------------------

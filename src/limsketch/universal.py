@@ -1,7 +1,8 @@
 """Executable reflection property: construct the factorisation, certify uniqueness.
 
-Both engines present a stage as bundles: each element carries earlier
-elements, fresh witnesses (cone, arrow, limit tuple), or both.
+Both engines present a stage as bundles: a class carries earlier
+elements, fresh witnesses (cone, arrow, limit tuple), or both, and fresh
+witnesses without a class come in rows over the cone's limit tuples.
 :func:`replay` walks them once, for the stage comparison in ``compare``
 and here for the g with g . rho = f of a map f from X into a model M: a
 witness maps through the inverse of M's gap map, which exists exactly
@@ -34,19 +35,22 @@ def replay(
     start: Mapping[str, Mapping[str, str]],
     sketch: LimitSketch,
     carry: Callable[[int], Mapping[str, Mapping[str, str]] | None],
-    witness: Callable[[int, str, str, str, str, tuple[str, ...]], str],
+    witness: Callable[[int, str, list[str], str, str, list[tuple[str, ...]]], Iterable[str]],
 ) -> Iterator[Components]:
     """Extend a map on X along replay steps; yield the map after each step.
 
-    ``start[d][x]`` is the image of each element x of X at object d.  A
-    step's ``classes(d)`` yields ``(element, carried, witnesses)``.  At
-    step i the image of an element is the one value shared by its
-    carried members' images, each sent through ``carry(i)`` unless that
-    is None, and by ``witness(i, d, element, cone, arrow, v)`` for each
-    witness, where v is the witness tuple imaged through the current map.
-    Conflicting images raise :class:`EngineError`.
+    ``start[d][x]`` is the image of each element x of X at object d.  At
+    step i, each ``(element, carried, witnesses)`` of ``step.classes(d)``
+    maps to the one value shared by its carried members' images, each sent
+    through ``carry(i)`` unless that is None, and by its witnesses' images
+    (each a row of one, see below); conflicting images raise
+    :class:`EngineError`.  A staged step also has rows ``(cone, arrow,
+    tuples, ids)`` (:meth:`~limsketch.elim.Stage.witness_rows`), the k-th
+    id the witness over the k-th tuple.  A row maps whole: its tuples are
+    imaged once per cone and step, and ``witness(i, d, ids, cone, arrow,
+    images)`` returns the images of ``ids`` at the codomain d of ``arrow``.
     """
-    objects, current = sketch.base.objects, start
+    objects, arrows, current = sketch.base.objects, sketch.base.arrows, start
     cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
     for i, step in enumerate(steps):
         unit = carry(i)
@@ -62,7 +66,7 @@ def replay(
                     values.add(here[m] if after is None else after[here[m]])
                 for cone, arrow, w in witnesses:
                     v = tuple(map(getitem, position_maps[cone], w))
-                    values.add(witness(i, d, element, cone, arrow, v))
+                    values.update(witness(i, d, [element], cone, arrow, [v]))
                 if len(values) != 1:
                     raise EngineError(
                         f"class image conflict at replay step {i} object {d!r}: "
@@ -70,6 +74,13 @@ def replay(
                     )
                 out[element] = values.pop()
             nxt[d] = out
+        images: dict[str, list[tuple[str, ...]]] = {}
+        for cone, arrow, tuples, ids in getattr(step, "witness_rows", tuple)():
+            if cone not in images:
+                maps = position_maps[cone]
+                images[cone] = [tuple(map(getitem, maps, w)) for w in tuples]
+            d = arrows[arrow].cod
+            nxt[d].update(zip(ids, witness(i, d, ids, cone, arrow, images[cone])))
         current = nxt
         yield current
 
@@ -126,15 +137,15 @@ def solve_factorisation(
     inverses = _gap_inverses(model, sketch)
     log: list[dict] = []
 
-    def through_model(i: int, d: str, element: str, cone: str, arrow: str, v: tuple) -> str:
-        try:
-            u = inverses[cone][v]
-        except KeyError:
-            raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}") from None
-        log.append(dict(
-            step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
-        ))
-        return model.action[arrow][u]
+    def through_model(i: int, d: str, ids: list, cone: str, arrow: str, vs: list) -> list[str]:
+        inverse = inverses[cone]
+        for element, v in zip(ids, vs):
+            if (u := inverse.get(v)) is None:
+                raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}")
+            log.append(dict(
+                step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
+            ))
+        return [model.action[arrow][inverse[v]] for v in vs]
 
     steps, components = trace.replay_steps(), f.components
     for components in replay(steps, components, sketch, lambda i: None, through_model):

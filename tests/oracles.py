@@ -5,19 +5,24 @@ by filtering the full cartesian product with nested loops in product
 order, quotients by a naive merge-and-push fixpoint over explicit
 partitions, pushouts by a plain disjoint-set over the literal pair lists,
 natural transformations by validating every candidate of the product of
-all component functions, witness summands by encoding every id afresh.
+all component functions, witness summands by encoding every id afresh,
+and the provenance replay element by element.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import getitem
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from limsketch.errors import InputError
+from limsketch.elim import Stage, tag_free
+from limsketch.errors import EngineError, InputError
 from limsketch.fincat import FinCategory
+from limsketch.kelly import CompletionStep, pair_element_id
 from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
+from limsketch.sketchlib import gap_map
 
 
 def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
@@ -242,6 +247,124 @@ def brute_witness_presentation(
             mapping[wid] = witness_id(kind, cone, base.compose(name, t), w)
         action[name] = mapping
     return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
+
+
+# -- the replay, element by element -----------------------------------------
+
+Components = dict[str, dict[str, str]]
+
+
+def brute_replay(
+    steps: Iterable,
+    start: Mapping[str, Mapping[str, str]],
+    sketch,
+    carry: Callable[[int], Mapping[str, Mapping[str, str]] | None],
+    witness: Callable[[int, str, str, str, str, tuple[str, ...]], str],
+) -> Iterator[Components]:
+    """Extend a map on X along replay steps; yield the map after each step.
+
+    ``start[d][x]`` is the image of each element x of X at object d.  A
+    step's ``classes(d)`` yields ``(element, carried, witnesses)``.  At
+    step i the image of an element is the one value shared by its
+    carried members' images, each sent through ``carry(i)`` unless that
+    is None, and by ``witness(i, d, element, cone, arrow, v)`` for each
+    witness, where v is the witness tuple imaged through the current map.
+    Conflicting images raise :class:`EngineError`.
+    """
+    objects, current = sketch.base.objects, start
+    cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
+    for i, step in enumerate(steps):
+        unit = carry(i)
+        # per cone, the current map at each tuple position
+        position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
+        nxt: Components = {}
+        for d in objects:
+            here, after = current[d], None if unit is None else unit[d]
+            out: dict[str, str] = {}
+            for element, carried, witnesses in step.classes(d):
+                values = set()
+                for m in carried:
+                    values.add(here[m] if after is None else after[here[m]])
+                for cone, arrow, w in witnesses:
+                    v = tuple(map(getitem, position_maps[cone], w))
+                    values.add(witness(i, d, element, cone, arrow, v))
+                if len(values) != 1:
+                    raise EngineError(
+                        f"class image conflict at replay step {i} object {d!r}: "
+                        f"{element!r} maps to {sorted(values)}"
+                    )
+                out[element] = values.pop()
+            nxt[d] = out
+        current = nxt
+        yield current
+
+
+class PerElement:
+    """A replay step seen element by element, as :func:`brute_replay` reads it.
+
+    A staged step lists its base classes, then each free element of
+    ``free`` with its one witness from ``free_prov``; any other step
+    keeps its ``classes`` view.
+    """
+
+    def __init__(self, step) -> None:
+        self.step = step
+
+    def classes(self, obj: str):
+        step = self.step
+        yield from step.classes(obj)
+        if isinstance(step, Stage):
+            for fid in step.free.carrier[obj]:
+                yield tag_free(fid), (), (step.free_prov[fid],)
+
+
+def brute_pair_class(step: CompletionStep, obj: str, cone: str, arrow: str, w) -> str:
+    """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``."""
+    try:
+        return step.quotient.projection[obj][step.pair_elements[cone, arrow, w]]
+    except KeyError:
+        pid = pair_element_id(cone, arrow, w)
+        raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
+
+
+def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]:
+    """The components of alpha at stages 0..``depth``, replayed element by element."""
+    x = elim_trace.stages[0].base
+    kelly_steps = [None] + [st.step for st in kelly_trace.stages[:depth]]
+    units = [None] + [step.unit.components for step in kelly_steps[1:]]
+    return list(
+        brute_replay(
+            [PerElement(step) for step in elim_trace.replay_steps(depth)],
+            {d: {e: e for e in x.carrier[d]} for d in x.base.objects},
+            sketch,
+            units.__getitem__,
+            lambda i, d, element, cone, arrow, w: brute_pair_class(kelly_steps[i], d, cone, arrow, w),
+        )
+    )
+
+
+def brute_factorisation(trace, f: NatTransSpec, model: SetPresentation, sketch):
+    """The components of g with g . rho = f, and the log of gap inverses, element by element."""
+    inverses = {
+        cone.name: {t: x for x, t in gap_map(model, cone).items()} for cone in sketch.cones
+    }
+    log: list[dict] = []
+
+    def through_model(i: int, d: str, element: str, cone: str, arrow: str, v: tuple) -> str:
+        try:
+            u = inverses[cone][v]
+        except KeyError:
+            raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}") from None
+        log.append(dict(
+            step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
+        ))
+        return model.action[arrow][u]
+
+    steps = [PerElement(step) for step in trace.replay_steps()]
+    components = f.components
+    for components in brute_replay(steps, components, sketch, lambda i: None, through_model):
+        pass
+    return components, log
 
 
 # -- seeded random instances -------------------------------------------------

@@ -241,6 +241,35 @@ def test_negative_count_flag_exits_two(workspace, flag, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--sketch", "{sketch}", "--presentation", "{pres}"],
+        ["reflect", "--sketch", "{sketch}", "--presentation", "{pres}"],
+        ["compare", "--sketch", "{sketch}", "--presentation", "{pres}"],
+        [
+            "universal", "--sketch", "{sketch}", "--presentation", "{pres}",
+            "--model", "{model}", "--map", "{map}",
+        ],
+        ["builders", "emit", "binary_product"],
+    ],
+    ids=["check", "reflect", "compare", "universal", "builders-emit"],
+)
+def test_unwritable_out_exits_two(workspace, tmp_path, command):
+    out = tmp_path / "missing" / "report.json"
+    paths = {
+        "sketch": workspace["binary_sketch"],
+        "pres": workspace["binary_pres"],
+        "model": workspace["binary_model"],
+        "map": workspace["binary_map"],
+    }
+    proc = run_cli(*[a.format(**paths) for a in command], "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"input error: cannot write {out}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_builders_emit_unknown_name_exits_two():
     proc = run_cli("builders", "emit", "monoid_budgeted")
     assert proc.returncode == 2

@@ -324,6 +324,37 @@ def test_action_on_an_element_outside_the_carrier_exits_two(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    ("identity", "message"),
+    [
+        ({"x1": "x2", "x2": "x1"}, "identity action 'id_a' moves 'x1'"),
+        ({"x1": "x1", "ghost": "ghost"}, "action of 'id_a' defined on 'ghost', not in 'a'"),
+    ],
+    ids=["moves", "off-carrier"],
+)
+def test_identity_action_that_is_no_identity_exits_two(tmp_path, identity, message):
+    pres = write(
+        tmp_path,
+        "X.json",
+        {
+            "category": "iso_forcing",
+            "carrier": {"a": ["x1", "x2"], "b": ["y"]},
+            "action": {"t": {"x1": "y", "x2": "y"}, "id_a": identity},
+        },
+    )
+    assert check("iso_forcing", pres) == (2, "", f"input error: {pres}: {message}\n")
+
+
+def test_given_identity_action_that_fixes_its_carrier_loads(tmp_path):
+    doc = {
+        "category": "iso_forcing",
+        "carrier": {"a": ["x1", "x2"], "b": ["y"]},
+        "action": {"t": {"x1": "y", "x2": "y"}, "id_a": {"x1": "x1"}, "id_b": {"y": "y"}},
+    }
+    code, _, err = check("iso_forcing", write(tmp_path, "X.json", doc))
+    assert (code, err) == (1, "")
+
+
 def test_identity_of_an_unknown_object_exits_two(tmp_path):
     doc = sketch_to_json_dict(build_sketch("iso_forcing"))
     doc["category"]["identities"]["zz"] = "t"

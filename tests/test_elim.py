@@ -286,7 +286,10 @@ def _stage_invariants(trace, sketch):
                 composed = sketch.base.compose(name, t)
                 assert stage.free.action[name][fid] == witness_id("F", cone, composed, w)
         for (cone, t), row in stage.free_rows.items():
-            assert row == [witness_id("F", cone, t, w) for w in stage.limits_prev[cone]]
+            assert row == [tag_free(witness_id("F", cone, t, w)) for w in stage.limits_prev[cone]]
+            # the rows hold the total's own strings
+            own = {id(x) for x in stage.total.carrier[sketch.base.arrows[t].cod]}
+            assert all(id(x) in own for x in row)
 
 
 def test_stage_invariants_on_all_fixtures():
@@ -334,7 +337,12 @@ def test_stage_element_provenance_view():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=FAITHFUL)
     stage1 = trace.stages[1]
     seen = set()
-    for tagged, members, witnesses in stage1.classes("b"):
+    # the replay reads base classes from ``classes`` and free elements from ``witness_rows``
+    view = [*stage1.classes("b")]
+    for cone, arrow, tuples, ids in stage1.witness_rows():
+        if sketch.base.arrows[arrow].cod == "b":
+            view.extend((tagged, (), ((cone, arrow, w),)) for w, tagged in zip(tuples, ids))
+    for tagged, members, witnesses in view:
         seen.add(tagged)
         if tagged.startswith(f"{FREE_TAG}:"):
             ((cone, _, limit_tuple),) = witnesses
@@ -345,6 +353,7 @@ def test_stage_element_provenance_view():
             assert witnesses == ()
             assert tagged == tag_base(tag_base("y"))
     assert seen == set(stage1.total.carrier["b"])
+    assert len(view) == len(seen)
 
 
 # -- the pruning rule against its definition -------------------------------------

@@ -196,6 +196,27 @@ def test_product_compare_report_digest(product_compare) -> None:
     assert (code, report, out_digest) == PRODUCT_N2_GOLDEN, text
 
 
+# ``reflect --engine elim --mode faithful --budget 3`` on PRODUCT_N2: the
+# budget runs out (exit 3) after stage 3, and the 39.1 MB report lists the
+# base, free and total carriers and the projection p of every stage
+PRODUCT_N2_FAITHFUL_GOLDEN = (
+    3,
+    "da3db437430285f5e1e72c4be5cd66e88fd86c6adbef4b7060f9b0cf046ad561",
+    "6fbe36053f119700250912e3e7b1e671653fd99e7686f135579c5df81236f7e4",
+)
+
+
+def test_product_faithful_stages_report_digest(tmp_path: Path) -> None:
+    pres = tmp_path / "X.json"
+    pres.write_text(json.dumps(PRODUCT_N2))
+    argv = [
+        "reflect", "--sketch", "binary_product", "--presentation", str(pres),
+        "--engine", "elim", "--mode", "faithful", "--budget", "3",
+    ]
+    code, report, out_digest, text = run_cli(argv, tmp_path)
+    assert (code, report, out_digest) == PRODUCT_N2_FAITHFUL_GOLDEN, text
+
+
 class RecordingSink:
     """A text sink that keeps the size of each write and the digest of them all."""
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from limsketch.fincat import CatFunctor, FinCategory
-from limsketch.kelly import kelly_P, kelly_Pc, reflect_kelly, tag_sum_base
+from limsketch.kelly import SUM_BASE_TAG, kelly_P, kelly_Pc, reflect_kelly
 from limsketch.setops import empty_presentation, make_presentation
 from limsketch.sketchlib import Cone, LimitSketch, is_model
 
@@ -154,7 +154,7 @@ def test_rho_starts_from_the_sum_base_copy():
     trace = reflect_kelly(iso_fixture(sketch), sketch, budget=4)
     step = trace.stages[0].step
     for x in ("x1", "x2"):
-        assert trace.rho.components["a"][x] == step.quotient.projection["a"][tag_sum_base(x)]
+        assert trace.rho.components["a"][x] == step.quotient.projection["a"][f"{SUM_BASE_TAG}:{x}"]
 
 
 def test_kelly_trace_dumps_are_deterministic():

@@ -5,28 +5,43 @@ engine could: two classes with different images are merged, a formal
 pair is dropped from a completion's projection or from its provenance,
 or a witness tuple is replaced by one outside the limit.  Both ``solve_factorisation`` and
 ``build_alpha`` must raise ``EngineError``.
+
+The replay maps a staged step's free part row by row; ``brute_replay`` in
+``tests.oracles`` maps it element by element.  The two must build the same
+alpha and the same factorisations, and refuse a corrupted trace with the
+same message.
 """
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
 from limsketch.compare import build_alpha
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
-from limsketch.errors import EngineError
+from limsketch.errors import BudgetExceeded, EngineError
 from limsketch.kelly import pair_element_id, reflect_kelly
+from limsketch.setops import make_presentation
+from limsketch.sketchlib import BUILDERS, build_sketch
 from limsketch.universal import solve_factorisation
 
 from tests.fixtures import (
     binary_fixture,
     binary_model,
     binary_sketch,
+    iso_fixture,
+    iso_sketch,
     nat,
     sheaf_fixture,
     sheaf_model,
     sheaf_sketch,
+)
+from tests.oracles import (
+    brute_alpha,
+    brute_factorisation,
+    random_valid_presentation,
 )
 
 
@@ -117,9 +132,190 @@ def test_solve_refuses_witness_outside_the_model_limit():
     f = nat(pres, model, {"U": ident, "V": ident, "W": ident})
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     stage = trace.stages[1]
-    fid = next(k for k, (_, arrow, _) in stage.free_prov.items() if arrow == "id_T")
-    cone, arrow, _ = stage.free_prov[fid]
+    # the replay images the limit tuples the free rows are laid over
+    (cone, arrow, tuples, _), *_ = stage.witness_rows()
+    assert arrow == "id_T" and tuples
     # sections 0 over U and 1 over V do not agree on W
-    stage.free_prov[fid] = (cone, arrow, ("B:0", "B:1", "B:0"))
+    stage.limits_prev[cone] = (("B:0", "B:1", "B:0"), *tuples[1:])
     with pytest.raises(EngineError, match="not hit by the gap map of 'c0'"):
         solve_factorisation(trace, f, model, sketch)
+
+
+# -- the row replay against the element-by-element replay ------------------------
+
+
+def _refused(run):
+    """``run()``, or None when a budget refuses it."""
+    try:
+        return run()
+    except BudgetExceeded:
+        return None
+
+
+def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
+    """Alpha and every factorisation between converged traces, by rows and by elements.
+
+    Returns the number of replays compared.
+    """
+    compared = 0
+    faithful = _refused(lambda: reflect_elim(pres, sketch, budget=faithful_budget, mode=FAITHFUL))
+    if faithful is not None:
+        depth = len(faithful.stages) - 1
+        stages = _refused(
+            lambda: reflect_kelly(pres, sketch, budget=depth, stop_on_convergence=False)
+        )
+        if stages is not None:
+            alpha = build_alpha(faithful, stages, sketch)
+            assert alpha.ok
+            want = brute_alpha(faithful, stages, sketch, depth)
+            assert [s.components for s in alpha.stages] == want
+            compared += 1
+    traces = [
+        faithful,
+        _refused(lambda: reflect_elim(pres, sketch, budget=8, mode=PRUNED)),
+        _refused(lambda: reflect_kelly(pres, sketch, budget=8)),
+    ]
+    converged = [t for t in traces if t is not None and t.converged]
+    for trace in converged:
+        for other in converged:
+            got = solve_factorisation(trace, other.rho, other.core, sketch)
+            components, log = brute_factorisation(trace, other.rho, other.core, sketch)
+            assert got.g.components == components
+            assert sorted(map(repr, got.log)) == sorted(map(repr, log))
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize(
+    ("sketch", "fixture"),
+    [(iso_sketch, iso_fixture), (binary_sketch, binary_fixture), (sheaf_sketch, sheaf_fixture)],
+    ids=["iso", "binary", "sheaf"],
+)
+def test_row_replay_matches_brute_replay_on_fixtures(sketch, fixture):
+    s = sketch()
+    assert assert_replays_agree(fixture(s), s, faithful_budget=3) >= 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_replay_matches_brute_replay_on_binary_product(n):
+    sketch = binary_sketch()
+    pres = make_presentation(
+        sketch.base, {"a": [f"x{i}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
+    )
+    assert assert_replays_agree(pres, sketch, faithful_budget=2) >= 5
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_row_replay_matches_brute_replay_on_random_presentations(name):
+    sketch = build_sketch(name)
+    rng = random.Random(f"row-replay:{name}")
+    compared = 0
+    for _ in range(20):
+        pres = random_valid_presentation(rng, sketch.base, max_size=4)
+        compared += assert_replays_agree(pres, sketch, faithful_budget=2)
+    assert compared >= 20
+
+
+def _solve_both(trace, f, model, sketch):
+    return (
+        lambda: solve_factorisation(trace, f, model, sketch),
+        lambda: brute_factorisation(trace, f, model, sketch),
+    )
+
+
+def _alpha_both(elim_trace, kelly_trace, sketch):
+    return (
+        lambda: build_alpha(elim_trace, kelly_trace, sketch),
+        lambda: brute_alpha(elim_trace, kelly_trace, sketch, len(elim_trace.stages) - 1),
+    )
+
+
+def _binary():
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    model = binary_model(sketch)
+    return sketch, pres, model, nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+
+
+def _corrupt_merged_elim_classes_solve():
+    sketch, pres, model, f = _binary()
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    merge_classes(trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    return _solve_both(trace, f, model, sketch)
+
+
+def _corrupt_merged_kelly_classes_solve():
+    sketch, pres, model, f = _binary()
+    trace = reflect_kelly(pres, sketch, budget=8)
+    step = trace.stages[0].step
+    keep, drop = (step.unit.components["a"][x] for x in ("u", "v"))
+    merge_classes(step.quotient.classes["a"], keep, drop)
+    return _solve_both(trace, f, model, sketch)
+
+
+def _corrupt_merged_elim_classes_alpha():
+    sketch, pres, _, _ = _binary()
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    merge_classes(elim_trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    return _alpha_both(elim_trace, kelly_trace, sketch)
+
+
+def _corrupt_missing_formal_pair_alpha():
+    sketch, pres, _, _ = _binary()
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    stage = elim_trace.stages[1]
+    cone, arrow, w = stage.free_prov[stage.free.carrier["p"][0]]
+    pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
+    del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
+    return _alpha_both(elim_trace, kelly_trace, sketch)
+
+
+def _corrupt_pair_without_provenance_alpha():
+    sketch, pres, _, _ = _binary()
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    stage = elim_trace.stages[1]
+    cone, arrow, w = stage.free_prov[stage.free.carrier["p"][0]]
+    witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
+    step = kelly_trace.stages[0].step
+    del step.pair_prov[pair_element_id(*witness)]
+    del step.pair_elements[witness]
+    return _alpha_both(elim_trace, kelly_trace, sketch)
+
+
+def _corrupt_witness_outside_the_model_limit_solve():
+    sketch = sheaf_sketch()
+    pres = sheaf_fixture(sketch)
+    model = sheaf_model(sketch)
+    ident = {"0": "0", "1": "1"}
+    f = nat(pres, model, {"U": ident, "V": ident, "W": ident})
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    stage = trace.stages[1]
+    # the k-th limit tuple of c0 becomes sections that disagree on W, in both views
+    k, bad = 0, ("B:0", "B:1", "B:0")
+    tuples = stage.limits_prev["c0"]
+    stage.limits_prev["c0"] = (*tuples[:k], bad, *tuples[k + 1 :])
+    for fid, (cone, arrow, w) in list(stage.free_prov.items()):
+        if cone == "c0" and w == tuples[k]:
+            stage.free_prov[fid] = (cone, arrow, bad)
+    return _solve_both(trace, f, model, sketch)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _corrupt_merged_elim_classes_solve,
+        _corrupt_merged_kelly_classes_solve,
+        _corrupt_merged_elim_classes_alpha,
+        _corrupt_missing_formal_pair_alpha,
+        _corrupt_pair_without_provenance_alpha,
+        _corrupt_witness_outside_the_model_limit_solve,
+    ],
+    ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):],
+)
+def test_row_and_brute_replay_refuse_with_one_message(corrupt):
+    row, brute = corrupt()
+    with pytest.raises(EngineError) as by_rows:
+        row()
+    with pytest.raises(EngineError) as by_elements:
+        brute()
+    assert str(by_rows.value) == str(by_elements.value)

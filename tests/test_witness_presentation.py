@@ -3,7 +3,9 @@
 ``witness_presentation`` encodes each id once and maps each action row by
 row; ``brute_witness_presentation`` encodes every id afresh.  Both engines
 are run with that function wrapped, so each call is checked against the
-oracle on the very inputs the engine gave it.
+oracle on the very inputs the engine gave it.  Likewise ``witness_sum``,
+which tags the summand's rows and sums it from them, is checked against
+``disjoint_sum``, which tags and sums element by element.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
+    disjoint_sum,
     make_presentation,
     witness_head,
     witness_id,
     witness_presentation,
+    witness_sum,
     witness_tail,
 )
 from limsketch.sketchlib import BUILDERS, build_sketch
@@ -68,6 +72,37 @@ def checked(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def sums(monkeypatch):
+    """Route both engines' sums of a witness summand through ``disjoint_sum``; count them."""
+    calls: list[str] = []
+
+    def both(left, right, rows, tags):
+        got, got_inj, got_rows = witness_sum(left, right, rows, tags)
+        want, want_left, want_right = disjoint_sum(left, right, tags)
+        assert got.carrier == want.carrier
+        assert got.action == want.action
+        assert got_inj == want_left
+        assert got_rows.keys() == rows.keys()
+        for (_, t), row in rows.items():
+            inj = want_right[left.base.arrows[t].cod]
+            assert got_rows[_, t] == [inj[x] for x in row]
+        # the carriers, the actions and the tagged rows share one string per element
+        own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
+        for (_, t), row in got_rows.items():
+            assert all(id(x) in own[left.base.arrows[t].cod] for x in row)
+        for name, mapping in got.action.items():
+            arrow = left.base.arrows[name]
+            assert all(id(x) in own[arrow.dom] for x in mapping)
+            assert all(id(y) in own[arrow.cod] for y in mapping.values())
+        calls.append(tags[1])
+        return got, got_inj, got_rows
+
+    monkeypatch.setattr(elim, "witness_sum", both)
+    monkeypatch.setattr(kelly, "witness_sum", both)
+    return calls
+
+
 def _run_all(pres, sketch, budget):
     """Faithful and pruned elim and kelly over ``pres``; a budget refusal ends a run."""
     runs = [
@@ -87,7 +122,7 @@ def _run_all(pres, sketch, budget):
     [(iso_sketch, iso_fixture), (binary_sketch, binary_fixture), (sheaf_sketch, sheaf_fixture)],
     ids=["iso", "binary", "sheaf"],
 )
-def test_fixture_stages_match_oracle(checked, sketch, fixture):
+def test_fixture_stages_match_oracle(checked, sums, sketch, fixture):
     s = sketch()
     pres = fixture(s)
     faithful = reflect_elim(pres, s, budget=2, mode=FAITHFUL)
@@ -96,10 +131,11 @@ def test_fixture_stages_match_oracle(checked, sketch, fixture):
     assert pruned.converged
     built = len(faithful.stages) - 1 + len(pruned.stages) - 1 + len(kelly_trace.stages)
     assert len(checked) == built > 0
+    assert len(sums) == built
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_binary_product_stages_match_oracle(checked, n):
+@pytest.mark.parametrize("n", range(1, 7))
+def test_binary_product_stages_match_oracle(checked, sums, n):
     sketch = binary_sketch()
     pres = make_presentation(
         sketch.base, {"a": [f"x{i}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
@@ -109,15 +145,17 @@ def test_binary_product_stages_match_oracle(checked, n):
     reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
     reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
     assert checked.count("F") == len(trace.stages) and checked.count("K") == 2
+    assert sums.count("E") == len(trace.stages) and sums.count("P") == 2
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_random_presentations_match_oracle(checked, name):
+def test_random_presentations_match_oracle(checked, sums, name):
     sketch = build_sketch(name)
     rng = random.Random(f"witness-oracle:{name}")
     for _ in range(20):
         _run_all(random_valid_presentation(rng, sketch.base, max_size=4), sketch, budget=2)
     assert "F" in checked and "K" in checked
+    assert len(sums) == len(checked)
 
 
 def _decode(kind: str, wid: str) -> tuple[str, str, tuple[str, ...]]:
