@@ -22,10 +22,8 @@ trace = reflect_elim(X, sketch, budget=8, mode=PRUNED)
 print("\npruned run:", trace.verdict, "at stage", trace.converged_at)
 for stage in trace.stages:
     r1, r2 = stage.pair_counts()
-    print(
-        f"  stage {stage.index}: base {stage.base.size()} "
-        f"free {stage.free.size()} rule1={r1} rule2={r2}"
-    )
+    free = {o: len(stage.free_part(o)) for o in sketch.base.objects}
+    print(f"  stage {stage.index}: base {stage.base.size()} free {free} rule1={r1} rule2={r2}")
 print("core sizes:", trace.core.size())
 print("core is a model:", is_model(trace.core, sketch).is_model)
 

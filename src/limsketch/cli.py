@@ -270,16 +270,17 @@ def cmd_builders(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_presentation: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, staged: bool = True) -> None:
+    """The flags of a command on a sketch and a presentation; ``staged`` adds the stage caps."""
     parser.add_argument("--sketch", required=True, help="sketch JSON file or builder name")
-    if needs_presentation:
-        parser.add_argument("--presentation", required=True, help="presentation JSON file")
-    parser.add_argument("--budget", type=int, default=8, help="stage budget")
+    parser.add_argument("--presentation", required=True, help="presentation JSON file")
+    if staged:
+        parser.add_argument("--budget", type=int, default=8, help="stage budget")
+        parser.add_argument(
+            "--max-elements", type=int, default=elim.DEFAULT_ELEMENT_CAP, dest="max_elements"
+        )
     parser.add_argument(
         "--max-tuples", type=int, default=DEFAULT_TUPLE_BUDGET, dest="max_tuples"
-    )
-    parser.add_argument(
-        "--max-elements", type=int, default=elim.DEFAULT_ELEMENT_CAP, dest="max_elements"
     )
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -293,7 +294,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="is the presentation a model?")
-    _add_common(p_check)
+    _add_common(p_check, staged=False)
     p_check.set_defaults(func=cmd_check)
 
     p_reflect = sub.add_parser("reflect", help="run a reflection to convergence")

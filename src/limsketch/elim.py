@@ -72,25 +72,23 @@ def tag_free(free_id: str) -> str:
 class Stage:
     """One stage of the staged reflection.
 
-    ``total`` is the tagged disjoint sum of ``base`` and ``free``;
+    ``total`` is the tagged disjoint sum of ``base`` and the free part;
     ``p_prev`` projects the previous total onto this base (absent at
     stage 0); ``limits_prev`` holds, per cone, the limit tuples of the
-    previous total that ``free`` is built from (all of them in faithful
-    mode, only those over tuples unhit in this base in pruned mode);
-    ``free_rows[c, t]`` lists the ids in ``total`` of the free elements
-    over ``limits_prev[c]`` in order, for each arrow t out of the peak of c;
+    previous total that the free part is built from (all of them in
+    faithful mode, only those over tuples unhit in this base in pruned
+    mode); ``free_rows[c, t]`` lists the ids in ``total`` of the free
+    elements over ``limits_prev[c]`` in order, for each arrow t out of the
+    peak of c, and is the only record of the free part;
     ``prev_classes`` lists the members of each base class (at stage 0,
     each element of X is its own class).
     """
 
     index: int
     base: SetPresentation
-    free: SetPresentation
     total: SetPresentation
-    free_prov: dict[str, Witness]
     limits_prev: dict[str, tuple[tuple[str, ...], ...]]
     free_rows: dict[tuple[str, str], list[str]]
-    kan_unit: dict[str, dict[tuple[str, ...], str]]
     p_prev: dict[str, dict[str, str]] | None = None
     prev_total: SetPresentation | None = None
     prev_classes: dict[str, dict[str, tuple[str, ...]]] | None = None
@@ -103,8 +101,12 @@ class Stage:
         for class_id, members in self.prev_classes[obj].items():
             yield f"{BASE_TAG}:{class_id}", members, ()
 
+    def free_part(self, obj: str) -> tuple[str, ...]:
+        """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
+        return self.total.carrier[obj][len(self.base.carrier[obj]) :]
+
     def witness_rows(self) -> Iterator[tuple[str, str, tuple[tuple[str, ...], ...], list[str]]]:
-        """Replay view of ``free``: per (cone, arrow), the limit tuples and the ids over them."""
+        """Replay view of the free part: per (cone, arrow), the limit tuples and ids over them."""
         for (cone, arrow), ids in self.free_rows.items():
             yield cone, arrow, self.limits_prev[cone], ids
 
@@ -148,14 +150,14 @@ class ReflectionTrace:
         return [*self.stages[: self.converged_at + 1], leave]
 
     def to_json_dict(self) -> dict:
-        stages = []
+        stages, objects, cut = [], self.sketch.base.objects, len(FREE_TAG) + 1
         for st in self.stages:
             r1, r2 = st.pair_counts()
             stages.append(
                 {
                     "index": st.index,
                     "base": encode_carriers(st.base),
-                    "free": encode_carriers(st.free),
+                    "free": {o: [x[cut:] for x in st.free_part(o)] for o in objects},
                     "total": encode_carriers(st.total),
                     "p": st.p_prev,
                     "rule1": r1,
@@ -188,12 +190,9 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
     return Stage(
         index=0,
         base=pres,
-        free=empty,
         total=total,
-        free_prov={},
         limits_prev={},
         free_rows={},
-        kan_unit={},
         prev_classes={d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects},
     )
 
@@ -261,8 +260,13 @@ def relation_two(
 
 @dataclass
 class FreeStep:
+    """The next free part: the tagged witness summand, the tuples it is built from, its rows.
+
+    ``kan_unit_raw[c]`` sends each tuple of ``limits[c]`` to its witness at
+    the identity of the peak of c.
+    """
+
     free: SetPresentation
-    prov: dict[str, Witness]
     limits: dict[str, tuple[tuple[str, ...], ...]]
     rows: dict[tuple[str, str], list[str]]
     kan_unit_raw: dict[str, dict[tuple[str, ...], str]]
@@ -313,14 +317,14 @@ def e_step(
                 f"free part at stage {stage.index + 1} object {d!r} has "
                 f"{size} elements (cap {max_elements})"
             )
-    free, prov, rows = witness_presentation(
-        "F", base, [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
+    free, rows = witness_presentation(
+        "F", base, [(c.name, c.peak, limits[c.name]) for c in sketch.cones], FREE_TAG
     )
     kan_unit_raw = {
         c.name: dict(zip(limits[c.name], rows[c.name, base.identities[c.peak]]))
         for c in sketch.cones
     }
-    return FreeStep(free, prov, limits, rows, kan_unit_raw)
+    return FreeStep(free, limits, rows, kan_unit_raw)
 
 
 def _unhit_lifts(
@@ -375,26 +379,19 @@ def elim_stage(
     step = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
-    total, _, rows = witness_sum(quotient.target, step.free, step.rows, (BASE_TAG, FREE_TAG))
+    total, _ = witness_sum(quotient.target, step.free, BASE_TAG)
     for d in sketch.base.objects:
         if len(total.carrier[d]) > max_elements:
             raise BudgetExceeded(
                 f"stage {stage.index + 1} object {d!r} has "
                 f"{len(total.carrier[d])} elements (cap {max_elements})"
             )
-    kan_unit = {
-        c.name: dict(zip(step.limits[c.name], rows[c.name, sketch.base.identities[c.peak]]))
-        for c in sketch.cones
-    }
     return Stage(
         index=stage.index + 1,
         base=quotient.target,
-        free=step.free,
         total=total,
-        free_prov=step.prov,
         limits_prev=step.limits,
-        free_rows=rows,
-        kan_unit=kan_unit,
+        free_rows=step.rows,
         p_prev=quotient.projection,
         prev_total=stage.total,
         prev_classes=quotient.classes,
@@ -505,7 +502,7 @@ def reflect_elim(
                 converged_at = stage.index
                 core_kind = "stable-core"
                 break
-        if all(not stage.free.carrier[d] for d in sketch.base.objects):
+        if not any(stage.free_rows.values()):
             if is_model(stage.base, sketch, max_tuples=max_tuples).is_model:
                 core_pres = stage.base
                 converged_at = stage.index

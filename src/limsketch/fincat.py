@@ -365,6 +365,10 @@ def category_to_json_dict(category: FinCategory) -> dict:
 
 def category_from_json_dict(data: dict, name: str = "") -> FinCategory:
     check_document(data, CATEGORY_SCHEMA)
+    objects = sorted(data["objects"])
+    for o, o2 in zip(objects, objects[1:]):
+        if o == o2:
+            raise InputError(f"duplicate object {o!r}")
     arrows: dict[str, Arrow] = {}
     for rec in data["arrows"]:
         if rec["id"] in arrows:
@@ -377,7 +381,7 @@ def category_from_json_dict(data: dict, name: str = "") -> FinCategory:
             raise InputError(f"duplicate compose entry {key!r}")
         compose[key] = rec["gf"]
     return FinCategory(
-        tuple(sorted(data["objects"])), arrows, dict(data["identities"]), compose, name=name
+        tuple(objects), arrows, dict(data["identities"]), compose, name=name
     )
 
 

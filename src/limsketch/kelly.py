@@ -53,18 +53,18 @@ class CompletionStep:
     obj: SetPresentation
     unit: NatTransSpec
     quotient: QuotientMap
-    pair_prov: dict[str, Witness]
+    pair_prov: dict[str, Witness]  # each pair's element of the sum -> its witness
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
-    # the inverse of ``pair_prov`` up to the tag: witness -> its pair's element of the sum
+    # the inverse of ``pair_prov``
     pair_elements: dict[Witness, str]
 
     def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
         """Replay view at ``obj``: a class carries its X members, and its pairs are witnesses."""
-        x_tag, p_cut, prov = f"{SUM_BASE_TAG}:", len(SUM_PAIR_TAG) + 1, self.pair_prov
+        x_tag, prov = f"{SUM_BASE_TAG}:", self.pair_prov
         for class_id, members in self.quotient.classes[obj].items():
             carried = tuple(m[len(x_tag) :] for m in members if m.startswith(x_tag))
-            witnesses = tuple(prov[m[p_cut:]] for m in members if not m.startswith(x_tag))
+            witnesses = tuple(prov[m] for m in members if not m.startswith(x_tag))
             yield class_id, carried, witnesses
 
     def pair_classes(self, obj: str, cone: str, arrow: str, tuples: list) -> list[str]:
@@ -91,13 +91,14 @@ def _completion(
 ) -> CompletionStep:
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in cones}
-    pairs, pair_prov, rows = witness_presentation(
-        "K", base, [(c.name, c.peak, limits[c.name]) for c in cones]
+    pairs, pair_rows = witness_presentation(
+        "K", base, [(c.name, c.peak, limits[c.name]) for c in cones], SUM_PAIR_TAG
     )
-    sum_pres, inj, pair_rows = witness_sum(pres, pairs, rows, (SUM_BASE_TAG, SUM_PAIR_TAG))
+    sum_pres, inj = witness_sum(pres, pairs, SUM_BASE_TAG)
     pair_elements = {
         (c, t, w): e for (c, t), row in pair_rows.items() for w, e in zip(limits[c], row)
     }
+    pair_prov = {e: witness for witness, e in pair_elements.items()}
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     r1: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}

@@ -560,63 +560,57 @@ def witness_presentation(
     kind: str,
     base: FinCategory,
     limits: Iterable[tuple[str, str, Iterable[tuple[str, ...]]]],
-) -> tuple[SetPresentation, dict[str, Witness], dict[tuple[str, str], list[str]]]:
-    """The sum over cones c of hom(peak_c, -) x L_c, the witness of each element, the rows.
+    tag: str,
+) -> tuple[SetPresentation, dict[tuple[str, str], list[str]]]:
+    """The sum over cones c of hom(peak_c, -) x L_c, as a summand tagged ``tag``, and its rows.
 
-    ``limits`` lists (c, peak_c, L_c); elements are named by :func:`witness_id`
-    and an arrow a sends the witness (c, t, w) to (c, a . t, w).  The row of
-    (c, t) lists the ids over L_c in order, so position k of every row of c
-    lies over the k-th tuple of L_c.  Each id is encoded once (the tail of w
-    once per tuple) and an action maps the row of (c, t) onto the row of
-    (c, a . t), so its values are the carrier's own strings.
+    ``limits`` lists (c, peak_c, L_c); the element (c, t, w) is named ``tag:``
+    + :func:`witness_id`, built once, and an arrow a sends it to (c, a . t, w).
+    The row of (c, t) lists the names over L_c in order, so position k of
+    every row of c lies over the k-th tuple of L_c, and an action maps the
+    row of (c, t) onto the row of (c, a . t): its values are the carrier's.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
-    prov: dict[str, Witness] = {}
     rows: dict[tuple[str, str], list[str]] = {}
     for cone, peak, tuples in limits:
         tails = [witness_tail(w) for w in tuples]
         for d in base.objects:
             for t in base.hom(peak, d):
-                head = witness_head(kind, cone, t)
+                head = f"{tag}:" + witness_head(kind, cone, t)
                 row = rows[cone, t] = [head + tail for tail in tails]
-                prov.update(zip(row, [(cone, t, w) for w in tuples]))
                 carrier[d].extend(row)
-    action: dict[str, dict[str, str]] = {name: {} for name in base.arrows}
-    _act_on_rows(base, rows, action)
-    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
-    return pres, prov, rows
-
-
-def _act_on_rows(base: FinCategory, rows: Mapping, action: dict[str, dict[str, str]]) -> None:
-    """Add to each ``action[a]`` the map of the row of (c, t) onto the row of (c, a . t)."""
+    action: dict[str, dict[str, str]] = {}
     for name, arrow in base.arrows.items():
-        mapping = action[name]
+        mapping = action[name] = {}
         for (cone, t), row in rows.items():
             if base.arrows[t].cod == arrow.dom:
                 mapping.update(zip(row, rows[cone, base.compose(name, t)]))
+    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
+    return pres, rows
 
 
 def witness_sum(
     left: SetPresentation,
     right: SetPresentation,
-    rows: Mapping[tuple[str, str], list[str]],
-    tags: tuple[str, str],
-) -> tuple[SetPresentation, dict[str, dict[str, str]], dict[tuple[str, str], list[str]]]:
-    """:func:`disjoint_sum` of ``left`` and the witness summand ``right``, from its ``rows``.
+    tag: str,
+) -> tuple[SetPresentation, dict[str, dict[str, str]]]:
+    """:func:`disjoint_sum` of ``left``, tagged ``tag:``, and the tagged summand ``right``.
 
-    Each row is tagged once, and the sum's carriers and actions hold those
-    tagged strings: an arrow a maps the tagged row of (c, t) onto that of
-    (c, a . t).  Returns the sum, the injection of ``left`` and the tagged rows.
+    ``right`` comes from :func:`witness_presentation` with another tag, so
+    its strings and actions go into the sum as they are.  Returns the sum
+    and the injection of ``left``.
     """
-    total, inj, _ = disjoint_sum(left, empty_presentation(right.base), tags)
-    prefix = f"{tags[1]}:"
-    tagged = {key: [prefix + x for x in row] for key, row in rows.items()}
-    carrier = {obj: list(xs) for obj, xs in total.carrier.items()}
-    for (_, t), row in tagged.items():
-        carrier[left.base.arrows[t].cod].extend(row)
-    _act_on_rows(left.base, tagged, total.action)
-    total.carrier = {obj: tuple(sorted(xs)) for obj, xs in carrier.items()}
-    return total, inj, tagged
+    base = left.base
+    inj = {obj: {x: f"{tag}:{x}" for x in left.carrier[obj]} for obj in base.objects}
+    carrier = {
+        obj: tuple(sorted([*inj[obj].values(), *right.carrier[obj]])) for obj in base.objects
+    }
+    action: dict[str, dict[str, str]] = {}
+    for name, arrow in base.arrows.items():
+        into = inj[arrow.cod]
+        mapping = action[name] = {inj[arrow.dom][x]: into[y] for x, y in left.action[name].items()}
+        mapping.update(right.action[name])
+    return SetPresentation(base, carrier, action), inj
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -17,7 +17,7 @@ from operator import getitem
 
 from typing import Callable, Iterable, Iterator, Mapping
 
-from limsketch.elim import Stage, tag_free
+from limsketch.elim import Stage
 from limsketch.errors import EngineError, InputError
 from limsketch.fincat import FinCategory
 from limsketch.kelly import CompletionStep, pair_element_id
@@ -302,9 +302,9 @@ def brute_replay(
 class PerElement:
     """A replay step seen element by element, as :func:`brute_replay` reads it.
 
-    A staged step lists its base classes, then each free element of
-    ``free`` with its one witness from ``free_prov``; any other step
-    keeps its ``classes`` view.
+    A staged step lists its base classes, then each free element at
+    ``obj`` with its one witness, read from ``free_rows[c, t]`` zipped with
+    ``limits_prev[c]``; any other step keeps its ``classes`` view.
     """
 
     def __init__(self, step) -> None:
@@ -314,8 +314,21 @@ class PerElement:
         step = self.step
         yield from step.classes(obj)
         if isinstance(step, Stage):
-            for fid in step.free.carrier[obj]:
-                yield tag_free(fid), (), (step.free_prov[fid],)
+            for fid, witness in free_witnesses(step, obj):
+                yield fid, (), (witness,)
+
+
+def free_witnesses(stage: Stage, obj: str) -> Iterator[tuple[str, Witness]]:
+    """Each free element of ``stage`` at ``obj`` with its witness (c, t, w).
+
+    The element is read from ``free_rows[c, t]`` and w from
+    ``limits_prev[c]`` at the same position.
+    """
+    arrows = stage.total.base.arrows
+    for (cone, t), ids in stage.free_rows.items():
+        if arrows[t].cod == obj:
+            for w, fid in zip(stage.limits_prev[cone], ids):
+                yield fid, (cone, t, w)
 
 
 def brute_pair_class(step: CompletionStep, obj: str, cone: str, arrow: str, w) -> str:

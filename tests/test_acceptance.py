@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from limsketch.compare import build_alpha, reflector_iso_check
-from limsketch.elim import FAITHFUL, PRUNED, reflect_elim, tag_base, tag_free
+from limsketch.elim import FAITHFUL, PRUNED, reflect_elim, tag_base
 from limsketch.kelly import kelly_Pc, reflect_kelly
 from limsketch.setops import (
     functorial_quotient,
@@ -51,6 +51,7 @@ from tests.fixtures import (
 from tests.oracles import (
     brute_limit,
     dsu_partition,
+    free_witnesses,
     naive_quotient_partition,
     random_functorial_base,
     random_pairs,
@@ -166,7 +167,7 @@ def test_criterion_04_stage_structure_invariants():
                 for obj in sketch.base.objects:
                     tagged = set(stage.total.carrier[obj])
                     base_part = {tag_base(x) for x in stage.base.carrier[obj]}
-                    free_part = {tag_free(x) for x in stage.free.carrier[obj]}
+                    free_part = {fid for fid, _ in free_witnesses(stage, obj)}
                     assert tagged == base_part | free_part
                     assert not (base_part & free_part)
                 if stage.index >= 1:

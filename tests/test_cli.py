@@ -241,6 +241,18 @@ def test_negative_count_flag_exits_two(workspace, flag, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--max-elements"])
+def test_check_takes_no_stage_caps(workspace, flag):
+    """``check`` builds no stages, so it has no stage budget and no element cap to read."""
+    proc = run_cli(
+        "check", "--sketch", str(workspace["binary_sketch"]),
+        "--presentation", str(workspace["binary_pres"]), flag, "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -422,3 +422,28 @@ def test_deeply_nested_file_exits_two(tmp_path):
     code, _, err = check("iso_forcing", str(path))
     assert code == 2
     assert err.startswith(f"input error: {path}: JSON parse error: ") and err.count("\n") == 1
+
+
+def test_duplicate_base_object_exits_two(tmp_path):
+    # with 'b' twice, universal found a counterexample (search space 8) for a unique g
+    doc = sketch_to_json_dict(build_sketch("iso_forcing"))
+    doc["category"]["objects"] = ["a", "b", "b"]
+    sketch = write(tmp_path, "S.json", doc)
+    pres = write(
+        tmp_path,
+        "X.json",
+        {"carrier": {"a": ["x1", "x2"], "b": ["y"]}, "action": {"t": {"x1": "y", "x2": "y"}}},
+    )
+    for command in (["check"], ["reflect"], ["compare"]):
+        code, out, err = run_main([*command, "--sketch", sketch, "--presentation", pres])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {sketch}: duplicate object 'b'\n"
+
+
+def test_duplicate_shape_object_exits_two(tmp_path):
+    doc = sketch_to_json_dict(build_sketch("equalizer"))
+    doc["cones"][0]["shape"]["objects"].append("zb")
+    sketch = write(tmp_path, "S.json", doc)
+    code, out, err = check(sketch, write(tmp_path, "X.json", EQUALIZER_EMPTY))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {sketch}: duplicate object 'zb'\n"

@@ -9,6 +9,7 @@ from limsketch.elim import (
     FAITHFUL,
     FREE_TAG,
     PRUNED,
+    e_step,
     elim_stage,
     initial_stage,
     reflect_elim,
@@ -35,7 +36,11 @@ from tests.fixtures import (
     sheaf_fixture,
     sheaf_sketch,
 )
-from tests.oracles import pushed_filter_limits, random_valid_presentation
+from tests.oracles import free_witnesses, pushed_filter_limits, random_valid_presentation
+
+
+def free_size(stage) -> dict[str, int]:
+    return {o: len(stage.free_part(o)) for o in stage.base.base.objects}
 
 
 # -- e_step (exercised through elim_stage, which wires the pruning inputs) ----
@@ -44,7 +49,7 @@ from tests.oracles import pushed_filter_limits, random_valid_presentation
 def test_free_sizes_iso_stage_one():
     sketch = iso_sketch()
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
-    assert stage1.free.size() == {"a": 1, "b": 1}
+    assert free_size(stage1) == {"a": 1, "b": 1}
     # the single limit tuple is the tagged y
     assert stage1.limits_prev["c0"] == ((tag_base("y"),),)
 
@@ -52,34 +57,39 @@ def test_free_sizes_iso_stage_one():
 def test_free_sizes_binary_stage_one():
     sketch = binary_sketch()
     stage1 = elim_stage(initial_stage(binary_fixture(sketch), sketch), sketch, FAITHFUL)
-    assert stage1.free.size() == {"a": 8, "p": 4}
+    assert free_size(stage1) == {"a": 8, "p": 4}
 
 
 def test_free_empty_when_diagram_carriers_empty():
     sketch = binary_sketch()
     pres = make_presentation(sketch.base, {"a": [], "p": []}, {"pi1": {}, "pi2": {}})
     stage1 = elim_stage(initial_stage(pres, sketch), sketch, FAITHFUL)
-    assert stage1.free.size() == {"a": 0, "p": 0}
+    assert free_size(stage1) == {"a": 0, "p": 0}
 
 
 def test_free_action_post_composes_arrows():
     sketch = binary_sketch()
     stage1 = elim_stage(initial_stage(binary_fixture(sketch), sketch), sketch, FAITHFUL)
-    for fid in stage1.free.carrier["p"]:
-        cone, arrow, w = stage1.free_prov[fid]
+    witnesses = list(free_witnesses(stage1, "p"))
+    assert len(witnesses) == 4
+    for fid, (cone, arrow, w) in witnesses:
         assert arrow == "id_p"
         for proj in ("pi1", "pi2"):
-            image = stage1.free.action[proj][fid]
-            assert image == witness_id("F", cone, proj, w)
+            image = stage1.total.action[proj][fid]
+            assert image == tag_free(witness_id("F", cone, proj, w))
 
 
 def test_kan_unit_points_at_identity_witnesses():
     sketch = iso_sketch()
-    stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
-    unit = stage1.kan_unit["c0"]
+    stage0 = initial_stage(iso_fixture(sketch), sketch)
+    step = e_step(stage0, sketch, FAITHFUL)
+    stage1 = elim_stage(stage0, sketch, FAITHFUL)
     (w,) = stage1.limits_prev["c0"]
+    unit = dict(zip(stage1.limits_prev["c0"], stage1.free_rows["c0", "id_a"]))
     assert unit[w] == tag_free(witness_id("F", "c0", "id_a", w))
     assert unit[w] in stage1.total.carrier["a"]
+    # the unit the free step reports is the one its rows give
+    assert step.kan_unit_raw == {"c0": unit}
 
 
 # -- relation_one -------------------------------------------------------------
@@ -144,7 +154,7 @@ def test_rule_two_empty_when_free_part_empty():
     sketch = iso_sketch()
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=PRUNED)
     final = trace.stages[-1]
-    assert final.free.size() == {"a": 0, "b": 0}
+    assert free_size(final) == {"a": 0, "b": 0}
     assert relation_two(final, sketch) == {}
 
 
@@ -163,7 +173,7 @@ def test_model_input_is_a_fixpoint():
     stage0 = initial_stage(iso_model(sketch), sketch)
     assert relation_one(stage0, sketch) == {}
     stage1 = elim_stage(stage0, sketch, PRUNED)
-    assert stage1.free.size() == {"a": 0, "b": 0}
+    assert free_size(stage1) == {"a": 0, "b": 0}
     assert stage1.base.size() == iso_model(sketch).size()
 
 
@@ -172,7 +182,7 @@ def test_binary_pruned_stage_two_reaches_fixpoint():
     stage1 = elim_stage(initial_stage(binary_fixture(sketch), sketch), sketch, PRUNED)
     stage2 = elim_stage(stage1, sketch, PRUNED)
     assert stage2.base.size() == {"a": 2, "p": 4}
-    assert stage2.free.size() == {"a": 0, "p": 0}
+    assert free_size(stage2) == {"a": 0, "p": 0}
 
 
 # -- reflect_elim -------------------------------------------------------------
@@ -273,18 +283,18 @@ def _stage_invariants(trace, sketch):
         for obj in sketch.base.objects:
             tagged = set(stage.total.carrier[obj])
             base_part = {tag_base(x) for x in stage.base.carrier[obj]}
-            free_part = {tag_free(x) for x in stage.free.carrier[obj]}
-            assert tagged == base_part | free_part
-            assert not (base_part & free_part)
+            free_part = [fid for fid, _ in free_witnesses(stage, obj)]
+            assert tagged == base_part | set(free_part)
+            assert not (base_part & set(free_part))
+            assert stage.free_part(obj) == tuple(sorted(free_part))
         if stage.index >= 1:
             assert stage.p_prev is not None
             for obj in sketch.base.objects:
                 assert set(stage.p_prev[obj].values()) == set(stage.base.carrier[obj])
         for name, arrow in sketch.base.arrows.items():
-            for fid in stage.free.carrier[arrow.dom]:
-                cone, t, w = stage.free_prov[fid]
+            for fid, (cone, t, w) in free_witnesses(stage, arrow.dom):
                 composed = sketch.base.compose(name, t)
-                assert stage.free.action[name][fid] == witness_id("F", cone, composed, w)
+                assert stage.total.action[name][fid] == tag_free(witness_id("F", cone, composed, w))
         for (cone, t), row in stage.free_rows.items():
             assert row == [tag_free(witness_id("F", cone, t, w)) for w in stage.limits_prev[cone]]
             # the rows hold the total's own strings

@@ -41,6 +41,7 @@ from tests.fixtures import (
 from tests.oracles import (
     brute_alpha,
     brute_factorisation,
+    free_witnesses,
     random_valid_presentation,
 )
 
@@ -98,9 +99,7 @@ def test_alpha_refuses_merged_elim_classes(binary):
 def test_alpha_refuses_missing_formal_pair(binary):
     sketch, pres, _, _ = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    stage = elim_trace.stages[1]
-    fid = stage.free.carrier["p"][0]
-    cone, arrow, w = stage.free_prov[fid]
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     # alpha at stage 0 strips the base tag from each tuple component
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
     del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
@@ -111,13 +110,11 @@ def test_alpha_refuses_missing_formal_pair(binary):
 def test_alpha_refuses_formal_pair_without_provenance(binary):
     sketch, pres, _, _ = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    stage = elim_trace.stages[1]
-    fid = stage.free.carrier["p"][0]
-    cone, arrow, w = stage.free_prov[fid]
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
     step = kelly_trace.stages[0].step
     pid = pair_element_id(*witness)
-    assert step.pair_prov.pop(pid) == witness
+    assert step.pair_prov.pop(f"P:{pid}") == witness
     del step.pair_elements[witness]
     message = f"pair {pid!r} missing in the completion sum at 'p'"
     with pytest.raises(EngineError, match=re.escape(message)):
@@ -263,8 +260,7 @@ def _corrupt_merged_elim_classes_alpha():
 def _corrupt_missing_formal_pair_alpha():
     sketch, pres, _, _ = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    stage = elim_trace.stages[1]
-    cone, arrow, w = stage.free_prov[stage.free.carrier["p"][0]]
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
     del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
     return _alpha_both(elim_trace, kelly_trace, sketch)
@@ -273,11 +269,10 @@ def _corrupt_missing_formal_pair_alpha():
 def _corrupt_pair_without_provenance_alpha():
     sketch, pres, _, _ = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    stage = elim_trace.stages[1]
-    cone, arrow, w = stage.free_prov[stage.free.carrier["p"][0]]
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
     step = kelly_trace.stages[0].step
-    del step.pair_prov[pair_element_id(*witness)]
+    del step.pair_prov[f"P:{pair_element_id(*witness)}"]
     del step.pair_elements[witness]
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
@@ -290,13 +285,10 @@ def _corrupt_witness_outside_the_model_limit_solve():
     f = nat(pres, model, {"U": ident, "V": ident, "W": ident})
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     stage = trace.stages[1]
-    # the k-th limit tuple of c0 becomes sections that disagree on W, in both views
+    # the k-th limit tuple of c0 becomes sections that disagree on W; both replays read it
     k, bad = 0, ("B:0", "B:1", "B:0")
     tuples = stage.limits_prev["c0"]
     stage.limits_prev["c0"] = (*tuples[:k], bad, *tuples[k + 1 :])
-    for fid, (cone, arrow, w) in list(stage.free_prov.items()):
-        if cone == "c0" and w == tuples[k]:
-            stage.free_prov[fid] = (cone, arrow, bad)
     return _solve_both(trace, f, model, sketch)
 
 

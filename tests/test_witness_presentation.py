@@ -1,11 +1,12 @@
 """The witness summand against its definition, on every stage both engines build.
 
-``witness_presentation`` encodes each id once and maps each action row by
-row; ``brute_witness_presentation`` encodes every id afresh.  Both engines
-are run with that function wrapped, so each call is checked against the
-oracle on the very inputs the engine gave it.  Likewise ``witness_sum``,
-which tags the summand's rows and sums it from them, is checked against
-``disjoint_sum``, which tags and sums element by element.
+``witness_presentation`` names each element once, tag included, and maps
+each action row by row; ``brute_witness_presentation`` encodes every
+untagged id afresh.  Both engines are run with that function wrapped, so
+each call is checked against the oracle on the very inputs the engine gave
+it.  Likewise ``witness_sum``, which tags the left summand and takes the
+tagged witness summand as it is, is checked against ``disjoint_sum``,
+which tags both summands element by element.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limsketch import elim, kelly
-from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
+from limsketch.elim import FAITHFUL, PRUNED, e_step, reflect_elim
 from limsketch.errors import BudgetExceeded
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
+    SetPresentation,
     disjoint_sum,
     make_presentation,
     witness_head,
@@ -42,30 +44,36 @@ from tests.fixtures import (
 from tests.oracles import brute_witness_presentation, random_valid_presentation
 
 
+# the tag of each engine's witness summand, by the tag of the other summand
+WITNESS_TAG = {elim.BASE_TAG: elim.FREE_TAG, kelly.SUM_BASE_TAG: kelly.SUM_PAIR_TAG}
+
+
 @pytest.fixture()
 def checked(monkeypatch):
     """Route both engines' witness summands through the oracle; count the calls."""
     calls: list[str] = []
 
-    def both(kind, base, limits):
+    def both(kind, base, limits, tag):
         limits = [(cone, peak, tuple(tuples)) for cone, peak, tuples in limits]
-        got, got_prov, got_rows = witness_presentation(kind, base, limits)
-        want, want_prov = brute_witness_presentation(kind, base, limits)
-        assert got.carrier == want.carrier
+        got, got_rows = witness_presentation(kind, base, limits, tag)
+        want, _ = brute_witness_presentation(kind, base, limits)
+        prefix = f"{tag}:"
+        assert got.carrier == {d: tuple(prefix + x for x in xs) for d, xs in want.carrier.items()}
         for (cone, t), row in got_rows.items():
             tuples = next(ts for c, _, ts in limits if c == cone)
-            assert row == [witness_id(kind, cone, t, w) for w in tuples]
+            assert row == [prefix + witness_id(kind, cone, t, w) for w in tuples]
         assert {a: list(m.items()) for a, m in got.action.items()} == {
-            a: list(m.items()) for a, m in want.action.items()
+            a: [(prefix + x, prefix + y) for x, y in m.items()] for a, m in want.action.items()
         }
-        assert list(got_prov.items()) == list(want_prov.items())
-        # action values are the carrier's own strings
+        # the rows and the action values are the carrier's own strings
         own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
+        for (_, t), row in got_rows.items():
+            assert all(id(x) in own[base.arrows[t].cod] for x in row)
         for name, mapping in got.action.items():
             cod = own[base.arrows[name].cod]
             assert all(id(y) in cod for y in mapping.values())
         calls.append(kind)
-        return got, got_prov, got_rows
+        return got, got_rows
 
     monkeypatch.setattr(elim, "witness_presentation", both)
     monkeypatch.setattr(kelly, "witness_presentation", both)
@@ -77,26 +85,31 @@ def sums(monkeypatch):
     """Route both engines' sums of a witness summand through ``disjoint_sum``; count them."""
     calls: list[str] = []
 
-    def both(left, right, rows, tags):
-        got, got_inj, got_rows = witness_sum(left, right, rows, tags)
-        want, want_left, want_right = disjoint_sum(left, right, tags)
+    def both(left, right, tag):
+        got, got_inj = witness_sum(left, right, tag)
+        # the summand untagged, as ``disjoint_sum`` takes it
+        right_tag = WITNESS_TAG[tag]
+        cut = len(right_tag) + 1
+        assert all(x[:cut] == f"{right_tag}:" for xs in right.carrier.values() for x in xs)
+        untagged = SetPresentation(
+            right.base,
+            {d: tuple(x[cut:] for x in xs) for d, xs in right.carrier.items()},
+            {a: {x[cut:]: y[cut:] for x, y in m.items()} for a, m in right.action.items()},
+        )
+        want, want_left, _ = disjoint_sum(left, untagged, (tag, right_tag))
         assert got.carrier == want.carrier
         assert got.action == want.action
         assert got_inj == want_left
-        assert got_rows.keys() == rows.keys()
-        for (_, t), row in rows.items():
-            inj = want_right[left.base.arrows[t].cod]
-            assert got_rows[_, t] == [inj[x] for x in row]
-        # the carriers, the actions and the tagged rows share one string per element
+        # the summand's strings are the sum's own, in its carriers and its actions
         own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
-        for (_, t), row in got_rows.items():
-            assert all(id(x) in own[left.base.arrows[t].cod] for x in row)
+        for d, xs in right.carrier.items():
+            assert all(id(x) in own[d] for x in xs)
         for name, mapping in got.action.items():
             arrow = left.base.arrows[name]
             assert all(id(x) in own[arrow.dom] for x in mapping)
             assert all(id(y) in own[arrow.cod] for y in mapping.values())
-        calls.append(tags[1])
-        return got, got_inj, got_rows
+        calls.append(right_tag)
+        return got, got_inj
 
     monkeypatch.setattr(elim, "witness_sum", both)
     monkeypatch.setattr(kelly, "witness_sum", both)
@@ -156,6 +169,40 @@ def test_random_presentations_match_oracle(checked, sums, name):
         _run_all(random_valid_presentation(rng, sketch.base, max_size=4), sketch, budget=2)
     assert "F" in checked and "K" in checked
     assert len(sums) == len(checked)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_report_free_lists_and_free_steps_read_the_total(monkeypatch, name):
+    """The report's ``free`` lists are the oracle's ids; a free step holds the total's strings."""
+    steps = []
+
+    def recorded(*args, **kwargs):
+        steps.append(e_step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(elim, "e_step", recorded)
+    sketch = build_sketch(name)
+    cones = [(c.name, c.peak) for c in sketch.cones]
+    rng = random.Random(f"free-report:{name}")
+    seen = 0
+    for _ in range(20):
+        pres = random_valid_presentation(rng, sketch.base, max_size=4)
+        for mode in (FAITHFUL, PRUNED):
+            steps.clear()
+            try:
+                trace = reflect_elim(pres, sketch, budget=3, mode=mode)
+            except BudgetExceeded:
+                continue
+            for stage, entry in zip(trace.stages, trace.to_json_dict()["stages"], strict=True):
+                limits = [(c, peak, stage.limits_prev.get(c, ())) for c, peak in cones]
+                want, _ = brute_witness_presentation("F", sketch.base, limits)
+                assert entry["free"] == {d: list(xs) for d, xs in want.carrier.items()}
+            for step, stage in zip(steps, trace.stages[1:], strict=True):
+                for d, xs in step.free.carrier.items():
+                    own = {id(x) for x in stage.total.carrier[d]}
+                    assert all(id(x) in own for x in xs)
+                seen += sum(map(len, step.free.carrier.values()))
+    assert seen > 0
 
 
 def _decode(kind: str, wid: str) -> tuple[str, str, tuple[str, ...]]:
