@@ -5,13 +5,22 @@ The strict universal property, executed
 Every map from a presentation into a model factors uniquely through the
 reflection.  The factorisation is constructed by provenance replay (base
 classes inherit their members' image, free witnesses go through the
-inverse of the model's gap map); uniqueness is certified independently
-by enumerating every natural transformation out of the core.
+inverse of the model's gap map); uniqueness is certified independently:
+the reflection map generates the core, so two maps into a model that
+agree on it agree everywhere.  A core it does not generate falls back to
+enumerating every natural transformation out of the core.
 """
+
+from types import SimpleNamespace
 
 from limsketch import NatTransSpec, make_presentation, sketch_binary_product
 from limsketch.elim import PRUNED, reflect_elim
-from limsketch.universal import check_uniqueness, enumerate_nat_trans, solve_factorisation
+from limsketch.universal import (
+    check_uniqueness,
+    enumerate_nat_trans,
+    generated,
+    solve_factorisation,
+)
 
 sketch = sketch_binary_product()
 X = make_presentation(sketch.base, {"a": ["u", "v"], "p": []}, {"pi1": {}, "pi2": {}})
@@ -35,15 +44,38 @@ for witness, value in sorted(result.g.components["p"].items()):
     print("  ", witness, "->", value)
 print("gap-inverse steps used:", len(result.log))
 
-# Uniqueness by enumeration: all natural transformations core -> M (a
-# join over the elements of the core), filtered by commutation with the
-# reflection map.
-enum = enumerate_nat_trans(trace.core, M)
-print("\nnatural transformations core -> M:", len(enum.transformations),
-      "of", enum.search_space, "candidates")
-verdict = check_uniqueness(trace, f, M, sketch)
-print("uniqueness verdict:", verdict.status)
+# Uniqueness by generation: closing rho's image under the arrows and the
+# gap rule (a pair whose projections are reached is reached) gives the
+# whole core, so no search is needed.
+closure = generated(trace.core, trace.rho, sketch)
+print("\nrho generates the core:",
+      all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
+verdict = check_uniqueness(trace, f, M, sketch, cap=10)
+print("uniqueness verdict:", verdict.status, "(search space", verdict.search_space, ")")
 
-# A search space past the cap is refused, never guessed.
-capped = check_uniqueness(trace, f, M, sketch, cap=10)
+# The enumeration agrees: all natural transformations core -> M (a join
+# over the elements of the core), of which one commutes with rho.
+enum = enumerate_nat_trans(trace.core, M)
+print("natural transformations core -> M:", len(enum.transformations),
+      "of", enum.search_space, "candidates")
+
+# A core that rho does not generate falls back to the enumeration: here a
+# third point w that nothing in X reaches.  Past the cap the search is
+# refused, never guessed; without the cap it finds two commuting maps.
+points = ["u", "v", "w"]
+grid = [x + y for x in points for y in points]
+bigger = make_presentation(
+    sketch.base,
+    {"a": points, "p": grid},
+    {"pi1": {q: q[0] for q in grid}, "pi2": {q: q[1] for q in grid}},
+)
+hand = SimpleNamespace(
+    converged=True, core=bigger, rho=NatTransSpec(X, bigger, {"a": {"u": "u", "v": "v"}, "p": {}})
+)
+print("\nrho generates the hand-made core:",
+      {d: len(c) for d, c in generated(bigger, hand.rho, sketch).items()}, "of", bigger.size())
+capped = check_uniqueness(hand, f, M, sketch, cap=10)
 print("with a tiny cap:", capped.status, "(search space", capped.search_space, ")")
+searched = check_uniqueness(hand, f, M, sketch, cap=capped.search_space)
+print("without it:", searched.status, "- w may go to",
+      [g.components["a"]["w"] for g in searched.witnesses])

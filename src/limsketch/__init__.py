@@ -59,6 +59,7 @@ from .universal import (
     FactorisationResult,
     check_uniqueness,
     enumerate_nat_trans,
+    generated,
     solve_factorisation,
 )
 

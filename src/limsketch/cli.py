@@ -160,7 +160,11 @@ def cmd_reflect(args: argparse.Namespace) -> int:
         ]
     else:
         trace = kelly.reflect_kelly(
-            pres, sketch, budget=args.budget, max_tuples=args.max_tuples
+            pres,
+            sketch,
+            budget=args.budget,
+            max_tuples=args.max_tuples,
+            max_elements=args.max_elements,
         )
         sizes = [(0, {o: len(pres.carrier[o]) for o in sketch.base.objects})]
         sizes += [
@@ -199,6 +203,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         budget=max(depth, args.budget),
         stop_on_convergence=False,
         max_tuples=args.max_tuples,
+        max_elements=args.max_elements,
     )
     alpha = compare_mod.build_alpha(faithful, kelly_stages, sketch, stage_budget=depth)
     elim_conv = (
@@ -216,7 +221,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     kelly_conv = (
         kelly_stages
         if kelly_stages.converged
-        else kelly.reflect_kelly(pres, sketch, budget=args.budget, max_tuples=args.max_tuples)
+        else kelly.reflect_kelly(
+            pres,
+            sketch,
+            budget=args.budget,
+            max_tuples=args.max_tuples,
+            max_elements=args.max_elements,
+        )
     )
     if not elim_conv.converged or not kelly_conv.converged:
         print("budget exhausted before both constructions converged")
@@ -282,7 +293,6 @@ def _add_common(parser: argparse.ArgumentParser, staged: bool = True) -> None:
     parser.add_argument(
         "--max-tuples", type=int, default=DEFAULT_TUPLE_BUDGET, dest="max_tuples"
     )
-    parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -295,6 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="is the presentation a model?")
     _add_common(p_check, staged=False)
+    p_check.add_argument("--format", choices=["json", "text"], default="json")
     p_check.set_defaults(func=cmd_check)
 
     p_reflect = sub.add_parser("reflect", help="run a reflection to convergence")

@@ -33,6 +33,7 @@ from typing import Iterator
 from .errors import BudgetExceeded, InputError, PreconditionError
 from .fincat import report_text
 from .setops import (
+    DEFAULT_ELEMENT_CAP,
     DEFAULT_TUPLE_BUDGET,
     LimitJoin,
     NatTransSpec,
@@ -53,7 +54,6 @@ from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model, restric
 
 FAITHFUL = "faithful"
 PRUNED = "pruned"
-DEFAULT_ELEMENT_CAP = 200_000
 DEFAULT_STAGE_BUDGET = 8
 
 BASE_TAG = "B"

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import EngineError, InputError
+from .errors import BudgetExceeded, EngineError, InputError
 from .fincat import report_text
 from .setops import (
+    DEFAULT_ELEMENT_CAP,
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     QuotientMap,
@@ -88,9 +89,18 @@ def _completion(
     pres: SetPresentation,
     cones: tuple[Cone, ...],
     max_tuples: int,
+    max_elements: int,
 ) -> CompletionStep:
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in cones}
+    for d in base.objects:
+        size = len(pres.carrier[d]) + sum(
+            len(limits[c.name]) * len(base.hom(c.peak, d)) for c in cones
+        )
+        if size > max_elements:
+            raise BudgetExceeded(
+                f"completion sum object {d!r} has {size} elements (cap {max_elements})"
+            )
     pairs, pair_rows = witness_presentation(
         "K", base, [(c.name, c.peak, limits[c.name]) for c in cones], SUM_PAIR_TAG
     )
@@ -142,16 +152,22 @@ def kelly_Pc(
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> CompletionStep:
     """The one-cone completion with its unit."""
-    return _completion(pres, (cone,), max_tuples)
+    return _completion(pres, (cone,), max_tuples, DEFAULT_ELEMENT_CAP)
 
 
 def kelly_P(
     pres: SetPresentation,
     sketch: LimitSketch,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
+    max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> CompletionStep:
-    """The completion over every cone, glued along the shared copy of X."""
-    return _completion(pres, sketch.cones, max_tuples)
+    """The completion over every cone, glued along the shared copy of X.
+
+    ``max_elements`` caps each object's carrier in the sum, checked in
+    closed form (X(d) plus, per cone, limit tuples times hom(peak, d))
+    before the sum is built.
+    """
+    return _completion(pres, sketch.cones, max_tuples, max_elements)
 
 
 @dataclass
@@ -220,12 +236,14 @@ def reflect_kelly(
     budget: int = 8,
     stop_on_convergence: bool = True,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
+    max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> KellyTrace:
     """Iterate the completion until a model appears (or the budget runs out).
 
     With ``stop_on_convergence`` off the full ``budget`` worth of stages
     is materialized even past convergence; the comparison machinery uses
-    that to line stages up with another trace.
+    that to line stages up with another trace.  A tuple or element cap
+    exceeded in a completion raises :class:`BudgetExceeded` naming its stage.
     """
     report = validate_presentation(pres)
     if not report.ok:
@@ -240,7 +258,10 @@ def reflect_kelly(
     for n in range(1, budget + 1):
         if converged_at is not None and stop_on_convergence:
             break
-        step = kelly_P(current, sketch, max_tuples=max_tuples)
+        try:
+            step = kelly_P(current, sketch, max_tuples=max_tuples, max_elements=max_elements)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"stage {n}: {exc}") from None
         stages.append(KellyStage(n, step))
         current = step.obj
         if converged_at is None and is_model(current, sketch, max_tuples=max_tuples).is_model:

@@ -27,6 +27,8 @@ from .fincat import (
 )
 
 DEFAULT_TUPLE_BUDGET = 10**6
+# per-object carrier cap of a stage or completion sum
+DEFAULT_ELEMENT_CAP = 200_000
 
 # A witness: (cone name, arrow out of the cone's peak, limit tuple).
 Witness = tuple[str, str, tuple[str, ...]]

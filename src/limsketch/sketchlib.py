@@ -344,7 +344,10 @@ def sketch_from_json_dict(data: dict, name: str = "") -> LimitSketch:
     base = category_from_json_dict(data["category"])
     cones: list[Cone] = []
     for idx, rec in enumerate(data["cones"]):
-        shape = category_from_json_dict(rec["shape"])
+        try:
+            shape = category_from_json_dict(rec["shape"])
+        except InputError as exc:
+            raise InputError(f"invalid sketch: cone c{idx}: shape: {exc}") from None
         diag = rec["diagram"]
         diagram = CatFunctor(shape, base, dict(diag["objects"]), dict(diag["arrows"]))
         cones.append(Cone(f"c{idx}", base, rec["peak"], shape, diagram, dict(rec["legs"])))

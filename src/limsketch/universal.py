@@ -6,10 +6,13 @@ witnesses without a class come in rows over the cone's limit tuples.
 :func:`replay` walks them once, for the stage comparison in ``compare``
 and here for the g with g . rho = f of a map f from X into a model M: a
 witness maps through the inverse of M's gap map, which exists exactly
-because M is a model.  Uniqueness is certified separately by enumerating
-all natural transformations from the core, a limit over its category of
-elements found by the cone-limit join, when the closed-form search space
-is small enough; the construction never feeds the search.
+because M is a model.  Uniqueness is certified separately, from the core,
+rho and the sketch alone: the unit of a reflection generates the
+reflection, so when :func:`generated` reaches the whole core, two maps
+into a model that agree on rho agree everywhere.  Otherwise all natural
+transformations from the core are enumerated, a limit over its category
+of elements found by the cone-limit join, when the closed-form search
+space is small enough; the construction never feeds either check.
 """
 
 from __future__ import annotations
@@ -241,6 +244,56 @@ def enumerate_nat_trans(
     return EnumerationResult("ok", found, space)
 
 
+def generated(
+    core: SetPresentation, rho: NatTransSpec, sketch: LimitSketch
+) -> dict[str, set[str]]:
+    """The least per-object subset C of ``core`` that rho generates.
+
+    C holds the image of rho, is closed under every arrow action, and
+    holds each peak element x of a cone whose gap tuple (the leg images of
+    x) lies in C.  Two natural maps from ``core`` into a model M that agree
+    on rho agree on C: naturality carries agreement along arrows, and M's
+    injective gap map carries it from a gap tuple to its peak element.
+
+    A worklist adds each element once; each peak element counts the leg
+    images it still lacks, so the cost is linear in the core plus the
+    arrow and leg applications.
+    """
+    base = core.base
+    arrows: dict[str, list[tuple[str, dict[str, str]]]] = {d: [] for d in base.objects}
+    for name, a in sorted(base.arrows.items()):
+        if not base.is_identity(name):
+            arrows[a.dom].append((a.cod, core.action[name]))
+    # per object, the leg positions there: (peak, lacking counts, peak elements over each value)
+    positions: dict[str, list[tuple[str, dict[str, int], dict[str, list[str]]]]] = {
+        d: [] for d in base.objects
+    }
+    todo = [(d, y) for d in base.objects for y in rho.components[d].values()]
+    for cone in sketch.cones:
+        order, peak = cone.shape_order(), core.carrier[cone.peak]
+        lacking = dict.fromkeys(peak, len(order))
+        if not order:
+            todo.extend((cone.peak, x) for x in peak)
+        for z in order:
+            leg, over = core.action[cone.legs[z]], {}
+            for x in peak:
+                over.setdefault(leg[x], []).append(x)
+            positions[cone.diagram.on_object(z)].append((cone.peak, lacking, over))
+    closure: dict[str, set[str]] = {d: set() for d in base.objects}
+    while todo:
+        d, y = todo.pop()
+        if y in closure[d]:
+            continue
+        closure[d].add(y)
+        todo.extend((cod, act[y]) for cod, act in arrows[d])
+        for peak_obj, lacking, over in positions[d]:
+            for x in over.get(y, ()):
+                lacking[x] -= 1
+                if not lacking[x]:
+                    todo.append((peak_obj, x))
+    return closure
+
+
 @dataclass
 class UniquenessVerdict:
     status: str  # "unique" | "counterexample" | "inconclusive"
@@ -259,11 +312,20 @@ def check_uniqueness(
 
     Exactly one commuting transformation is the "unique" verdict; two or
     more are returned as a counterexample pair; a search space above the
-    cap is reported inconclusive.
+    cap is reported inconclusive.  When rho generates the whole core and M
+    is a model, at most one transformation commutes and the reflection
+    gives one, so the verdict is "unique" without a search (and without
+    witnesses); ``search_space`` is still the closed-form size.  Otherwise
+    the enumeration decides, within ``cap``.
     """
     if not trace.converged or trace.core is None or trace.rho is None:
         raise PreconditionError("uniqueness check needs a converged trace")
-    enum = enumerate_nat_trans(trace.core, model, cap=cap)
+    core = trace.core
+    closure = generated(core, trace.rho, sketch)
+    whole = all(len(closure[d]) == len(core.carrier[d]) for d in core.base.objects)
+    if whole and is_model(model, sketch).is_model:
+        return UniquenessVerdict("unique", _search_space(core, model))
+    enum = enumerate_nat_trans(core, model, cap=cap)
     if enum.status == "inconclusive":
         return UniquenessVerdict("inconclusive", enum.search_space)
     commuting = [

@@ -32,7 +32,7 @@ from limsketch.sketchlib import (
     is_model,
     sketch_dumps,
 )
-from limsketch.universal import check_uniqueness, solve_factorisation
+from limsketch.universal import check_uniqueness, generated, solve_factorisation
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -56,8 +56,10 @@ from tests.oracles import (
     random_functorial_base,
     random_pairs,
     random_presentation,
+    random_valid_presentation,
     shape_pool,
 )
+from tests.test_multicone import double_iso_sketch
 
 
 @contextmanager
@@ -349,3 +351,25 @@ def test_criterion_10_determinism(tmp_path: Path):
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], f"{label} reports differ"
+
+
+def test_criterion_11_unit_generates_the_core():
+    with criterion(11, "rho generates every converged core of both engines (410 traces)"):
+        sketches = [build_sketch(name) for name in sorted(BUILDERS)] + [double_iso_sketch()]
+        checked = 0
+        for sketch in sketches:
+            for seed in range(32):
+                rng = random.Random(f"generated:{sketch.name}:{seed}")
+                pres = random_valid_presentation(rng, sketch.base, max_size=3)
+                pruned = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+                classical = reflect_kelly(pres, sketch, budget=8)
+                assert pruned.converged and classical.converged, (sketch.name, seed)
+                # faithful binary_product stages grow without converging (|a| = 2: a = 10, 202,
+                # 81,610), and stage 4 outgrows the tuple budget, so faithful runs stop at stage 2
+                faithful = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
+                for trace in (pruned, classical, faithful):
+                    if trace.converged:
+                        closure = generated(trace.core, trace.rho, sketch)
+                        assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
+                        checked += 1
+        assert checked == 410

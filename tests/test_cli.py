@@ -256,6 +256,80 @@ def test_check_takes_no_stage_caps(workspace, flag):
 @pytest.mark.parametrize(
     "command",
     [
+        ["reflect"],
+        ["compare"],
+        ["universal", "--model", "{model}", "--map", "{map}"],
+    ],
+    ids=["reflect", "compare", "universal"],
+)
+def test_only_check_takes_format(workspace, command):
+    """Only ``check`` has a text report; the JSON-only commands refuse ``--format``."""
+    paths = {"model": workspace["binary_model"], "map": workspace["binary_map"]}
+    proc = run_cli(
+        *[a.format(**paths) for a in command], "--sketch", str(workspace["binary_sketch"]),
+        "--presentation", str(workspace["binary_pres"]), "--format", "text",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: unrecognized arguments: --format text\n")
+    assert proc.stdout == ""
+
+
+def _points_document(n: int) -> dict:
+    points = [f"x{i}" for i in range(n)]
+    return {
+        "category": "binary_product",
+        "carrier": {"a": points, "p": []},
+        "action": {"pi1": {}, "pi2": {}},
+    }
+
+
+def test_reflect_kelly_honours_max_elements(tmp_path):
+    pres = tmp_path / "X3.json"
+    pres.write_text(json.dumps(_points_document(3)))
+    proc = run_cli(
+        "reflect", "--sketch", "binary_product", "--presentation", str(pres),
+        "--engine", "kelly", "--max-elements", "5",
+    )
+    assert proc.returncode == 3
+    # a: 3 points + 9 pairs times the two projections
+    assert proc.stderr == (
+        "budget error: stage 1: completion sum object 'a' has 21 elements (cap 5)\n"
+    )
+    assert proc.stdout == ""
+
+
+def test_universal_certifies_a_ten_billion_candidate_space(tmp_path):
+    """Three points into the square of a 3-set: 3^3 * 9^9 candidates, decided without a search."""
+    pres, model, f, out = (tmp_path / n for n in ("X3.json", "M3.json", "f3.json", "u.json"))
+    pres.write_text(json.dumps(_points_document(3)))
+    m = ["m0", "m1", "m2"]
+    pairs = {f"{x}.{y}": (x, y) for x in m for y in m}
+    model.write_text(json.dumps({
+        "category": "binary_product",
+        "carrier": {"a": m, "p": sorted(pairs)},
+        "action": {
+            "pi1": {q: xy[0] for q, xy in pairs.items()},
+            "pi2": {q: xy[1] for q, xy in pairs.items()},
+        },
+    }))
+    f.write_text(json.dumps({"components": {"a": {"x0": "m1", "x1": "m1", "x2": "m0"}, "p": {}}}))
+    proc = run_cli(
+        "universal", "--sketch", "binary_product", "--presentation", str(pres),
+        "--model", str(model), "--map", str(f), "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "uniqueness: unique (search space 10460353203)"
+    assert json.loads(out.read_text()) == {
+        "commutes": True,
+        "exists": True,
+        "search_space": 10460353203,
+        "uniqueness": "unique",
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["check", "--sketch", "{sketch}", "--presentation", "{pres}"],
         ["reflect", "--sketch", "{sketch}", "--presentation", "{pres}"],
         ["compare", "--sketch", "{sketch}", "--presentation", "{pres}"],

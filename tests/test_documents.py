@@ -446,4 +446,15 @@ def test_duplicate_shape_object_exits_two(tmp_path):
     sketch = write(tmp_path, "S.json", doc)
     code, out, err = check(sketch, write(tmp_path, "X.json", EQUALIZER_EMPTY))
     assert (code, out) == (2, "")
-    assert err == f"input error: {sketch}: duplicate object 'zb'\n"
+    assert err == f"input error: {sketch}: invalid sketch: cone c0: shape: duplicate object 'zb'\n"
+
+
+def test_duplicate_shape_arrow_exits_two(tmp_path):
+    doc = sketch_to_json_dict(build_sketch("equalizer"))
+    arrows = doc["cones"][0]["shape"]["arrows"]
+    arrows.append(dict(arrows[0]))
+    sketch = write(tmp_path, "S.json", doc)
+    code, out, err = check(sketch, write(tmp_path, "X.json", EQUALIZER_EMPTY))
+    assert (code, out) == (2, "")
+    name = arrows[0]["id"]
+    assert err == f"input error: {sketch}: invalid sketch: cone c0: shape: duplicate arrow {name!r}\n"

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import re
+
+import pytest
+
+from limsketch.errors import BudgetExceeded
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import SUM_BASE_TAG, kelly_P, kelly_Pc, reflect_kelly
 from limsketch.setops import empty_presentation, make_presentation
@@ -163,3 +168,25 @@ def test_kelly_trace_dumps_are_deterministic():
     two = reflect_kelly(sheaf_fixture(sketch), sketch, budget=4).dumps()
     assert one == two
     assert '"engine": "kelly"' in one
+
+
+def test_element_cap_is_the_closed_form_sum_size():
+    """The cap checks exactly the carriers of the sum the completion builds."""
+    for sketch, pres in (
+        (iso_sketch(), iso_fixture()),
+        (binary_sketch(), binary_fixture()),
+        (sheaf_sketch(), sheaf_fixture()),
+    ):
+        sizes = kelly_P(pres, sketch).quotient.source.size()
+        largest = max(sizes.values())
+        assert kelly_P(pres, sketch, max_elements=largest).obj == kelly_P(pres, sketch).obj
+        first = next(o for o in sketch.base.objects if sizes[o] == largest)
+        message = f"completion sum object {first!r} has {largest} elements (cap {largest - 1})"
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+            kelly_P(pres, sketch, max_elements=largest - 1)
+
+
+def test_reflect_kelly_names_the_stage_over_the_element_cap():
+    sketch = binary_sketch()
+    with pytest.raises(BudgetExceeded, match=r"^stage 1: completion sum object 'a' has 10 elements"):
+        reflect_kelly(binary_fixture(sketch), sketch, budget=4, max_elements=9)

@@ -11,11 +11,17 @@ from limsketch.elim import PRUNED, reflect_elim
 from limsketch.errors import PreconditionError
 from limsketch.fincat import FinCategory
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import empty_presentation, make_presentation, terminal_presentation
+from limsketch.setops import (
+    compose_nat,
+    empty_presentation,
+    make_presentation,
+    terminal_presentation,
+)
 from limsketch.sketchlib import BUILDERS
 from limsketch.universal import (
     check_uniqueness,
     enumerate_nat_trans,
+    generated,
     solve_factorisation,
 )
 
@@ -146,14 +152,116 @@ def test_uniqueness_binary_is_conclusive():
     assert verdict.search_space <= 10**6
 
 
+def _ungenerated_trace(sketch):
+    """A converged trace by hand: the core a = {u, v, w}, p = a x a; rho hits u and v only."""
+    points = ["u", "v", "w"]
+    pairs = [x + y for x in points for y in points]
+    core = make_presentation(
+        sketch.base,
+        {"a": points, "p": pairs},
+        {"pi1": {q: q[0] for q in pairs}, "pi2": {q: q[1] for q in pairs}},
+    )
+    pres = binary_fixture(sketch)
+    rho = nat(pres, core, {"a": {"u": "u", "v": "v"}, "p": {}})
+    f = nat(pres, binary_model(sketch), {"a": {"u": "u", "v": "v"}, "p": {}})
+    return SimpleNamespace(converged=True, core=core, rho=rho), f
+
+
+def test_generated_stops_at_what_rho_reaches():
+    sketch = binary_sketch()
+    trace, _ = _ungenerated_trace(sketch)
+    closure = generated(trace.core, trace.rho, sketch)
+    assert closure == {"a": {"u", "v"}, "p": {"uu", "uv", "vu", "vv"}}
+
+
+def test_generated_fills_every_gap_over_its_image():
+    sketch = binary_sketch()
+    trace, _ = _ungenerated_trace(sketch)
+    # rho hits u, w and the pair (u, w); the gap rule adds the other pairs over u and w
+    source = make_presentation(
+        sketch.base, {"a": ["u", "w"], "p": ["uw"]}, {"pi1": {"uw": "u"}, "pi2": {"uw": "w"}}
+    )
+    rho = nat(source, trace.core, {"a": {"u": "u", "w": "w"}, "p": {"uw": "uw"}})
+    closure = generated(trace.core, rho, sketch)
+    assert closure == {"a": {"u", "w"}, "p": {"uu", "uw", "wu", "ww"}}
+
+
 def test_uniqueness_inconclusive_above_cap():
+    # the core is not generated by rho, so only the enumeration can decide
+    sketch = binary_sketch()
+    trace, f = _ungenerated_trace(sketch)
+    verdict = check_uniqueness(trace, f, binary_model(sketch), sketch, cap=5)
+    assert verdict.status == "inconclusive"
+    assert verdict.search_space == 2**3 * 4**9
+
+
+def test_uniqueness_counterexample_on_ungenerated_core_without_cap():
+    sketch = binary_sketch()
+    trace, f = _ungenerated_trace(sketch)
+    verdict = check_uniqueness(trace, f, binary_model(sketch), sketch, cap=2**3 * 4**9)
+    assert verdict.status == "counterexample"
+    # the two commuting maps differ only in where w goes
+    assert [g.components["a"]["w"] for g in verdict.witnesses] == ["u", "v"]
+
+
+def test_generated_core_is_unique_without_enumeration(monkeypatch):
     sketch = binary_sketch()
     pres = binary_fixture(sketch)
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    verdict = check_uniqueness(trace, f, model, sketch, cap=5)
-    assert verdict.status == "inconclusive"
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a generated core was enumerated")
+
+    monkeypatch.setattr(universal_mod, "enumerate_nat_trans", no_enumeration)
+    verdict = check_uniqueness(trace, f, model, sketch, cap=0)
+    assert (verdict.status, verdict.search_space, verdict.witnesses) == ("unique", 1024, [])
+
+
+def test_certificate_needs_a_model_codomain():
+    # two witnesses over one pair: with the gap map not injective, maps agreeing on rho differ
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    collapsed = binary_collapsed_fixture(sketch)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    f = nat(pres, collapsed, {"a": {"u": "u", "v": "u"}, "p": {}})
+    verdict = check_uniqueness(trace, f, collapsed, sketch)
+    assert (verdict.status, verdict.search_space) == ("counterexample", 1 * 2**4)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_certificate_matches_one_commuting_transformation(name):
+    """Where the enumeration is conclusive, a generated core has exactly one commuting map."""
+    sketch = BUILDERS[name]()
+    compared = 0
+    for seed in range(24):
+        rng = random.Random(f"certificate:{name}:{seed}")
+        pres = random_valid_presentation(rng, sketch.base, max_size=2)
+        other = random_valid_presentation(rng, sketch.base, max_size=2)
+        model = reflect_elim(other, sketch, budget=8, mode=PRUNED).core
+        maps = enumerate_nat_trans(pres, model, cap=20_000)
+        if maps.status == "inconclusive" or not maps.transformations:
+            continue
+        f = rng.choice(maps.transformations)
+        for trace in (
+            reflect_elim(pres, sketch, budget=8, mode=PRUNED),
+            reflect_kelly(pres, sketch, budget=8),
+        ):
+            enum = enumerate_nat_trans(trace.core, model, cap=20_000)
+            if enum.status == "inconclusive":
+                continue
+            commuting = [
+                g for g in enum.transformations
+                if compose_nat(g, trace.rho).components == f.components
+            ]
+            closure = generated(trace.core, trace.rho, sketch)
+            assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
+            verdict = check_uniqueness(trace, f, model, sketch, cap=0)
+            assert (verdict.status, len(commuting)) == ("unique", 1), (seed, trace)
+            assert verdict.search_space == enum.search_space
+            compared += 1
+    assert compared >= 16
 
 
 def test_factorisation_is_deterministic():
