@@ -7,14 +7,16 @@ reflection.  The factorisation is constructed by provenance replay (base
 classes inherit their members' image, free witnesses go through the
 inverse of the model's gap map); uniqueness is certified independently:
 the reflection map generates the core, so two maps into a model that
-agree on it agree everywhere.  A core it does not generate falls back to
-enumerating every natural transformation out of the core.
+agree on it agree everywhere.  A core it does not generate is an engine
+fault; enumerating every natural transformation out of such a core shows
+why: more than one map commutes.
 """
 
 from types import SimpleNamespace
 
-from limsketch import NatTransSpec, make_presentation, sketch_binary_product
+from limsketch import EngineError, NatTransSpec, make_presentation, sketch_binary_product
 from limsketch.elim import PRUNED, reflect_elim
+from limsketch.setops import compose_nat
 from limsketch.universal import (
     check_uniqueness,
     enumerate_nat_trans,
@@ -50,7 +52,7 @@ print("gap-inverse steps used:", len(result.log))
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
-verdict = check_uniqueness(trace, f, M, sketch, cap=10)
+verdict = check_uniqueness(trace, M, sketch)
 print("uniqueness verdict:", verdict.status, "(search space", verdict.search_space, ")")
 
 # The enumeration agrees: all natural transformations core -> M (a join
@@ -59,9 +61,8 @@ enum = enumerate_nat_trans(trace.core, M)
 print("natural transformations core -> M:", len(enum.transformations),
       "of", enum.search_space, "candidates")
 
-# A core that rho does not generate falls back to the enumeration: here a
-# third point w that nothing in X reaches.  Past the cap the search is
-# refused, never guessed; without the cap it finds two commuting maps.
+# A core that rho does not generate, here with a third point w that nothing
+# in X reaches, is refused as an engine fault: no reflection builds one.
 points = ["u", "v", "w"]
 grid = [x + y for x in points for y in points]
 bigger = make_presentation(
@@ -74,8 +75,15 @@ hand = SimpleNamespace(
 )
 print("\nrho generates the hand-made core:",
       {d: len(c) for d, c in generated(bigger, hand.rho, sketch).items()}, "of", bigger.size())
-capped = check_uniqueness(hand, f, M, sketch, cap=10)
-print("with a tiny cap:", capped.status, "(search space", capped.search_space, ")")
-searched = check_uniqueness(hand, f, M, sketch, cap=capped.search_space)
-print("without it:", searched.status, "- w may go to",
-      [g.components["a"]["w"] for g in searched.witnesses])
+try:
+    check_uniqueness(hand, M, sketch)
+except EngineError as exc:
+    print("uniqueness check:", exc)
+
+# The enumeration shows what the certificate guards against: on this core
+# two maps commute with rho, one for each place w may go.
+every = enumerate_nat_trans(bigger, M, cap=2**3 * 4**9)
+commuting = [g for g in every.transformations
+             if compose_nat(g, hand.rho).components == f.components]
+print("commuting maps out of", every.search_space, "candidates:", len(commuting),
+      "- w may go to", [g.components["a"]["w"] for g in commuting])

@@ -4,9 +4,9 @@ The package computes the reflection of a set-valued presentation along
 two independent routes (a staged construction that keeps fresh free
 material quotient-free, and the classical iterated completion), compares
 them stage by stage, and verifies the strict universal property of the
-result by explicit factorisation plus a uniqueness search, which
-enumerates the natural transformations out of the core as a join over
-its category of elements.
+result by explicit factorisation plus a uniqueness certificate: the
+reflection map generates the core, so two maps into a model that agree
+on it agree everywhere.
 """
 
 from .compare import AlphaTrace, build_alpha, reflector_iso_check

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,7 +94,7 @@ def _nat_trans_from_json_dict(
 
 
 # numeric flags that bound stages or work; each must be >= 0
-_COUNT_FLAGS = ("budget", "max_tuples", "max_elements", "enum_cap")
+_COUNT_FLAGS = ("budget", "max_tuples", "max_elements")
 
 
 def _check_counts(args: argparse.Namespace) -> None:
@@ -196,16 +197,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         max_tuples=args.max_tuples,
         max_elements=args.max_elements,
     )
-    depth = len(faithful.stages) - 1
-    kelly_stages = kelly.reflect_kelly(
+    # the completion stages run past convergence to line up with the faithful ones
+    kelly_trace = kelly.reflect_kelly(
         pres,
         sketch,
-        budget=max(depth, args.budget),
+        budget=args.budget,
         stop_on_convergence=False,
         max_tuples=args.max_tuples,
         max_elements=args.max_elements,
     )
-    alpha = compare_mod.build_alpha(faithful, kelly_stages, sketch, stage_budget=depth)
+    alpha = compare_mod.build_alpha(faithful, kelly_trace, sketch)
     elim_conv = (
         faithful
         if faithful.converged
@@ -218,23 +219,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             max_elements=args.max_elements,
         )
     )
-    kelly_conv = (
-        kelly_stages
-        if kelly_stages.converged
-        else kelly.reflect_kelly(
-            pres,
-            sketch,
-            budget=args.budget,
-            max_tuples=args.max_tuples,
-            max_elements=args.max_elements,
-        )
-    )
-    if not elim_conv.converged or not kelly_conv.converged:
+    if not elim_conv.converged or not kelly_trace.converged:
         print("budget exhausted before both constructions converged")
         return EXIT_BUDGET
-    iso = compare_mod.reflector_iso_check(elim_conv, kelly_conv, sketch)
+    iso = compare_mod.reflector_iso_check(elim_conv, kelly_trace, sketch)
     # the report lists only alpha's maps; let the traces go before writing it
-    del faithful, kelly_stages, elim_conv, kelly_conv
+    del faithful, kelly_trace, elim_conv
     _emit(compare_mod.comparison_to_json_dict(alpha, iso), args.out)
     print(f"alpha squares: {'pass' if alpha.ok else 'FAIL'}")
     print(f"reflector isomorphism: {'verified' if iso.ok else 'FAIL'}")
@@ -250,23 +240,19 @@ def cmd_universal(args: argparse.Namespace) -> int:
         pres,
         sketch,
         budget=args.budget,
-        mode=args.mode,
+        mode=elim.PRUNED,
         max_tuples=args.max_tuples,
         max_elements=args.max_elements,
     )
     if not trace.converged:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
-    result = universal.solve_factorisation(trace, f, model, sketch)
-    verdict = universal.check_uniqueness(trace, f, model, sketch, cap=args.enum_cap)
+    result = universal.solve_factorisation(trace, f, model, sketch, max_tuples=args.max_tuples)
+    verdict = universal.check_uniqueness(trace, model, sketch, max_tuples=args.max_tuples)
     _emit(universal.universal_to_json_dict(result, verdict), args.out)
     print(f"factorisation exists and commutes: {str(result.commutes).lower()}")
     print(f"uniqueness: {verdict.status} (search space {verdict.search_space})")
-    if verdict.status == "unique":
-        return EXIT_OK
-    if verdict.status == "counterexample":
-        return EXIT_NEGATIVE
-    return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_builders(args: argparse.Namespace) -> int:
@@ -302,13 +288,15 @@ def make_parser() -> argparse.ArgumentParser:
         description="Reflect set-valued presentations into models of a limit sketch.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="is the presentation a model?")
+    # flags match in full only: an abbreviation would take a removed flag for another
+    # (``universal --mode`` for ``--model``)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+    p_check = add_parser("check", help="is the presentation a model?")
     _add_common(p_check, staged=False)
     p_check.add_argument("--format", choices=["json", "text"], default="json")
     p_check.set_defaults(func=cmd_check)
 
-    p_reflect = sub.add_parser("reflect", help="run a reflection to convergence")
+    p_reflect = add_parser("reflect", help="run a reflection to convergence")
     _add_common(p_reflect)
     p_reflect.add_argument("--engine", choices=["elim", "kelly"], default="elim")
     p_reflect.add_argument(
@@ -316,21 +304,17 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_reflect.set_defaults(func=cmd_reflect)
 
-    p_compare = sub.add_parser("compare", help="stage comparison and reflector isomorphism")
+    p_compare = add_parser("compare", help="stage comparison and reflector isomorphism")
     _add_common(p_compare)
     p_compare.set_defaults(func=cmd_compare, budget=3)
 
-    p_universal = sub.add_parser("universal", help="factorisation and uniqueness check")
+    p_universal = add_parser("universal", help="factorisation and uniqueness check")
     _add_common(p_universal)
     p_universal.add_argument("--model", required=True, help="model presentation JSON file")
     p_universal.add_argument("--map", required=True, help="transformation JSON file")
-    p_universal.add_argument(
-        "--mode", choices=[elim.FAITHFUL, elim.PRUNED], default=elim.PRUNED
-    )
-    p_universal.add_argument("--enum-cap", type=int, default=10**6, dest="enum_cap")
     p_universal.set_defaults(func=cmd_universal)
 
-    p_builders = sub.add_parser("builders", help="list or emit built-in sketches")
+    p_builders = add_parser("builders", help="list or emit built-in sketches")
     p_builders.add_argument("action", choices=["list", "emit"])
     p_builders.add_argument("name", nargs="?", default=None)
     p_builders.add_argument("--out", default=None)

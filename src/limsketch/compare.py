@@ -90,7 +90,6 @@ def build_alpha(
     elim_trace: ReflectionTrace,
     kelly_trace: KellyTrace,
     sketch: LimitSketch,
-    stage_budget: int | None = None,
 ) -> AlphaTrace:
     """Construct and check the stage comparison for faithful stages.
 
@@ -104,8 +103,6 @@ def build_alpha(
     if x_elim != kelly_trace.start:
         raise InputError("the two traces start from different presentations")
     depth = len(elim_trace.stages) - 1
-    if stage_budget is not None:
-        depth = min(depth, stage_budget)
     if len(kelly_trace.stages) < depth:
         raise InputError(
             f"completion trace has {len(kelly_trace.stages)} stages, need {depth}"

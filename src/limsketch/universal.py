@@ -9,10 +9,11 @@ witness maps through the inverse of M's gap map, which exists exactly
 because M is a model.  Uniqueness is certified separately, from the core,
 rho and the sketch alone: the unit of a reflection generates the
 reflection, so when :func:`generated` reaches the whole core, two maps
-into a model that agree on rho agree everywhere.  Otherwise all natural
-transformations from the core are enumerated, a limit over its category
-of elements found by the cone-limit join, when the closed-form search
-space is small enough; the construction never feeds either check.
+into a model that agree on rho agree everywhere.  A core that rho does
+not generate is an engine fault.  :func:`enumerate_nat_trans` lists all
+natural transformations out of a core, a limit over its category of
+elements found by the cone-limit join; the tests check the certificate
+against it, and the construction never feeds either check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
 from .kelly import KellyTrace
-from .setops import LimitJoin, NatTransSpec, SetPresentation, compose_nat
+from .setops import DEFAULT_TUPLE_BUDGET, LimitJoin, NatTransSpec, SetPresentation, compose_nat
 from .sketchlib import LimitSketch, gap_map, is_model
 
 DEFAULT_ENUM_CAP = 10**6
@@ -126,7 +127,7 @@ def solve_factorisation(
     f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
-    max_tuples: int = 10**6,
+    max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> FactorisationResult:
     """Construct g with g . rho = f by replaying the trace from f.
 
@@ -296,47 +297,39 @@ def generated(
 
 @dataclass
 class UniquenessVerdict:
-    status: str  # "unique" | "counterexample" | "inconclusive"
+    status: str  # "unique"
     search_space: int
-    witnesses: list[NatTransSpec] = field(default_factory=list)
 
 
 def check_uniqueness(
     trace: ReflectionTrace | KellyTrace,
-    f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
-    cap: int = DEFAULT_ENUM_CAP,
+    max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> UniquenessVerdict:
-    """Count the natural transformations core => M commuting with rho.
+    """Certify that at most one map core => M commutes with rho.
 
-    Exactly one commuting transformation is the "unique" verdict; two or
-    more are returned as a counterexample pair; a search space above the
-    cap is reported inconclusive.  When rho generates the whole core and M
-    is a model, at most one transformation commutes and the reflection
-    gives one, so the verdict is "unique" without a search (and without
-    witnesses); ``search_space`` is still the closed-form size.  Otherwise
-    the enumeration decides, within ``cap``.
+    When rho generates the whole core and M is a model, two maps that
+    agree on rho agree everywhere, and the reflection gives one, so the
+    verdict is "unique"; ``search_space`` is the closed-form number of
+    candidate component families.  A model M whose check exceeds
+    ``max_tuples`` raises :class:`BudgetExceeded`, a non-model M
+    :class:`PreconditionError`, and a core that rho does not generate
+    :class:`EngineError` naming the first object and the least element
+    the closure misses.
     """
     if not trace.converged or trace.core is None or trace.rho is None:
         raise PreconditionError("uniqueness check needs a converged trace")
+    _check_model(model, sketch, max_tuples)
     core = trace.core
     closure = generated(core, trace.rho, sketch)
-    whole = all(len(closure[d]) == len(core.carrier[d]) for d in core.base.objects)
-    if whole and is_model(model, sketch).is_model:
-        return UniquenessVerdict("unique", _search_space(core, model))
-    enum = enumerate_nat_trans(core, model, cap=cap)
-    if enum.status == "inconclusive":
-        return UniquenessVerdict("inconclusive", enum.search_space)
-    commuting = [
-        g for g in enum.transformations
-        if compose_nat(g, trace.rho).components == f.components
-    ]
-    if len(commuting) == 1:
-        return UniquenessVerdict("unique", enum.search_space, commuting)
-    if len(commuting) >= 2:
-        return UniquenessVerdict("counterexample", enum.search_space, commuting[:2])
-    raise EngineError("no commuting transformation found although one was constructed")
+    for d in core.base.objects:
+        missed = [x for x in core.carrier[d] if x not in closure[d]]
+        if missed:
+            raise EngineError(
+                f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
+            )
+    return UniquenessVerdict("unique", _search_space(core, model))
 
 
 def universal_to_json_dict(result: FactorisationResult | None, verdict: UniquenessVerdict) -> dict:

@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from limsketch.elim import Stage
 from limsketch.errors import EngineError, InputError
-from limsketch.fincat import FinCategory
+from limsketch.fincat import CatFunctor, FinCategory, validate_functor
 from limsketch.kelly import CompletionStep, pair_element_id
 from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
-from limsketch.sketchlib import gap_map
+from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, validate_sketch
 
 
 def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
@@ -403,6 +403,68 @@ def shape_pool() -> list[FinCategory]:
         {("yz", "xy"): "xz"},
     )
     return [empty, one, discrete2, cospan, span, parallel, chain]
+
+
+def sketch_base_pool() -> list[FinCategory]:
+    """The bases of :func:`random_sketch`: the builders', a chain with a composite, a span."""
+    chain = FinCategory.build(
+        "rs_chain",
+        ["a", "b", "c"],
+        [("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c")],
+        {("bc", "ab"): "ac"},
+    )
+    span = FinCategory.build("rs_span", ["l", "m", "r"], [("ml", "m", "l"), ("mr", "m", "r")], {})
+    return [BUILDERS[name]().base for name in sorted(BUILDERS)] + [chain, span]
+
+
+def diagram_functors(shape: FinCategory, base: FinCategory) -> list[CatFunctor]:
+    """Every functor shape -> base that ``validate_functor`` accepts, in a fixed order.
+
+    Objects map anywhere; identities go to identities and each other
+    shape arrow to a base arrow between the images of its ends.
+    """
+    objs = sorted(shape.objects)
+    nonid = sorted(n for n in shape.arrows if not shape.is_identity(n))
+    found: list[CatFunctor] = []
+    for images in itertools.product(base.objects, repeat=len(objs)):
+        omap = dict(zip(objs, images))
+        choices = [
+            base.hom(omap[shape.arrows[n].dom], omap[shape.arrows[n].cod]) for n in nonid
+        ]
+        for arrow_images in itertools.product(*choices):
+            amap = {shape.identities[z]: base.identities[omap[z]] for z in objs}
+            amap.update(zip(nonid, arrow_images))
+            functor = CatFunctor(shape, base, omap, amap)
+            if validate_functor(functor).ok:
+                found.append(functor)
+    return found
+
+
+def random_sketch(rng: random.Random) -> LimitSketch:
+    """A seeded random sketch: a base from :func:`sketch_base_pool` with 1-3 cones.
+
+    Each cone draws a shape from :func:`shape_pool` and a diagram functor
+    from :func:`diagram_functors`, then a peak and legs among those that
+    ``validate_sketch`` accepts with the cones drawn so far; a draw
+    without any admissible peak and legs is repeated.
+    """
+    base = rng.choice(sketch_base_pool())
+    shapes = shape_pool()
+    count, cones = rng.randint(1, 3), []
+    while len(cones) < count:
+        shape = rng.choice(shapes)
+        diagram = rng.choice(diagram_functors(shape, base))
+        order = sorted(shape.objects)
+        admissible = []
+        for peak in base.objects:
+            homs = [base.hom(peak, diagram.object_map[z]) for z in order]
+            for legs in itertools.product(*homs):
+                cone = Cone(f"c{len(cones)}", base, peak, shape, diagram, dict(zip(order, legs)))
+                if validate_sketch(LimitSketch(base, (*cones, cone))).ok:
+                    admissible.append(cone)
+        if admissible:
+            cones.append(rng.choice(admissible))
+    return LimitSketch(base, tuple(cones), name=f"random:{base.name}")
 
 
 def random_presentation(

@@ -282,7 +282,7 @@ def test_criterion_08_universal_property():
             f = nat(pres, model, f_components)
             result = solve_factorisation(trace, f, model, sketch)
             assert result.commutes
-            verdict = check_uniqueness(trace, f, model, sketch, cap=10**6)
+            verdict = check_uniqueness(trace, model, sketch)
             assert verdict.status == "unique", verdict.status
             assert verdict.search_space <= 10**6
         elapsed = time.monotonic() - start

@@ -225,7 +225,6 @@ def test_reflect_kelly_budget_zero_exits_three(workspace):
         ("--max-tuples", ["check"]),
         ("--max-tuples", ["reflect", "--engine", "kelly"]),
         ("--max-elements", ["reflect", "--engine", "elim"]),
-        ("--enum-cap", ["universal"]),
     ],
 )
 def test_negative_count_flag_exits_two(workspace, flag, command):
@@ -233,8 +232,6 @@ def test_negative_count_flag_exits_two(workspace, flag, command):
         *command, "--sketch", str(workspace["binary_sketch"]),
         "--presentation", str(workspace["binary_pres"]), flag, "-1",
     ]
-    if command[0] == "universal":
-        args += ["--model", str(workspace["binary_model"]), "--map", str(workspace["binary_map"])]
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr == f"input error: {flag} must be >= 0, got -1\n"
@@ -250,6 +247,20 @@ def test_check_takes_no_stage_caps(workspace, flag):
     )
     assert proc.returncode == 2
     assert proc.stderr.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--enum-cap 5", "--mode pruned"], ids=["enum-cap", "mode"])
+def test_universal_takes_no_enum_cap_or_mode(workspace, flag):
+    """The certificate decides uniqueness without a search, and ``universal`` reflects pruned."""
+    proc = run_cli(
+        "universal", "--sketch", str(workspace["binary_sketch"]),
+        "--presentation", str(workspace["binary_pres"]),
+        "--model", str(workspace["binary_model"]), "--map", str(workspace["binary_map"]),
+        *flag.split(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"error: unrecognized arguments: {flag}\n")
     assert proc.stdout == ""
 
 
@@ -283,6 +294,20 @@ def _points_document(n: int) -> dict:
     }
 
 
+def _square_document(n: int) -> dict:
+    """The square of an n-point set with its projections: a ``binary_product`` model."""
+    m = [f"m{i}" for i in range(n)]
+    pairs = {f"{x}.{y}": (x, y) for x in m for y in m}
+    return {
+        "category": "binary_product",
+        "carrier": {"a": m, "p": sorted(pairs)},
+        "action": {
+            "pi1": {q: xy[0] for q, xy in pairs.items()},
+            "pi2": {q: xy[1] for q, xy in pairs.items()},
+        },
+    }
+
+
 def test_reflect_kelly_honours_max_elements(tmp_path):
     pres = tmp_path / "X3.json"
     pres.write_text(json.dumps(_points_document(3)))
@@ -298,20 +323,28 @@ def test_reflect_kelly_honours_max_elements(tmp_path):
     assert proc.stdout == ""
 
 
+def test_universal_max_tuples_bounds_the_model_check(tmp_path):
+    """The model check of M honours ``--max-tuples``: 40 points give 1,600 pairs."""
+    pres, model, f = (tmp_path / n for n in ("X2.json", "M40.json", "f2.json"))
+    pres.write_text(json.dumps(_points_document(2)))
+    model.write_text(json.dumps(_square_document(40)))
+    f.write_text(json.dumps({"components": {"a": {"x0": "m0", "x1": "m1"}, "p": {}}}))
+    proc = run_cli(
+        "universal", "--sketch", "binary_product", "--presentation", str(pres),
+        "--model", str(model), "--map", str(f), "--max-tuples", "100",
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "budget error: limit tuple budget exceeded at cone c0: product exceeds 100\n"
+    )
+    assert proc.stdout == ""
+
+
 def test_universal_certifies_a_ten_billion_candidate_space(tmp_path):
     """Three points into the square of a 3-set: 3^3 * 9^9 candidates, decided without a search."""
     pres, model, f, out = (tmp_path / n for n in ("X3.json", "M3.json", "f3.json", "u.json"))
     pres.write_text(json.dumps(_points_document(3)))
-    m = ["m0", "m1", "m2"]
-    pairs = {f"{x}.{y}": (x, y) for x in m for y in m}
-    model.write_text(json.dumps({
-        "category": "binary_product",
-        "carrier": {"a": m, "p": sorted(pairs)},
-        "action": {
-            "pi1": {q: xy[0] for q, xy in pairs.items()},
-            "pi2": {q: xy[1] for q, xy in pairs.items()},
-        },
-    }))
+    model.write_text(json.dumps(_square_document(3)))
     f.write_text(json.dumps({"components": {"a": {"x0": "m1", "x1": "m1", "x2": "m0"}, "p": {}}}))
     proc = run_cli(
         "universal", "--sketch", "binary_product", "--presentation", str(pres),

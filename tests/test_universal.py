@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 import limsketch.universal as universal_mod
 
-from limsketch.elim import PRUNED, reflect_elim
-from limsketch.errors import PreconditionError
+from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
+from limsketch.errors import BudgetExceeded, EngineError, PreconditionError
 from limsketch.fincat import FinCategory
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
@@ -17,7 +18,7 @@ from limsketch.setops import (
     make_presentation,
     terminal_presentation,
 )
-from limsketch.sketchlib import BUILDERS
+from limsketch.sketchlib import BUILDERS, is_model
 from limsketch.universal import (
     check_uniqueness,
     enumerate_nat_trans,
@@ -39,7 +40,7 @@ from tests.fixtures import (
     sheaf_model,
     sheaf_sketch,
 )
-from tests.oracles import brute_nat_trans, random_valid_presentation
+from tests.oracles import brute_nat_trans, random_sketch, random_valid_presentation
 
 
 def test_terminal_codomain_gives_constant_factorisation():
@@ -62,7 +63,7 @@ def test_iso_fixture_factors_through_singleton_model():
     f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, f, model, sketch).status == "unique"
+    assert check_uniqueness(trace, model, sketch).status == "unique"
 
 
 def test_binary_fixture_factorisation_is_an_isomorphism():
@@ -115,7 +116,7 @@ def test_solver_works_on_kelly_traces():
     )
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, f, model, sketch).status == "unique"
+    assert check_uniqueness(trace, model, sketch).status == "unique"
 
 
 def test_enumeration_of_empty_source_is_single():
@@ -145,8 +146,7 @@ def test_uniqueness_binary_is_conclusive():
     pres = binary_fixture(sketch)
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    verdict = check_uniqueness(trace, f, model, sketch)
+    verdict = check_uniqueness(trace, model, sketch)
     assert verdict.status == "unique"
     assert verdict.search_space == 1024
     assert verdict.search_space <= 10**6
@@ -186,22 +186,41 @@ def test_generated_fills_every_gap_over_its_image():
     assert closure == {"a": {"u", "w"}, "p": {"uu", "uw", "wu", "ww"}}
 
 
-def test_uniqueness_inconclusive_above_cap():
-    # the core is not generated by rho, so only the enumeration can decide
+def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
     sketch = binary_sketch()
-    trace, f = _ungenerated_trace(sketch)
-    verdict = check_uniqueness(trace, f, binary_model(sketch), sketch, cap=5)
-    assert verdict.status == "inconclusive"
-    assert verdict.search_space == 2**3 * 4**9
+    trace, _ = _ungenerated_trace(sketch)
+    with pytest.raises(EngineError, match="object 'a' misses 'w'$"):
+        check_uniqueness(trace, binary_model(sketch), sketch)
 
 
-def test_uniqueness_counterexample_on_ungenerated_core_without_cap():
+def test_enumeration_finds_two_commuting_maps_on_an_ungenerated_core():
     sketch = binary_sketch()
     trace, f = _ungenerated_trace(sketch)
-    verdict = check_uniqueness(trace, f, binary_model(sketch), sketch, cap=2**3 * 4**9)
-    assert verdict.status == "counterexample"
+    model = binary_model(sketch)
+    enum = enumerate_nat_trans(trace.core, model, cap=2**3 * 4**9)
+    assert (enum.status, enum.search_space) == ("ok", 2**3 * 4**9)
+    found = [
+        g for g in enum.transformations
+        if compose_nat(g, trace.rho).components == f.components
+    ]
     # the two commuting maps differ only in where w goes
-    assert [g.components["a"]["w"] for g in verdict.witnesses] == ["u", "v"]
+    assert [g.components["a"]["w"] for g in found] == ["u", "v"]
+
+
+def test_enumeration_keeps_the_commuting_maps_in_oracle_order():
+    # rho out of an empty presentation: every transformation commutes with it
+    sketch = binary_sketch()
+    core = binary_fixture(sketch)
+    model = binary_model(sketch)
+    empty = empty_presentation(sketch.base)
+    rho = nat(empty, core, {"a": {}, "p": {}})
+    f = nat(empty, model, {"a": {}, "p": {}})
+    found = [
+        g for g in enumerate_nat_trans(core, model).transformations
+        if compose_nat(g, rho).components == f.components
+    ]
+    assert len(found) == 4
+    assert components_of(found) == components_of(brute_nat_trans(core, model))
 
 
 def test_generated_core_is_unique_without_enumeration(monkeypatch):
@@ -209,25 +228,21 @@ def test_generated_core_is_unique_without_enumeration(monkeypatch):
     pres = binary_fixture(sketch)
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a generated core was enumerated")
 
     monkeypatch.setattr(universal_mod, "enumerate_nat_trans", no_enumeration)
-    verdict = check_uniqueness(trace, f, model, sketch, cap=0)
-    assert (verdict.status, verdict.search_space, verdict.witnesses) == ("unique", 1024, [])
+    verdict = check_uniqueness(trace, model, sketch)
+    assert (verdict.status, verdict.search_space) == ("unique", 1024)
 
 
 def test_certificate_needs_a_model_codomain():
     # two witnesses over one pair: with the gap map not injective, maps agreeing on rho differ
     sketch = binary_sketch()
-    pres = binary_fixture(sketch)
-    collapsed = binary_collapsed_fixture(sketch)
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    f = nat(pres, collapsed, {"a": {"u": "u", "v": "u"}, "p": {}})
-    verdict = check_uniqueness(trace, f, collapsed, sketch)
-    assert (verdict.status, verdict.search_space) == ("counterexample", 1 * 2**4)
+    trace = reflect_elim(binary_fixture(sketch), sketch, budget=8, mode=PRUNED)
+    with pytest.raises(PreconditionError, match="not a model"):
+        check_uniqueness(trace, binary_collapsed_fixture(sketch), sketch)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -257,11 +272,51 @@ def test_certificate_matches_one_commuting_transformation(name):
             ]
             closure = generated(trace.core, trace.rho, sketch)
             assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
-            verdict = check_uniqueness(trace, f, model, sketch, cap=0)
+            verdict = check_uniqueness(trace, model, sketch)
             assert (verdict.status, len(commuting)) == ("unique", 1), (seed, trace)
             assert verdict.search_space == enum.search_space
             compared += 1
     assert compared >= 16
+
+
+RANDOM_SKETCH_ENGINES = [
+    ("pruned", reflect_elim, {"budget": 8, "mode": PRUNED}),
+    # faithful stages grow as a squared power per stage, so two of them
+    ("faithful", reflect_elim, {"budget": 2, "mode": FAITHFUL}),
+    ("kelly", reflect_kelly, {"budget": 8}),
+]
+
+
+def test_rho_generates_every_converged_core_on_random_sketches():
+    """On random sketches, every converged core is a model that rho generates.
+
+    Each of 160 seeded sketches gets four random presentations, each
+    reflected by pruned and faithful ``elim`` and by ``kelly``.  Budget
+    refusals and traces that exhaust their stages are counted, not
+    filtered out, and at least 1,600 of the 1,920 traces must converge.
+    """
+    caps = {"max_tuples": 100_000, "max_elements": 5_000}
+    outcomes: Counter = Counter()
+    for seed in range(160):
+        rng = random.Random(f"random-sketch:{seed}")
+        sketch = random_sketch(rng)
+        for _ in range(4):
+            pres = random_valid_presentation(rng, sketch.base, max_size=3)
+            for engine, reflect, options in RANDOM_SKETCH_ENGINES:
+                try:
+                    trace = reflect(pres, sketch, **options, **caps)
+                except BudgetExceeded:
+                    outcomes["refused"] += 1
+                    continue
+                if not trace.converged:
+                    outcomes["budget exhausted"] += 1
+                    continue
+                closure = generated(trace.core, trace.rho, sketch)
+                assert closure == {d: set(c) for d, c in trace.core.carrier.items()}, (seed, engine)
+                assert is_model(trace.core, sketch).is_model, (seed, engine)
+                outcomes["converged"] += 1
+    assert sum(outcomes.values()) == 160 * 4 * len(RANDOM_SKETCH_ENGINES)
+    assert outcomes["converged"] >= 1_600, outcomes
 
 
 def test_factorisation_is_deterministic():
@@ -357,20 +412,6 @@ def test_zero_space_returns_before_any_join(monkeypatch):
     monkeypatch.setattr(universal_mod, "LimitJoin", no_join)
     result = enumerate_nat_trans(source, target)
     assert (result.status, result.transformations, result.search_space) == ("ok", [], 0)
-
-
-def test_counterexample_keeps_the_first_two_commuting_in_order():
-    # rho out of an empty presentation: every transformation commutes with it
-    sketch = binary_sketch()
-    core = binary_fixture(sketch)
-    model = binary_model(sketch)
-    empty = empty_presentation(sketch.base)
-    rho = nat(empty, core, {"a": {}, "p": {}})
-    trace = SimpleNamespace(converged=True, core=core, rho=rho)
-    f = nat(empty, model, {"a": {}, "p": {}})
-    verdict = check_uniqueness(trace, f, model, sketch)
-    assert verdict.status == "counterexample"
-    assert components_of(verdict.witnesses) == components_of(brute_nat_trans(core, model)[:2])
 
 
 def test_single_valued_nodes_stay_out_of_the_join(monkeypatch):
