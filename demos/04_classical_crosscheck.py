@@ -2,8 +2,9 @@
 Cross-checking against the classical completion
 ===============================================
 
-The classical route completes a presentation one cone at a time through
-a quotiented sum, then iterates.  This script runs both constructions on
+The classical route completes a presentation through a quotiented sum,
+one formal pair per cone, arrow out of its peak and limit tuple, then
+iterates.  This script runs both constructions on
 one input, aligns them stage by stage, and certifies that the two
 reflections are isomorphic via mutually inverse factorisations.
 """
@@ -11,7 +12,7 @@ reflections are isomorphic via mutually inverse factorisations.
 from limsketch import make_presentation, sketch_iso_forcing
 from limsketch.compare import build_alpha, reflector_iso_check
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
-from limsketch.kelly import kelly_Pc, reflect_kelly
+from limsketch.kelly import kelly_P, reflect_kelly
 
 sketch = sketch_iso_forcing()
 X = make_presentation(
@@ -19,8 +20,9 @@ X = make_presentation(
 )
 
 # One completion step: the quotiented sum collapses both points of a.
-step = kelly_Pc(X, sketch.cones[0])
+step = kelly_P(X, sketch)
 print("one-step completion sizes:", step.obj.size())
+print("formal pairs per arrow:", {arrow: len(row) for (_, arrow), row in step.rows.items()})
 print("glue pairs used: r0 =", step.r_counts()[0], " r1 =", step.r_counts()[1])
 
 kelly_trace = reflect_kelly(X, sketch, budget=4)

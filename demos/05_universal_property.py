@@ -52,7 +52,7 @@ print("gap-inverse steps used:", len(result.log))
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
-verdict = check_uniqueness(trace, M, sketch)
+verdict = check_uniqueness(trace, result, sketch)
 print("uniqueness verdict:", verdict.status, "(search space", verdict.search_space, ")")
 
 # The enumeration agrees: all natural transformations core -> M (a join
@@ -76,7 +76,7 @@ hand = SimpleNamespace(
 print("\nrho generates the hand-made core:",
       {d: len(c) for d, c in generated(bigger, hand.rho, sketch).items()}, "of", bigger.size())
 try:
-    check_uniqueness(hand, M, sketch)
+    check_uniqueness(hand, result, sketch)
 except EngineError as exc:
     print("uniqueness check:", exc)
 

@@ -30,7 +30,7 @@ from .fincat import (
     validate_category,
     validate_functor,
 )
-from .kelly import KellyTrace, kelly_P, kelly_Pc, reflect_kelly
+from .kelly import CompletionStep, KellyTrace, kelly_P, reflect_kelly
 from .setops import (
     NatTransSpec,
     QuotientMap,

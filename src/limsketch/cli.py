@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import compare as compare_mod
 from . import elim, kelly, universal
 from .errors import EngineError, InputError
-from .fincat import check_document, write_report
+from .fincat import check_document, read_json, write_report
 from .setops import (
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
@@ -43,10 +42,7 @@ def _read_json(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: JSON parse error: {exc}") from None
+    return read_json(text, path)
 
 
 def _load(path: str, loader, **kwargs):
@@ -169,8 +165,8 @@ def cmd_reflect(args: argparse.Namespace) -> int:
         )
         sizes = [(0, {o: len(pres.carrier[o]) for o in sketch.base.objects})]
         sizes += [
-            (st.index, {o: len(st.obj.carrier[o]) for o in sketch.base.objects})
-            for st in trace.stages
+            (n, {o: len(step.obj.carrier[o]) for o in sketch.base.objects})
+            for n, step in enumerate(trace.stages, 1)
         ]
     _emit(trace.to_json_dict(), args.out)
     for index, size in sizes:
@@ -248,7 +244,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
     result = universal.solve_factorisation(trace, f, model, sketch, max_tuples=args.max_tuples)
-    verdict = universal.check_uniqueness(trace, model, sketch, max_tuples=args.max_tuples)
+    verdict = universal.check_uniqueness(trace, result, sketch)
     _emit(universal.universal_to_json_dict(result, verdict), args.out)
     print(f"factorisation exists and commutes: {str(result.commutes).lower()}")
     print(f"uniqueness: {verdict.status} (search space {verdict.search_space})")

@@ -108,7 +108,7 @@ def build_alpha(
             f"completion trace has {len(kelly_trace.stages)} stages, need {depth}"
         )
     # replay step i is elim stage i; for i > 0 it is matched with completion stage i
-    kelly_steps = [None] + [st.step for st in kelly_trace.stages[:depth]]
+    kelly_steps = [None, *kelly_trace.stages[:depth]]
     units = [None] + [step.unit.components for step in kelly_steps[1:]]
     maps = replay(
         elim_trace.replay_steps(depth),

@@ -40,17 +40,26 @@ from .setops import (
     QuotientMap,
     SetPresentation,
     Witness,
+    check_witness_size,
     disjoint_sum,
     empty_presentation,
     encode_carriers,
     functorial_quotient,
     identity_nat,
     same_fiber_pairs,
-    validate_presentation,
     witness_presentation,
     witness_sum,
 )
-from .sketchlib import Cone, LimitSketch, cone_limit, gap_map, is_model, restrict_along
+from .sketchlib import (
+    Cone,
+    LimitSketch,
+    check_presentation,
+    cone_limit,
+    gap_map,
+    is_model,
+    rectification_pairs,
+    restrict_along,
+)
 
 FAITHFUL = "faithful"
 PRUNED = "pruned"
@@ -180,11 +189,7 @@ class ReflectionTrace:
 
 
 def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
-    report = validate_presentation(pres)
-    if not report.ok:
-        raise InputError(f"invalid presentation: {report.violations[0]}")
-    if pres.base != sketch.base:
-        raise InputError("presentation is not over the sketch category")
+    check_presentation(pres, sketch)
     empty = empty_presentation(sketch.base)
     total, _, _ = disjoint_sum(pres, empty, tags=(BASE_TAG, FREE_TAG))
     return Stage(
@@ -228,34 +233,18 @@ def relation_two(
 ) -> dict[str, tuple[tuple[str, str], ...]]:
     """Rule (2) pairs: a free witness against the base element it rectifies.
 
-    For a cone c, shape object z, arrow t out of the diagram image of z
-    and limit tuple w of the previous stage, the free element carried by
-    the composite t . leg_z over w is paired with the projection of the
-    t-action of the z-component of w.  The tuples w are those of
-    ``limits_prev``, which the free part was built from, so every free
-    element named here exists in both modes: ``free_rows`` has its id.
+    These are :func:`~limsketch.sketchlib.rectification_pairs` of the
+    previous total: the free element over a tuple w of ``limits_prev`` in
+    the row of t . leg_z is paired with the base class of t(w_z).  The
+    tuples w are those the free part was built from, so every free element
+    named here exists in both modes: ``free_rows`` has its id.
     """
     if stage.index < 1:
         return {}
     if stage.prev_total is None or stage.p_prev is None:
         raise PreconditionError("relation_two needs the previous stage")
-    base = sketch.base
-    prev = stage.prev_total
-    proj = stage.p_prev
-    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
-    for cone in sketch.cones:
-        tuples = stage.limits_prev.get(cone.name, ())
-        order = cone.shape_order()
-        for z_idx, z in enumerate(order):
-            zobj = cone.diagram.on_object(z)
-            leg = cone.legs[z]
-            for d in base.objects:
-                for t in base.hom(zobj, d):
-                    t_leg = base.compose(t, leg)
-                    act = prev.action[t]
-                    for w, fid in zip(tuples, stage.free_rows[cone.name, t_leg]):
-                        out[d].add((fid, tag_base(proj[d][act[w[z_idx]]])))
-    return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
+    into = {d: {x: tag_base(k) for x, k in proj.items()} for d, proj in stage.p_prev.items()}
+    return rectification_pairs(stage.prev_total, sketch, stage.limits_prev, stage.free_rows, into)
 
 
 @dataclass
@@ -309,17 +298,9 @@ def e_step(
                 limits[cone.name] = _unhit_lifts(stage.total, quotient, cone, max_tuples)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {stage.index + 1}: {exc}") from None
-
-    for d in base.objects:
-        size = sum(len(base.hom(c.peak, d)) * len(limits[c.name]) for c in sketch.cones)
-        if size > max_elements:
-            raise BudgetExceeded(
-                f"free part at stage {stage.index + 1} object {d!r} has "
-                f"{size} elements (cap {max_elements})"
-            )
-    free, rows = witness_presentation(
-        "F", base, [(c.name, c.peak, limits[c.name]) for c in sketch.cones], FREE_TAG
-    )
+    summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
+    check_witness_size(f"free part at stage {stage.index + 1}", base, summands, max_elements)
+    free, rows = witness_presentation("F", base, summands, FREE_TAG)
     kan_unit_raw = {
         c.name: dict(zip(limits[c.name], rows[c.name, base.identities[c.peak]]))
         for c in sketch.cones
@@ -379,13 +360,11 @@ def elim_stage(
     step = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
+    summands = [(c.name, c.peak, step.limits[c.name]) for c in sketch.cones]
+    check_witness_size(
+        f"stage {stage.index + 1}", sketch.base, summands, max_elements, left=quotient.target
+    )
     total, _ = witness_sum(quotient.target, step.free, BASE_TAG)
-    for d in sketch.base.objects:
-        if len(total.carrier[d]) > max_elements:
-            raise BudgetExceeded(
-                f"stage {stage.index + 1} object {d!r} has "
-                f"{len(total.carrier[d])} elements (cap {max_elements})"
-            )
     return Stage(
         index=stage.index + 1,
         base=quotient.target,

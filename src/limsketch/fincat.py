@@ -389,9 +389,13 @@ def category_dumps(category: FinCategory) -> str:
     return report_text(category_to_json_dict(category))
 
 
-def category_loads(text: str, name: str = "") -> FinCategory:
+def read_json(text: str, source: str) -> object:
+    """The JSON value of ``text``; undecodable or too deeply nested text names ``source``."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"category JSON parse error: {exc}") from None
-    return category_from_json_dict(data, name=name)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{source}: JSON parse error: {exc}") from None
+
+
+def category_loads(text: str, name: str = "") -> FinCategory:
+    return category_from_json_dict(read_json(text, "category"), name=name)

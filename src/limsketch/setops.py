@@ -10,7 +10,6 @@ ordered lexicographically so identical inputs give identical bytes.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -23,6 +22,7 @@ from .fincat import (
     category_from_json_dict,
     category_to_json_dict,
     check_document,
+    read_json,
     report_text,
 )
 
@@ -558,6 +558,28 @@ def disjoint_sum(
     return SetPresentation(base, carrier, action), inj_left, inj_right
 
 
+def check_witness_size(
+    label: str,
+    base: FinCategory,
+    limits: Iterable[tuple[str, str, Sequence[tuple[str, ...]]]],
+    cap: int,
+    left: SetPresentation | None = None,
+) -> None:
+    """Refuse, before it is built, a sum of ``left`` and a witness summand over ``limits``.
+
+    The summand is :func:`witness_presentation`'s, and the sum's size at d
+    is |left(d)| plus, per cone c, |hom(peak_c, d)| x |L_c|.
+    The first object over ``cap`` raises :class:`BudgetExceeded` with
+    ``"{label} object {d!r} has {size} elements (cap {cap})"``.
+    """
+    counts = [(peak, len(tuples)) for _, peak, tuples in limits]
+    for d in base.objects:
+        size = 0 if left is None else len(left.carrier[d])
+        size += sum(len(base.hom(peak, d)) * n for peak, n in counts)
+        if size > cap:
+            raise BudgetExceeded(f"{label} object {d!r} has {size} elements (cap {cap})")
+
+
 def witness_presentation(
     kind: str,
     base: FinCategory,
@@ -682,8 +704,5 @@ def presentation_dumps(pres: SetPresentation) -> str:
 
 
 def presentation_loads(text: str, base: FinCategory | None = None, resolve_category=None) -> SetPresentation:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"presentation JSON parse error: {exc}") from None
+    data = read_json(text, "presentation")
     return presentation_from_json_dict(data, base=base, resolve_category=resolve_category)

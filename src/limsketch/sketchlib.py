@@ -8,8 +8,8 @@ diagram is a bijection; the checker reports a witness for each failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .errors import InputError
 from .fincat import (
@@ -20,6 +20,7 @@ from .fincat import (
     category_from_json_dict,
     category_to_json_dict,
     check_document,
+    read_json,
     report_text,
     validate_category,
     validate_functor,
@@ -28,6 +29,7 @@ from .setops import (
     DEFAULT_TUPLE_BUDGET,
     SetPresentation,
     limit_of_diagram,
+    validate_presentation,
 )
 
 
@@ -108,6 +110,15 @@ def validate_sketch(sketch: LimitSketch) -> ValidationReport:
     return report
 
 
+def check_presentation(pres: SetPresentation, sketch: LimitSketch) -> None:
+    """Refuse an invalid presentation, or one over another category than the sketch's."""
+    report = validate_presentation(pres)
+    if not report.ok:
+        raise InputError(f"invalid presentation: {report.violations[0]}")
+    if pres.base != sketch.base:
+        raise InputError("presentation is not over the sketch category")
+
+
 def restrict_along(pres: SetPresentation, cone: Cone) -> SetPresentation:
     """The composite ``pres . diagram`` as a presentation over the shape."""
     carrier = {z: pres.carrier[cone.diagram.on_object(z)] for z in cone.shape.objects}
@@ -133,6 +144,37 @@ def gap_map(pres: SetPresentation, cone: Cone) -> dict[str, tuple[str, ...]]:
     order = cone.shape_order()
     legs = [pres.action[cone.legs[z]] for z in order]
     return {x: tuple(act[x] for act in legs) for x in pres.carrier[cone.peak]}
+
+
+def rectification_pairs(
+    pres: SetPresentation,
+    sketch: LimitSketch,
+    limits: Mapping[str, Sequence[tuple[str, ...]]],
+    rows: Mapping[tuple[str, str], Sequence[str]],
+    into: Mapping[str, Mapping[str, str]],
+) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Each witness glued, through a leg, to the element of ``pres`` it rectifies.
+
+    ``limits[c]`` lists limit tuples of ``pres`` at cone c, and the row
+    ``rows[c, s]`` the witnesses over them, in order, for each arrow s out
+    of the peak of c.  For a shape object z at position k, an arrow t from
+    diagram(z) to d and a tuple w, the witness over w in the row of
+    t . leg_z is paired with ``into[d]`` of t(w_k).  Returns the sorted
+    pairs of each object that has any.
+    """
+    base = sketch.base
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    for cone in sketch.cones:
+        tuples = limits[cone.name]
+        for k, z in enumerate(cone.shape_order()):
+            leg = cone.legs[z]
+            for d in base.objects:
+                pairs, to = out[d], into[d]
+                for t in base.hom(cone.diagram.on_object(z), d):
+                    act = pres.action[t]
+                    row = rows[cone.name, base.compose(t, leg)]
+                    pairs.update((e, to[act[w[k]]]) for w, e in zip(tuples, row))
+    return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
 
 
 @dataclass
@@ -363,8 +405,4 @@ def sketch_dumps(sketch: LimitSketch) -> str:
 
 
 def sketch_loads(text: str, name: str = "") -> LimitSketch:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"sketch JSON parse error: {exc}") from None
-    return sketch_from_json_dict(data, name=name)
+    return sketch_from_json_dict(read_json(text, "sketch"), name=name)

@@ -102,26 +102,6 @@ class FactorisationResult:
     log: list[dict] = field(default_factory=list)
 
 
-def _gap_inverses(model: SetPresentation, sketch: LimitSketch) -> dict[str, dict[tuple[str, ...], str]]:
-    inverses: dict[str, dict[tuple[str, ...], str]] = {}
-    for cone in sketch.cones:
-        gm = gap_map(model, cone)
-        inv: dict[tuple[str, ...], str] = {}
-        for x, t in gm.items():
-            if t in inv:
-                raise PreconditionError(f"gap map of cone {cone.name!r} is not injective")
-            inv[t] = x
-        inverses[cone.name] = inv
-    return inverses
-
-
-def _check_model(model: SetPresentation, sketch: LimitSketch, max_tuples: int) -> None:
-    report = is_model(model, sketch, max_tuples=max_tuples)
-    if not report.is_model:
-        bad = next(c for c in report.checks if not c.ok)
-        raise PreconditionError(f"not a model: cone {bad.cone!r} gap map not bijective")
-
-
 def solve_factorisation(
     trace: ReflectionTrace | KellyTrace,
     f: NatTransSpec,
@@ -137,8 +117,12 @@ def solve_factorisation(
     """
     if not trace.converged:
         raise PreconditionError("factorisation needs a converged trace")
-    _check_model(model, sketch, max_tuples)
-    inverses = _gap_inverses(model, sketch)
+    report = is_model(model, sketch, max_tuples=max_tuples)
+    if not report.is_model:
+        bad = next(c for c in report.checks if not c.ok)
+        raise PreconditionError(f"not a model: cone {bad.cone!r} gap map not bijective")
+    # M is a model, so each gap map is a bijection onto its cone's limit
+    inverses = {c.name: {t: x for x, t in gap_map(model, c).items()} for c in sketch.cones}
     log: list[dict] = []
 
     def through_model(i: int, d: str, ids: list, cone: str, arrow: str, vs: list) -> list[str]:
@@ -303,24 +287,22 @@ class UniquenessVerdict:
 
 def check_uniqueness(
     trace: ReflectionTrace | KellyTrace,
-    model: SetPresentation,
+    result: FactorisationResult,
     sketch: LimitSketch,
-    max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> UniquenessVerdict:
     """Certify that at most one map core => M commutes with rho.
 
-    When rho generates the whole core and M is a model, two maps that
-    agree on rho agree everywhere, and the reflection gives one, so the
-    verdict is "unique"; ``search_space`` is the closed-form number of
-    candidate component families.  A model M whose check exceeds
-    ``max_tuples`` raises :class:`BudgetExceeded`, a non-model M
-    :class:`PreconditionError`, and a core that rho does not generate
+    M is the codomain of ``result``, the factorisation that
+    :func:`solve_factorisation` built after checking that M is a model.
+    When rho generates the whole core, two maps into M that agree on rho
+    agree everywhere, and ``result`` is one, so the verdict is "unique";
+    ``search_space`` is the closed-form number of candidate component
+    families.  A core that rho does not generate raises
     :class:`EngineError` naming the first object and the least element
     the closure misses.
     """
     if not trace.converged or trace.core is None or trace.rho is None:
         raise PreconditionError("uniqueness check needs a converged trace")
-    _check_model(model, sketch, max_tuples)
     core = trace.core
     closure = generated(core, trace.rho, sketch)
     for d in core.base.objects:
@@ -329,7 +311,7 @@ def check_uniqueness(
             raise EngineError(
                 f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
             )
-    return UniquenessVerdict("unique", _search_space(core, model))
+    return UniquenessVerdict("unique", _search_space(core, result.g.target))
 
 
 def universal_to_json_dict(result: FactorisationResult | None, verdict: UniquenessVerdict) -> dict:

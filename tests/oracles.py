@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from limsketch.elim import Stage
 from limsketch.errors import EngineError, InputError
 from limsketch.fincat import CatFunctor, FinCategory, validate_functor
-from limsketch.kelly import CompletionStep, pair_element_id
+from limsketch.kelly import SUM_PAIR_TAG, CompletionStep, pair_element_id
 from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, validate_sketch
 
@@ -249,6 +249,37 @@ def brute_witness_presentation(
     return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
 
 
+def brute_leg_pairs(
+    pres: SetPresentation,
+    sketch: LimitSketch,
+    limits: Mapping[str, Iterable[tuple[str, ...]]],
+    kind: str,
+    tag: str,
+    into: Mapping[str, Mapping[str, str]],
+) -> dict[str, set[tuple[str, str]]]:
+    """The rectification pairs by their definition, every witness id encoded afresh.
+
+    For each cone c, shape object z at position k of the sorted shape
+    objects, base arrow t that composes with the leg at z, and tuple w of
+    ``limits[c]``: the witness (c, t . leg_z, w), named ``tag:`` plus
+    ``witness_id(kind, ...)``, is paired with ``into[d]`` of t(w_k), d the
+    codomain of t.
+    """
+    base = sketch.base
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    for cone in sketch.cones:
+        for k, z in enumerate(sorted(cone.shape.objects)):
+            leg = cone.legs[z]
+            for name, t in sorted(base.arrows.items()):
+                if t.dom != base.arrows[leg].cod:
+                    continue
+                arrow = base.compose(name, leg)
+                for w in limits[cone.name]:
+                    wid = f"{tag}:" + witness_id(kind, cone.name, arrow, w)
+                    out[t.cod].add((wid, into[t.cod][pres.action[name][w[k]]]))
+    return out
+
+
 # -- the replay, element by element -----------------------------------------
 
 Components = dict[str, dict[str, str]]
@@ -332,18 +363,18 @@ def free_witnesses(stage: Stage, obj: str) -> Iterator[tuple[str, Witness]]:
 
 
 def brute_pair_class(step: CompletionStep, obj: str, cone: str, arrow: str, w) -> str:
-    """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``."""
+    """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``, its id encoded afresh."""
+    pid = pair_element_id(cone, arrow, w)
     try:
-        return step.quotient.projection[obj][step.pair_elements[cone, arrow, w]]
+        return step.quotient.projection[obj][f"{SUM_PAIR_TAG}:{pid}"]
     except KeyError:
-        pid = pair_element_id(cone, arrow, w)
         raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
 
 
 def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]:
     """The components of alpha at stages 0..``depth``, replayed element by element."""
     x = elim_trace.stages[0].base
-    kelly_steps = [None] + [st.step for st in kelly_trace.stages[:depth]]
+    kelly_steps = [None, *kelly_trace.stages[:depth]]
     units = [None] + [step.unit.components for step in kelly_steps[1:]]
     return list(
         brute_replay(

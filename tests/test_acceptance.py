@@ -17,7 +17,7 @@ from pathlib import Path
 
 from limsketch.compare import build_alpha, reflector_iso_check
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim, tag_base
-from limsketch.kelly import kelly_Pc, reflect_kelly
+from limsketch.kelly import kelly_P, reflect_kelly
 from limsketch.setops import (
     functorial_quotient,
     limit_of_diagram,
@@ -196,7 +196,7 @@ def test_criterion_05_kelly_cross_check():
             (iso_sketch(), iso_fixture()),
             (binary_sketch(), binary_fixture()),
         ):
-            step = kelly_Pc(pres, sk.cones[0])
+            step = kelly_P(pres, sk)
             for obj in sk.base.objects:
                 literal = list(step.r0.get(obj, ())) + list(step.r1.get(obj, ()))
                 want = dsu_partition(list(step.quotient.source.carrier[obj]), literal)
@@ -282,7 +282,7 @@ def test_criterion_08_universal_property():
             f = nat(pres, model, f_components)
             result = solve_factorisation(trace, f, model, sketch)
             assert result.commutes
-            verdict = check_uniqueness(trace, model, sketch)
+            verdict = check_uniqueness(trace, result, sketch)
             assert verdict.status == "unique", verdict.status
             assert verdict.search_space <= 10**6
         elapsed = time.monotonic() - start

@@ -198,6 +198,28 @@ def test_universal_with_non_model_exits_four(workspace, tmp_path):
     assert "not a model" in proc.stderr
 
 
+def test_universal_checks_the_model_once(workspace, tmp_path, monkeypatch):
+    from limsketch import cli, elim, kelly, sketchlib, universal
+
+    model = binary_model(sketch_binary_product())
+    real, on_model = sketchlib.is_model, []
+
+    def counted(pres, sketch, **kwargs):
+        on_model.append(pres.carrier == model.carrier)
+        return real(pres, sketch, **kwargs)
+
+    for module in (cli, elim, kelly, sketchlib, universal):
+        monkeypatch.setattr(module, "is_model", counted)
+    code = cli.main([
+        "universal", "--sketch", str(workspace["binary_sketch"]),
+        "--presentation", str(workspace["binary_pres"]),
+        "--model", str(workspace["binary_model"]),
+        "--map", str(workspace["binary_map"]), "--out", str(tmp_path / "uni.json"),
+    ])
+    assert code == 0
+    assert on_model.count(True) == 1
+
+
 def test_presentation_over_wrong_category_exits_two(workspace):
     proc = run_cli(
         "check", "--sketch", str(workspace["iso_sketch"]),

@@ -23,8 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from limsketch import cli
-from limsketch.setops import presentation_to_json_dict, terminal_presentation
-from limsketch.sketchlib import build_sketch, builder_names, sketch_to_json_dict
+from limsketch.errors import InputError
+from limsketch.fincat import category_loads
+from limsketch.setops import presentation_loads, presentation_to_json_dict, terminal_presentation
+from limsketch.sketchlib import build_sketch, builder_names, sketch_loads, sketch_to_json_dict
 
 from tests.oracles import random_valid_presentation
 
@@ -422,6 +424,19 @@ def test_deeply_nested_file_exits_two(tmp_path):
     code, _, err = check("iso_forcing", str(path))
     assert code == 2
     assert err.startswith(f"input error: {path}: JSON parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "loader", [category_loads, presentation_loads, sketch_loads], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"a": ' * 5_000 + "1" + "}" * 5_000, "{broken json"],
+    ids=["nested-array", "nested-object", "undecodable"],
+)
+def test_library_loaders_refuse_unreadable_text(loader, text):
+    with pytest.raises(InputError, match=": JSON parse error: "):
+        loader(text)
 
 
 def test_duplicate_base_object_exits_two(tmp_path):

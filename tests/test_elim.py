@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -264,6 +265,47 @@ def test_pruned_budget_counts_the_quotient_limit_and_the_lifts():
         reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=31)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=32)
     assert trace.converged and trace.core.size() == {"a": 4, "p": 16}
+
+
+CAP_CASES = [
+    (iso_sketch, iso_fixture),
+    (binary_sketch, binary_fixture),
+    (binary_sketch, binary_collapsed_fixture),
+    (sheaf_sketch, sheaf_fixture),
+]
+
+
+@pytest.mark.parametrize("make_sketch, make_pres", CAP_CASES)
+def test_free_part_cap_is_the_closed_form_size(make_sketch, make_pres):
+    sketch = make_sketch()
+    stage = initial_stage(make_pres(sketch), sketch)
+    step = e_step(stage, sketch, FAITHFUL)
+    sizes = step.free.size()
+    largest = max(sizes.values())
+    assert e_step(stage, sketch, FAITHFUL, max_elements=largest) == step
+    first = next(o for o in sketch.base.objects if sizes[o] == largest)
+    message = f"free part at stage 1 object {first!r} has {largest} elements (cap {largest - 1})"
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        e_step(stage, sketch, FAITHFUL, max_elements=largest - 1)
+
+
+@pytest.mark.parametrize("mode", [FAITHFUL, PRUNED])
+@pytest.mark.parametrize("make_sketch, make_pres", CAP_CASES)
+def test_stage_cap_is_the_closed_form_total_size(make_sketch, make_pres, mode):
+    sketch = make_sketch()
+    pres = make_pres(sketch)
+    trace = reflect_elim(pres, sketch, budget=3, mode=mode)
+    # stage 0 is X itself, which the cap does not bound
+    sizes = [
+        (st.index, o, len(st.total.carrier[o])) for st in trace.stages[1:] for o in sketch.base.objects
+    ]
+    largest = max(n for _, _, n in sizes)
+    again = reflect_elim(pres, sketch, budget=3, mode=mode, max_elements=largest)
+    assert again.dumps() == trace.dumps()
+    index, first, _ = next(s for s in sizes if s[2] == largest)
+    message = f"stage {index} object {first!r} has {largest} elements (cap {largest - 1})"
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        reflect_elim(pres, sketch, budget=3, mode=mode, max_elements=largest - 1)
 
 
 def test_reflection_map_is_natural_and_lands_in_core():

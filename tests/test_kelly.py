@@ -6,7 +6,7 @@ import pytest
 
 from limsketch.errors import BudgetExceeded
 from limsketch.fincat import CatFunctor, FinCategory
-from limsketch.kelly import SUM_BASE_TAG, kelly_P, kelly_Pc, reflect_kelly
+from limsketch.kelly import SUM_BASE_TAG, kelly_P, reflect_kelly
 from limsketch.setops import empty_presentation, make_presentation
 from limsketch.sketchlib import Cone, LimitSketch, is_model
 
@@ -23,21 +23,26 @@ from tests.fixtures import (
 from tests.oracles import dsu_partition
 
 
+def one_cone(sketch: LimitSketch, index: int = 0) -> LimitSketch:
+    """The sketch on the same base with only its cone at ``index``."""
+    return LimitSketch(sketch.base, (sketch.cones[index],))
+
+
 def test_one_cone_completion_iso_sizes():
     sketch = iso_sketch()
-    step = kelly_Pc(iso_fixture(sketch), sketch.cones[0])
+    step = kelly_P(iso_fixture(sketch), one_cone(sketch))
     assert step.obj.size() == {"a": 1, "b": 1}
 
 
 def test_one_cone_completion_of_empty_is_empty():
     sketch = iso_sketch()
-    step = kelly_Pc(empty_presentation(sketch.base), sketch.cones[0])
+    step = kelly_P(empty_presentation(sketch.base), one_cone(sketch))
     assert step.obj.size() == {"a": 0, "b": 0}
 
 
 def test_one_cone_completion_binary_sizes_and_unit():
     sketch = binary_sketch()
-    step = kelly_Pc(binary_fixture(sketch), sketch.cones[0])
+    step = kelly_P(binary_fixture(sketch), one_cone(sketch))
     assert step.obj.size() == {"a": 2, "p": 4}
     images = step.unit.components["a"]
     assert images["u"] != images["v"]
@@ -59,7 +64,7 @@ def test_completion_classes_match_literal_pair_list_oracle():
         (binary_sketch(), binary_fixture()),
         (iso_sketch(), iso_model()),
     ):
-        step = kelly_Pc(pres, sketch.cones[0])
+        step = kelly_P(pres, one_cone(sketch))
         source = step.quotient.source
         for obj in sketch.base.objects:
             literal = list(step.r0.get(obj, ())) + list(step.r1.get(obj, ()))
@@ -71,7 +76,8 @@ def test_completion_classes_match_literal_pair_list_oracle():
 def test_single_cone_wide_step_equals_per_cone_step():
     sketch = iso_sketch()
     pres = iso_fixture(sketch)
-    assert kelly_P(pres, sketch).obj.size() == kelly_Pc(pres, sketch.cones[0]).obj.size()
+    wide, single = kelly_P(pres, sketch), kelly_P(pres, one_cone(sketch))
+    assert (wide.obj, wide.r0, wide.r1) == (single.obj, single.r0, single.r1)
 
 
 def _two_disjoint_iso_sketch() -> LimitSketch:
@@ -97,8 +103,8 @@ def test_wide_step_counts_on_disjoint_cones():
         {"t1": {"x1": "y", "x2": "y"}, "t2": {"s": "w1"}},
     )
     p_all = kelly_P(pres, sketch)
-    p_one = kelly_Pc(pres, sketch.cones[0])
-    p_two = kelly_Pc(pres, sketch.cones[1])
+    p_one = kelly_P(pres, one_cone(sketch, 0))
+    p_two = kelly_P(pres, one_cone(sketch, 1))
     for obj in sketch.base.objects:
         assert len(p_all.obj.carrier[obj]) == (
             len(p_one.obj.carrier[obj])
@@ -157,7 +163,7 @@ def test_stages_past_convergence_when_requested():
 def test_rho_starts_from_the_sum_base_copy():
     sketch = iso_sketch()
     trace = reflect_kelly(iso_fixture(sketch), sketch, budget=4)
-    step = trace.stages[0].step
+    step = trace.stages[0]
     for x in ("x1", "x2"):
         assert trace.rho.components["a"][x] == step.quotient.projection["a"][f"{SUM_BASE_TAG}:{x}"]
 

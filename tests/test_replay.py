@@ -15,7 +15,6 @@ same message.
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
@@ -73,8 +72,8 @@ def test_solve_refuses_merged_kelly_classes(binary):
     sketch, pres, model, f = binary
     trace = reflect_kelly(pres, sketch, budget=8)
     assert trace.converged and trace.converged_at >= 1
-    classes = trace.stages[0].step.quotient.classes["a"]
-    keep, drop = (trace.stages[0].step.unit.components["a"][x] for x in ("u", "v"))
+    classes = trace.stages[0].quotient.classes["a"]
+    keep, drop = (trace.stages[0].unit.components["a"][x] for x in ("u", "v"))
     assert keep != drop
     merge_classes(classes, keep, drop)
     with pytest.raises(EngineError, match="class image conflict at replay step 0 object 'a'"):
@@ -102,22 +101,8 @@ def test_alpha_refuses_missing_formal_pair(binary):
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     # alpha at stage 0 strips the base tag from each tuple component
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
+    del kelly_trace.stages[0].quotient.projection["p"][f"P:{pid}"]
     with pytest.raises(EngineError, match="missing in the completion sum at 'p'"):
-        build_alpha(elim_trace, kelly_trace, sketch)
-
-
-def test_alpha_refuses_formal_pair_without_provenance(binary):
-    sketch, pres, _, _ = binary
-    elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
-    witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    step = kelly_trace.stages[0].step
-    pid = pair_element_id(*witness)
-    assert step.pair_prov.pop(f"P:{pid}") == witness
-    del step.pair_elements[witness]
-    message = f"pair {pid!r} missing in the completion sum at 'p'"
-    with pytest.raises(EngineError, match=re.escape(message)):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
@@ -244,7 +229,7 @@ def _corrupt_merged_elim_classes_solve():
 def _corrupt_merged_kelly_classes_solve():
     sketch, pres, model, f = _binary()
     trace = reflect_kelly(pres, sketch, budget=8)
-    step = trace.stages[0].step
+    step = trace.stages[0]
     keep, drop = (step.unit.components["a"][x] for x in ("u", "v"))
     merge_classes(step.quotient.classes["a"], keep, drop)
     return _solve_both(trace, f, model, sketch)
@@ -262,18 +247,7 @@ def _corrupt_missing_formal_pair_alpha():
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    del kelly_trace.stages[0].step.quotient.projection["p"][f"P:{pid}"]
-    return _alpha_both(elim_trace, kelly_trace, sketch)
-
-
-def _corrupt_pair_without_provenance_alpha():
-    sketch, pres, _, _ = _binary()
-    elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
-    witness = (cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    step = kelly_trace.stages[0].step
-    del step.pair_prov[f"P:{pair_element_id(*witness)}"]
-    del step.pair_elements[witness]
+    del kelly_trace.stages[0].quotient.projection["p"][f"P:{pid}"]
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 
@@ -299,7 +273,6 @@ def _corrupt_witness_outside_the_model_limit_solve():
         _corrupt_merged_kelly_classes_solve,
         _corrupt_merged_elim_classes_alpha,
         _corrupt_missing_formal_pair_alpha,
-        _corrupt_pair_without_provenance_alpha,
         _corrupt_witness_outside_the_model_limit_solve,
     ],
     ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):],

@@ -20,6 +20,7 @@ from limsketch.setops import (
 )
 from limsketch.sketchlib import BUILDERS, is_model
 from limsketch.universal import (
+    FactorisationResult,
     check_uniqueness,
     enumerate_nat_trans,
     generated,
@@ -63,7 +64,7 @@ def test_iso_fixture_factors_through_singleton_model():
     f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, model, sketch).status == "unique"
+    assert check_uniqueness(trace, result, sketch).status == "unique"
 
 
 def test_binary_fixture_factorisation_is_an_isomorphism():
@@ -116,7 +117,7 @@ def test_solver_works_on_kelly_traces():
     )
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, model, sketch).status == "unique"
+    assert check_uniqueness(trace, result, sketch).status == "unique"
 
 
 def test_enumeration_of_empty_source_is_single():
@@ -146,7 +147,8 @@ def test_uniqueness_binary_is_conclusive():
     pres = binary_fixture(sketch)
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    verdict = check_uniqueness(trace, model, sketch)
+    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch), sketch)
     assert verdict.status == "unique"
     assert verdict.search_space == 1024
     assert verdict.search_space <= 10**6
@@ -189,8 +191,12 @@ def test_generated_fills_every_gap_over_its_image():
 def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
     sketch = binary_sketch()
     trace, _ = _ungenerated_trace(sketch)
+    # a natural g from the hand-made core: w goes where u goes
+    at_a = {"u": "u", "v": "v", "w": "u"}
+    at_p = {q: at_a[q[0]] + at_a[q[1]] for q in trace.core.carrier["p"]}
+    result = FactorisationResult(nat(trace.core, binary_model(sketch), {"a": at_a, "p": at_p}), True)
     with pytest.raises(EngineError, match="object 'a' misses 'w'$"):
-        check_uniqueness(trace, binary_model(sketch), sketch)
+        check_uniqueness(trace, result, sketch)
 
 
 def test_enumeration_finds_two_commuting_maps_on_an_ungenerated_core():
@@ -233,16 +239,20 @@ def test_generated_core_is_unique_without_enumeration(monkeypatch):
         raise AssertionError("a generated core was enumerated")
 
     monkeypatch.setattr(universal_mod, "enumerate_nat_trans", no_enumeration)
-    verdict = check_uniqueness(trace, model, sketch)
+    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch), sketch)
     assert (verdict.status, verdict.search_space) == ("unique", 1024)
 
 
 def test_certificate_needs_a_model_codomain():
-    # two witnesses over one pair: with the gap map not injective, maps agreeing on rho differ
+    # two witnesses over one pair: with the gap map not injective, maps agreeing on rho differ;
+    # the certificate reads M from a factorisation, which is refused for a non-model M
     sketch = binary_sketch()
-    trace = reflect_elim(binary_fixture(sketch), sketch, budget=8, mode=PRUNED)
+    pres, collapsed = binary_fixture(sketch), binary_collapsed_fixture(sketch)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    f = nat(pres, collapsed, {"a": {"u": "u", "v": "u"}, "p": {}})
     with pytest.raises(PreconditionError, match="not a model"):
-        check_uniqueness(trace, binary_collapsed_fixture(sketch), sketch)
+        check_uniqueness(trace, solve_factorisation(trace, f, collapsed, sketch), sketch)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -272,7 +282,8 @@ def test_certificate_matches_one_commuting_transformation(name):
             ]
             closure = generated(trace.core, trace.rho, sketch)
             assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
-            verdict = check_uniqueness(trace, model, sketch)
+            result = solve_factorisation(trace, f, model, sketch)
+            verdict = check_uniqueness(trace, result, sketch)
             assert (verdict.status, len(commuting)) == ("unique", 1), (seed, trace)
             assert verdict.search_space == enum.search_space
             compared += 1

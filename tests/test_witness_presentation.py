@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limsketch import elim, kelly
-from limsketch.elim import FAITHFUL, PRUNED, e_step, reflect_elim
+from limsketch.elim import FAITHFUL, PRUNED, e_step, reflect_elim, relation_two, tag_base
 from limsketch.errors import BudgetExceeded
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
@@ -41,7 +41,12 @@ from tests.fixtures import (
     sheaf_fixture,
     sheaf_sketch,
 )
-from tests.oracles import brute_witness_presentation, random_valid_presentation
+from tests.oracles import (
+    brute_leg_pairs,
+    brute_witness_presentation,
+    random_sketch,
+    random_valid_presentation,
+)
 
 
 # the tag of each engine's witness summand, by the tag of the other summand
@@ -240,3 +245,45 @@ def test_witness_id_is_head_then_tail_and_decodes(kind, witness):
     wid = witness_id(kind, cone, arrow, w)
     assert wid == witness_head(kind, cone, arrow) + witness_tail(w)
     assert _decode(kind, wid) == witness
+
+
+def _leg_pair_cases():
+    cases = [
+        (iso_sketch(), iso_fixture()),
+        (binary_sketch(), binary_fixture()),
+        (sheaf_sketch(), sheaf_fixture()),
+    ]
+    for seed in range(40):
+        rng = random.Random(f"leg-pairs:{seed}")
+        sketch = random_sketch(rng)
+        cases.append((sketch, random_valid_presentation(rng, sketch.base, max_size=3)))
+    return cases
+
+
+def test_rectification_pairs_match_their_definition():
+    """Rule (2) of ``elim`` and R1 of ``kelly`` against ``brute_leg_pairs``, stage by stage."""
+    caps = {"max_tuples": 20_000, "max_elements": 2_000}
+    compared = 0
+    for sketch, pres in _leg_pair_cases():
+        try:
+            elim_traces = [
+                reflect_elim(pres, sketch, budget=2, mode=mode, **caps) for mode in (FAITHFUL, PRUNED)
+            ]
+            kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False, **caps)
+        except BudgetExceeded:
+            continue
+        for stage in (st for trace in elim_traces for st in trace.stages[1:]):
+            into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in stage.p_prev.items()}
+            want = brute_leg_pairs(stage.prev_total, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
+            got = relation_two(stage, sketch)
+            assert {d: set(ps) for d, ps in got.items()} == {d: ps for d, ps in want.items() if ps}
+            compared += sum(map(len, want.values()))
+        previous = kelly_trace.start
+        for step in kelly_trace.stages:
+            x_tag = kelly.SUM_BASE_TAG
+            into = {d: {x: f"{x_tag}:{x}" for x in xs} for d, xs in previous.carrier.items()}
+            want = brute_leg_pairs(previous, sketch, step.limits, "K", kelly.SUM_PAIR_TAG, into)
+            assert {d: set(ps) for d, ps in step.r1.items()} == {d: ps for d, ps in want.items() if ps}
+            compared += sum(map(len, want.values()))
+            previous = step.obj
+    assert compared >= 1_000, compared
