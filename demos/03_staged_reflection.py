@@ -23,7 +23,8 @@ print("\npruned run:", trace.verdict, "at stage", trace.converged_at)
 for stage in trace.stages:
     r1, r2 = stage.pair_counts()
     free = {o: len(stage.free_part(o)) for o in sketch.base.objects}
-    print(f"  stage {stage.index}: base {stage.base.size()} free {free} rule1={r1} rule2={r2}")
+    base = stage.quotient.target.size()
+    print(f"  stage {stage.index}: base {base} free {free} rule1={r1} rule2={r2}")
 print("core sizes:", trace.core.size())
 print("core is a model:", is_model(trace.core, sketch).is_model)
 

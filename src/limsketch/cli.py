@@ -17,6 +17,8 @@ from . import elim, kelly, universal
 from .errors import EngineError, InputError
 from .fincat import check_document, read_json, write_report
 from .setops import (
+    DEFAULT_ELEMENT_CAP,
+    DEFAULT_STAGE_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     SetPresentation,
@@ -268,9 +270,9 @@ def _add_common(parser: argparse.ArgumentParser, staged: bool = True) -> None:
     parser.add_argument("--sketch", required=True, help="sketch JSON file or builder name")
     parser.add_argument("--presentation", required=True, help="presentation JSON file")
     if staged:
-        parser.add_argument("--budget", type=int, default=8, help="stage budget")
+        parser.add_argument("--budget", type=int, default=DEFAULT_STAGE_BUDGET, help="stage budget")
         parser.add_argument(
-            "--max-elements", type=int, default=elim.DEFAULT_ELEMENT_CAP, dest="max_elements"
+            "--max-elements", type=int, default=DEFAULT_ELEMENT_CAP, dest="max_elements"
         )
     parser.add_argument(
         "--max-tuples", type=int, default=DEFAULT_TUPLE_BUDGET, dest="max_tuples"

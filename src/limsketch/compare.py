@@ -20,7 +20,7 @@ from .fincat import report_text
 from .kelly import KellyTrace
 from .setops import NatTransSpec, SetPresentation, compose_nat, identity_nat
 from .sketchlib import LimitSketch
-from .universal import Components, FactorisationResult, replay, solve_factorisation
+from .universal import Components, FactorisationResult, factor_through_model, replay
 
 
 @dataclass
@@ -78,10 +78,10 @@ def _check_commutation(
     stage: Stage, unit: Components, prev: Components, comp: Components
 ) -> str | None:
     """Does alpha_i . p = unit_i . alpha_(i-1) hold on the previous total?"""
-    assert stage.prev_total is not None and stage.p_prev is not None
-    for d in stage.prev_total.base.objects:
-        for x in stage.prev_total.carrier[d]:
-            if comp[d][tag_base(stage.p_prev[d][x])] != unit[d][prev[d][x]]:
+    previous, projection = stage.quotient.source, stage.quotient.projection
+    for d in previous.base.objects:
+        for x in previous.carrier[d]:
+            if comp[d][tag_base(projection[d][x])] != unit[d][prev[d][x]]:
                 return f"stage {stage.index}: square breaks at {d!r} on {x!r}"
     return None
 
@@ -99,7 +99,7 @@ def build_alpha(
     """
     if elim_trace.mode != FAITHFUL:
         raise PreconditionError("alpha comparison needs a faithful staged trace")
-    x_elim = elim_trace.stages[0].base
+    x_elim = elim_trace.stages[0].quotient.target
     if x_elim != kelly_trace.start:
         raise InputError("the two traces start from different presentations")
     depth = len(elim_trace.stages) - 1
@@ -148,12 +148,13 @@ def reflector_iso_check(
 
     Each reflection map is factored through the other trace; the verdict
     holds when the two factorisations compose to identities both ways.
+    Each core is a model already, checked by its engine on convergence.
     """
     for trace in (first, second):
         if not trace.converged or trace.core is None or trace.rho is None:
             raise PreconditionError("reflector comparison needs converged traces")
-    forward = solve_factorisation(first, second.rho, second.core, sketch)
-    backward = solve_factorisation(second, first.rho, first.core, sketch)
+    forward = factor_through_model(first, second.rho, second.core, sketch)
+    backward = factor_through_model(second, first.rho, first.core, sketch)
     round_first = compose_nat(backward.g, forward.g)
     round_second = compose_nat(forward.g, backward.g)
     ok_first = round_first.components == identity_nat(first.core).components

@@ -1,7 +1,8 @@
 """The staged reflector: free extension, identification rules, convergence.
 
 Each stage holds a quotient-free part E (freshly added limit witnesses)
-next to a base part B (everything previously built, quotiented).  The
+next to a base part B (everything previously built, quotiented), and
+keeps whole the quotient map that made B from the previous total.  The
 next base merges the current total S = B + E under two kinds of pairs:
 
 * rule (1) merges elements of S(d) with equal image in the pushout of
@@ -34,6 +35,7 @@ from .errors import BudgetExceeded, InputError, PreconditionError
 from .fincat import report_text
 from .setops import (
     DEFAULT_ELEMENT_CAP,
+    DEFAULT_STAGE_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     LimitJoin,
     NatTransSpec,
@@ -63,7 +65,6 @@ from .sketchlib import (
 
 FAITHFUL = "faithful"
 PRUNED = "pruned"
-DEFAULT_STAGE_BUDGET = 8
 
 BASE_TAG = "B"
 FREE_TAG = "E"
@@ -81,38 +82,34 @@ def tag_free(free_id: str) -> str:
 class Stage:
     """One stage of the staged reflection.
 
-    ``total`` is the tagged disjoint sum of ``base`` and the free part;
-    ``p_prev`` projects the previous total onto this base (absent at
-    stage 0); ``limits_prev`` holds, per cone, the limit tuples of the
-    previous total that the free part is built from (all of them in
-    faithful mode, only those over tuples unhit in this base in pruned
-    mode); ``free_rows[c, t]`` lists the ids in ``total`` of the free
-    elements over ``limits_prev[c]`` in order, for each arrow t out of the
-    peak of c, and is the only record of the free part;
-    ``prev_classes`` lists the members of each base class (at stage 0,
-    each element of X is its own class).
+    ``quotient`` is the map that made this stage's base: its ``source`` is
+    the previous total, its ``target`` the base, and its ``projection``
+    and ``classes`` relate the two (at stage 0, the identity of X, each
+    element its own class).  ``total`` is the tagged disjoint sum of the
+    base and the free part; ``limits_prev`` holds, per cone, the limit
+    tuples of the previous total that the free part is built from (all of
+    them in faithful mode, only those over tuples unhit in this base in
+    pruned mode); ``free_rows[c, t]`` lists the ids in ``total`` of the
+    free elements over ``limits_prev[c]`` in order, for each arrow t out of
+    the peak of c, and is the only record of the free part.
     """
 
     index: int
-    base: SetPresentation
+    quotient: QuotientMap
     total: SetPresentation
     limits_prev: dict[str, tuple[tuple[str, ...], ...]]
     free_rows: dict[tuple[str, str], list[str]]
-    p_prev: dict[str, dict[str, str]] | None = None
-    prev_total: SetPresentation | None = None
-    prev_classes: dict[str, dict[str, tuple[str, ...]]] | None = None
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
     def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
-        """Replay view of ``base`` at ``obj``: each class carries its members."""
-        assert self.prev_classes is not None
-        for class_id, members in self.prev_classes[obj].items():
+        """Replay view of the base at ``obj``: each class carries its members."""
+        for class_id, members in self.quotient.classes[obj].items():
             yield f"{BASE_TAG}:{class_id}", members, ()
 
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
-        return self.total.carrier[obj][len(self.base.carrier[obj]) :]
+        return self.total.carrier[obj][len(self.quotient.target.carrier[obj]) :]
 
     def witness_rows(self) -> Iterator[tuple[str, str, tuple[tuple[str, ...], ...], list[str]]]:
         """Replay view of the free part: per (cone, arrow), the limit tuples and ids over them."""
@@ -139,7 +136,6 @@ class ReflectionTrace:
     mode: str
     sketch: LimitSketch
     stages: list[Stage]
-    verdict: str  # "converged" | "budget-exhausted"
     converged_at: int | None
     core: SetPresentation | None
     rho: NatTransSpec | None
@@ -147,7 +143,11 @@ class ReflectionTrace:
 
     @property
     def converged(self) -> bool:
-        return self.verdict == "converged"
+        return self.converged_at is not None
+
+    @property
+    def verdict(self) -> str:
+        return "converged" if self.converged else "budget-exhausted"
 
     def replay_steps(self, depth: int | None = None) -> list[Stage | Rename]:
         """Stages 0..``depth`` from X; by default stages 0..``converged_at``, then B:k -> k."""
@@ -165,10 +165,10 @@ class ReflectionTrace:
             stages.append(
                 {
                     "index": st.index,
-                    "base": encode_carriers(st.base),
+                    "base": encode_carriers(st.quotient.target),
                     "free": {o: [x[cut:] for x in st.free_part(o)] for o in objects},
                     "total": encode_carriers(st.total),
-                    "p": st.p_prev,
+                    "p": st.quotient.projection if st.index else None,
                     "rule1": r1,
                     "rule2": r2,
                 }
@@ -192,14 +192,10 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
     check_presentation(pres, sketch)
     empty = empty_presentation(sketch.base)
     total, _, _ = disjoint_sum(pres, empty, tags=(BASE_TAG, FREE_TAG))
-    return Stage(
-        index=0,
-        base=pres,
-        total=total,
-        limits_prev={},
-        free_rows={},
-        prev_classes={d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects},
-    )
+    projection = {d: {x: x for x in pres.carrier[d]} for d in sketch.base.objects}
+    classes = {d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects}
+    identity = QuotientMap(pres, pres, projection, classes)
+    return Stage(index=0, quotient=identity, total=total, limits_prev={}, free_rows={})
 
 
 def relation_one(
@@ -241,10 +237,9 @@ def relation_two(
     """
     if stage.index < 1:
         return {}
-    if stage.prev_total is None or stage.p_prev is None:
-        raise PreconditionError("relation_two needs the previous stage")
-    into = {d: {x: tag_base(k) for x, k in proj.items()} for d, proj in stage.p_prev.items()}
-    return rectification_pairs(stage.prev_total, sketch, stage.limits_prev, stage.free_rows, into)
+    quotient = stage.quotient
+    into = {d: {x: tag_base(k) for x, k in proj.items()} for d, proj in quotient.projection.items()}
+    return rectification_pairs(quotient.source, sketch, stage.limits_prev, stage.free_rows, into)
 
 
 @dataclass
@@ -367,13 +362,10 @@ def elim_stage(
     total, _ = witness_sum(quotient.target, step.free, BASE_TAG)
     return Stage(
         index=stage.index + 1,
-        base=quotient.target,
+        quotient=quotient,
         total=total,
         limits_prev=step.limits,
         free_rows=step.rows,
-        p_prev=quotient.projection,
-        prev_total=stage.total,
-        prev_classes=quotient.classes,
         rule1=pairs1,
         rule2=pairs2,
     )
@@ -398,18 +390,11 @@ def _subpresentation(pres: SetPresentation, keep: dict[str, tuple[str, ...]]) ->
 
 def _core_class_ids(stage: Stage) -> dict[str, tuple[str, ...]]:
     """Classes of the base that contain at least one previous-base member."""
-    assert stage.prev_classes is not None
-    out: dict[str, tuple[str, ...]] = {}
     prefix = f"{BASE_TAG}:"
-    for d in stage.base.base.objects:
-        out[d] = tuple(
-            sorted(
-                k
-                for k in stage.base.carrier[d]
-                if any(m.startswith(prefix) for m in stage.prev_classes[d][k])
-            )
-        )
-    return out
+    return {
+        d: tuple(sorted(k for k, ms in classes.items() if any(m.startswith(prefix) for m in ms)))
+        for d, classes in stage.quotient.classes.items()
+    }
 
 
 def _core_stable(
@@ -418,9 +403,9 @@ def _core_stable(
     core: dict[str, tuple[str, ...]],
 ) -> bool:
     """Is the projection restricted to the previous core a bijection onto the core?"""
-    assert stage.p_prev is not None
+    projection = stage.quotient.projection
     for d, prev_ids in prev_core.items():
-        images = [stage.p_prev[d][tag_base(k)] for k in prev_ids]
+        images = [projection[d][tag_base(k)] for k in prev_ids]
         if len(set(images)) != len(images):
             return False
         if sorted(set(images)) != list(core.get(d, ())):
@@ -455,14 +440,7 @@ def reflect_elim(
     stages = [stage0]
     if is_model(pres, sketch, max_tuples=max_tuples).is_model:
         return ReflectionTrace(
-            mode,
-            sketch,
-            stages,
-            "converged",
-            0,
-            pres,
-            identity_nat(pres),
-            core_kind="model-input",
+            mode, sketch, stages, 0, pres, identity_nat(pres), core_kind="model-input"
         )
     prev_core = {d: tuple(pres.carrier[d]) for d in sketch.base.objects}
     core_pres: SetPresentation | None = None
@@ -475,39 +453,29 @@ def reflect_elim(
         stages.append(stage)
         core_ids = _core_class_ids(stage)
         if _core_stable(prev_core, stage, core_ids):
-            candidate = _subpresentation(stage.base, core_ids)
+            candidate = _subpresentation(stage.quotient.target, core_ids)
             if is_model(candidate, sketch, max_tuples=max_tuples).is_model:
                 core_pres = candidate
                 converged_at = stage.index
                 core_kind = "stable-core"
                 break
         if not any(stage.free_rows.values()):
-            if is_model(stage.base, sketch, max_tuples=max_tuples).is_model:
-                core_pres = stage.base
+            if is_model(stage.quotient.target, sketch, max_tuples=max_tuples).is_model:
+                core_pres = stage.quotient.target
                 converged_at = stage.index
                 core_kind = "base-fixpoint"
                 break
         prev_core = core_ids
     if core_pres is None:
-        return ReflectionTrace(mode, sketch, stages, "budget-exhausted", None, None, None)
+        return ReflectionTrace(mode, sketch, stages, None, None, None)
     rho_components: dict[str, dict[str, str]] = {}
     for d in sketch.base.objects:
         comp: dict[str, str] = {}
         for x in pres.carrier[d]:
             v = x
             for stage in stages[1 : converged_at + 1]:
-                assert stage.p_prev is not None
-                v = stage.p_prev[d][tag_base(v)]
+                v = stage.quotient.projection[d][tag_base(v)]
             comp[x] = v
         rho_components[d] = comp
     rho = NatTransSpec(pres, core_pres, rho_components)
-    return ReflectionTrace(
-        mode,
-        sketch,
-        stages,
-        "converged",
-        converged_at,
-        core_pres,
-        rho,
-        core_kind=core_kind,
-    )
+    return ReflectionTrace(mode, sketch, stages, converged_at, core_pres, rho, core_kind=core_kind)

@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BudgetExceeded, EngineError
+from .errors import BudgetExceeded, EngineError, InputError
 from .fincat import report_text
 from .setops import (
     DEFAULT_ELEMENT_CAP,
+    DEFAULT_STAGE_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     QuotientMap,
@@ -163,14 +164,17 @@ class KellyTrace:
     sketch: LimitSketch
     start: SetPresentation
     stages: list[CompletionStep]  # stage n at ``stages[n - 1]``
-    verdict: str  # "converged" | "budget-exhausted"
     converged_at: int | None
     core: SetPresentation | None
     rho: NatTransSpec | None
 
     @property
     def converged(self) -> bool:
-        return self.verdict == "converged"
+        return self.converged_at is not None
+
+    @property
+    def verdict(self) -> str:
+        return "converged" if self.converged else "budget-exhausted"
 
     def replay_steps(self) -> list[CompletionStep]:
         """Completion steps 1..``converged_at``, from X to the core."""
@@ -211,7 +215,7 @@ class KellyTrace:
 def reflect_kelly(
     pres: SetPresentation,
     sketch: LimitSketch,
-    budget: int = 8,
+    budget: int = DEFAULT_STAGE_BUDGET,
     stop_on_convergence: bool = True,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
@@ -223,6 +227,8 @@ def reflect_kelly(
     that to line stages up with another trace.  A tuple or element cap
     exceeded in a completion raises :class:`BudgetExceeded` naming its stage.
     """
+    if budget < 0:
+        raise InputError("budget must be >= 0")
     check_presentation(pres, sketch)
     stages: list[CompletionStep] = []
     converged_at: int | None = None
@@ -241,9 +247,9 @@ def reflect_kelly(
         if converged_at is None and is_model(current, sketch, max_tuples=max_tuples).is_model:
             converged_at = n
     if converged_at is None:
-        return KellyTrace(sketch, pres, stages, "budget-exhausted", None, None, None)
+        return KellyTrace(sketch, pres, stages, None, None, None)
     core = pres if converged_at == 0 else stages[converged_at - 1].obj
     rho = identity_nat(pres)
     for step in stages[:converged_at]:
         rho = compose_nat(step.unit, rho)
-    return KellyTrace(sketch, pres, stages, "converged", converged_at, core, rho)
+    return KellyTrace(sketch, pres, stages, converged_at, core, rho)

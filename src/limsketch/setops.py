@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -29,6 +29,8 @@ from .fincat import (
 DEFAULT_TUPLE_BUDGET = 10**6
 # per-object carrier cap of a stage or completion sum
 DEFAULT_ELEMENT_CAP = 200_000
+# stages a reflection may run before it reports "budget-exhausted"
+DEFAULT_STAGE_BUDGET = 8
 
 # A witness: (cone name, arrow out of the cone's peak, limit tuple).
 Witness = tuple[str, str, tuple[str, ...]]
@@ -70,7 +72,6 @@ class SetPresentation:
     base: FinCategory
     carrier: dict[str, tuple[str, ...]]
     action: dict[str, dict[str, str]]
-    name: str = field(default="", compare=False)
 
     def size(self) -> dict[str, int]:
         return {o: len(self.carrier[o]) for o in self.base.objects}
@@ -80,7 +81,6 @@ def make_presentation(
     base: FinCategory,
     carrier: Mapping[str, Iterable[str]],
     action: Mapping[str, Mapping[str, str]],
-    name: str = "",
 ) -> SetPresentation:
     """Normalize carriers/actions, filling identity actions; a stray entry or moved point fails."""
     carr = {o: tuple(sorted(set(carrier.get(o, ())))) for o in base.objects}
@@ -101,7 +101,7 @@ def make_presentation(
             raise InputError(f"action of {arrow_name!r} defined on {x!r}, not in {arrow.dom!r}")
         if base.is_identity(arrow_name) and (moved := [x for x, y in given.items() if y != x]):
             raise InputError(f"identity action {arrow_name!r} moves {min(moved)!r}")
-    return SetPresentation(base, carr, act, name=name)
+    return SetPresentation(base, carr, act)
 
 
 def empty_presentation(base: FinCategory) -> SetPresentation:

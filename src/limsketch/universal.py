@@ -109,18 +109,28 @@ def solve_factorisation(
     sketch: LimitSketch,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> FactorisationResult:
-    """Construct g with g . rho = f by replaying the trace from f.
-
-    Accepts either engine's trace.  The returned g is verified to commute
-    with rho and to be natural before being handed back; a broken trace
-    surfaces as an error, never as a silently wrong g.
-    """
+    """Construct g with g . rho = f: check the trace converged and M a model, then factor."""
     if not trace.converged:
         raise PreconditionError("factorisation needs a converged trace")
     report = is_model(model, sketch, max_tuples=max_tuples)
     if not report.is_model:
         bad = next(c for c in report.checks if not c.ok)
         raise PreconditionError(f"not a model: cone {bad.cone!r} gap map not bijective")
+    return factor_through_model(trace, f, model, sketch)
+
+
+def factor_through_model(
+    trace: ReflectionTrace | KellyTrace,
+    f: NatTransSpec,
+    model: SetPresentation,
+    sketch: LimitSketch,
+) -> FactorisationResult:
+    """g with g . rho = f for a converged trace of either engine and a model M.
+
+    The trace is replayed from f.  The returned g is verified to commute
+    with rho and to be natural before being handed back; a broken trace
+    surfaces as an error, never as a silently wrong g.
+    """
     # M is a model, so each gap map is a bijection onto its cone's limit
     inverses = {c.name: {t: x for x, t in gap_map(model, c).items()} for c in sketch.cones}
     log: list[dict] = []

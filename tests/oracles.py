@@ -373,7 +373,7 @@ def brute_pair_class(step: CompletionStep, obj: str, cone: str, arrow: str, w) -
 
 def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]:
     """The components of alpha at stages 0..``depth``, replayed element by element."""
-    x = elim_trace.stages[0].base
+    x = elim_trace.stages[0].quotient.target
     kelly_steps = [None, *kelly_trace.stages[:depth]]
     units = [None] + [step.unit.components for step in kelly_steps[1:]]
     return list(

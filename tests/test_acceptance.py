@@ -168,14 +168,14 @@ def test_criterion_04_stage_structure_invariants():
                 assert stage.index <= 3
                 for obj in sketch.base.objects:
                     tagged = set(stage.total.carrier[obj])
-                    base_part = {tag_base(x) for x in stage.base.carrier[obj]}
+                    base_part = {tag_base(x) for x in stage.quotient.target.carrier[obj]}
                     free_part = {fid for fid, _ in free_witnesses(stage, obj)}
                     assert tagged == base_part | free_part
                     assert not (base_part & free_part)
                 if stage.index >= 1:
                     for obj in sketch.base.objects:
-                        assert set(stage.p_prev[obj].values()) == set(
-                            stage.base.carrier[obj]
+                        assert set(stage.quotient.projection[obj].values()) == set(
+                            stage.quotient.target.carrier[obj]
                         )
 
 

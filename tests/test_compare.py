@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from limsketch import sketchlib
 from limsketch.compare import build_alpha, reflector_iso_check
 from limsketch.elim import BASE_TAG, FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import PreconditionError
@@ -115,3 +118,24 @@ def test_mode_soundness_via_iso_check():
         pruned = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
         assert faithful.converged and pruned.converged
         assert reflector_iso_check(faithful, pruned, sketch).ok
+
+
+def test_reflector_iso_check_runs_no_model_check(monkeypatch):
+    """Each engine checked its core on convergence, so the isomorphism check checks none again."""
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    elim_trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    kelly_trace = reflect_kelly(pres, sketch, budget=8)
+    original, calls = sketchlib.is_model, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "limsketch":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert reflector_iso_check(elim_trace, kelly_trace, sketch).ok
+    assert len(calls) == 0

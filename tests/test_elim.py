@@ -20,7 +20,7 @@ from limsketch.elim import (
     tag_free,
 )
 from limsketch.compare import reflector_iso_check
-from limsketch.errors import BudgetExceeded
+from limsketch.errors import BudgetExceeded, InputError
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import make_presentation, validate_presentation, witness_id
@@ -35,13 +35,14 @@ from tests.fixtures import (
     iso_model,
     iso_sketch,
     sheaf_fixture,
+    sheaf_model,
     sheaf_sketch,
 )
 from tests.oracles import free_witnesses, pushed_filter_limits, random_valid_presentation
 
 
 def free_size(stage) -> dict[str, int]:
-    return {o: len(stage.free_part(o)) for o in stage.base.base.objects}
+    return {o: len(stage.free_part(o)) for o in stage.quotient.target.base.objects}
 
 
 # -- e_step (exercised through elim_stage, which wires the pruning inputs) ----
@@ -165,7 +166,7 @@ def test_rule_two_empty_when_free_part_empty():
 def test_stage_one_sizes_iso():
     sketch = iso_sketch()
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
-    assert stage1.base.size() == {"a": 1, "b": 1}
+    assert stage1.quotient.target.size() == {"a": 1, "b": 1}
     assert stage1.total.size() == {"a": 2, "b": 2}
 
 
@@ -175,14 +176,14 @@ def test_model_input_is_a_fixpoint():
     assert relation_one(stage0, sketch) == {}
     stage1 = elim_stage(stage0, sketch, PRUNED)
     assert free_size(stage1) == {"a": 0, "b": 0}
-    assert stage1.base.size() == iso_model(sketch).size()
+    assert stage1.quotient.target.size() == iso_model(sketch).size()
 
 
 def test_binary_pruned_stage_two_reaches_fixpoint():
     sketch = binary_sketch()
     stage1 = elim_stage(initial_stage(binary_fixture(sketch), sketch), sketch, PRUNED)
     stage2 = elim_stage(stage1, sketch, PRUNED)
-    assert stage2.base.size() == {"a": 2, "p": 4}
+    assert stage2.quotient.target.size() == {"a": 2, "p": 4}
     assert free_size(stage2) == {"a": 0, "p": 0}
 
 
@@ -222,6 +223,52 @@ def test_budget_zero_returns_stage_zero_trace():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=0)
     assert trace.verdict == "budget-exhausted"
     assert len(trace.stages) == 1 and trace.core is None
+
+
+@pytest.mark.parametrize("reflect", [reflect_elim, reflect_kelly])
+def test_negative_budget_is_refused_by_both_engines(reflect):
+    sketch = binary_sketch()
+    with pytest.raises(InputError, match="^budget must be >= 0$"):
+        reflect(binary_fixture(sketch), sketch, budget=-1)
+
+
+# (fixture, sketch): ((verdict, converged_at, core_kind) pruned at budget 8, faithful at 3)
+CONVERGENCE_RULES = [
+    (iso_fixture, iso_sketch, (("converged", 1, "base-fixpoint"), ("converged", 2, "stable-core"))),
+    (
+        binary_collapsed_fixture,
+        binary_sketch,
+        (("converged", 1, "base-fixpoint"), ("converged", 2, "stable-core")),
+    ),
+    (
+        binary_fixture,
+        binary_sketch,
+        (("converged", 2, "base-fixpoint"), ("budget-exhausted", None, None)),
+    ),
+    (
+        sheaf_fixture,
+        sheaf_sketch,
+        (("converged", 2, "base-fixpoint"), ("budget-exhausted", None, None)),
+    ),
+    (iso_model, iso_sketch, (("converged", 0, "model-input"),) * 2),
+    (binary_model, binary_sketch, (("converged", 0, "model-input"),) * 2),
+    (sheaf_model, sheaf_sketch, (("converged", 0, "model-input"),) * 2),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, make_sketch, expected",
+    CONVERGENCE_RULES,
+    ids=[rule[0].__name__ for rule in CONVERGENCE_RULES],
+)
+def test_convergence_rule_per_fixture(fixture, make_sketch, expected):
+    sketch = make_sketch()
+    runs = (
+        reflect_elim(fixture(sketch), sketch, budget=8, mode=PRUNED),
+        reflect_elim(fixture(sketch), sketch, budget=3, mode=FAITHFUL),
+    )
+    got = tuple((t.verdict, t.converged_at, t.core_kind) for t in runs)
+    assert got == expected
 
 
 def _points(sketch, n):
@@ -324,15 +371,16 @@ def _stage_invariants(trace, sketch):
     for stage in trace.stages:
         for obj in sketch.base.objects:
             tagged = set(stage.total.carrier[obj])
-            base_part = {tag_base(x) for x in stage.base.carrier[obj]}
+            base_part = {tag_base(x) for x in stage.quotient.target.carrier[obj]}
             free_part = [fid for fid, _ in free_witnesses(stage, obj)]
             assert tagged == base_part | set(free_part)
             assert not (base_part & set(free_part))
             assert stage.free_part(obj) == tuple(sorted(free_part))
         if stage.index >= 1:
-            assert stage.p_prev is not None
+            quotient = stage.quotient
+            assert quotient.source is trace.stages[stage.index - 1].total
             for obj in sketch.base.objects:
-                assert set(stage.p_prev[obj].values()) == set(stage.base.carrier[obj])
+                assert set(quotient.projection[obj].values()) == set(quotient.target.carrier[obj])
         for name, arrow in sketch.base.arrows.items():
             for fid, (cone, t, w) in free_witnesses(stage, arrow.dom):
                 composed = sketch.base.compose(name, t)
@@ -414,7 +462,8 @@ def test_stage_element_provenance_view():
 def _assert_pruned_limits_match_oracle(pres, sketch, budget=8):
     trace = reflect_elim(pres, sketch, budget=budget, mode=PRUNED)
     for prev, stage in zip(trace.stages, trace.stages[1:]):
-        expected = pushed_filter_limits(prev.total, stage.base, stage.p_prev, sketch)
+        quotient = stage.quotient
+        expected = pushed_filter_limits(prev.total, quotient.target, quotient.projection, sketch)
         for cone in sketch.cones:
             kept = stage.limits_prev[cone.name]
             assert len(set(kept)) == len(kept)
@@ -466,9 +515,7 @@ def test_pruned_limits_match_oracle_on_several_lifts():
             random_valid_presentation(rng, base, max_size=4), sketch, budget=2
         )
         for stage in trace.stages[1:]:
-            images = [
-                (stage.p_prev["b"][wb], stage.p_prev["c"][wc])
-                for wb, wc in stage.limits_prev["c0"]
-            ]
+            p = stage.quotient.projection
+            images = [(p["b"][wb], p["c"][wc]) for wb, wc in stage.limits_prev["c0"]]
             several += len(images) - len(set(images))
     assert several > 0

@@ -63,7 +63,7 @@ def test_solve_refuses_merged_elim_classes(binary):
     sketch, pres, model, f = binary
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     assert trace.converged and trace.converged_at >= 1
-    merge_classes(trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    merge_classes(trace.stages[1].quotient.classes["a"], "B:u", "B:v")
     with pytest.raises(EngineError, match="class image conflict at replay step 1 object 'a'"):
         solve_factorisation(trace, f, model, sketch)
 
@@ -90,7 +90,7 @@ def test_alpha_refuses_merged_elim_classes(binary):
     sketch, pres, _, _ = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     assert build_alpha(elim_trace, kelly_trace, sketch).ok
-    merge_classes(elim_trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
     with pytest.raises(EngineError, match="class image conflict at replay step 1 object 'a'"):
         build_alpha(elim_trace, kelly_trace, sketch)
 
@@ -222,7 +222,7 @@ def _binary():
 def _corrupt_merged_elim_classes_solve():
     sketch, pres, model, f = _binary()
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    merge_classes(trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    merge_classes(trace.stages[1].quotient.classes["a"], "B:u", "B:v")
     return _solve_both(trace, f, model, sketch)
 
 
@@ -238,7 +238,7 @@ def _corrupt_merged_kelly_classes_solve():
 def _corrupt_merged_elim_classes_alpha():
     sketch, pres, _, _ = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    merge_classes(elim_trace.stages[1].prev_classes["a"], "B:u", "B:v")
+    merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 

@@ -305,9 +305,12 @@ def test_rho_generates_every_converged_core_on_random_sketches():
     reflected by pruned and faithful ``elim`` and by ``kelly``.  Budget
     refusals and traces that exhaust their stages are counted, not
     filtered out, and at least 1,600 of the 1,920 traces must converge.
+    The convergence rule of each ``elim`` trace is counted per engine:
+    pruned ``stable-core`` occurs only on sketches like these.
     """
     caps = {"max_tuples": 100_000, "max_elements": 5_000}
     outcomes: Counter = Counter()
+    core_kinds: Counter = Counter()
     for seed in range(160):
         rng = random.Random(f"random-sketch:{seed}")
         sketch = random_sketch(rng)
@@ -326,8 +329,10 @@ def test_rho_generates_every_converged_core_on_random_sketches():
                 assert closure == {d: set(c) for d, c in trace.core.carrier.items()}, (seed, engine)
                 assert is_model(trace.core, sketch).is_model, (seed, engine)
                 outcomes["converged"] += 1
+                core_kinds[engine, getattr(trace, "core_kind", None)] += 1
     assert sum(outcomes.values()) == 160 * 4 * len(RANDOM_SKETCH_ENGINES)
     assert outcomes["converged"] >= 1_600, outcomes
+    assert core_kinds["pruned", "stable-core"] >= 1, core_kinds
 
 
 def test_factorisation_is_deterministic():

@@ -273,8 +273,9 @@ def test_rectification_pairs_match_their_definition():
         except BudgetExceeded:
             continue
         for stage in (st for trace in elim_traces for st in trace.stages[1:]):
-            into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in stage.p_prev.items()}
-            want = brute_leg_pairs(stage.prev_total, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
+            quotient = stage.quotient
+            into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in quotient.projection.items()}
+            want = brute_leg_pairs(quotient.source, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
             got = relation_two(stage, sketch)
             assert {d: set(ps) for d, ps in got.items()} == {d: ps for d, ps in want.items() if ps}
             compared += sum(map(len, want.values()))
