@@ -406,12 +406,7 @@ def _core_stable(
     projection = stage.quotient.projection
     for d, prev_ids in prev_core.items():
         images = [projection[d][tag_base(k)] for k in prev_ids]
-        if len(set(images)) != len(images):
-            return False
-        if sorted(set(images)) != list(core.get(d, ())):
-            return False
-    for d in core:
-        if d not in prev_core:
+        if len(set(images)) != len(images) or sorted(images) != list(core[d]):
             return False
     return True
 

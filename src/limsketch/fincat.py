@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Sequence, TextIO
 
 from .errors import InputError
 
@@ -288,23 +289,58 @@ def validate_functor(functor: CatFunctor) -> ValidationReport:
 # -- JSON interchange ------------------------------------------------------
 
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-REPORT_BATCH = 1 << 14  # encoder chunks per write: about 1.3 MB each of a 38.6 MB report
+_LEAF_BATCH = 4096  # list items or map entries per written chunk: about 1.3 MB of a 38.6 MB report
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')  # what JSON writes unescaped
 
 
-def _report_chunks(payload: object) -> Iterator[str]:
-    """The report of ``payload`` as encoded: keys sorted, two-space indent, final newline."""
-    return itertools.chain(_REPORT_ENCODER.iterencode(payload), ("\n",))
+def _report_chunks(value: object, indent: str = "") -> Iterator[str]:
+    """``value`` as ``_REPORT_ENCODER`` encodes it, each string map or string list in batches.
+
+    A batch is joined once and checked for plainness: printable ASCII but
+    ``"`` and ``\\``.  A plain string is written as itself in quotes, all
+    that escaping would do; any other batch is escaped string by string.
+    Dict keys must be strings: any other key raises ``TypeError``.
+    """
+    if isinstance(value, dict):
+        keys: Sequence[str] = sorted(value)
+        values, ends = [value[k] for k in keys], "{}"
+    elif isinstance(value, (list, tuple)):
+        keys, values, ends = (), value, "[]"
+    else:
+        yield _REPORT_ENCODER.encode(value)
+        return
+    if not values:
+        yield ends
+        return
+    inner, esc = indent + "  ", encode_basestring_ascii
+    lead, sep = ends[0] + "\n" + inner, ",\n" + inner
+    if all(isinstance(v, str) for v in values):
+        for at in range(0, len(values), _LEAF_BATCH):
+            ks, vs = keys[at : at + _LEAF_BATCH], values[at : at + _LEAF_BATCH]
+            text = "".join(itertools.chain(ks, vs))
+            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+                lines = [f'"{k}": "{v}"' for k, v in zip(ks, vs)] if ks else [f'"{v}"' for v in vs]
+            else:
+                lines = [f"{esc(k)}: {esc(v)}" for k, v in zip(ks, vs)] if ks else list(map(esc, vs))
+            yield lead + sep.join(lines)
+            lead = sep
+    else:
+        for i, v in enumerate(values):
+            yield lead + (esc(keys[i]) + ": " if keys else "")
+            yield from _report_chunks(v, inner)
+            lead = sep
+    yield "\n" + indent + ends[1]
 
 
 def report_text(payload: object) -> str:
-    return "".join(_report_chunks(payload))
+    return "".join(_report_chunks(payload)) + "\n"
 
 
 def write_report(payload: object, sink: TextIO) -> None:
-    """Write :func:`report_text` of ``payload`` to ``sink`` a batch of chunks at a time."""
-    chunks = _report_chunks(payload)
-    while batch := list(itertools.islice(chunks, REPORT_BATCH)):
-        sink.write("".join(batch))
+    """Write :func:`report_text` of ``payload`` to ``sink`` a chunk at a time."""
+    for chunk in _report_chunks(payload):
+        sink.write(chunk)
+    sink.write("\n")
 
 
 CATEGORY_SCHEMA = {

@@ -220,6 +220,31 @@ def test_universal_checks_the_model_once(workspace, tmp_path, monkeypatch):
     assert on_model.count(True) == 1
 
 
+@pytest.mark.parametrize("argv", [["reflect"], ["compare", "--budget", "2"]])
+def test_reports_escape_element_names_as_json_does(tmp_path, monkeypatch, argv):
+    from limsketch import cli
+    from limsketch.setops import make_presentation
+
+    sketch = sketch_binary_product()
+    names = ['x"q', "y\\z", "\u00e9", "t\u0001"]
+    pres = make_presentation(sketch.base, {"a": names, "p": []}, {"pi1": {}, "pi2": {}})
+    doc = tmp_path / "X.json"
+    doc.write_text(presentation_dumps(pres))
+    payloads, real = [], cli.write_report
+
+    def recorded(payload, sink):
+        payloads.append(payload)
+        real(payload, sink)
+
+    monkeypatch.setattr(cli, "write_report", recorded)
+    out = tmp_path / "report.json"
+    code = cli.main([*argv, "--sketch", "binary_product", "--presentation", str(doc), "--out", str(out)])
+    assert code == 0 and len(payloads) == 1
+    want = json.JSONEncoder(sort_keys=True, indent=2).encode(payloads[0]) + "\n"
+    assert out.read_text(encoding="utf-8") == want
+    assert all(json.dumps(n) in want for n in names)
+
+
 def test_presentation_over_wrong_category_exits_two(workspace):
     proc = run_cli(
         "check", "--sketch", str(workspace["iso_sketch"]),

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limsketch import fincat
 from limsketch.errors import InputError
 from limsketch.fincat import (
     Arrow,
@@ -9,8 +14,10 @@ from limsketch.fincat import (
     FinCategory,
     category_dumps,
     category_loads,
+    report_text,
     validate_category,
     validate_functor,
+    write_report,
 )
 
 
@@ -155,3 +162,91 @@ def test_arrow_is_frozen():
     arrow = Arrow("t", "a", "b")
     with pytest.raises(Exception):
         arrow.name = "u"  # type: ignore[misc]
+
+
+# -- the report emitter ----------------------------------------------------
+
+JSON_REPORT = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+class Writes(list):
+    """A sink that keeps each write."""
+
+    def write(self, text: str) -> int:
+        self.append(text)
+        return len(text)
+
+
+def assert_encodes_as_json(payload: object) -> None:
+    want = JSON_REPORT.encode(payload) + "\n"
+    assert report_text(payload) == want
+    sink = Writes()
+    write_report(payload, sink)
+    assert "".join(sink) == want
+
+
+# Plain characters, then the rest: the two JSON escapes, control
+# characters, DEL, non-ASCII characters and lone surrogates.
+PLAIN = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+PLAIN_TEXT = st.text(PLAIN, max_size=8)
+ODD = st.one_of(
+    st.sampled_from(['"', "\\", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x80),
+)
+TEXT = st.text(PLAIN | ODD, max_size=8)
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(TEXT, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS)
+def test_report_is_the_json_encoding(payload):
+    assert_encodes_as_json(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PLAIN_TEXT, min_size=1, max_size=30), ODD, st.integers(min_value=0))
+def test_one_odd_character_in_plain_leaves(strings, odd, at):
+    strings[at % len(strings)] += odd
+    keys = [f"k{i}" for i in range(len(strings))]
+    assert_encodes_as_json(
+        {"list": strings, "values": dict(zip(keys, strings)), "keys": dict(zip(strings, keys))}
+    )
+
+
+@pytest.mark.parametrize("batch", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "odd", ['q"uote', "back\\slash", "ctl\x01", "del\x7f", "\u00e9t\u00e9", "lone\ud800"]
+)
+def test_leaves_longer_than_two_batches_escape_one_odd_string(batch, odd):
+    n = 2 * fincat._LEAF_BATCH + 7
+    at = {"first": 3, "middle": fincat._LEAF_BATCH + 3, "last": n - 1}[batch]
+    strings = [f"B:E:c0|pi1|(a:x{i},a:y{i})" for i in range(n)]
+    keys = list(strings)
+    strings[at] = odd + strings[at]
+    keys[at] = odd + keys[at]
+    assert_encodes_as_json(
+        {"list": strings, "values": dict(zip(keys[::-1], strings)), "keys": dict(zip(keys, keys[::-1]))}
+    )
+
+
+def test_long_leaves_are_written_a_batch_at_a_time():
+    n = 3 * fincat._LEAF_BATCH
+    payload = {"map": {f"k{i:05}": "v" for i in range(n)}, "list": ["x"] * n}
+    sink = Writes()
+    write_report(payload, sink)
+    assert "".join(sink) == JSON_REPORT.encode(payload) + "\n"
+    assert len(sink) >= 6 and max(map(len, sink)) < len("".join(sink)) / 4
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1: "a"}, {1: "a", 2: "b"}, {"a": "b", 1: "c"}, {"a": {2: []}}, [{None: 1}]],
+)
+def test_non_string_keys_raise_type_error(payload):
+    with pytest.raises(TypeError):
+        report_text(payload)

@@ -237,6 +237,7 @@ def test_writer_streams_the_product_report_in_batches(product_compare) -> None:
     total = sum(sink.sizes)
     assert total > 38_000_000
     assert len(sink.sizes) > 1 and max(sink.sizes) < total
+    assert max(sink.sizes) <= 2_000_000
     assert sink.digest.hexdigest() == PRODUCT_N2_GOLDEN[1]
     library = compare.comparison_report(alpha, iso)
     assert hashlib.sha256(library.encode("utf-8")).hexdigest() == PRODUCT_N2_GOLDEN[1]
