@@ -5,10 +5,15 @@ next to a base part B (everything previously built, quotiented), and
 keeps whole the quotient map that made B from the previous total.  The
 next base merges the current total S = B + E under two kinds of pairs:
 
-* rule (1) merges elements of S(d) with equal image in the pushout of
-  the gap map along an arrow action, forcing gap injectivity;
+* rule (1) merges peak elements with one image under a cone's gap map,
+  forcing gap injectivity;
 * rule (2) merges a freshly added witness with the base element it
   rectifies, via their common lift through the previous stage's limits.
+
+Both rules generate their pairs at identities only: the quotient closes
+every merge under every arrow action, and the identity pairs pushed
+along an arrow t are the pairs the rule defines at t.  A stage's pair
+counts are these generators, not every pair they imply.
 
 The free part of the next stage is rebuilt from the current limits, and
 a run converges either when the stable core of the base is a model or
@@ -48,7 +53,6 @@ from .setops import (
     encode_carriers,
     functorial_quotient,
     identity_nat,
-    same_fiber_pairs,
     witness_presentation,
     witness_sum,
 )
@@ -91,7 +95,8 @@ class Stage:
     them in faithful mode, only those over tuples unhit in this base in
     pruned mode); ``free_rows[c, t]`` lists the ids in ``total`` of the
     free elements over ``limits_prev[c]`` in order, for each arrow t out of
-    the peak of c, and is the only record of the free part.
+    the peak of c, and is the only record of the free part.  ``rule1`` and
+    ``rule2`` are the generating pairs of the quotient.
     """
 
     index: int
@@ -202,25 +207,24 @@ def relation_one(
     stage: Stage,
     sketch: LimitSketch,
 ) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Rule (1) pairs: equal images in the pushout of the gap map along t.
+    """Rule (1) pairs: peak elements with one gap image, chained.
 
-    For every cone c, object d and arrow t from the cone peak to d, two
-    elements of S(d) are paired when the pushout of the gap map of S at c
-    along the action of t maps them to one point.  Only elements reached
-    from the shared peak can merge, so the pushout is explored from the
-    peak carrier alone.
+    For every cone c, the elements of S(peak) are grouped by their image
+    under the gap map of S at c, and each group is chained in sorted order.
+    These are the pairs at the identity of the peak; the quotient pushes
+    them along every arrow t out of the peak, which identifies what the
+    pushout of the gap map along t identifies.
     """
-    base = sketch.base
     total = stage.total
-    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in sketch.base.objects}
     for cone in sketch.cones:
-        gm = gap_map(total, cone)
-        for d in base.objects:
-            for t in base.hom(cone.peak, d):
-                act = total.action[t]
-                for pair in same_fiber_pairs(gm, act, total.carrier[d]):
-                    out[d].add(pair)
-    return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
+        fibres: dict[tuple[str, ...], list[str]] = {}
+        for a, image in gap_map(total, cone).items():
+            fibres.setdefault(image, []).append(a)
+        pairs = out[cone.peak]
+        for members in fibres.values():
+            pairs.update(zip(members, members[1:]))
+    return {d: tuple(sorted(out[d])) for d in sketch.base.objects if out[d]}
 
 
 def relation_two(
@@ -231,15 +235,15 @@ def relation_two(
 
     These are :func:`~limsketch.sketchlib.rectification_pairs` of the
     previous total: the free element over a tuple w of ``limits_prev`` in
-    the row of t . leg_z is paired with the base class of t(w_z).  The
-    tuples w are those the free part was built from, so every free element
-    named here exists in both modes: ``free_rows`` has its id.
+    the row of leg_z is paired with the base class of w_z.  The tuples w
+    are those the free part was built from, so every free element named
+    here exists in both modes: ``free_rows`` has its id.
     """
     if stage.index < 1:
         return {}
     quotient = stage.quotient
     into = {d: {x: tag_base(k) for x, k in proj.items()} for d, proj in quotient.projection.items()}
-    return rectification_pairs(quotient.source, sketch, stage.limits_prev, stage.free_rows, into)
+    return rectification_pairs(sketch, stage.limits_prev, stage.free_rows, into)
 
 
 @dataclass

@@ -246,7 +246,7 @@ class CatFunctor:
 
 
 def validate_functor(functor: CatFunctor) -> ValidationReport:
-    """Check functor laws (totality, endpoints, identities, composition)."""
+    """Check functor laws (totality, no foreign keys, endpoints, identities, composition)."""
     report = ValidationReport()
     src, tgt = functor.source, functor.target
     for obj in src.objects:
@@ -255,6 +255,8 @@ def validate_functor(functor: CatFunctor) -> ValidationReport:
             report.add("object-map-partial", f"no image for object {obj!r}")
         elif img not in tgt.objects:
             report.add("object-map-range", f"object {obj!r} maps to unknown {img!r}")
+    for obj in sorted(functor.object_map.keys() - src.objects):
+        report.add("object-map-domain", f"image given for unknown object {obj!r}")
     for name in sorted(src.arrows):
         img = functor.arrow_map.get(name)
         if img is None:
@@ -267,6 +269,8 @@ def validate_functor(functor: CatFunctor) -> ValidationReport:
         b = tgt.arrows[img]
         if functor.object_map.get(a.dom) != b.dom or functor.object_map.get(a.cod) != b.cod:
             report.add("endpoint", f"arrow {name!r} image {img!r} breaks dom/cod")
+    for name in sorted(functor.arrow_map.keys() - src.arrows.keys()):
+        report.add("arrow-map-domain", f"image given for unknown arrow {name!r}")
     for obj in src.objects:
         ident = src.identities[obj]
         img = functor.arrow_map.get(ident)

@@ -12,6 +12,12 @@ formal pair to an X element, this is computed here as one quotient of
 X plus all pair summands, which is the wide pushout up to isomorphism
 and keeps class identifiers flat for provenance replay.
 
+R0 and R1 are generated at identities only, R0 at the peak and R1 at each
+diagram object: a formal pair's action sends (s, w) to (t . s, w), so
+the quotient, which closes every merge under every arrow action, pushes
+them onto the pairs of every arrow t.  ``r0``, ``r1`` and the report's
+counts are these generators, not every pair they imply.
+
 The pair summands are the witness rows of ``witness_presentation``, as
 in the staged engine's free part, and those rows with the limit tuples
 under them are the only record of the pairs.  R1 is the staged engine's
@@ -133,13 +139,10 @@ def kelly_P(
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     for cone in sketch.cones:
-        gm, at = gap_map(pres, cone), position[cone.name]
-        for d in base.objects:
-            for t in base.hom(cone.peak, d):
-                act, into, row = pres.action[t], inj[d], rows[cone.name, t]
-                for a in pres.carrier[cone.peak]:
-                    r0[d].add((row[at[gm[a]]], into[act[a]]))
-    r1 = rectification_pairs(pres, sketch, limits, rows, inj)
+        at, into = position[cone.name], inj[cone.peak]
+        row = rows[cone.name, base.identities[cone.peak]]
+        r0[cone.peak].update((row[at[image]], into[a]) for a, image in gap_map(pres, cone).items())
+    r1 = rectification_pairs(sketch, limits, rows, inj)
     quotient = functorial_quotient(
         sum_pres, {d: sorted(r0[d].union(r1.get(d, ()))) for d in base.objects}
     )

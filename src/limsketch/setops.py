@@ -1,4 +1,4 @@
-"""Concrete limits, quotients, pushouts and sums of finite set-valued data.
+"""Concrete limits, quotients and sums of finite set-valued data.
 
 Presentations are functors from an explicit finite category to finite
 sets: a carrier per object and a total function per arrow.  Limits are
@@ -500,30 +500,6 @@ def functorial_quotient(
         action[name] = {rep: projection[arrow.cod][act[rep]] for rep in carrier[arrow.dom]}
     target = SetPresentation(base, carrier, action)
     return QuotientMap(pres, target, projection, classes)
-
-
-def same_fiber_pairs(
-    gamma: Mapping[str, object],
-    act: Mapping[str, str],
-    targets: Iterable[str],
-) -> tuple[tuple[str, str], ...]:
-    """Pairs of ``targets`` merged by the pushout of ``gamma`` along ``act``.
-
-    Only classes containing at least two target elements matter, so the
-    pushout is explored from the shared domain alone; per class a sorted
-    chain of pairs is emitted (same closure as all pairs).
-    """
-    forest = _DisjointSet()
-    for a in sorted(gamma):
-        forest.union(("f", gamma[a]), ("g", act[a]))
-    groups: dict[tuple[str, object], list[str]] = {}
-    for y in targets:
-        groups.setdefault(forest.find(("g", y)), []).append(y)
-    pairs: list[tuple[str, str]] = []
-    for _, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
-        members.sort()
-        pairs.extend(zip(members, members[1:]))
-    return tuple(sorted(pairs))
 
 
 def disjoint_sum(

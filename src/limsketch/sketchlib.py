@@ -63,7 +63,7 @@ class LimitSketch:
 
 
 def validate_cone(cone: Cone) -> ValidationReport:
-    """Check the diagram functor and the leg-naturality equations."""
+    """Check the diagram functor, the legs and the leg-naturality equations."""
     report = validate_functor(cone.diagram)
     if cone.peak not in cone.base.objects:
         report.add("peak", f"peak {cone.peak!r} not an object of the base")
@@ -81,6 +81,8 @@ def validate_cone(cone: Cone) -> ValidationReport:
                 "leg-endpoints",
                 f"leg at {z!r} runs {arrow.dom!r}->{arrow.cod!r}",
             )
+    for z in sorted(cone.legs.keys() - cone.shape.objects):
+        report.add("leg-object", f"leg given at unknown shape object {z!r}")
     for name, arrow in sorted(cone.shape.arrows.items()):
         if cone.shape.is_identity(name):
             continue
@@ -147,34 +149,30 @@ def gap_map(pres: SetPresentation, cone: Cone) -> dict[str, tuple[str, ...]]:
 
 
 def rectification_pairs(
-    pres: SetPresentation,
     sketch: LimitSketch,
     limits: Mapping[str, Sequence[tuple[str, ...]]],
     rows: Mapping[tuple[str, str], Sequence[str]],
     into: Mapping[str, Mapping[str, str]],
 ) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Each witness glued, through a leg, to the element of ``pres`` it rectifies.
+    """Each witness glued, through a leg, to the element it rectifies.
 
-    ``limits[c]`` lists limit tuples of ``pres`` at cone c, and the row
-    ``rows[c, s]`` the witnesses over them, in order, for each arrow s out
-    of the peak of c.  For a shape object z at position k, an arrow t from
-    diagram(z) to d and a tuple w, the witness over w in the row of
-    t . leg_z is paired with ``into[d]`` of t(w_k).  Returns the sorted
-    pairs of each object that has any.
+    ``limits[c]`` lists limit tuples at cone c, and the row ``rows[c, s]``
+    the witnesses over them, in order, for each arrow s out of the peak of
+    c.  For a shape object z at position k and a tuple w, the witness over
+    w in the row of leg_z is paired with ``into[diagram(z)]`` of w_k.
+    These are the pairs at the identity of diagram(z): the action of an
+    arrow t sends the row of leg_z onto the row of t . leg_z, so a quotient
+    closed under the actions, with ``into`` natural, holds the pair for
+    every t.  Returns the sorted pairs of each object that has any.
     """
-    base = sketch.base
-    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in sketch.base.objects}
     for cone in sketch.cones:
         tuples = limits[cone.name]
         for k, z in enumerate(cone.shape_order()):
-            leg = cone.legs[z]
-            for d in base.objects:
-                pairs, to = out[d], into[d]
-                for t in base.hom(cone.diagram.on_object(z), d):
-                    act = pres.action[t]
-                    row = rows[cone.name, base.compose(t, leg)]
-                    pairs.update((e, to[act[w[k]]]) for w, e in zip(tuples, row))
-    return {d: tuple(sorted(out[d])) for d in base.objects if out[d]}
+            d = cone.diagram.on_object(z)
+            to, row = into[d], rows[cone.name, cone.legs[z]]
+            out[d].update((e, to[w[k]]) for w, e in zip(tuples, row))
+    return {d: tuple(sorted(ps)) for d, ps in out.items() if ps}
 
 
 @dataclass

@@ -6,7 +6,9 @@ order, quotients by a naive merge-and-push fixpoint over explicit
 partitions, pushouts by a plain disjoint-set over the literal pair lists,
 natural transformations by validating every candidate of the product of
 all component functions, witness summands by encoding every id afresh,
-and the provenance replay element by element.
+the provenance replay element by element, and the identification rules
+of both engines at every arrow, as they are defined, not at identities
+only as the engines generate them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,18 @@ from typing import Callable, Iterable, Iterator, Mapping
 from limsketch.elim import Stage
 from limsketch.errors import EngineError, InputError
 from limsketch.fincat import CatFunctor, FinCategory, validate_functor
-from limsketch.kelly import SUM_PAIR_TAG, CompletionStep, pair_element_id
+from limsketch.kelly import SUM_BASE_TAG, SUM_PAIR_TAG, CompletionStep, pair_element_id
 from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, validate_sketch
+
+from tests.fixtures import (
+    binary_fixture,
+    binary_sketch,
+    iso_fixture,
+    iso_sketch,
+    sheaf_fixture,
+    sheaf_sketch,
+)
 
 
 def ordered_brute_limit(shape: FinCategory, diag: SetPresentation) -> tuple[tuple[str, ...], ...]:
@@ -145,8 +156,8 @@ def pushout_classes(
 
     Elements are tagged ``("f", x)`` / ``("g", y)``; the returned lookup
     sends each tagged element to the least tagged member of its class.
-    ``f`` and ``g`` must share the same domain keys.  This is the
-    reference for ``setops.same_fiber_pairs``.
+    ``f`` and ``g`` must share the same domain keys.  It defines rule (1)
+    along an arrow in :func:`every_arrow_rule_one`.
     """
     if set(f) != set(g):
         raise InputError("pushout legs have different domains")
@@ -256,6 +267,7 @@ def brute_leg_pairs(
     kind: str,
     tag: str,
     into: Mapping[str, Mapping[str, str]],
+    identities_only: bool = False,
 ) -> dict[str, set[tuple[str, str]]]:
     """The rectification pairs by their definition, every witness id encoded afresh.
 
@@ -263,7 +275,7 @@ def brute_leg_pairs(
     objects, base arrow t that composes with the leg at z, and tuple w of
     ``limits[c]``: the witness (c, t . leg_z, w), named ``tag:`` plus
     ``witness_id(kind, ...)``, is paired with ``into[d]`` of t(w_k), d the
-    codomain of t.
+    codomain of t.  With ``identities_only``, t runs over identities alone.
     """
     base = sketch.base
     out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
@@ -273,11 +285,78 @@ def brute_leg_pairs(
             for name, t in sorted(base.arrows.items()):
                 if t.dom != base.arrows[leg].cod:
                     continue
+                if identities_only and not base.is_identity(name):
+                    continue
                 arrow = base.compose(name, leg)
                 for w in limits[cone.name]:
                     wid = f"{tag}:" + witness_id(kind, cone.name, arrow, w)
                     out[t.cod].add((wid, into[t.cod][pres.action[name][w[k]]]))
     return out
+
+
+def every_arrow_rule_one(
+    total: SetPresentation, sketch: LimitSketch
+) -> dict[str, set[tuple[str, str]]]:
+    """Rule (1) at every arrow: what the pushout of each gap map along each arrow merges.
+
+    For each cone c and arrow t out of its peak, :func:`pushout_classes`
+    glues the gap image of each peak element a, read off the legs, to
+    t(a); the elements of ``total`` at the codomain of t that land in one
+    class are chained in carrier order.
+    """
+    base = sketch.base
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    for cone in sketch.cones:
+        order = sorted(cone.shape.objects)
+        gm = {
+            a: tuple(total.action[cone.legs[z]][a] for z in order)
+            for a in total.carrier[cone.peak]
+        }
+        for name, t in sorted(base.arrows.items()):
+            if t.dom != cone.peak:
+                continue
+            lookup = pushout_classes(gm, total.action[name], (), total.carrier[t.cod])
+            classes: dict = {}
+            for y in total.carrier[t.cod]:
+                classes.setdefault(lookup[("g", y)], []).append(y)
+            for members in classes.values():
+                out[t.cod].update(zip(members, members[1:]))
+    return out
+
+
+def every_arrow_r0(pres: SetPresentation, sketch: LimitSketch) -> dict[str, set[tuple[str, str]]]:
+    """``kelly``'s R0 at every arrow, literally, every pair id encoded afresh.
+
+    For each cone c, arrow t out of its peak and element a of ``pres`` at
+    the peak, the formal pair (t, gap image of a) is glued to t(a), both
+    named as in the completion sum.
+    """
+    base = sketch.base
+    out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
+    for cone in sketch.cones:
+        order = sorted(cone.shape.objects)
+        for name, t in sorted(base.arrows.items()):
+            if t.dom != cone.peak:
+                continue
+            for a in pres.carrier[cone.peak]:
+                image = tuple(pres.action[cone.legs[z]][a] for z in order)
+                pid = f"{SUM_PAIR_TAG}:" + pair_element_id(cone.name, name, image)
+                out[t.cod].add((pid, f"{SUM_BASE_TAG}:{pres.action[name][a]}"))
+    return out
+
+
+def relation_cases(label: str, count: int = 40) -> list[tuple[LimitSketch, SetPresentation]]:
+    """The three fixture families, then ``count`` seeded random sketches, one presentation each."""
+    cases = [
+        (iso_sketch(), iso_fixture()),
+        (binary_sketch(), binary_fixture()),
+        (sheaf_sketch(), sheaf_fixture()),
+    ]
+    for seed in range(count):
+        rng = random.Random(f"{label}:{seed}")
+        sketch = random_sketch(rng)
+        cases.append((sketch, random_valid_presentation(rng, sketch.base, max_size=3)))
+    return cases
 
 
 # -- the replay, element by element -----------------------------------------

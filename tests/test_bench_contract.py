@@ -24,6 +24,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 REQUIRED_METRICS = (
     "elim.e_step.limit_tuples",
+    "elim.relation_one.pairs",
+    "elim.relation_two.pairs",
     "kelly.kelly_P.sum_elements",
     "setops.functorial_quotient.pairs_in",
     "setops.limit_of_diagram.emitted",

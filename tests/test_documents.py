@@ -367,6 +367,26 @@ def test_identity_of_an_unknown_object_exits_two(tmp_path):
     assert err == f"input error: {sketch}: invalid sketch: {violation}\n"
 
 
+@pytest.mark.parametrize(
+    ("field", "violation"),
+    [
+        ("legs", "leg-object: leg given at unknown shape object 'zq'"),
+        ("objects", "object-map-domain: image given for unknown object 'zq'"),
+        ("arrows", "arrow-map-domain: image given for unknown arrow 'zq'"),
+    ],
+    ids=["legs", "diagram-objects", "diagram-arrows"],
+)
+def test_foreign_name_in_a_cone_map_exits_two(tmp_path, field, violation):
+    doc = sketch_to_json_dict(build_sketch("binary_product"))
+    cone = doc["cones"][0]
+    (cone if field == "legs" else cone["diagram"])[field]["zq"] = "nonexistent"
+    sketch = write(tmp_path, "S.json", doc)
+    pres = write(tmp_path, "X.json", {"carrier": {}, "action": {}})
+    code, out, err = run_main(["reflect", "--sketch", sketch, "--presentation", pres])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {sketch}: invalid sketch: cone c0: {violation}\n"
+
+
 def test_null_category_exits_two(tmp_path):
     pres = write(tmp_path, "X.json", {**EQUALIZER_EMPTY, "category": None})
     code, out, err = check("equalizer", pres)

@@ -77,7 +77,7 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     "iso/compare": (0, "fea1dffd5bbec153dd22116c2337110c4d09151ed4074eef7b2d786cf6c05a25", "10b3f9683972cb74ca258d6c435e0beecaa4662e3ec06846d7b1e48f8c53f446"),
     "iso/reflect-elim-faithful": (0, "14c84f249a721907ea98cdc5514d77764de5447574641701cfe1db48fecdfbc1", "3a7edcf0514ec04c928fbe330b41efaaafcf83e8b0406b3623c10411de98a4a9"),
     "iso/reflect-elim-pruned": (0, "dd0e0aeaa3ac6c495652c4df6c79be8032eac920fd64151c6e854e91ad37057b", "e4584491ff09d21612d9251fd5c9b5a10ea37e77694d4b6ee9f49822cfa45d3b"),
-    "iso/reflect-kelly": (0, "84ddb3b3935e117593a13121d714fc3ea11f52ebedf8cfdf9ad27f3c8a1eb45c", "e4584491ff09d21612d9251fd5c9b5a10ea37e77694d4b6ee9f49822cfa45d3b"),
+    "iso/reflect-kelly": (0, "ba8b9c4e528a0359872eeb50a7be32e2917f75342dbd9a116af5632d1a39a786", "e4584491ff09d21612d9251fd5c9b5a10ea37e77694d4b6ee9f49822cfa45d3b"),
     "iso/universal": (0, "ae3983f9771344296db51258882be791d66d4fa6d5ba66fb15861b272a221490", "43c4641cb225db873977648b5a87b479d9f876888c8743e133ac4f2d76db10d0"),
     "sheaf/compare": (0, "705f5e8e9b36c901a7dffffd879c8d06a9640434fe8a4b47b2968311ee31e663", "10b3f9683972cb74ca258d6c435e0beecaa4662e3ec06846d7b1e48f8c53f446"),
     "sheaf/reflect-elim-faithful": (0, "258b474ee01222dc5a003ed9d21b42b833d898051babff8c106e17a1f49aed74", "cc1dc986f682f923cce59beb4a999ef8c5d45ca2dec78bf19414cbefb5c48186"),

@@ -15,7 +15,6 @@ from limsketch.setops import (
     make_presentation,
     presentation_dumps,
     presentation_loads,
-    same_fiber_pairs,
     terminal_presentation,
     validate_presentation,
 )
@@ -247,29 +246,6 @@ def test_pushout_merges_through_shared_domain():
 def test_pushout_requires_matching_domains():
     with pytest.raises(InputError):
         pushout_classes({"0": "b"}, {}, ["b"], [])
-
-
-def test_same_fiber_pairs_matches_pushout_classes():
-    gamma = {"x1": ("y",), "x2": ("y",), "x3": ("z",)}
-    act = {"x1": "d1", "x2": "d2", "x3": "d3"}
-    got = same_fiber_pairs(gamma, act, ["d1", "d2", "d3"])
-    assert got == (("d1", "d2"),)
-
-
-def test_same_fiber_pairs_agrees_with_pushout_oracle_randomized():
-    rng = random.Random(7)
-    for _ in range(200):
-        domain = [f"x{i}" for i in range(rng.randint(0, 8))]
-        targets = [f"d{i}" for i in range(rng.randint(1, 6))]
-        gamma = {a: (rng.choice("yz"), rng.choice("01")) for a in domain}
-        act = {a: rng.choice(targets) for a in domain}
-        lookup = pushout_classes(gamma, act, set(gamma.values()), targets)
-        classes: dict = {}
-        for y in targets:
-            classes.setdefault(lookup[("g", y)], []).append(y)
-        chains = [sorted(members) for members in classes.values()]
-        want = sorted(pair for chain in chains for pair in zip(chain, chain[1:]))
-        assert same_fiber_pairs(gamma, act, targets) == tuple(want)
 
 
 # -- disjoint_sum --------------------------------------------------------------

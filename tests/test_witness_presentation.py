@@ -24,6 +24,7 @@ from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
     SetPresentation,
     disjoint_sum,
+    functorial_quotient,
     make_presentation,
     witness_head,
     witness_id,
@@ -44,8 +45,8 @@ from tests.fixtures import (
 from tests.oracles import (
     brute_leg_pairs,
     brute_witness_presentation,
-    random_sketch,
     random_valid_presentation,
+    relation_cases,
 )
 
 
@@ -247,24 +248,15 @@ def test_witness_id_is_head_then_tail_and_decodes(kind, witness):
     assert _decode(kind, wid) == witness
 
 
-def _leg_pair_cases():
-    cases = [
-        (iso_sketch(), iso_fixture()),
-        (binary_sketch(), binary_fixture()),
-        (sheaf_sketch(), sheaf_fixture()),
-    ]
-    for seed in range(40):
-        rng = random.Random(f"leg-pairs:{seed}")
-        sketch = random_sketch(rng)
-        cases.append((sketch, random_valid_presentation(rng, sketch.base, max_size=3)))
-    return cases
-
-
 def test_rectification_pairs_match_their_definition():
-    """Rule (2) of ``elim`` and R1 of ``kelly`` against ``brute_leg_pairs``, stage by stage."""
+    """Rule (2) of ``elim`` and R1 of ``kelly`` against ``brute_leg_pairs``, stage by stage.
+
+    Each engine generates exactly the pairs of the definition at identities;
+    the pairs at every arrow give the same quotient of the sum they live in.
+    """
     caps = {"max_tuples": 20_000, "max_elements": 2_000}
     compared = 0
-    for sketch, pres in _leg_pair_cases():
+    for sketch, pres in relation_cases("leg-pairs"):
         try:
             elim_traces = [
                 reflect_elim(pres, sketch, budget=2, mode=mode, **caps) for mode in (FAITHFUL, PRUNED)
@@ -275,16 +267,31 @@ def test_rectification_pairs_match_their_definition():
         for stage in (st for trace in elim_traces for st in trace.stages[1:]):
             quotient = stage.quotient
             into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in quotient.projection.items()}
-            want = brute_leg_pairs(quotient.source, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
+            args = (quotient.source, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
             got = relation_two(stage, sketch)
-            assert {d: set(ps) for d, ps in got.items()} == {d: ps for d, ps in want.items() if ps}
+            at_identities = brute_leg_pairs(*args, identities_only=True)
+            assert _sets(got) == _sets(at_identities)
+            want = brute_leg_pairs(*args)
+            assert _projection(stage.total, got) == _projection(stage.total, want)
             compared += sum(map(len, want.values()))
         previous = kelly_trace.start
         for step in kelly_trace.stages:
             x_tag = kelly.SUM_BASE_TAG
             into = {d: {x: f"{x_tag}:{x}" for x in xs} for d, xs in previous.carrier.items()}
-            want = brute_leg_pairs(previous, sketch, step.limits, "K", kelly.SUM_PAIR_TAG, into)
-            assert {d: set(ps) for d, ps in step.r1.items()} == {d: ps for d, ps in want.items() if ps}
+            args = (previous, sketch, step.limits, "K", kelly.SUM_PAIR_TAG, into)
+            at_identities = brute_leg_pairs(*args, identities_only=True)
+            assert _sets(step.r1) == _sets(at_identities)
+            want = brute_leg_pairs(*args)
+            source = step.quotient.source
+            assert _projection(source, step.r1) == _projection(source, want)
             compared += sum(map(len, want.values()))
             previous = step.obj
     assert compared >= 1_000, compared
+
+
+def _sets(pairs) -> dict[str, set[tuple[str, str]]]:
+    return {d: set(ps) for d, ps in pairs.items() if ps}
+
+
+def _projection(pres: SetPresentation, pairs) -> dict[str, dict[str, str]]:
+    return functorial_quotient(pres, {d: sorted(ps) for d, ps in pairs.items()}).projection
