@@ -255,8 +255,8 @@ def cmd_universal(args: argparse.Namespace) -> int:
 
 def cmd_builders(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for name in builder_names():
-            print(name)
+        with _sink(args.out) as sink:
+            sink.write("".join(f"{name}\n" for name in builder_names()))
         return EXIT_OK
     if not args.name:
         raise InputError("builders emit needs a builder name")
@@ -320,9 +320,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``: built by ``make_parser`` on the first call, then reused.
+
+    argparse reads ``sys.stdout``, ``sys.stderr`` and the terminal width when
+    it prints, not when it is built, so reuse changes no output. Each
+    subcommand's ``func`` default binds its ``cmd_*`` function at that first
+    build: a patch of ``cli.cmd_*`` reaches ``main`` only after
+    ``_parser.cache_clear()`` (no test or bench wrapper patches them).
+    """
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.func(args)

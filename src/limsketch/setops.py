@@ -662,9 +662,13 @@ def presentation_from_json_dict(
         raise InputError("presentation document has no category and none was supplied")
     carrier = data["carrier"]
     action = data["action"]
-    for obj in carrier:
+    for obj, elements in carrier.items():
         if obj not in cat.objects:
             raise InputError(f"carrier names unknown object {obj!r}")
+        ordered = sorted(elements)
+        for x, x2 in zip(ordered, ordered[1:]):
+            if x == x2:
+                raise InputError(f"duplicate element {x!r} in carrier of {obj!r}")
     for arrow in action:
         if arrow not in cat.arrows:
             raise InputError(f"action names unknown arrow {arrow!r}")

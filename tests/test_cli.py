@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -74,11 +78,15 @@ def workspace(tmp_path: Path) -> dict[str, Path]:
     return files
 
 
-def test_builders_list():
+def test_builders_list(tmp_path):
     proc = run_cli("builders", "list")
     assert proc.returncode == 0
     names = proc.stdout.split()
     assert "iso_forcing" in names and "two_cover_sheaf" in names
+    out = tmp_path / "names.txt"
+    written = run_cli("builders", "list", "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == proc.stdout
 
 
 def test_builders_emit_round_trips(tmp_path):
@@ -418,8 +426,9 @@ def test_universal_certifies_a_ten_billion_candidate_space(tmp_path):
             "--model", "{model}", "--map", "{map}",
         ],
         ["builders", "emit", "binary_product"],
+        ["builders", "list"],
     ],
-    ids=["check", "reflect", "compare", "universal", "builders-emit"],
+    ids=["check", "reflect", "compare", "universal", "builders-emit", "builders-list"],
 )
 def test_unwritable_out_exits_two(workspace, tmp_path, command):
     out = tmp_path / "missing" / "report.json"
@@ -610,3 +619,84 @@ def test_malformed_category_exits_two(tmp_path, edit, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"input error: {path}: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+@pytest.fixture()
+def fresh_parser():
+    """``cli.main``'s parser is built afresh in the test and dropped after it."""
+    from limsketch import cli
+
+    cached = cli._parser
+    cached.cache_clear()
+    yield cli
+    cached.cache_clear()
+
+
+def _run_in_process(cli, argv: list[str], out: Path) -> tuple:
+    """Exit code, stdout, stderr and ``--out`` bytes of one ``cli.main`` call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    report = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), report
+
+
+def _interleaved(workspace) -> list[list[str]]:
+    inputs = ["--sketch", str(workspace["iso_sketch"]), "--presentation", str(workspace["iso_pres"])]
+    return [
+        ["compare", *inputs],
+        ["reflect", *inputs],
+        ["reflect", "--mode", "nope", *inputs],
+        ["reflect", "--help"],
+        ["reflect", *inputs],
+    ]
+
+
+def test_main_builds_the_parser_once(workspace, tmp_path, monkeypatch, fresh_parser):
+    cli, built = fresh_parser, []
+    real = cli.make_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "make_parser", counted)
+    codes = [_run_in_process(cli, argv, tmp_path / "r.json")[0] for argv in _interleaved(workspace)]
+    assert codes == [0, 0, 2, 0, 0]
+    assert len(built) == 1
+    assert cli.make_parser() is not cli.make_parser()
+
+
+def test_reused_parser_matches_a_fresh_one(workspace, tmp_path, monkeypatch, fresh_parser):
+    cli = fresh_parser
+    calls = _interleaved(workspace)
+    reused = [_run_in_process(cli, argv, tmp_path / "r.json") for argv in calls]
+    assert cli._parser.cache_info().currsize == 1
+    inputs = calls[0][1:]
+    assert cli._parser().parse_args(["compare", *inputs]).budget == 3
+    assert cli._parser().parse_args(["reflect", *inputs]).budget == 8
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)
+    fresh = [_run_in_process(cli, argv, tmp_path / "r.json") for argv in calls]
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0]
+    assert "invalid choice: 'nope'" in reused[2][2] and reused[3][1].startswith("usage: limsketch reflect")
+
+
+def test_import_builds_no_parser(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    spec = importlib.util.find_spec("limsketch.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert built == [] and module._parser.cache_info().currsize == 0
+    module._parser()
+    assert built[0] == "limsketch"

@@ -475,6 +475,20 @@ def test_duplicate_base_object_exits_two(tmp_path):
         assert err == f"input error: {sketch}: duplicate object 'b'\n"
 
 
+def test_duplicate_carrier_element_exits_two(tmp_path):
+    # the loader used to drop the second 'x' and reflect as if a were ['x']
+    pres = write(
+        tmp_path,
+        "X.json",
+        {"category": "binary_product", "carrier": {"a": ["x", "x"], "p": []},
+         "action": {"pi1": {}, "pi2": {}}},
+    )
+    for command in (["check"], ["reflect"]):
+        code, out, err = run_main([*command, "--sketch", "binary_product", "--presentation", pres])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {pres}: duplicate element 'x' in carrier of 'a'\n"
+
+
 def test_duplicate_shape_object_exits_two(tmp_path):
     doc = sketch_to_json_dict(build_sketch("equalizer"))
     doc["cones"][0]["shape"]["objects"].append("zb")
