@@ -3,13 +3,15 @@ The strict universal property, executed
 =======================================
 
 Every map from a presentation into a model factors uniquely through the
-reflection.  The factorisation is constructed by provenance replay (base
-classes inherit their members' image, free witnesses go through the
-inverse of the model's gap map); uniqueness is certified independently:
-the reflection map generates the core, so two maps into a model that
-agree on it agree everywhere.  A core it does not generate is an engine
-fault; enumerating every natural transformation out of such a core shows
-why: more than one map commutes.
+reflection.  One fixpoint shows both: the reflection map generates the
+core, so closing its image under the arrows and the gap rule reaches
+every element, and the map is forced on each element as it is reached
+(through f on the image, the model's action along an arrow, the inverse
+of the model's gap map at a peak).  That constructs the factorisation,
+and it certifies uniqueness: two maps into a model that agree on the
+reflection map agree everywhere.  A core it does not generate is an
+engine fault; enumerating every natural transformation out of such a
+core shows why: more than one map commutes.
 """
 
 from types import SimpleNamespace
@@ -44,7 +46,7 @@ print("\nfactorisation commutes:", result.commutes)
 print("g at p:")
 for witness, value in sorted(result.g.components["p"].items()):
     print("  ", witness, "->", value)
-print("gap-inverse steps used:", len(result.log))
+print("peaks reached through the gap inverse:", len(result.log))
 
 # Uniqueness by generation: closing rho's image under the arrows and the
 # gap rule (a pair whose projections are reached is reached) gives the

@@ -255,6 +255,8 @@ def cmd_universal(args: argparse.Namespace) -> int:
 
 def cmd_builders(args: argparse.Namespace) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise InputError(f"builders list takes no builder name, got {args.name!r}")
         with _sink(args.out) as sink:
             sink.write("".join(f"{name}\n" for name in builder_names()))
         return EXIT_OK

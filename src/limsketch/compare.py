@@ -1,26 +1,76 @@
 """Stage-wise comparison between the staged and the classical construction.
 
-The comparison transformation alpha is built by the one provenance
-replay of :func:`limsketch.universal.replay`, run over the staged trace
+The comparison transformation alpha is built by :func:`replay`, the one
+walk over the staged engine's provenance, run over the faithful stages
 from the identity on X: a base class maps through the unit of the
 matching completion stage applied to the image of its members (all
 members are checked to agree), and a free element over a limit tuple
 maps to the class of the corresponding formal pair in the completion.
 Every naturality square and every stage-commutation square is checked
 explicitly; a failure is reported with a witness and never repaired.
+The isomorphism of the two reflections reads only their cores and
+units, through :func:`limsketch.universal.factor_through_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
+from typing import Iterator
 
 from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
-from .errors import InputError, PreconditionError
+from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
-from .kelly import KellyTrace
+from .kelly import CompletionStep, KellyTrace
 from .setops import NatTransSpec, SetPresentation, compose_nat, identity_nat
 from .sketchlib import LimitSketch
-from .universal import Components, FactorisationResult, factor_through_model, replay
+from .universal import Components, FactorisationResult, factor_through_model
+
+
+def replay(
+    stages: list[Stage], steps: list[CompletionStep], sketch: LimitSketch
+) -> Iterator[Components]:
+    """Alpha at each staged stage, from the identity on X; ``steps[i - 1]`` matches stage i.
+
+    At stage i each ``(element, members)`` of ``stage.classes(d)`` maps
+    to the one value its members' images share, each sent through the
+    unit of completion step i (at stage 0, the identity on X);
+    conflicting images raise :class:`EngineError`.  The free part maps
+    row by row (:meth:`~limsketch.elim.Stage.witness_rows`): the tuples of
+    a cone are imaged once per stage, and the k-th id of a row over arrow
+    t maps to the class in the completion of the formal pair (t, k-th
+    image) (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).
+    """
+    objects, arrows = sketch.base.objects, sketch.base.arrows
+    x = stages[0].quotient.target
+    current: Components = {d: {e: e for e in x.carrier[d]} for d in objects}
+    cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
+    for i, stage in enumerate(stages):
+        step = steps[i - 1] if i else None
+        # per cone, the current map at each tuple position
+        position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
+        nxt: Components = {}
+        for d in objects:
+            here, after = current[d], None if step is None else step.unit.components[d]
+            out: dict[str, str] = {}
+            for element, members in stage.classes(d):
+                values = {here[m] if after is None else after[here[m]] for m in members}
+                if len(values) != 1:
+                    raise EngineError(
+                        f"class image conflict at replay step {i} object {d!r}: "
+                        f"{element!r} maps to {sorted(values)}"
+                    )
+                out[element] = values.pop()
+            nxt[d] = out
+        images: dict[str, list[tuple[str, ...]]] = {}
+        for cone, arrow, tuples, ids in stage.witness_rows():
+            if cone not in images:
+                maps = position_maps[cone]
+                images[cone] = [tuple(map(getitem, maps, w)) for w in tuples]
+            d = arrows[arrow].cod
+            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, images[cone])))
+        current = nxt
+        yield current
 
 
 @dataclass
@@ -107,21 +157,15 @@ def build_alpha(
         raise InputError(
             f"completion trace has {len(kelly_trace.stages)} stages, need {depth}"
         )
-    # replay step i is elim stage i; for i > 0 it is matched with completion stage i
-    kelly_steps = [None, *kelly_trace.stages[:depth]]
-    units = [None] + [step.unit.components for step in kelly_steps[1:]]
-    maps = replay(
-        elim_trace.replay_steps(depth),
-        {d: {x: x for x in x_elim.carrier[d]} for d in x_elim.base.objects},
-        sketch,
-        units.__getitem__,
-        lambda i, d, ids, cone, arrow, images: kelly_steps[i].pair_classes(d, cone, arrow, images),
-    )
+    steps = kelly_trace.stages[:depth]
     stages: list[AlphaStage] = []
-    for i, comp in enumerate(maps):
+    for i, comp in enumerate(replay(elim_trace.stages, steps, sketch)):
         stage = elim_trace.stages[i]
         nat_witness = _check_naturality(stage.total, kelly_trace.object_at(i), comp)
-        square = _check_commutation(stage, units[i], stages[-1].components, comp) if i else None
+        square = None
+        if i:
+            unit = steps[i - 1].unit.components
+            square = _check_commutation(stage, unit, stages[-1].components, comp)
         stages.append(
             AlphaStage(i, comp, nat_witness is None, square is None, square or nat_witness)
         )

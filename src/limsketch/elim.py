@@ -46,7 +46,6 @@ from .setops import (
     NatTransSpec,
     QuotientMap,
     SetPresentation,
-    Witness,
     check_witness_size,
     disjoint_sum,
     empty_presentation,
@@ -107,10 +106,10 @@ class Stage:
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
-    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
-        """Replay view of the base at ``obj``: each class carries its members."""
+    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Replay view of the base at ``obj``: each class with its members in the previous total."""
         for class_id, members in self.quotient.classes[obj].items():
-            yield f"{BASE_TAG}:{class_id}", members, ()
+            yield f"{BASE_TAG}:{class_id}", members
 
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
@@ -125,13 +124,6 @@ class Stage:
         one = sum(len(v) for v in self.rule1.values())
         two = sum(len(v) for v in self.rule2.values())
         return one, two
-
-
-class Rename(dict):
-    """Replay step that renames one to one: ``self[obj]`` maps new ids to old."""
-
-    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
-        return ((new, (old,), ()) for new, old in self[obj].items())
 
 
 @dataclass
@@ -153,15 +145,6 @@ class ReflectionTrace:
     @property
     def verdict(self) -> str:
         return "converged" if self.converged else "budget-exhausted"
-
-    def replay_steps(self, depth: int | None = None) -> list[Stage | Rename]:
-        """Stages 0..``depth`` from X; by default stages 0..``converged_at``, then B:k -> k."""
-        if depth is not None:
-            return self.stages[: depth + 1]
-        assert self.converged_at is not None and self.core is not None
-        core = self.core
-        leave = Rename({d: {k: tag_base(k) for k in core.carrier[d]} for d in core.base.objects})
-        return [*self.stages[: self.converged_at + 1], leave]
 
     def to_json_dict(self) -> dict:
         stages, objects, cut = [], self.sketch.base.objects, len(FREE_TAG) + 1

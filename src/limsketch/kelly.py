@@ -10,7 +10,7 @@ matching tuple component.  The multi-cone step P(X) glues all per-cone
 sums along their shared copy of X; since R0 and R1 only ever relate a
 formal pair to an X element, this is computed here as one quotient of
 X plus all pair summands, which is the wide pushout up to isomorphism
-and keeps class identifiers flat for provenance replay.
+and keeps class identifiers flat for the stage comparison.
 
 R0 and R1 are generated at identities only, R0 at the peak and R1 at each
 diagram object: a formal pair's action sends (s, w) to (t . s, w), so
@@ -27,7 +27,6 @@ rule (2), one :func:`~limsketch.sketchlib.rectification_pairs` for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import BudgetExceeded, EngineError, InputError
 from .fincat import report_text
@@ -38,7 +37,6 @@ from .setops import (
     NatTransSpec,
     QuotientMap,
     SetPresentation,
-    Witness,
     check_witness_size,
     compose_nat,
     encode_carriers,
@@ -85,19 +83,6 @@ class CompletionStep:
     position: dict[str, dict[tuple[str, ...], int]]
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
-
-    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...], tuple[Witness, ...]]]:
-        """Replay view at ``obj``: a class carries its X members, and its pairs are witnesses."""
-        x_tag, arrows = f"{SUM_BASE_TAG}:", self.obj.base.arrows
-        witnesses = {
-            e: (cone, t, w)
-            for (cone, t), row in self.rows.items()
-            if arrows[t].cod == obj
-            for w, e in zip(self.limits[cone], row)
-        }
-        for class_id, members in self.quotient.classes[obj].items():
-            carried = tuple(m[len(x_tag) :] for m in members if m.startswith(x_tag))
-            yield class_id, carried, tuple(witnesses[m] for m in members if not m.startswith(x_tag))
 
     def pair_classes(self, obj: str, cone: str, arrow: str, tuples: list) -> list[str]:
         """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``."""
@@ -178,11 +163,6 @@ class KellyTrace:
     @property
     def verdict(self) -> str:
         return "converged" if self.converged else "budget-exhausted"
-
-    def replay_steps(self) -> list[CompletionStep]:
-        """Completion steps 1..``converged_at``, from X to the core."""
-        assert self.converged_at is not None
-        return self.stages[: self.converged_at]
 
     def object_at(self, index: int) -> SetPresentation:
         if index == 0:

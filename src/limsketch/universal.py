@@ -1,26 +1,26 @@
 """Executable reflection property: construct the factorisation, certify uniqueness.
 
-Both engines present a stage as bundles: a class carries earlier
-elements, fresh witnesses (cone, arrow, limit tuple), or both, and fresh
-witnesses without a class come in rows over the cone's limit tuples.
-:func:`replay` walks them once, for the stage comparison in ``compare``
-and here for the g with g . rho = f of a map f from X into a model M: a
-witness maps through the inverse of M's gap map, which exists exactly
-because M is a model.  Uniqueness is certified separately, from the core,
-rho and the sketch alone: the unit of a reflection generates the
-reflection, so when :func:`generated` reaches the whole core, two maps
-into a model that agree on rho agree everywhere.  A core that rho does
-not generate is an engine fault.  :func:`enumerate_nat_trans` lists all
-natural transformations out of a core, a limit over its category of
-elements found by the cone-limit join; the tests check the certificate
-against it, and the construction never feeds either check.
+One induction does both.  The unit rho of a reflection generates the
+reflection: :func:`reached` closes rho's image in the core under every
+arrow action and under the gap rule (a peak element whose leg images are
+all reached is reached), and records how it reached each element.  A map
+f from X into a model M is then forced on every element reached:
+g . rho = f at rho's image, naturality along an arrow, and the inverse of
+M's gap map at a peak, which exists exactly because M is a model.
+:func:`factor_through_model` folds M along that record to construct g,
+and the same closure, reaching the whole core, certifies that no other g
+commutes with rho.  A core that rho does not generate is an engine fault.
+Neither reads the engines' stages: a trace is read through its ``core``
+and ``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
+transformations out of a core, a limit over its category of elements
+found by the cone-limit join; the tests check the certificate against
+it, and the construction never feeds either check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
@@ -33,68 +33,16 @@ DEFAULT_ENUM_CAP = 10**6
 
 Components = dict[str, dict[str, str]]
 
-
-def replay(
-    steps: Iterable,
-    start: Mapping[str, Mapping[str, str]],
-    sketch: LimitSketch,
-    carry: Callable[[int], Mapping[str, Mapping[str, str]] | None],
-    witness: Callable[[int, str, list[str], str, str, list[tuple[str, ...]]], Iterable[str]],
-) -> Iterator[Components]:
-    """Extend a map on X along replay steps; yield the map after each step.
-
-    ``start[d][x]`` is the image of each element x of X at object d.  At
-    step i, each ``(element, carried, witnesses)`` of ``step.classes(d)``
-    maps to the one value shared by its carried members' images, each sent
-    through ``carry(i)`` unless that is None, and by its witnesses' images
-    (each a row of one, see below); conflicting images raise
-    :class:`EngineError`.  A staged step also has rows ``(cone, arrow,
-    tuples, ids)`` (:meth:`~limsketch.elim.Stage.witness_rows`), the k-th
-    id the witness over the k-th tuple.  A row maps whole: its tuples are
-    imaged once per cone and step, and ``witness(i, d, ids, cone, arrow,
-    images)`` returns the images of ``ids`` at the codomain d of ``arrow``.
-    """
-    objects, arrows, current = sketch.base.objects, sketch.base.arrows, start
-    cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
-    for i, step in enumerate(steps):
-        unit = carry(i)
-        # per cone, the current map at each tuple position
-        position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
-        nxt: Components = {}
-        for d in objects:
-            here, after = current[d], None if unit is None else unit[d]
-            out: dict[str, str] = {}
-            for element, carried, witnesses in step.classes(d):
-                values = set()
-                for m in carried:
-                    values.add(here[m] if after is None else after[here[m]])
-                for cone, arrow, w in witnesses:
-                    v = tuple(map(getitem, position_maps[cone], w))
-                    values.update(witness(i, d, [element], cone, arrow, [v]))
-                if len(values) != 1:
-                    raise EngineError(
-                        f"class image conflict at replay step {i} object {d!r}: "
-                        f"{element!r} maps to {sorted(values)}"
-                    )
-                out[element] = values.pop()
-            nxt[d] = out
-        images: dict[str, list[tuple[str, ...]]] = {}
-        for cone, arrow, tuples, ids in getattr(step, "witness_rows", tuple)():
-            if cone not in images:
-                maps = position_maps[cone]
-                images[cone] = [tuple(map(getitem, maps, w)) for w in tuples]
-            d = arrows[arrow].cod
-            nxt[d].update(zip(ids, witness(i, d, ids, cone, arrow, images[cone])))
-        current = nxt
-        yield current
+# how :func:`reached` reached an element: from rho, along an arrow, as a peak
+RHO, ARROW, PEAK = "rho", "arrow", "peak"
 
 
 @dataclass
 class FactorisationResult:
-    """The factorisation g, with one log entry per witness sent through M.
+    """The factorisation g, with one log entry per gap inverse taken.
 
-    Entry keys: step (index into ``replay_steps()``), object, element,
-    cone, arrow, tuple (the witness tuple imaged in M) and gap_inverse.
+    Entry keys: object, element (the peak element), cone, tuple (its leg
+    images under g) and gap_inverse (the element of M over that tuple).
     """
 
     g: NatTransSpec
@@ -125,35 +73,44 @@ def factor_through_model(
     model: SetPresentation,
     sketch: LimitSketch,
 ) -> FactorisationResult:
-    """g with g . rho = f for a converged trace of either engine and a model M.
+    """g with g . rho = f from the ``core`` and ``rho`` of a converged trace, into a model M.
 
-    The trace is replayed from f.  The returned g is verified to commute
-    with rho and to be natural before being handed back; a broken trace
-    surfaces as an error, never as a silently wrong g.
+    M is folded along :func:`reached`: an element reached from rho at x
+    takes f(x), one reached along an arrow a from y takes M's action of a
+    on g(y), and a peak element takes the inverse under M's gap map of
+    its leg images.  The returned g is verified to reach the whole core,
+    to be natural and to commute with rho before being handed back; a
+    broken core or rho surfaces as an error, never as a silently wrong g.
     """
+    core, rho = trace.core, trace.rho
+    assert core is not None and rho is not None
     # M is a model, so each gap map is a bijection onto its cone's limit
     inverses = {c.name: {t: x for x, t in gap_map(model, c).items()} for c in sketch.cones}
+    legs = {
+        c.name: [(c.diagram.on_object(z), core.action[c.legs[z]]) for z in c.shape_order()]
+        for c in sketch.cones
+    }
+    arrows, f_at, act = core.base.arrows, f.components, model.action
+    components: Components = {d: {} for d in core.base.objects}
     log: list[dict] = []
-
-    def through_model(i: int, d: str, ids: list, cone: str, arrow: str, vs: list) -> list[str]:
-        inverse = inverses[cone]
-        for element, v in zip(ids, vs):
-            if (u := inverse.get(v)) is None:
-                raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}")
-            log.append(dict(
-                step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
-            ))
-        return [model.action[arrow][inverse[v]] for v in vs]
-
-    steps, components = trace.replay_steps(), f.components
-    for components in replay(steps, components, sketch, lambda i: None, through_model):
-        pass
-    assert trace.core is not None and trace.rho is not None
-    g = NatTransSpec(trace.core, model, components)
+    for d, y, how, via in reached(core, rho, sketch):
+        if how == RHO:
+            value = f_at[d][via]
+        elif how == ARROW:
+            name, x = via
+            value = act[name][components[arrows[name].dom][x]]
+        else:
+            v = tuple(components[o][leg[y]] for o, leg in legs[via])
+            if (value := inverses[via].get(v)) is None:
+                raise EngineError(f"image tuple {v!r} is not hit by the gap map of {via!r}")
+            log.append(dict(object=d, element=y, cone=via, tuple=list(v), gap_inverse=value))
+        components[d][y] = value
+    _require_generated(core, components)
+    g = NatTransSpec(core, model, components)
     report = g.validate()
     if not report.ok:
         raise EngineError(f"constructed factorisation is not natural: {report.violations[0]}")
-    commutes = compose_nat(g, trace.rho).components == f.components
+    commutes = compose_nat(g, rho).components == f.components
     if not commutes:
         raise EngineError("constructed factorisation does not commute with the reflection")
     return FactorisationResult(g, commutes, log)
@@ -239,10 +196,10 @@ def enumerate_nat_trans(
     return EnumerationResult("ok", found, space)
 
 
-def generated(
+def reached(
     core: SetPresentation, rho: NatTransSpec, sketch: LimitSketch
-) -> dict[str, set[str]]:
-    """The least per-object subset C of ``core`` that rho generates.
+) -> Iterator[tuple[str, str, str, object]]:
+    """Each element of the least per-object subset C of ``core`` that rho generates, once.
 
     C holds the image of rho, is closed under every arrow action, and
     holds each peak element x of a cone whose gap tuple (the leg images of
@@ -250,43 +207,70 @@ def generated(
     on rho agree on C: naturality carries agreement along arrows, and M's
     injective gap map carries it from a gap tuple to its peak element.
 
+    Items ``(d, y, how, via)`` come in reach order, so whatever y was
+    reached from came before it: ``how`` is :data:`RHO` with ``via`` the
+    element x of X at d that rho sends to y, :data:`ARROW` with ``via``
+    the pair (a, x) of a non-identity arrow a into d and the element it
+    sends to y, or :data:`PEAK` with ``via`` the name of a cone with peak d.
+
     A worklist adds each element once; each peak element counts the leg
     images it still lacks, so the cost is linear in the core plus the
     arrow and leg applications.
     """
     base = core.base
-    arrows: dict[str, list[tuple[str, dict[str, str]]]] = {d: [] for d in base.objects}
+    arrows: dict[str, list[tuple[str, str, dict[str, str]]]] = {d: [] for d in base.objects}
     for name, a in sorted(base.arrows.items()):
         if not base.is_identity(name):
-            arrows[a.dom].append((a.cod, core.action[name]))
-    # per object, the leg positions there: (peak, lacking counts, peak elements over each value)
-    positions: dict[str, list[tuple[str, dict[str, int], dict[str, list[str]]]]] = {
+            arrows[a.dom].append((a.cod, name, core.action[name]))
+    # per object, its leg positions: (cone, peak, lacking counts, peak elements by leg image)
+    positions: dict[str, list[tuple[str, str, dict[str, int], dict[str, list[str]]]]] = {
         d: [] for d in base.objects
     }
-    todo = [(d, y) for d in base.objects for y in rho.components[d].values()]
+    todo = [(d, y, RHO, x) for d in base.objects for x, y in rho.components[d].items()]
     for cone in sketch.cones:
         order, peak = cone.shape_order(), core.carrier[cone.peak]
         lacking = dict.fromkeys(peak, len(order))
         if not order:
-            todo.extend((cone.peak, x) for x in peak)
+            todo.extend((cone.peak, x, PEAK, cone.name) for x in peak)
         for z in order:
             leg, over = core.action[cone.legs[z]], {}
             for x in peak:
                 over.setdefault(leg[x], []).append(x)
-            positions[cone.diagram.on_object(z)].append((cone.peak, lacking, over))
+            positions[cone.diagram.on_object(z)].append((cone.name, cone.peak, lacking, over))
     closure: dict[str, set[str]] = {d: set() for d in base.objects}
     while todo:
-        d, y = todo.pop()
+        item = todo.pop()
+        d, y = item[0], item[1]
         if y in closure[d]:
             continue
         closure[d].add(y)
-        todo.extend((cod, act[y]) for cod, act in arrows[d])
-        for peak_obj, lacking, over in positions[d]:
+        yield item
+        todo.extend((cod, act[y], ARROW, (name, y)) for cod, name, act in arrows[d])
+        for cone, peak_obj, lacking, over in positions[d]:
             for x in over.get(y, ()):
                 lacking[x] -= 1
                 if not lacking[x]:
-                    todo.append((peak_obj, x))
+                    todo.append((peak_obj, x, PEAK, cone))
+
+
+def generated(
+    core: SetPresentation, rho: NatTransSpec, sketch: LimitSketch
+) -> dict[str, set[str]]:
+    """The least per-object subset of ``core`` that rho generates: what :func:`reached` yields."""
+    closure: dict[str, set[str]] = {d: set() for d in core.base.objects}
+    for d, y, _, _ in reached(core, rho, sketch):
+        closure[d].add(y)
     return closure
+
+
+def _require_generated(core: SetPresentation, closure) -> None:
+    """Raise :class:`EngineError` naming the first object and least element ``closure`` misses."""
+    for d in core.base.objects:
+        missed = [x for x in core.carrier[d] if x not in closure[d]]
+        if missed:
+            raise EngineError(
+                f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
+            )
 
 
 @dataclass
@@ -314,24 +298,18 @@ def check_uniqueness(
     if not trace.converged or trace.core is None or trace.rho is None:
         raise PreconditionError("uniqueness check needs a converged trace")
     core = trace.core
-    closure = generated(core, trace.rho, sketch)
-    for d in core.base.objects:
-        missed = [x for x in core.carrier[d] if x not in closure[d]]
-        if missed:
-            raise EngineError(
-                f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
-            )
+    _require_generated(core, generated(core, trace.rho, sketch))
     return UniquenessVerdict("unique", _search_space(core, result.g.target))
 
 
-def universal_to_json_dict(result: FactorisationResult | None, verdict: UniquenessVerdict) -> dict:
+def universal_to_json_dict(result: FactorisationResult, verdict: UniquenessVerdict) -> dict:
     return {
-        "exists": result is not None,
-        "commutes": bool(result and result.commutes),
+        "exists": True,
+        "commutes": result.commutes,
         "uniqueness": verdict.status,
         "search_space": verdict.search_space,
     }
 
 
-def universal_report(result: FactorisationResult | None, verdict: UniquenessVerdict) -> str:
+def universal_report(result: FactorisationResult, verdict: UniquenessVerdict) -> str:
     return report_text(universal_to_json_dict(result, verdict))

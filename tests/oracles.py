@@ -19,10 +19,10 @@ from operator import getitem
 
 from typing import Callable, Iterable, Iterator, Mapping
 
-from limsketch.elim import Stage
+from limsketch.elim import Stage, tag_base
 from limsketch.errors import EngineError, InputError
 from limsketch.fincat import CatFunctor, FinCategory, validate_functor
-from limsketch.kelly import SUM_BASE_TAG, SUM_PAIR_TAG, CompletionStep, pair_element_id
+from limsketch.kelly import SUM_BASE_TAG, SUM_PAIR_TAG, CompletionStep, KellyTrace, pair_element_id
 from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, validate_sketch
 
@@ -410,22 +410,66 @@ def brute_replay(
 
 
 class PerElement:
-    """A replay step seen element by element, as :func:`brute_replay` reads it.
+    """A staged step seen element by element, as :func:`brute_replay` reads it.
 
-    A staged step lists its base classes, then each free element at
-    ``obj`` with its one witness, read from ``free_rows[c, t]`` zipped with
-    ``limits_prev[c]``; any other step keeps its ``classes`` view.
+    It lists the base classes with their members, then each free element
+    at ``obj`` with its one witness, read from ``free_rows[c, t]`` zipped
+    with ``limits_prev[c]``.
     """
 
-    def __init__(self, step) -> None:
+    def __init__(self, stage: Stage) -> None:
+        self.stage = stage
+
+    def classes(self, obj: str):
+        for element, members in self.stage.classes(obj):
+            yield element, members, ()
+        for fid, witness in free_witnesses(self.stage, obj):
+            yield fid, (), (witness,)
+
+
+class Rename(dict):
+    """A step that renames one to one: ``self[obj]`` maps new ids to old."""
+
+    def classes(self, obj: str):
+        return ((new, (old,), ()) for new, old in self[obj].items())
+
+
+class CompletionClasses:
+    """A completion step as :func:`brute_replay` reads it.
+
+    A class carries its members from X, and each formal pair in it is a
+    witness (cone, arrow, limit tuple).
+    """
+
+    def __init__(self, step: CompletionStep) -> None:
         self.step = step
 
     def classes(self, obj: str):
-        step = self.step
-        yield from step.classes(obj)
-        if isinstance(step, Stage):
-            for fid, witness in free_witnesses(step, obj):
-                yield fid, (), (witness,)
+        step, x_tag = self.step, f"{SUM_BASE_TAG}:"
+        arrows = step.obj.base.arrows
+        witnesses = {
+            e: (cone, t, w)
+            for (cone, t), row in step.rows.items()
+            if arrows[t].cod == obj
+            for w, e in zip(step.limits[cone], row)
+        }
+        for class_id, members in step.quotient.classes[obj].items():
+            carried = tuple(m[len(x_tag) :] for m in members if m.startswith(x_tag))
+            yield class_id, carried, tuple(witnesses[m] for m in members if not m.startswith(x_tag))
+
+
+def replay_steps(trace) -> list:
+    """The steps from X to the core of a converged trace, as :func:`brute_replay` reads them.
+
+    A staged trace replays stages 0..``converged_at`` element by element,
+    then renames each core element k from its base id B:k; a completion
+    trace replays steps 1..``converged_at``.
+    """
+    if isinstance(trace, KellyTrace):
+        return [CompletionClasses(step) for step in trace.stages[: trace.converged_at]]
+    core = trace.core
+    leave = Rename({d: {k: tag_base(k) for k in core.carrier[d]} for d in core.base.objects})
+    return [*map(PerElement, trace.stages[: trace.converged_at + 1]), leave]
 
 
 def free_witnesses(stage: Stage, obj: str) -> Iterator[tuple[str, Witness]]:
@@ -457,7 +501,7 @@ def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]
     units = [None] + [step.unit.components for step in kelly_steps[1:]]
     return list(
         brute_replay(
-            [PerElement(step) for step in elim_trace.replay_steps(depth)],
+            [PerElement(stage) for stage in elim_trace.stages[: depth + 1]],
             {d: {e: e for e in x.carrier[d]} for d in x.base.objects},
             sketch,
             units.__getitem__,
@@ -466,28 +510,29 @@ def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]
     )
 
 
-def brute_factorisation(trace, f: NatTransSpec, model: SetPresentation, sketch):
-    """The components of g with g . rho = f, and the log of gap inverses, element by element."""
+def brute_factorisation(trace, f: NatTransSpec, model: SetPresentation, sketch) -> Components:
+    """The components of g with g . rho = f, replayed element by element from the trace's steps.
+
+    Every class takes the image its members and witnesses share, and a
+    witness over a limit tuple goes through the inverse of M's gap map.
+    """
     inverses = {
         cone.name: {t: x for x, t in gap_map(model, cone).items()} for cone in sketch.cones
     }
-    log: list[dict] = []
 
     def through_model(i: int, d: str, element: str, cone: str, arrow: str, v: tuple) -> str:
         try:
             u = inverses[cone][v]
         except KeyError:
             raise EngineError(f"image tuple {v!r} is not hit by the gap map of {cone!r}") from None
-        log.append(dict(
-            step=i, object=d, element=element, cone=cone, arrow=arrow, tuple=list(v), gap_inverse=u
-        ))
         return model.action[arrow][u]
 
-    steps = [PerElement(step) for step in trace.replay_steps()]
     components = f.components
-    for components in brute_replay(steps, components, sketch, lambda i: None, through_model):
+    for components in brute_replay(
+        replay_steps(trace), components, sketch, lambda i: None, through_model
+    ):
         pass
-    return components, log
+    return components
 
 
 # -- seeded random instances -------------------------------------------------

@@ -451,6 +451,15 @@ def test_builders_emit_unknown_name_exits_two():
     assert proc.stderr == "input error: unknown builder 'monoid_budgeted'\n"
 
 
+def test_builders_list_refuses_a_name(tmp_path):
+    out = tmp_path / "names.txt"
+    proc = run_cli("builders", "list", "nosuchname", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: builders list takes no builder name, got 'nosuchname'\n"
+    assert not out.exists()
+
+
 def test_serialized_documents_reparse_to_equal_values(workspace):
     from limsketch.setops import presentation_loads
     from limsketch.sketchlib import sketch_loads

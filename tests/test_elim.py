@@ -438,7 +438,7 @@ def test_stage_element_provenance_view():
     stage1 = trace.stages[1]
     seen = set()
     # the replay reads base classes from ``classes`` and free elements from ``witness_rows``
-    view = [*stage1.classes("b")]
+    view = [(tagged, members, ()) for tagged, members in stage1.classes("b")]
     for cone, arrow, tuples, ids in stage1.witness_rows():
         if sketch.base.arrows[arrow].cod == "b":
             view.extend((tagged, (), ((cone, arrow, w),)) for w, tagged in zip(tuples, ids))

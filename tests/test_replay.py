@@ -1,20 +1,23 @@
 """The provenance replay refuses corrupted traces instead of guessing.
 
-Each test corrupts one converged or stage-aligned trace the way a broken
-engine could: two classes with different images are merged, a formal
-pair is dropped from a completion's projection or from its provenance,
-or a witness tuple is replaced by one outside the limit.  Both ``solve_factorisation`` and
-``build_alpha`` must raise ``EngineError``.
+Each test corrupts one stage-aligned pair of traces the way a broken
+engine could: two classes with different images are merged, or a formal
+pair is dropped from a completion's projection.  ``build_alpha`` must
+raise ``EngineError``.  The factorisation reads no stage, only a trace's
+core and rho, so a corrupted stage cannot reach it; ``tests.test_universal``
+covers the errors it still raises.
 
 The replay maps a staged step's free part row by row; ``brute_replay`` in
 ``tests.oracles`` maps it element by element.  The two must build the same
-alpha and the same factorisations, and refuse a corrupted trace with the
-same message.
+alpha, and refuse a corrupted trace with the same message.  The
+factorisation, folded along the generation of the core from rho, must
+equal the element-by-element replay of the trace's stages.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,13 +31,10 @@ from limsketch.universal import solve_factorisation
 
 from tests.fixtures import (
     binary_fixture,
-    binary_model,
     binary_sketch,
     iso_fixture,
     iso_sketch,
-    nat,
     sheaf_fixture,
-    sheaf_model,
     sheaf_sketch,
 )
 from tests.oracles import (
@@ -50,34 +50,14 @@ def merge_classes(classes: dict[str, tuple[str, ...]], keep: str, drop: str) -> 
     classes[keep] = tuple(sorted(classes[keep] + classes.pop(drop)))
 
 
+def _binary():
+    sketch = binary_sketch()
+    return sketch, binary_fixture(sketch)
+
+
 @pytest.fixture()
 def binary():
-    sketch = binary_sketch()
-    pres = binary_fixture(sketch)
-    model = binary_model(sketch)
-    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    return sketch, pres, model, f
-
-
-def test_solve_refuses_merged_elim_classes(binary):
-    sketch, pres, model, f = binary
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    assert trace.converged and trace.converged_at >= 1
-    merge_classes(trace.stages[1].quotient.classes["a"], "B:u", "B:v")
-    with pytest.raises(EngineError, match="class image conflict at replay step 1 object 'a'"):
-        solve_factorisation(trace, f, model, sketch)
-
-
-def test_solve_refuses_merged_kelly_classes(binary):
-    sketch, pres, model, f = binary
-    trace = reflect_kelly(pres, sketch, budget=8)
-    assert trace.converged and trace.converged_at >= 1
-    classes = trace.stages[0].quotient.classes["a"]
-    keep, drop = (trace.stages[0].unit.components["a"][x] for x in ("u", "v"))
-    assert keep != drop
-    merge_classes(classes, keep, drop)
-    with pytest.raises(EngineError, match="class image conflict at replay step 0 object 'a'"):
-        solve_factorisation(trace, f, model, sketch)
+    return _binary()
 
 
 def stage_aligned(sketch, pres):
@@ -87,7 +67,7 @@ def stage_aligned(sketch, pres):
 
 
 def test_alpha_refuses_merged_elim_classes(binary):
-    sketch, pres, _, _ = binary
+    sketch, pres = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     assert build_alpha(elim_trace, kelly_trace, sketch).ok
     merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
@@ -96,7 +76,7 @@ def test_alpha_refuses_merged_elim_classes(binary):
 
 
 def test_alpha_refuses_missing_formal_pair(binary):
-    sketch, pres, _, _ = binary
+    sketch, pres = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     # alpha at stage 0 strips the base tag from each tuple component
@@ -104,23 +84,6 @@ def test_alpha_refuses_missing_formal_pair(binary):
     del kelly_trace.stages[0].quotient.projection["p"][f"P:{pid}"]
     with pytest.raises(EngineError, match="missing in the completion sum at 'p'"):
         build_alpha(elim_trace, kelly_trace, sketch)
-
-
-def test_solve_refuses_witness_outside_the_model_limit():
-    sketch = sheaf_sketch()
-    pres = sheaf_fixture(sketch)
-    model = sheaf_model(sketch)
-    ident = {"0": "0", "1": "1"}
-    f = nat(pres, model, {"U": ident, "V": ident, "W": ident})
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    stage = trace.stages[1]
-    # the replay images the limit tuples the free rows are laid over
-    (cone, arrow, tuples, _), *_ = stage.witness_rows()
-    assert arrow == "id_T" and tuples
-    # sections 0 over U and 1 over V do not agree on W
-    stage.limits_prev[cone] = (("B:0", "B:1", "B:0"), *tuples[1:])
-    with pytest.raises(EngineError, match="not hit by the gap map of 'c0'"):
-        solve_factorisation(trace, f, model, sketch)
 
 
 # -- the row replay against the element-by-element replay ------------------------
@@ -135,9 +98,11 @@ def _refused(run):
 
 
 def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
-    """Alpha and every factorisation between converged traces, by rows and by elements.
+    """Alpha by rows and by elements, and every factorisation between converged traces.
 
-    Returns the number of replays compared.
+    Each factorisation is built from the trace and from its core and rho
+    alone, and both must equal the element-by-element replay of the
+    trace's stages.  Returns the number of replays compared.
     """
     compared = 0
     faithful = _refused(lambda: reflect_elim(pres, sketch, budget=faithful_budget, mode=FAITHFUL))
@@ -161,9 +126,10 @@ def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
     for trace in converged:
         for other in converged:
             got = solve_factorisation(trace, other.rho, other.core, sketch)
-            components, log = brute_factorisation(trace, other.rho, other.core, sketch)
-            assert got.g.components == components
-            assert sorted(map(repr, got.log)) == sorted(map(repr, log))
+            bare = SimpleNamespace(converged=True, core=trace.core, rho=trace.rho)
+            from_core = solve_factorisation(bare, other.rho, other.core, sketch)
+            assert (from_core.g.components, from_core.log) == (got.g.components, got.log)
+            assert got.g.components == brute_factorisation(trace, other.rho, other.core, sketch)
             compared += 1
     return compared
 
@@ -198,13 +164,6 @@ def test_row_replay_matches_brute_replay_on_random_presentations(name):
     assert compared >= 20
 
 
-def _solve_both(trace, f, model, sketch):
-    return (
-        lambda: solve_factorisation(trace, f, model, sketch),
-        lambda: brute_factorisation(trace, f, model, sketch),
-    )
-
-
 def _alpha_both(elim_trace, kelly_trace, sketch):
     return (
         lambda: build_alpha(elim_trace, kelly_trace, sketch),
@@ -212,38 +171,15 @@ def _alpha_both(elim_trace, kelly_trace, sketch):
     )
 
 
-def _binary():
-    sketch = binary_sketch()
-    pres = binary_fixture(sketch)
-    model = binary_model(sketch)
-    return sketch, pres, model, nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-
-
-def _corrupt_merged_elim_classes_solve():
-    sketch, pres, model, f = _binary()
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    merge_classes(trace.stages[1].quotient.classes["a"], "B:u", "B:v")
-    return _solve_both(trace, f, model, sketch)
-
-
-def _corrupt_merged_kelly_classes_solve():
-    sketch, pres, model, f = _binary()
-    trace = reflect_kelly(pres, sketch, budget=8)
-    step = trace.stages[0]
-    keep, drop = (step.unit.components["a"][x] for x in ("u", "v"))
-    merge_classes(step.quotient.classes["a"], keep, drop)
-    return _solve_both(trace, f, model, sketch)
-
-
 def _corrupt_merged_elim_classes_alpha():
-    sketch, pres, _, _ = _binary()
+    sketch, pres = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 
 def _corrupt_missing_formal_pair_alpha():
-    sketch, pres, _, _ = _binary()
+    sketch, pres = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
@@ -251,29 +187,11 @@ def _corrupt_missing_formal_pair_alpha():
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 
-def _corrupt_witness_outside_the_model_limit_solve():
-    sketch = sheaf_sketch()
-    pres = sheaf_fixture(sketch)
-    model = sheaf_model(sketch)
-    ident = {"0": "0", "1": "1"}
-    f = nat(pres, model, {"U": ident, "V": ident, "W": ident})
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    stage = trace.stages[1]
-    # the k-th limit tuple of c0 becomes sections that disagree on W; both replays read it
-    k, bad = 0, ("B:0", "B:1", "B:0")
-    tuples = stage.limits_prev["c0"]
-    stage.limits_prev["c0"] = (*tuples[:k], bad, *tuples[k + 1 :])
-    return _solve_both(trace, f, model, sketch)
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _corrupt_merged_elim_classes_solve,
-        _corrupt_merged_kelly_classes_solve,
         _corrupt_merged_elim_classes_alpha,
         _corrupt_missing_formal_pair_alpha,
-        _corrupt_witness_outside_the_model_limit_solve,
     ],
     ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):],
 )

@@ -13,6 +13,7 @@ from limsketch.errors import BudgetExceeded, EngineError, PreconditionError
 from limsketch.fincat import FinCategory
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
+    NatTransSpec,
     compose_nat,
     empty_presentation,
     make_presentation,
@@ -197,6 +198,67 @@ def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
     result = FactorisationResult(nat(trace.core, binary_model(sketch), {"a": at_a, "p": at_p}), True)
     with pytest.raises(EngineError, match="object 'a' misses 'w'$"):
         check_uniqueness(trace, result, sketch)
+
+
+# -- the factorisation from a core and rho: its log and its refusals -----------
+
+
+def test_factorisation_log_records_each_gap_inverse():
+    sketch = binary_sketch()
+    pres, model = binary_fixture(sketch), binary_model(sketch)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+    result = solve_factorisation(trace, f, model, sketch)
+    # X has no pairs, so every element at p is a peak reached through the gap map
+    assert sorted(entry["element"] for entry in result.log) == sorted(trace.core.carrier["p"])
+    for entry in result.log:
+        assert set(entry) == {"object", "element", "cone", "tuple", "gap_inverse"}
+        assert (entry["object"], entry["cone"]) == ("p", "c0")
+        assert result.g.components["p"][entry["element"]] == entry["gap_inverse"]
+        # binary_model names each pair by its two projections
+        assert entry["tuple"] == list(entry["gap_inverse"])
+
+
+def test_factorisation_of_an_ungenerated_core_is_an_engine_error():
+    sketch = binary_sketch()
+    trace, f = _ungenerated_trace(sketch)
+    with pytest.raises(EngineError, match="rho does not generate the core: object 'a' misses 'w'$"):
+        solve_factorisation(trace, f, binary_model(sketch), sketch)
+
+
+def test_factorisation_refuses_a_rho_that_merges_what_f_separates():
+    # rho sends u and v to the one point of a model; f keeps them apart
+    sketch = binary_sketch()
+    pres, model = binary_fixture(sketch), binary_model(sketch)
+    point = binary_singleton_model(sketch)
+    rho = nat(pres, point, {"a": {"u": "u", "v": "u"}, "p": {}})
+    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+    trace = SimpleNamespace(converged=True, core=point, rho=rho)
+    with pytest.raises(EngineError, match="does not commute with the reflection$"):
+        solve_factorisation(trace, f, model, sketch)
+
+
+def test_factorisation_refuses_a_map_that_is_not_natural():
+    # f sends the pair q over (u, u) to uv: no natural g agrees with it
+    sketch = binary_sketch()
+    point, model = binary_singleton_model(sketch), binary_model(sketch)
+    rho = nat(point, point, {"a": {"u": "u"}, "p": {"q": "q"}})
+    f = NatTransSpec(point, model, {"a": {"u": "u"}, "p": {"q": "uv"}})
+    trace = SimpleNamespace(converged=True, core=point, rho=rho)
+    with pytest.raises(EngineError, match="constructed factorisation is not natural: "):
+        solve_factorisation(trace, f, model, sketch)
+
+
+def test_factorisation_refuses_leg_images_outside_the_model_limit():
+    # f is not natural at W: the sections over U and V restrict to W where f does not send them
+    sketch = sheaf_sketch()
+    pres, model = sheaf_fixture(sketch), sheaf_model(sketch)
+    ident, swap = {"0": "0", "1": "1"}, {"0": "1", "1": "0"}
+    rho = nat(pres, model, {"U": ident, "V": ident, "W": ident})
+    f = NatTransSpec(pres, model, {"T": {}, "U": ident, "V": ident, "W": swap})
+    trace = SimpleNamespace(converged=True, core=model, rho=rho)
+    with pytest.raises(EngineError, match="is not hit by the gap map of 'c0'$"):
+        solve_factorisation(trace, f, model, sketch)
 
 
 def test_enumeration_finds_two_commuting_maps_on_an_ungenerated_core():
