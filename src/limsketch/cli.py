@@ -56,16 +56,25 @@ def _load(path: str, loader, **kwargs):
         raise InputError(f"{path}: {exc}") from None
 
 
+@functools.cache
+def _builtin(name: str) -> LimitSketch:
+    """The built-in sketch ``name``, built on first use and shared by later commands.
+
+    No engine changes a sketch.  ``build_sketch`` still returns a fresh one.
+    """
+    return build_sketch(name)
+
+
 def _load_sketch(source: str) -> LimitSketch:
     """A sketch argument is either a builder name or a JSON file path."""
     if source in BUILDERS:
-        return build_sketch(source)
+        return _builtin(source)
     return _load(source, sketch_from_json_dict, name=source)
 
 
 def _resolve_category(name: str):
     if name in BUILDERS:
-        return build_sketch(name).base
+        return _builtin(name).base
     return None
 
 
@@ -262,7 +271,7 @@ def cmd_builders(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.name:
         raise InputError("builders emit needs a builder name")
-    sketch = build_sketch(args.name)
+    sketch = _builtin(args.name)
     _emit(sketch_to_json_dict(sketch), args.out)
     return EXIT_OK
 

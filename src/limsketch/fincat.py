@@ -59,7 +59,9 @@ class FinCategory:
     ``composition`` maps ``(g, f)`` to ``g after f`` and must contain an
     entry for exactly the composable pairs (``cod(f) == dom(g)``),
     identities included.  Instances are treated as immutable after
-    construction: the hom sets are indexed once, in ``__post_init__``.
+    construction: the hom sets and the identity arrows are indexed once,
+    in ``__post_init__``, so :meth:`hom` and :meth:`is_identity` are
+    lookups.
     """
 
     objects: tuple[str, ...]
@@ -70,6 +72,7 @@ class FinCategory:
     _homs: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _identity_arrows: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         homs: dict[tuple[str, str], list[str]] = {}
@@ -77,6 +80,11 @@ class FinCategory:
             ar = self.arrows[n]
             homs.setdefault((ar.dom, ar.cod), []).append(n)
         self._homs = {k: tuple(v) for k, v in homs.items()}
+        self._identity_arrows = frozenset(
+            n
+            for o, n in self.identities.items()
+            if (a := self.arrows.get(n)) and a.dom == o == a.cod
+        )
 
     @classmethod
     def build(
@@ -140,8 +148,12 @@ class FinCategory:
         return self._homs.get((a, b), ())
 
     def is_identity(self, arrow_name: str) -> bool:
-        a = self.arrow(arrow_name)
-        return self.identities.get(a.dom) == arrow_name and a.dom == a.cod
+        """Whether ``arrow_name`` is its domain's identity; an unknown arrow raises."""
+        if arrow_name in self._identity_arrows:
+            return True
+        if arrow_name not in self.arrows:
+            raise InputError(f"unknown arrow {arrow_name!r}")
+        return False
 
 
 def validate_category(category: FinCategory) -> ValidationReport:

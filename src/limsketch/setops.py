@@ -9,9 +9,11 @@ ordered lexicographically so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -274,6 +276,10 @@ class LimitJoin:
     limit tuples with every component in a given subset, and it carries
     a running count of candidates visited across runs, so that one
     ``max_tuples`` bounds a whole sequence of joins.
+
+    A run changes no state of the join, so one join serves any number of
+    runs.  ``ordered`` records whether the plan makes its rows in product
+    order (:func:`_rows_in_product_order`); only other plans sort them.
     """
 
     def __init__(
@@ -287,12 +293,24 @@ class LimitJoin:
         self.plan = _join_plan(
             len(self.nodes), [(position[dom], position[cod]) for _, dom, cod in edges], self.keys
         )
+        self.ordered = _rows_in_product_order(self.plan)
+        bound = [step.obj for step in self.plan]
+        # the slot of each node in a row, or None when the plan binds the nodes in order
+        in_order = bound == sorted(bound)
+        self._perm = None if in_order else [bound.index(k) for k in range(len(bound))]
 
     @classmethod
     def of_shape(cls, shape: FinCategory) -> LimitJoin:
-        """The join of a cone shape: its objects sorted, its non-identity arrows by name."""
-        arrows = [a for n, a in sorted(shape.arrows.items()) if not shape.is_identity(n)]
-        return cls(sorted(shape.objects), [(a.name, a.dom, a.cod) for a in arrows])
+        """The join of a cone shape: its objects sorted, its non-identity arrows by name.
+
+        Equal shapes share one join (:func:`_shape_join`).
+        """
+        arrows = tuple(
+            (a.name, a.dom, a.cod)
+            for n, a in sorted(shape.arrows.items())
+            if not shape.is_identity(n)
+        )
+        return _shape_join(tuple(sorted(shape.objects)), arrows)
 
     def run(
         self,
@@ -353,17 +371,21 @@ class LimitJoin:
                 acts = [(i, j, action[key]) for i, j, key in checks]
                 rows = [r for r in rows if all(f.get(r[i]) == r[j] for i, j, f in acts)]
 
-        bound = [step.obj for step in plan]
-        if bound == sorted(bound):
-            return tuple(rows), visited
-        # restore product order over ``nodes`` by carrier positions
-        perm = [0] * len(bound)
-        for k, obj in enumerate(bound):
-            perm[obj] = k
-        rank = [{x: k for k, x in enumerate(carrier)} for carrier in cars]
-        out = [tuple(r[k] for k in perm) for r in rows]
-        out.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
-        return tuple(out), visited
+        if self._perm is not None:
+            # a permutation moves at least two nodes, so ``itemgetter`` gives tuples
+            rows = list(map(itemgetter(*self._perm), rows))
+        if not self.ordered:
+            # restore product order over ``nodes`` by carrier positions
+            rank = [{x: k for k, x in enumerate(carrier)} for carrier in cars]
+            rows.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
+        return tuple(rows), visited
+
+
+# one join per shape content; the bound keeps a process that reads many
+# sketch files from holding every plan it made
+@functools.lru_cache(maxsize=256)
+def _shape_join(objects: tuple[str, ...], arrows: tuple[tuple[str, str, str], ...]) -> LimitJoin:
+    return LimitJoin(objects, arrows)
 
 
 _SCAN, _IMAGE, _FIBER = "scan", "image", "fiber"
@@ -411,31 +433,32 @@ def _join_plan(n: int, edges: list[tuple[int, int]], keys: list[str]) -> list[_J
     return plan
 
 
+def _rows_in_product_order(plan: Sequence[_JoinStep]) -> bool:
+    """Whether the rows of ``plan`` come out in product order over its nodes.
+
+    Rows come in the carrier order of the ``_SCAN`` and ``_FIBER``
+    candidates (the choices), in plan order; an ``_IMAGE`` component is a
+    function of the choice its chain of images starts from, and checks
+    only drop rows.  So the rows are in product order when the choice
+    nodes increase in plan order and each image node comes after its
+    choice, as in a cospan (scan, image of the apex, fiber).
+    """
+    last = -1  # the greatest choice node so far
+    root: list[int] = []  # per slot: the choice node its component is a function of
+    for step in plan:
+        if step.kind == _IMAGE:
+            choice = root[step.src]
+            if step.obj < choice:
+                return False
+        else:
+            if step.obj < last:
+                return False
+            last = choice = step.obj
+        root.append(choice)
+    return True
+
+
 # -- quotients ---------------------------------------------------------------
-
-
-class _DisjointSet:
-    """Union-find with canonical (least) representatives, over any ordered hashables."""
-
-    def __init__(self) -> None:
-        self.parent: dict[Hashable, Hashable] = {}
-
-    def find(self, x: Hashable) -> Hashable:
-        parent = self.parent
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-        return True
 
 
 @dataclass
@@ -457,13 +480,19 @@ def functorial_quotient(
     Merged pairs are pushed through every arrow action until no merge
     fires (congruence closure); the target carrier at each object is the
     set of classes, named by their least member.
+
+    Each object has an inline union-find forest with an entry per
+    non-root.  A find halves its path (``parent[x] = x = grandparent``
+    assigns left to right) and a union links the greater root under the
+    lesser, so every root is the least member of its class.
     """
     base = pres.base
-    forests = {o: _DisjointSet() for o in base.objects}
-    out_arrows: dict[str, list[str]] = {o: [] for o in base.objects}
+    parents: dict[str, dict[str, str]] = {o: {} for o in base.objects}
+    # per object, the (codomain, action) of each non-identity arrow out of it
+    pushes: dict[str, list[tuple[str, dict[str, str]]]] = {o: [] for o in base.objects}
     for name, arrow in sorted(base.arrows.items()):
         if not base.is_identity(name):
-            out_arrows[arrow.dom].append(name)
+            pushes[arrow.dom].append((arrow.cod, pres.action[name]))
 
     work: list[tuple[str, str, str]] = []
     for obj in sorted(pairs):
@@ -474,11 +503,20 @@ def functorial_quotient(
             work.append((obj, u, v))
     while work:
         obj, u, v = work.pop()
-        if not forests[obj].union(u, v):
+        parent = parents[obj]
+        ru = u
+        while (p := parent.get(ru, ru)) != ru:
+            parent[ru] = ru = parent.get(p, p)
+        rv = v
+        while (p := parent.get(rv, rv)) != rv:
+            parent[rv] = rv = parent.get(p, p)
+        if ru == rv:
             continue
-        for arrow_name in out_arrows[obj]:
-            cod = base.arrows[arrow_name].cod
-            act = pres.action[arrow_name]
+        if ru < rv:
+            parent[rv] = ru
+        else:
+            parent[ru] = rv
+        for cod, act in pushes[obj]:
             work.append((cod, act[u], act[v]))
 
     projection: dict[str, dict[str, str]] = {}
@@ -487,8 +525,11 @@ def functorial_quotient(
     for obj in base.objects:
         members: dict[str, list[str]] = {}
         proj: dict[str, str] = {}
+        parent = parents[obj]
         for x in pres.carrier[obj]:
-            rep = forests[obj].find(x)
+            rep = x
+            while (p := parent.get(rep, rep)) != rep:
+                parent[rep] = rep = parent.get(p, p)
             proj[x] = rep
             members.setdefault(rep, []).append(x)
         projection[obj] = proj

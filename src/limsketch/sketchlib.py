@@ -122,11 +122,12 @@ def check_presentation(pres: SetPresentation, sketch: LimitSketch) -> None:
 
 
 def restrict_along(pres: SetPresentation, cone: Cone) -> SetPresentation:
-    """The composite ``pres . diagram`` as a presentation over the shape."""
+    """The composite ``pres . diagram`` as a presentation over the shape.
+
+    Its carriers and actions are shared with ``pres``, not copied.
+    """
     carrier = {z: pres.carrier[cone.diagram.on_object(z)] for z in cone.shape.objects}
-    action = {
-        a: dict(pres.action[cone.diagram.on_arrow(a)]) for a in cone.shape.arrows
-    }
+    action = {a: pres.action[cone.diagram.on_arrow(a)] for a in cone.shape.arrows}
     return SetPresentation(cone.shape, carrier, action)
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import hashlib
 import importlib.util
 import io
 import json
@@ -13,9 +15,18 @@ import pytest
 
 from limsketch.fincat import category_to_json_dict
 from limsketch.setops import presentation_dumps
-from limsketch.sketchlib import sketch_dumps, sketch_iso_forcing, sketch_binary_product
+from limsketch.sketchlib import (
+    build_sketch,
+    builder_names,
+    sketch_binary_product,
+    sketch_dumps,
+    sketch_iso_forcing,
+    sketch_to_json_dict,
+)
 
 from tests.fixtures import binary_fixture, binary_model, iso_fixture, iso_model
+from tests.test_golden import COMMANDS, FAMILIES, case_argv
+from tests.test_golden import run_cli as run_in_process
 
 
 def run_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -709,3 +720,47 @@ def test_import_builds_no_parser(monkeypatch):
     assert built == [] and module._parser.cache_info().currsize == 0
     module._parser()
     assert built[0] == "limsketch"
+
+
+# -- one built-in sketch per process -----------------------------------------
+
+# (family, command) of every golden case: reflect on both engines, compare, universal
+CASES = [(family, command) for family in sorted(FAMILIES) for command in sorted(COMMANDS)]
+
+
+def test_build_sketch_returns_a_new_sketch_each_call():
+    from limsketch import cli
+
+    for name in builder_names():
+        first, second = build_sketch(name), build_sketch(name)
+        assert first is not second and first == second
+        assert first is not cli._builtin(name) and first == cli._builtin(name)
+
+
+def test_commands_leave_the_shared_sketches_unchanged(tmp_path):
+    from limsketch import cli
+
+    shared = {name: cli._builtin(name) for name in builder_names()}
+    before = copy.deepcopy({name: sketch_to_json_dict(s) for name, s in shared.items()})
+    for family, command in CASES:
+        tmp = tmp_path / f"{family}-{command}"
+        tmp.mkdir()
+        run_in_process(case_argv(family, command, tmp), tmp)
+    assert all(cli._builtin(name) is sketch for name, sketch in shared.items())
+    assert {name: sketch_to_json_dict(s) for name, s in shared.items()} == before
+
+
+def test_fresh_processes_match_in_process_runs(tmp_path):
+    """Each golden case gives the same exit code, stdout and report bytes in a new process."""
+    for family, command in CASES:
+        tmp = tmp_path / f"{family}-{command}"
+        tmp.mkdir()
+        argv = case_argv(family, command, tmp)
+        code, report, out_digest, _ = run_in_process(argv, tmp)
+        fresh_out = tmp / "fresh.json"
+        proc = run_cli(*argv, "--out", str(fresh_out))
+        fresh_report = "no report"
+        if fresh_out.exists():
+            fresh_report = hashlib.sha256(fresh_out.read_bytes()).hexdigest()
+        fresh = (proc.returncode, fresh_report, hashlib.sha256(proc.stdout.encode()).hexdigest())
+        assert fresh == (code, report, out_digest), (family, command, proc.stderr)

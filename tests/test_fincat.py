@@ -88,6 +88,13 @@ def test_hom_is_a_partition():
         assert total == len(cat.arrows)
 
 
+def test_is_identity_answers_from_the_identities():
+    cat = iso_category()
+    assert [n for n in sorted(cat.arrows) if cat.is_identity(n)] == ["id_a", "id_b"]
+    with pytest.raises(InputError, match="unknown arrow 'nope'"):
+        cat.is_identity("nope")
+
+
 def test_hom_unknown_object():
     with pytest.raises(InputError):
         iso_category().hom("a", "nope")

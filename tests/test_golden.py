@@ -87,8 +87,8 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
 }
 
 
-def run_case(family: str, command: str, tmp: Path) -> tuple[int, str, str, str]:
-    """Run one golden case; return exit code, report and stdout digests, stdout."""
+def case_argv(family: str, command: str, tmp: Path) -> list[str]:
+    """Write one golden case's documents under ``tmp``; return its command line."""
     builder, make_sketch, make_pres, make_model, components = FAMILIES[family]
     sketch = make_sketch()
     paths = {"pres": tmp / "X.json", "model": tmp / "M.json", "map": tmp / "f.json"}
@@ -96,7 +96,12 @@ def run_case(family: str, command: str, tmp: Path) -> tuple[int, str, str, str]:
     paths["model"].write_text(presentation_dumps(make_model(sketch)))
     paths["map"].write_text(json.dumps({"components": components}))
     argv = [a.format(model=paths["model"], map=paths["map"]) for a in COMMANDS[command]]
-    return run_cli(argv + ["--sketch", builder, "--presentation", str(paths["pres"])], tmp)
+    return argv + ["--sketch", builder, "--presentation", str(paths["pres"])]
+
+
+def run_case(family: str, command: str, tmp: Path) -> tuple[int, str, str, str]:
+    """Run one golden case; return exit code, report and stdout digests, stdout."""
+    return run_cli(case_argv(family, command, tmp), tmp)
 
 
 def run_cli(argv: list[str], tmp: Path) -> tuple[int, str, str, str]:

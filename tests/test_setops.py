@@ -7,6 +7,7 @@ import pytest
 from limsketch.errors import BudgetExceeded, InputError
 from limsketch.fincat import FinCategory
 from limsketch.setops import (
+    LimitJoin,
     NatTransSpec,
     disjoint_sum,
     empty_presentation,
@@ -215,6 +216,47 @@ def test_quotient_matches_naive_fixpoint_oracle_randomized():
             assert have == want[obj]
 
 
+def line_chain(size: int = 2400, chain: int = 2000):
+    """A presentation over a -f-> b -g-> c and the pairs chaining x0 .. x{chain-1} at a.
+
+    f sends xi to y(2i mod size) and g sends yj to z(j mod 30), so the
+    chain's class is pushed onto the even y and the even z.
+    """
+    base = FinCategory.build(
+        "line", ["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("gf", "a", "c")],
+        {("g", "f"): "gf"},
+    )
+    f = {f"x{i}": f"y{2 * i % size}" for i in range(size)}
+    g = {f"y{j}": f"z{j % 30}" for j in range(size)}
+    pres = make_presentation(
+        base,
+        {"a": f, "b": g, "c": set(g.values())},
+        {"f": f, "g": g, "gf": {x: g[y] for x, y in f.items()}},
+    )
+    return pres, [(f"x{i}", f"x{i + 1}") for i in range(chain - 1)]
+
+
+def test_quotient_of_long_chains_in_any_feed_order():
+    pres, ascending = line_chain()
+    want = naive_quotient_partition(pres, {"a": ascending})
+    assert max(len(c) for c in want["a"]) == 2000 and len(want["b"]) == 1201
+    rng = random.Random(1984)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in ascending]
+    rng.shuffle(shuffled)
+    for pairs in (ascending, ascending[::-1], shuffled):
+        q = functorial_quotient(pres, {"a": pairs})
+        for obj in pres.base.objects:
+            assert {frozenset(m) for m in q.classes[obj].values()} == want[obj]
+            # each class is named by its least member, and so is each element's image
+            assert all(rep == min(members) for rep, members in q.classes[obj].items())
+            assert all(
+                q.projection[obj][x] == rep
+                for rep, members in q.classes[obj].items()
+                for x in members
+            )
+            assert q.target.carrier[obj] == tuple(sorted(q.classes[obj]))
+
+
 # -- pushout_classes -----------------------------------------------------------
 
 
@@ -293,17 +335,26 @@ def test_limits_match_oracle_randomized():
         assert len(set(got)) == len(got)
 
 
-def test_limits_match_ordered_oracle_randomized():
-    apex_last = FinCategory.build(
+def apex_last_shape() -> FinCategory:
+    """The sheaf cone's cospan: the apex sorts last, so it is bound second."""
+    return FinCategory.build(
         "sh_apex_last", ["zU", "zV", "zW"], [("zuw", "zU", "zW"), ("zvw", "zV", "zW")], {}
     )
+
+
+def disconnected_shape() -> FinCategory:
+    """``rp: r -> p``, so the fiber of r is bound before q is scanned."""
+    return FinCategory.build("sh_disconnected", ["p", "q", "r"], [("rp", "r", "p")], {})
+
+
+def test_limits_match_ordered_oracle_randomized():
     endo = FinCategory.build(
         "sh_endo", ["a", "b"], [("e", "a", "a"), ("ab", "a", "b")],
         {("e", "e"): "e", ("ab", "e"): "ab"},
     )
-    disconnected = FinCategory.build("sh_disconnected", ["p", "q", "r"], [("rp", "r", "p")], {})
-    shapes = shape_pool() + [apex_last, endo, disconnected]
+    shapes = shape_pool() + [apex_last_shape(), endo, disconnected_shape()]
     rng = random.Random(2012)
+    flags = set()
     for _ in range(300):
         shape = rng.choice(shapes)
         diag = random_presentation(rng, shape, max_size=6)
@@ -311,6 +362,25 @@ def test_limits_match_ordered_oracle_randomized():
             # product order follows the carriers as stored, sorted or not
             diag.carrier = {o: tuple(rng.sample(c, len(c))) for o, c in diag.carrier.items()}
         assert limit_of_diagram(shape, diag) == ordered_brute_limit(shape, diag)
+        flags.add(LimitJoin.of_shape(shape).ordered)
+    # plans whose rows skip the sort and plans whose rows are sorted both ran
+    assert flags == {True, False}
+
+
+def test_join_plan_records_product_order():
+    equalizer = next(s for s in shape_pool() if s.name == "sh_par")
+    assert all(LimitJoin.of_shape(shape).ordered for shape in (apex_last_shape(), equalizer))
+    # the cospan binds its apex before the second leg and still skips the sort
+    assert [step.obj for step in LimitJoin.of_shape(apex_last_shape()).plan] == [0, 2, 1]
+    disconnected = LimitJoin.of_shape(disconnected_shape())
+    assert [step.obj for step in disconnected.plan] == [0, 2, 1]
+    assert not disconnected.ordered
+
+
+def test_equal_shapes_share_one_join():
+    first = LimitJoin.of_shape(disconnected_shape())
+    assert LimitJoin.of_shape(disconnected_shape()) is first
+    assert LimitJoin.of_shape(apex_last_shape()) is not first
 
 
 # -- natural transformations ---------------------------------------------------
