@@ -50,7 +50,8 @@ print("peaks reached through the gap inverse:", len(result.log))
 
 # Uniqueness by generation: closing rho's image under the arrows and the
 # gap rule (a pair whose projections are reached is reached) gives the
-# whole core, so no search is needed.
+# whole core, so no search is needed.  The factorisation already walked
+# that closure, so the certificate is read off it.
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
@@ -78,9 +79,9 @@ hand = SimpleNamespace(
 print("\nrho generates the hand-made core:",
       {d: len(c) for d, c in generated(bigger, hand.rho, sketch).items()}, "of", bigger.size())
 try:
-    check_uniqueness(hand, result, sketch)
+    solve_factorisation(hand, f, M, sketch)
 except EngineError as exc:
-    print("uniqueness check:", exc)
+    print("factorisation through the hand-made core:", exc)
 
 # The enumeration shows what the certificate guards against: on this core
 # two maps commute with rho, one for each place w may go.

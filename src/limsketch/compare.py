@@ -2,12 +2,13 @@
 
 The comparison transformation alpha is built by :func:`replay`, the one
 walk over the staged engine's provenance, run over the faithful stages
-from the identity on X: a base class maps through the unit of the
-matching completion stage applied to the image of its members (all
-members are checked to agree), and a free element over a limit tuple
-maps to the class of the corresponding formal pair in the completion.
-Every naturality square and every stage-commutation square is checked
-explicitly; a failure is reported with a witness and never repaired.
+from the identity on X: each element x of the previous total sends its
+class p(x) in the base to the unit of the matching completion stage
+applied to the image of x, and a free element over a limit tuple maps to
+the class of the corresponding formal pair in the completion.  That is
+the stage-commutation square at every x, so a stage whose square fails
+is refused; every naturality square is checked after the replay.  A
+failure is reported with a witness and never repaired.
 The isomorphism of the two reflections reads only their cores and
 units, through :func:`limsketch.universal.factor_through_model`.
 """
@@ -32,18 +33,18 @@ def replay(
 ) -> Iterator[Components]:
     """Alpha at each staged stage, from the identity on X; ``steps[i - 1]`` matches stage i.
 
-    At stage i each ``(element, members)`` of ``stage.classes(d)`` maps
-    to the one value its members' images share, each sent through the
-    unit of completion step i (at stage 0, the identity on X);
-    conflicting images raise :class:`EngineError`.  The free part maps
-    row by row (:meth:`~limsketch.elim.Stage.witness_rows`): the tuples of
-    a cone are imaged once per stage, and the k-th id of a row over arrow
-    t maps to the class in the completion of the formal pair (t, k-th
-    image) (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).
+    At stage i each x of the previous total sets alpha_i at ``B:``p(x) to
+    unit_i(alpha_(i-1)(x)), p the stage's projection and unit_i that of
+    completion step i (at stage 0, both identities): the square alpha_i .
+    p = unit_i . alpha_(i-1) at x.  Two x of one fibre with different
+    images raise :class:`EngineError`.  The free part maps row by row
+    (:meth:`~limsketch.elim.Stage.witness_rows`): the tuples of a cone are
+    imaged once per stage, and the k-th id of a row over arrow t maps to
+    the class in the completion of the formal pair (t, k-th image)
+    (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
-    x = stages[0].quotient.target
-    current: Components = {d: {e: e for e in x.carrier[d]} for d in objects}
+    current: Components = identity_nat(stages[0].quotient.target).components
     cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
     for i, stage in enumerate(stages):
         step = steps[i - 1] if i else None
@@ -51,17 +52,20 @@ def replay(
         position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
         nxt: Components = {}
         for d in objects:
-            here, after = current[d], None if step is None else step.unit.components[d]
+            # the projection lists the previous total in its sorted carrier order
+            proj = stage.quotient.projection[d]
+            values = list(map(current[d].__getitem__, proj))
+            if step is not None:
+                values = list(map(step.unit.components[d].__getitem__, values))
             out: dict[str, str] = {}
-            for element, members in stage.classes(d):
-                values = {here[m] if after is None else after[here[m]] for m in members}
-                if len(values) != 1:
+            for k, value in zip(proj.values(), values):
+                if out.setdefault(k, value) != value:
+                    clash = {v for j, v in zip(proj.values(), values) if j == k}
                     raise EngineError(
                         f"class image conflict at replay step {i} object {d!r}: "
-                        f"{element!r} maps to {sorted(values)}"
+                        f"{tag_base(k)!r} maps to {sorted(clash)}"
                     )
-                out[element] = values.pop()
-            nxt[d] = out
+            nxt[d] = {tag_base(k): value for k, value in out.items()}
         images: dict[str, list[tuple[str, ...]]] = {}
         for cone, arrow, tuples, ids in stage.witness_rows():
             if cone not in images:
@@ -75,11 +79,16 @@ def replay(
 
 @dataclass
 class AlphaStage:
+    """Alpha at one stage, always ``commutation_ok``: :func:`replay` refuses a failing square."""
+
     index: int
     components: dict[str, dict[str, str]]
     naturality_ok: bool
-    commutation_ok: bool
     witness: str | None = None
+
+    @property
+    def commutation_ok(self) -> bool:
+        return True
 
 
 @dataclass
@@ -88,7 +97,7 @@ class AlphaTrace:
 
     @property
     def ok(self) -> bool:
-        return all(s.naturality_ok and s.commutation_ok for s in self.stages)
+        return all(s.naturality_ok for s in self.stages)
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,18 +133,6 @@ def _check_naturality(
     return None
 
 
-def _check_commutation(
-    stage: Stage, unit: Components, prev: Components, comp: Components
-) -> str | None:
-    """Does alpha_i . p = unit_i . alpha_(i-1) hold on the previous total?"""
-    previous, projection = stage.quotient.source, stage.quotient.projection
-    for d in previous.base.objects:
-        for x in previous.carrier[d]:
-            if comp[d][tag_base(projection[d][x])] != unit[d][prev[d][x]]:
-                return f"stage {stage.index}: square breaks at {d!r} on {x!r}"
-    return None
-
-
 def build_alpha(
     elim_trace: ReflectionTrace,
     kelly_trace: KellyTrace,
@@ -160,15 +157,9 @@ def build_alpha(
     steps = kelly_trace.stages[:depth]
     stages: list[AlphaStage] = []
     for i, comp in enumerate(replay(elim_trace.stages, steps, sketch)):
-        stage = elim_trace.stages[i]
-        nat_witness = _check_naturality(stage.total, kelly_trace.object_at(i), comp)
-        square = None
-        if i:
-            unit = steps[i - 1].unit.components
-            square = _check_commutation(stage, unit, stages[-1].components, comp)
-        stages.append(
-            AlphaStage(i, comp, nat_witness is None, square is None, square or nat_witness)
-        )
+        total = elim_trace.stages[i].total
+        witness = _check_naturality(total, kelly_trace.object_at(i), comp)
+        stages.append(AlphaStage(i, comp, witness is None, witness))
     return AlphaTrace(stages)
 
 

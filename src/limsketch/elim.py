@@ -2,8 +2,9 @@
 
 Each stage holds a quotient-free part E (freshly added limit witnesses)
 next to a base part B (everything previously built, quotiented), and
-keeps whole the quotient map that made B from the previous total.  The
-next base merges the current total S = B + E under two kinds of pairs:
+keeps whole the quotient map that made B from the previous total, as its
+projection p alone: each class of B is a fibre of p.  The next base
+merges the current total S = B + E under two kinds of pairs:
 
 * rule (1) merges peak elements with one image under a cone's gap map,
   forcing gap injectivity;
@@ -87,8 +88,8 @@ class Stage:
 
     ``quotient`` is the map that made this stage's base: its ``source`` is
     the previous total, its ``target`` the base, and its ``projection``
-    and ``classes`` relate the two (at stage 0, the identity of X, each
-    element its own class).  ``total`` is the tagged disjoint sum of the
+    relates the two, each base class the fibre over its id (at stage 0,
+    the identity of X).  ``total`` is the tagged disjoint sum of the
     base and the free part; ``limits_prev`` holds, per cone, the limit
     tuples of the previous total that the free part is built from (all of
     them in faithful mode, only those over tuples unhit in this base in
@@ -105,11 +106,6 @@ class Stage:
     free_rows: dict[tuple[str, str], list[str]]
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
-
-    def classes(self, obj: str) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Replay view of the base at ``obj``: each class with its members in the previous total."""
-        for class_id, members in self.quotient.classes[obj].items():
-            yield f"{BASE_TAG}:{class_id}", members
 
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
@@ -180,9 +176,7 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
     check_presentation(pres, sketch)
     empty = empty_presentation(sketch.base)
     total, _, _ = disjoint_sum(pres, empty, tags=(BASE_TAG, FREE_TAG))
-    projection = {d: {x: x for x in pres.carrier[d]} for d in sketch.base.objects}
-    classes = {d: {x: (x,) for x in pres.carrier[d]} for d in sketch.base.objects}
-    identity = QuotientMap(pres, pres, projection, classes)
+    identity = QuotientMap(pres, pres, identity_nat(pres).components)
     return Stage(index=0, quotient=identity, total=total, limits_prev={}, free_rows={})
 
 
@@ -300,9 +294,9 @@ def _unhit_lifts(
 
     Each such w lies over a tuple u of the quotient's limit outside its
     gap image, and the w over u are the limit of ``total`` restricted to
-    the classes of u's components.  One join plan serves the quotient's
-    limit and every lift, and one count of visited candidates runs
-    through all of them.
+    the fibres of p over u's components.  One join plan serves the
+    quotient's limit and every lift, and one count of visited candidates
+    runs through all of them.
     """
     join = LimitJoin.of_shape(cone.shape)
     label = f"cone {cone.name}"
@@ -311,13 +305,18 @@ def _unhit_lifts(
     small, spent = join.run(qdiag.action, qdiag.carrier, max_tuples, label)
     hit = set(gap_map(target, cone).values())
     order = cone.shape_order()
-    classes = [quotient.classes[cone.diagram.on_object(z)] for z in order]
+    objs = [cone.diagram.on_object(z) for z in order]
+    # p inverted on the diagram objects, each fibre in the total's sorted carrier order
+    inverse: dict[str, dict[str, list[str]]] = {d: {} for d in objs}
+    for d, over in inverse.items():
+        for x, k in quotient.projection[d].items():
+            over.setdefault(k, []).append(x)
     diag = restrict_along(total, cone)
     lifted: list[tuple[str, ...]] = []
     for u in small:
         if u in hit:
             continue
-        fibres = {z: cls[x] for z, cls, x in zip(order, classes, u)}
+        fibres = {z: inverse[d][x] for z, d, x in zip(order, objs, u)}
         tuples, spent = join.run(diag.action, fibres, max_tuples, label, spent=spent)
         lifted.extend(tuples)
     # the total's carriers are sorted, so sorting restores their product order
@@ -376,11 +375,11 @@ def _subpresentation(pres: SetPresentation, keep: dict[str, tuple[str, ...]]) ->
 
 
 def _core_class_ids(stage: Stage) -> dict[str, tuple[str, ...]]:
-    """Classes of the base that contain at least one previous-base member."""
+    """Classes of the base that contain at least one previous-base member: their p-images."""
     prefix = f"{BASE_TAG}:"
     return {
-        d: tuple(sorted(k for k, ms in classes.items() if any(m.startswith(prefix) for m in ms)))
-        for d, classes in stage.quotient.classes.items()
+        d: tuple(sorted({k for x, k in proj.items() if x.startswith(prefix)}))
+        for d, proj in stage.quotient.projection.items()
     }
 
 

@@ -128,12 +128,6 @@ class FinCategory:
 
     # -- lookups ---------------------------------------------------------
 
-    def arrow(self, name: str) -> Arrow:
-        try:
-            return self.arrows[name]
-        except KeyError:
-            raise InputError(f"unknown arrow {name!r}") from None
-
     def compose(self, g: str, f: str) -> str:
         """Return ``g after f``; both must be composable arrows."""
         try:

@@ -75,7 +75,6 @@ class CompletionStep:
     to its place in the rows of c.
     """
 
-    obj: SetPresentation
     unit: NatTransSpec
     quotient: QuotientMap
     limits: dict[str, tuple[tuple[str, ...], ...]]
@@ -83,6 +82,10 @@ class CompletionStep:
     position: dict[str, dict[tuple[str, ...], int]]
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
+
+    @property
+    def obj(self) -> SetPresentation:
+        return self.quotient.target
 
     def pair_classes(self, obj: str, cone: str, arrow: str, tuples: list) -> list[str]:
         """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``."""
@@ -136,7 +139,6 @@ def kelly_P(
     }
     unit = NatTransSpec(pres, quotient.target, unit_components)
     return CompletionStep(
-        quotient.target,
         unit,
         quotient,
         limits,

@@ -463,12 +463,11 @@ def _rows_in_product_order(plan: Sequence[_JoinStep]) -> bool:
 
 @dataclass
 class QuotientMap:
-    """A pointwise-surjective natural projection onto a quotient."""
+    """A pointwise-surjective natural projection; each class is a fibre of ``projection``."""
 
     source: SetPresentation
     target: SetPresentation
     projection: dict[str, dict[str, str]]
-    classes: dict[str, dict[str, tuple[str, ...]]]
 
 
 def functorial_quotient(
@@ -520,10 +519,8 @@ def functorial_quotient(
             work.append((cod, act[u], act[v]))
 
     projection: dict[str, dict[str, str]] = {}
-    classes: dict[str, dict[str, tuple[str, ...]]] = {}
     carrier: dict[str, tuple[str, ...]] = {}
     for obj in base.objects:
-        members: dict[str, list[str]] = {}
         proj: dict[str, str] = {}
         parent = parents[obj]
         for x in pres.carrier[obj]:
@@ -531,16 +528,14 @@ def functorial_quotient(
             while (p := parent.get(rep, rep)) != rep:
                 parent[rep] = rep = parent.get(p, p)
             proj[x] = rep
-            members.setdefault(rep, []).append(x)
         projection[obj] = proj
-        classes[obj] = {rep: tuple(sorted(ms)) for rep, ms in members.items()}
-        carrier[obj] = tuple(sorted(members))
+        carrier[obj] = tuple(sorted(set(proj.values())))
     action: dict[str, dict[str, str]] = {}
     for name, arrow in pres.base.arrows.items():
         act = pres.action[name]
         action[name] = {rep: projection[arrow.cod][act[rep]] for rep in carrier[arrow.dom]}
     target = SetPresentation(base, carrier, action)
-    return QuotientMap(pres, target, projection, classes)
+    return QuotientMap(pres, target, projection)
 
 
 def disjoint_sum(

@@ -9,9 +9,10 @@ g . rho = f at rho's image, naturality along an arrow, and the inverse of
 M's gap map at a peak, which exists exactly because M is a model.
 :func:`factor_through_model` folds M along that record to construct g,
 and the same closure, reaching the whole core, certifies that no other g
-commutes with rho.  A core that rho does not generate is an engine fault.
-Neither reads the engines' stages: a trace is read through its ``core``
-and ``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
+commutes with rho: :func:`check_uniqueness` reads that certificate off
+g without walking again.  A core that rho does not generate is an engine
+fault.  Neither reads the engines' stages: a trace is read through its
+``core`` and ``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
 transformations out of a core, a limit over its category of elements
 found by the cone-limit join; the tests check the certificate against
 it, and the construction never feeds either check.
@@ -105,7 +106,12 @@ def factor_through_model(
                 raise EngineError(f"image tuple {v!r} is not hit by the gap map of {via!r}")
             log.append(dict(object=d, element=y, cone=via, tuple=list(v), gap_inverse=value))
         components[d][y] = value
-    _require_generated(core, components)
+    for d in core.base.objects:
+        missed = [x for x in core.carrier[d] if x not in components[d]]
+        if missed:
+            raise EngineError(
+                f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
+            )
     g = NatTransSpec(core, model, components)
     report = g.validate()
     if not report.ok:
@@ -263,16 +269,6 @@ def generated(
     return closure
 
 
-def _require_generated(core: SetPresentation, closure) -> None:
-    """Raise :class:`EngineError` naming the first object and least element ``closure`` misses."""
-    for d in core.base.objects:
-        missed = [x for x in core.carrier[d] if x not in closure[d]]
-        if missed:
-            raise EngineError(
-                f"rho does not generate the core: object {d!r} misses {min(missed)!r}"
-            )
-
-
 @dataclass
 class UniquenessVerdict:
     status: str  # "unique"
@@ -286,20 +282,16 @@ def check_uniqueness(
 ) -> UniquenessVerdict:
     """Certify that at most one map core => M commutes with rho.
 
-    M is the codomain of ``result``, the factorisation that
-    :func:`solve_factorisation` built after checking that M is a model.
-    When rho generates the whole core, two maps into M that agree on rho
-    agree everywhere, and ``result`` is one, so the verdict is "unique";
-    ``search_space`` is the closed-form number of candidate component
-    families.  A core that rho does not generate raises
-    :class:`EngineError` naming the first object and the least element
-    the closure misses.
+    ``result`` is the factorisation into M that :func:`solve_factorisation`
+    built out of ``trace.core``: it checked that M is a model and that rho
+    generates the whole core, so two maps into M that agree on rho agree
+    everywhere and the verdict is "unique".  ``search_space`` is the
+    closed-form number of candidate component families.  A ``result`` out
+    of another core raises :class:`PreconditionError`.
     """
-    if not trace.converged or trace.core is None or trace.rho is None:
-        raise PreconditionError("uniqueness check needs a converged trace")
-    core = trace.core
-    _require_generated(core, generated(core, trace.rho, sketch))
-    return UniquenessVerdict("unique", _search_space(core, result.g.target))
+    if result.g.source is not trace.core:
+        raise PreconditionError("uniqueness check needs a factorisation out of the trace's core")
+    return UniquenessVerdict("unique", _search_space(trace.core, result.g.target))
 
 
 def universal_to_json_dict(result: FactorisationResult, verdict: UniquenessVerdict) -> dict:

@@ -361,6 +361,15 @@ def relation_cases(label: str, count: int = 40) -> list[tuple[LimitSketch, SetPr
 
 # -- the replay, element by element -----------------------------------------
 
+
+def fibres(projection: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
+    """One object's projection as fibres: each image, in order met, with its sorted preimage."""
+    out: dict[str, list[str]] = {}
+    for x, k in projection.items():
+        out.setdefault(k, []).append(x)
+    return {k: tuple(sorted(members)) for k, members in out.items()}
+
+
 Components = dict[str, dict[str, str]]
 
 
@@ -421,8 +430,8 @@ class PerElement:
         self.stage = stage
 
     def classes(self, obj: str):
-        for element, members in self.stage.classes(obj):
-            yield element, members, ()
+        for class_id, members in fibres(self.stage.quotient.projection[obj]).items():
+            yield tag_base(class_id), members, ()
         for fid, witness in free_witnesses(self.stage, obj):
             yield fid, (), (witness,)
 
@@ -453,7 +462,7 @@ class CompletionClasses:
             if arrows[t].cod == obj
             for w, e in zip(step.limits[cone], row)
         }
-        for class_id, members in step.quotient.classes[obj].items():
+        for class_id, members in fibres(step.quotient.projection[obj]).items():
             carried = tuple(m[len(x_tag) :] for m in members if m.startswith(x_tag))
             yield class_id, carried, tuple(witnesses[m] for m in members if not m.startswith(x_tag))
 

@@ -51,6 +51,7 @@ from tests.fixtures import (
 from tests.oracles import (
     brute_limit,
     dsu_partition,
+    fibres,
     free_witnesses,
     naive_quotient_partition,
     random_functorial_base,
@@ -90,7 +91,7 @@ def test_criterion_01_setops_oracle_equivalence():
             got_q = functorial_quotient(pres, pairs)
             want = naive_quotient_partition(pres, {o: list(p) for o, p in pairs.items()})
             for obj in base.objects:
-                assert {frozenset(m) for m in got_q.classes[obj].values()} == want[obj]
+                assert {frozenset(m) for m in fibres(got_q.projection[obj]).values()} == want[obj]
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -200,7 +201,7 @@ def test_criterion_05_kelly_cross_check():
             for obj in sk.base.objects:
                 literal = list(step.r0.get(obj, ())) + list(step.r1.get(obj, ()))
                 want = dsu_partition(list(step.quotient.source.carrier[obj]), literal)
-                have = {frozenset(m) for m in step.quotient.classes[obj].values()}
+                have = {frozenset(m) for m in fibres(step.quotient.projection[obj]).values()}
                 assert have == want
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -38,7 +38,7 @@ from tests.fixtures import (
     sheaf_model,
     sheaf_sketch,
 )
-from tests.oracles import free_witnesses, pushed_filter_limits, random_valid_presentation
+from tests.oracles import fibres, free_witnesses, pushed_filter_limits, random_valid_presentation
 
 
 def free_size(stage) -> dict[str, int]:
@@ -437,8 +437,9 @@ def test_stage_element_provenance_view():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=FAITHFUL)
     stage1 = trace.stages[1]
     seen = set()
-    # the replay reads base classes from ``classes`` and free elements from ``witness_rows``
-    view = [(tagged, members, ()) for tagged, members in stage1.classes("b")]
+    # the replay reads base classes from the projection and free elements from ``witness_rows``
+    classes = fibres(stage1.quotient.projection["b"])
+    view = [(tag_base(k), members, ()) for k, members in classes.items()]
     for cone, arrow, tuples, ids in stage1.witness_rows():
         if sketch.base.arrows[arrow].cod == "b":
             view.extend((tagged, (), ((cone, arrow, w),)) for w, tagged in zip(tuples, ids))

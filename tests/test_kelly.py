@@ -20,7 +20,7 @@ from tests.fixtures import (
     sheaf_fixture,
     sheaf_sketch,
 )
-from tests.oracles import dsu_partition
+from tests.oracles import dsu_partition, fibres
 
 
 def one_cone(sketch: LimitSketch, index: int = 0) -> LimitSketch:
@@ -69,7 +69,7 @@ def test_completion_classes_match_literal_pair_list_oracle():
         for obj in sketch.base.objects:
             literal = list(step.r0.get(obj, ())) + list(step.r1.get(obj, ()))
             want = dsu_partition(list(source.carrier[obj]), literal)
-            have = {frozenset(m) for m in step.quotient.classes[obj].values()}
+            have = {frozenset(m) for m in fibres(step.quotient.projection[obj]).values()}
             assert have == want
 
 

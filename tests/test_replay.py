@@ -1,11 +1,12 @@
 """The provenance replay refuses corrupted traces instead of guessing.
 
 Each test corrupts one stage-aligned pair of traces the way a broken
-engine could: two classes with different images are merged, or a formal
-pair is dropped from a completion's projection.  ``build_alpha`` must
-raise ``EngineError``.  The factorisation reads no stage, only a trace's
-core and rho, so a corrupted stage cannot reach it; ``tests.test_universal``
-covers the errors it still raises.
+engine could: two classes with different images are merged, one element
+is sent to another class, or a formal pair is dropped from a completion's
+projection.  A quotient is its projection, so each corruption edits one.
+``build_alpha`` must raise ``EngineError``.  The factorisation reads no
+stage, only a trace's core and rho, so a corrupted stage cannot reach it;
+``tests.test_universal`` covers the errors it still raises.
 
 The replay maps a staged step's free part row by row; ``brute_replay`` in
 ``tests.oracles`` maps it element by element.  The two must build the same
@@ -45,9 +46,11 @@ from tests.oracles import (
 )
 
 
-def merge_classes(classes: dict[str, tuple[str, ...]], keep: str, drop: str) -> None:
-    """Fold class ``drop`` into class ``keep`` (a corruption of the quotient)."""
-    classes[keep] = tuple(sorted(classes[keep] + classes.pop(drop)))
+def merge_classes(projection: dict[str, str], keep: str, drop: str) -> None:
+    """Send every member of class ``drop`` to class ``keep`` (a corruption of the quotient)."""
+    for x, k in projection.items():
+        if k == drop:
+            projection[x] = keep
 
 
 def _binary():
@@ -70,8 +73,31 @@ def test_alpha_refuses_merged_elim_classes(binary):
     sketch, pres = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
     assert build_alpha(elim_trace, kelly_trace, sketch).ok
-    merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
+    merge_classes(elim_trace.stages[1].quotient.projection["a"], "B:u", "B:v")
     with pytest.raises(EngineError, match="class image conflict at replay step 1 object 'a'"):
+        build_alpha(elim_trace, kelly_trace, sketch)
+
+
+# a free element of class B:B:u at stage 2 of the binary fixture, and the other class there
+MOVED, OTHER = "E:F2:c03:pi12#3:B:u3:B:v", "B:B:v"
+
+
+def _moved_member():
+    """Stage-aligned binary traces of depth 2 with ``MOVED`` sent to ``OTHER`` in p alone."""
+    sketch, pres = _binary()
+    elim_trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
+    kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
+    projection = elim_trace.stages[2].quotient.projection["a"]
+    assert projection[MOVED] == "B:B:u" and OTHER in projection.values()
+    projection[MOVED] = OTHER
+    return sketch, elim_trace, kelly_trace
+
+
+def test_alpha_refuses_an_element_sent_to_another_class():
+    # the commutation square breaks at the moved element: the replay refuses the stage
+    sketch, elim_trace, kelly_trace = _moved_member()
+    message = "class image conflict at replay step 2 object 'a': 'B:B:B:v' maps to "
+    with pytest.raises(EngineError, match=message):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
@@ -174,7 +200,12 @@ def _alpha_both(elim_trace, kelly_trace, sketch):
 def _corrupt_merged_elim_classes_alpha():
     sketch, pres = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    merge_classes(elim_trace.stages[1].quotient.classes["a"], "B:u", "B:v")
+    merge_classes(elim_trace.stages[1].quotient.projection["a"], "B:u", "B:v")
+    return _alpha_both(elim_trace, kelly_trace, sketch)
+
+
+def _corrupt_moved_member_alpha():
+    sketch, elim_trace, kelly_trace = _moved_member()
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 
@@ -191,6 +222,7 @@ def _corrupt_missing_formal_pair_alpha():
     "corrupt",
     [
         _corrupt_merged_elim_classes_alpha,
+        _corrupt_moved_member_alpha,
         _corrupt_missing_formal_pair_alpha,
     ],
     ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):],

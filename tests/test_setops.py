@@ -31,6 +31,7 @@ from limsketch.sketchlib import (
 from tests.oracles import (
     brute_limit,
     dsu_partition,
+    fibres,
     naive_quotient_partition,
     ordered_brute_limit,
     pushout_classes,
@@ -212,7 +213,7 @@ def test_quotient_matches_naive_fixpoint_oracle_randomized():
         got = functorial_quotient(pres, pairs)
         want = naive_quotient_partition(pres, {o: list(ps) for o, ps in pairs.items()})
         for obj in base.objects:
-            have = {frozenset(m) for m in got.classes[obj].values()}
+            have = {frozenset(m) for m in fibres(got.projection[obj]).values()}
             assert have == want[obj]
 
 
@@ -246,15 +247,11 @@ def test_quotient_of_long_chains_in_any_feed_order():
     for pairs in (ascending, ascending[::-1], shuffled):
         q = functorial_quotient(pres, {"a": pairs})
         for obj in pres.base.objects:
-            assert {frozenset(m) for m in q.classes[obj].values()} == want[obj]
-            # each class is named by its least member, and so is each element's image
-            assert all(rep == min(members) for rep, members in q.classes[obj].items())
-            assert all(
-                q.projection[obj][x] == rep
-                for rep, members in q.classes[obj].items()
-                for x in members
-            )
-            assert q.target.carrier[obj] == tuple(sorted(q.classes[obj]))
+            classes = fibres(q.projection[obj])
+            assert {frozenset(m) for m in classes.values()} == want[obj]
+            # each class is named by its least member, the image of all its members
+            assert all(rep == min(members) for rep, members in classes.items())
+            assert q.target.carrier[obj] == tuple(sorted(classes))
 
 
 # -- pushout_classes -----------------------------------------------------------

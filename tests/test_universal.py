@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -190,14 +191,33 @@ def test_generated_fills_every_gap_over_its_image():
 
 
 def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
+    # the certificate is read off a factorisation, and none is built out of an ungenerated core,
+    # though a natural g commuting with rho exists: w goes where u goes
     sketch = binary_sketch()
-    trace, _ = _ungenerated_trace(sketch)
-    # a natural g from the hand-made core: w goes where u goes
+    trace, f = _ungenerated_trace(sketch)
+    model = binary_model(sketch)
     at_a = {"u": "u", "v": "v", "w": "u"}
     at_p = {q: at_a[q[0]] + at_a[q[1]] for q in trace.core.carrier["p"]}
-    result = FactorisationResult(nat(trace.core, binary_model(sketch), {"a": at_a, "p": at_p}), True)
+    g = nat(trace.core, model, {"a": at_a, "p": at_p})
+    assert compose_nat(g, trace.rho).components == f.components
     with pytest.raises(EngineError, match="object 'a' misses 'w'$"):
-        check_uniqueness(trace, result, sketch)
+        solve_factorisation(trace, f, model, sketch)
+
+
+def test_uniqueness_needs_a_factorisation_out_of_the_trace_core():
+    sketch = binary_sketch()
+    pres, model = binary_fixture(sketch), binary_model(sketch)
+    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
+    elim_trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
+    kelly_trace = reflect_kelly(pres, sketch, budget=8)
+    result = solve_factorisation(kelly_trace, f, model, sketch)
+    assert check_uniqueness(kelly_trace, result, sketch).status == "unique"
+    # an equal core is not enough: the certificate holds for the core the factorisation walked
+    copy = FactorisationResult(nat(replace(kelly_trace.core), model, result.g.components), True)
+    stuck = reflect_elim(pres, sketch, budget=0)
+    for trace, res in ((elim_trace, result), (kelly_trace, copy), (stuck, result)):
+        with pytest.raises(PreconditionError, match="factorisation out of the trace's core$"):
+            check_uniqueness(trace, res, sketch)
 
 
 # -- the factorisation from a core and rho: its log and its refusals -----------
