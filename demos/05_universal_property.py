@@ -55,7 +55,7 @@ print("peaks reached through the gap inverse:", len(result.log))
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
-verdict = check_uniqueness(trace, result, sketch)
+verdict = check_uniqueness(trace, result)
 print("uniqueness verdict:", verdict.status, "(search space", verdict.search_space, ")")
 
 # The enumeration agrees: all natural transformations core -> M (a join

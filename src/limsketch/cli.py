@@ -255,7 +255,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
     result = universal.solve_factorisation(trace, f, model, sketch, max_tuples=args.max_tuples)
-    verdict = universal.check_uniqueness(trace, result, sketch)
+    verdict = universal.check_uniqueness(trace, result)
     _emit(universal.universal_to_json_dict(result, verdict), args.out)
     print(f"factorisation exists and commutes: {str(result.commutes).lower()}")
     print(f"uniqueness: {verdict.status} (search space {verdict.search_space})")

@@ -79,16 +79,12 @@ def replay(
 
 @dataclass
 class AlphaStage:
-    """Alpha at one stage, always ``commutation_ok``: :func:`replay` refuses a failing square."""
+    """Alpha at one stage; its commutation squares hold, since :func:`replay` refuses a failing one."""
 
     index: int
     components: dict[str, dict[str, str]]
     naturality_ok: bool
     witness: str | None = None
-
-    @property
-    def commutation_ok(self) -> bool:
-        return True
 
 
 @dataclass
@@ -107,7 +103,6 @@ class AlphaTrace:
                     "index": s.index,
                     "components": s.components,  # as built: the encoder sorts keys
                     "naturality_ok": s.naturality_ok,
-                    "commutation_ok": s.commutation_ok,
                     "witness": s.witness,
                 }
                 for s in self.stages

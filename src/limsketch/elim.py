@@ -26,10 +26,14 @@ the hit tuples, and lifts each unhit tuple u to the limit of S restricted
 to the fibres of p over u's components.  Those lifts are exactly the
 tuples w with p . w = u, so the large limit of S is never enumerated.
 
-Element identifiers carry full provenance.  A base identifier is the
-least member of the merged class; a free identifier encodes its cone,
-arrow and limit tuple with length-prefixed fields, so no escaping is
-needed and identifiers stay unambiguous at any stage depth.
+Element identifiers name their provenance by position.  A base
+identifier is the least member of the merged class, tagged ``B:``; a free
+identifier, tagged ``E:``, encodes its cone, its arrow and the position k
+of its limit tuple in the stage's ``limits_prev`` of that cone, each field
+length-prefixed, so no escaping is needed, the ids of one row sort in row
+order, and an id grows by two characters a stage as a base tag, never by
+the tuple it lies over.  The tuples themselves are the per-stage table,
+``limits_prev``, which a report lists as ``"limits"``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .setops import (
     encode_carriers,
     functorial_quotient,
     identity_nat,
+    limits_table,
     witness_presentation,
     witness_sum,
 )
@@ -151,6 +156,7 @@ class ReflectionTrace:
                     "index": st.index,
                     "base": encode_carriers(st.quotient.target),
                     "free": {o: [x[cut:] for x in st.free_part(o)] for o in objects},
+                    "limits": limits_table(st.limits_prev),
                     "total": encode_carriers(st.total),
                     "p": st.quotient.projection if st.index else None,
                     "rule1": r1,

@@ -20,7 +20,9 @@ counts are these generators, not every pair they imply.
 
 The pair summands are the witness rows of ``witness_presentation``, as
 in the staged engine's free part, and those rows with the limit tuples
-under them are the only record of the pairs.  R1 is the staged engine's
+under them are the only record of the pairs: a pair's id names its tuple
+by position, and each stage of a report lists the tuples as ``"limits"``.
+R1 is the staged engine's
 rule (2), one :func:`~limsketch.sketchlib.rectification_pairs` for both.
 """
 
@@ -42,9 +44,10 @@ from .setops import (
     encode_carriers,
     functorial_quotient,
     identity_nat,
-    witness_id,
+    limits_table,
     witness_presentation,
     witness_sum,
+    witness_tail,
 )
 from .sketchlib import (
     LimitSketch,
@@ -57,11 +60,6 @@ from .sketchlib import (
 
 SUM_BASE_TAG = "X"
 SUM_PAIR_TAG = "P"
-
-
-def pair_element_id(cone_name: str, arrow: str, w: tuple[str, ...]) -> str:
-    """Injective identifier for a formal pair (arrow, limit tuple)."""
-    return witness_id("K", cone_name, arrow, w)
 
 
 @dataclass
@@ -95,8 +93,10 @@ class CompletionStep:
             return [projection[row[position[w]]] for w in tuples]
         except KeyError:
             w = next(w for w in tuples if w not in position or row[position[w]] not in projection)
-            pid = pair_element_id(cone, arrow, w)
-            raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
+            raise EngineError(
+                f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
+                f"missing in the completion sum at {obj!r}"
+            ) from None
 
     def r_counts(self) -> tuple[int, int]:
         return (
@@ -180,6 +180,7 @@ class KellyTrace:
                     "index": n,
                     "carrier": encode_carriers(step.obj),
                     "unit": step.unit.components,
+                    "limits": limits_table(step.limits),
                     "r0": r0,
                     "r1": r1,
                 }

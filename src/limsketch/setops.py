@@ -44,22 +44,34 @@ def witness_head(kind: str, cone: str, arrow: str) -> str:
 
 
 def witness_tail(w: tuple[str, ...]) -> str:
-    """The part of a witness id fixed by the limit tuple ``w``."""
+    """The limit tuple ``w`` as one string: a row of a stage's ``limits`` table."""
     return f"{len(w)}#" + "".join([f"{len(c)}:{c}" for c in w])
 
 
-def witness_id(kind: str, cone: str, arrow: str, w: tuple[str, ...]) -> str:
-    """Injective id of the witness (``cone``, ``arrow``, ``w``); ``kind`` names the engine.
+def witness_id(kind: str, cone: str, arrow: str, k: int) -> str:
+    """Injective id of the witness (``cone``, ``arrow``, k-th limit tuple of the cone).
 
-    Every field is length-prefixed, so ids need no escaping at any depth.
-    An id is its :func:`witness_head` followed by its :func:`witness_tail`.
+    An id is its :func:`witness_head` followed by k as a length-prefixed
+    decimal, so ids need no escaping, the ids of one row sort in row
+    order, and an id's length does not grow with the tuple it lies over.
+    ``kind`` names the engine.
     """
-    return witness_head(kind, cone, arrow) + witness_tail(w)
+    return witness_head(kind, cone, arrow) + _position(k)
+
+
+def _position(k: int) -> str:
+    digits = str(k)
+    return f"{len(digits)}:{digits}"
 
 
 def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
     """The carriers of ``pres`` as stored, object by object, for JSON reports."""
     return {o: list(pres.carrier[o]) for o in pres.base.objects}
+
+
+def limits_table(limits: Mapping[str, Sequence[tuple[str, ...]]]) -> dict[str, list[str]]:
+    """Per cone, each limit tuple as its :func:`witness_tail`: row k is the tuple of position k."""
+    return {cone: [witness_tail(w) for w in tuples] for cone, tuples in limits.items()}
 
 
 @dataclass
@@ -595,25 +607,26 @@ def check_witness_size(
 def witness_presentation(
     kind: str,
     base: FinCategory,
-    limits: Iterable[tuple[str, str, Iterable[tuple[str, ...]]]],
+    limits: Iterable[tuple[str, str, Sequence[tuple[str, ...]]]],
     tag: str,
 ) -> tuple[SetPresentation, dict[tuple[str, str], list[str]]]:
     """The sum over cones c of hom(peak_c, -) x L_c, as a summand tagged ``tag``, and its rows.
 
-    ``limits`` lists (c, peak_c, L_c); the element (c, t, w) is named ``tag:``
-    + :func:`witness_id`, built once, and an arrow a sends it to (c, a . t, w).
-    The row of (c, t) lists the names over L_c in order, so position k of
-    every row of c lies over the k-th tuple of L_c, and an action maps the
-    row of (c, t) onto the row of (c, a . t): its values are the carrier's.
+    ``limits`` lists (c, peak_c, L_c); the element (c, t, w) with w the k-th
+    tuple of L_c is named ``tag:`` + :func:`witness_id` of (c, t, k), built
+    once, and an arrow a sends it to (c, a . t, w).  The row of (c, t)
+    lists the names for k = 0, 1, ... in order, so position k of every row
+    of c lies over the k-th tuple of L_c, and an action maps the row of
+    (c, t) onto the row of (c, a . t): its values are the carrier's.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     rows: dict[tuple[str, str], list[str]] = {}
     for cone, peak, tuples in limits:
-        tails = [witness_tail(w) for w in tuples]
+        positions = [_position(k) for k in range(len(tuples))]
         for d in base.objects:
             for t in base.hom(peak, d):
                 head = f"{tag}:" + witness_head(kind, cone, t)
-                row = rows[cone, t] = [head + tail for tail in tails]
+                row = rows[cone, t] = [head + pos for pos in positions]
                 carrier[d].extend(row)
     action: dict[str, dict[str, str]] = {}
     for name, arrow in base.arrows.items():

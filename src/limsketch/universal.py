@@ -278,7 +278,6 @@ class UniquenessVerdict:
 def check_uniqueness(
     trace: ReflectionTrace | KellyTrace,
     result: FactorisationResult,
-    sketch: LimitSketch,
 ) -> UniquenessVerdict:
     """Certify that at most one map core => M commutes with rho.
 

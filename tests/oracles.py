@@ -22,9 +22,16 @@ from typing import Callable, Iterable, Iterator, Mapping
 from limsketch.elim import Stage, tag_base
 from limsketch.errors import EngineError, InputError
 from limsketch.fincat import CatFunctor, FinCategory, validate_functor
-from limsketch.kelly import SUM_BASE_TAG, SUM_PAIR_TAG, CompletionStep, KellyTrace, pair_element_id
-from limsketch.setops import NatTransSpec, SetPresentation, Witness, make_presentation, witness_id
-from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, validate_sketch
+from limsketch.kelly import SUM_BASE_TAG, SUM_PAIR_TAG, CompletionStep, KellyTrace
+from limsketch.setops import (
+    NatTransSpec,
+    SetPresentation,
+    Witness,
+    make_presentation,
+    witness_id,
+    witness_tail,
+)
+from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, gap_map, restrict_along, validate_sketch
 
 from tests.fixtures import (
     binary_fixture,
@@ -186,8 +193,6 @@ def pushout_classes(
 
 def model_oracle(pres, sketch) -> bool:
     """Bijectivity of every gap map, checked by inverting it element-wise."""
-    from limsketch.sketchlib import restrict_along
-
     for cone in sketch.cones:
         tuples = brute_limit(cone.shape, restrict_along(pres, cone))
         order = sorted(cone.shape.objects)
@@ -212,8 +217,6 @@ def pushed_filter_limits(
     tuple through ``projection`` into ``next_base``, and keeps the tuples
     whose image no peak element of ``next_base`` hits through the legs.
     """
-    from limsketch.sketchlib import restrict_along
-
     out: dict[str, set[tuple[str, ...]]] = {}
     for cone in sketch.cones:
         order = sorted(cone.shape.objects)
@@ -238,16 +241,22 @@ def brute_witness_presentation(
     """The witness summand by its definition: every id encoded afresh.
 
     Each element (c, t, w) of the sum over cones c of hom(peak_c, -) x L_c
-    is named by ``witness_id``, and each arrow a sends it to the id of
-    (c, a . t, w), encoded again for every arrow and element.
+    is named by ``witness_id`` of (c, t, k), k the position of w in L_c,
+    and each arrow a sends it to the id of (c, a . t, w), its position
+    looked up and encoded again for every arrow and element.  Two elements
+    with one id raise ``AssertionError``.
     """
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     prov: dict[str, Witness] = {}
+    # per cone, each tuple's position in L_c
+    at: dict[str, dict[tuple[str, ...], int]] = {}
     for cone, peak, tuples in limits:
+        at[cone] = {w: k for k, w in enumerate(tuples)}
         for d in base.objects:
             for t in base.hom(peak, d):
-                for w in tuples:
-                    wid = witness_id(kind, cone, t, w)
+                for w, k in at[cone].items():
+                    wid = witness_id(kind, cone, t, k)
+                    assert wid not in prov, f"witness id {wid!r} names two witnesses"
                     prov[wid] = (cone, t, w)
                     carrier[d].append(wid)
     action: dict[str, dict[str, str]] = {}
@@ -255,9 +264,46 @@ def brute_witness_presentation(
         mapping: dict[str, str] = {}
         for wid in carrier[arrow.dom]:
             cone, t, w = prov[wid]
-            mapping[wid] = witness_id(kind, cone, base.compose(name, t), w)
+            mapping[wid] = witness_id(kind, cone, base.compose(name, t), at[cone][w])
         action[name] = mapping
     return SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action), prov
+
+
+class _Reader:
+    """Reads length-prefixed fields back from the front of ``text``."""
+
+    def __init__(self, text: str, pos: int = 0) -> None:
+        self.text, self.pos = text, pos
+
+    def number(self, sep: str) -> int:
+        cut = self.text.index(sep, self.pos)
+        value, self.pos = int(self.text[self.pos : cut]), cut + 1
+        return value
+
+    def string(self) -> str:
+        size = self.number(":")
+        self.pos += size
+        return self.text[self.pos - size : self.pos]
+
+    def done(self) -> bool:
+        return self.pos == len(self.text)
+
+
+def decode_id(kind: str, wid: str) -> tuple[str, str, int]:
+    """Read (cone, arrow, k) back from a witness id of engine ``kind``."""
+    assert wid.startswith(kind)
+    read = _Reader(wid, len(kind))
+    cone, arrow, k = read.string(), read.string(), int(read.string())
+    assert read.done()
+    return cone, arrow, k
+
+
+def decode_tail(text: str) -> tuple[str, ...]:
+    """Read a limit tuple back from its :func:`witness_tail`."""
+    read = _Reader(text)
+    w = tuple(read.string() for _ in range(read.number("#")))
+    assert read.done()
+    return w
 
 
 def brute_leg_pairs(
@@ -274,8 +320,9 @@ def brute_leg_pairs(
     For each cone c, shape object z at position k of the sorted shape
     objects, base arrow t that composes with the leg at z, and tuple w of
     ``limits[c]``: the witness (c, t . leg_z, w), named ``tag:`` plus
-    ``witness_id(kind, ...)``, is paired with ``into[d]`` of t(w_k), d the
-    codomain of t.  With ``identities_only``, t runs over identities alone.
+    ``witness_id(kind, ...)`` at the position of w in ``limits[c]``, is
+    paired with ``into[d]`` of t(w_k), d the codomain of t.  With
+    ``identities_only``, t runs over identities alone.
     """
     base = sketch.base
     out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
@@ -288,8 +335,8 @@ def brute_leg_pairs(
                 if identities_only and not base.is_identity(name):
                     continue
                 arrow = base.compose(name, leg)
-                for w in limits[cone.name]:
-                    wid = f"{tag}:" + witness_id(kind, cone.name, arrow, w)
+                for pos, w in enumerate(limits[cone.name]):
+                    wid = f"{tag}:" + witness_id(kind, cone.name, arrow, pos)
                     out[t.cod].add((wid, into[t.cod][pres.action[name][w[k]]]))
     return out
 
@@ -329,18 +376,21 @@ def every_arrow_r0(pres: SetPresentation, sketch: LimitSketch) -> dict[str, set[
 
     For each cone c, arrow t out of its peak and element a of ``pres`` at
     the peak, the formal pair (t, gap image of a) is glued to t(a), both
-    named as in the completion sum.
+    named as in the completion sum: a pair's position is that of its tuple
+    in the limit of ``pres`` at c in product order.
     """
     base = sketch.base
     out: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     for cone in sketch.cones:
         order = sorted(cone.shape.objects)
+        limit = ordered_brute_limit(cone.shape, restrict_along(pres, cone))
+        at = {w: k for k, w in enumerate(limit)}
         for name, t in sorted(base.arrows.items()):
             if t.dom != cone.peak:
                 continue
             for a in pres.carrier[cone.peak]:
                 image = tuple(pres.action[cone.legs[z]][a] for z in order)
-                pid = f"{SUM_PAIR_TAG}:" + pair_element_id(cone.name, name, image)
+                pid = f"{SUM_PAIR_TAG}:" + witness_id("K", cone.name, name, at[image])
                 out[t.cod].add((pid, f"{SUM_BASE_TAG}:{pres.action[name][a]}"))
     return out
 
@@ -494,13 +544,21 @@ def free_witnesses(stage: Stage, obj: str) -> Iterator[tuple[str, Witness]]:
                 yield fid, (cone, t, w)
 
 
-def brute_pair_class(step: CompletionStep, obj: str, cone: str, arrow: str, w) -> str:
-    """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``, its id encoded afresh."""
-    pid = pair_element_id(cone, arrow, w)
+def brute_pair_class(
+    step: CompletionStep, at: Mapping[tuple[str, ...], int], obj: str, cone: str, arrow: str, w
+) -> str:
+    """The class at ``obj`` of the formal pair (``arrow``, ``w``) of ``cone``, its id encoded afresh.
+
+    ``at`` sends each tuple of ``step.limits[cone]`` to its position there.
+    """
     try:
+        pid = witness_id("K", cone, arrow, at[w])
         return step.quotient.projection[obj][f"{SUM_PAIR_TAG}:{pid}"]
     except KeyError:
-        raise EngineError(f"pair {pid!r} missing in the completion sum at {obj!r}") from None
+        raise EngineError(
+            f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
+            f"missing in the completion sum at {obj!r}"
+        ) from None
 
 
 def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]:
@@ -508,15 +566,38 @@ def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]
     x = elim_trace.stages[0].quotient.target
     kelly_steps = [None, *kelly_trace.stages[:depth]]
     units = [None] + [step.unit.components for step in kelly_steps[1:]]
+    at = [None] + [
+        {c: {w: k for k, w in enumerate(ts)} for c, ts in step.limits.items()}
+        for step in kelly_steps[1:]
+    ]
     return list(
         brute_replay(
             [PerElement(stage) for stage in elim_trace.stages[: depth + 1]],
             {d: {e: e for e in x.carrier[d]} for d in x.base.objects},
             sketch,
             units.__getitem__,
-            lambda i, d, element, cone, arrow, w: brute_pair_class(kelly_steps[i], d, cone, arrow, w),
+            lambda i, d, element, cone, arrow, w: brute_pair_class(
+                kelly_steps[i], at[i][cone], d, cone, arrow, w
+            ),
         )
     )
+
+
+def commutation_breaks(elim_trace, kelly_trace, alpha) -> list[tuple[int, str, str]]:
+    """Each (stage i, object d, x) where alpha_i . p and unit_i . alpha_(i-1) differ at x.
+
+    x runs over the previous total, p is stage i's projection and unit_i
+    that of completion step i, each square checked element by element.
+    """
+    out = []
+    for i in range(1, len(alpha.stages)):
+        here, before = alpha.stages[i].components, alpha.stages[i - 1].components
+        unit = kelly_trace.stages[i - 1].unit.components
+        for d, projection in elim_trace.stages[i].quotient.projection.items():
+            for x, k in projection.items():
+                if here[d][tag_base(k)] != unit[d][before[d][x]]:
+                    out.append((i, d, x))
+    return out
 
 
 def brute_factorisation(trace, f: NatTransSpec, model: SetPresentation, sketch) -> Components:

@@ -76,9 +76,10 @@ def test_free_action_post_composes_arrows():
     assert len(witnesses) == 4
     for fid, (cone, arrow, w) in witnesses:
         assert arrow == "id_p"
+        k = stage1.limits_prev[cone].index(w)
         for proj in ("pi1", "pi2"):
             image = stage1.total.action[proj][fid]
-            assert image == tag_free(witness_id("F", cone, proj, w))
+            assert image == tag_free(witness_id("F", cone, proj, k))
 
 
 def test_kan_unit_points_at_identity_witnesses():
@@ -88,7 +89,7 @@ def test_kan_unit_points_at_identity_witnesses():
     stage1 = elim_stage(stage0, sketch, FAITHFUL)
     (w,) = stage1.limits_prev["c0"]
     unit = dict(zip(stage1.limits_prev["c0"], stage1.free_rows["c0", "id_a"]))
-    assert unit[w] == tag_free(witness_id("F", "c0", "id_a", w))
+    assert unit[w] == tag_free(witness_id("F", "c0", "id_a", 0))
     assert unit[w] in stage1.total.carrier["a"]
     # the unit the free step reports is the one its rows give
     assert step.kan_unit_raw == {"c0": unit}
@@ -136,8 +137,8 @@ def test_rule_two_iso_stage_one_pair():
     sketch = iso_sketch()
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
     pairs = relation_two(stage1, sketch)
-    w = (tag_base("y"),)
-    expected = (tag_free(witness_id("F", "c0", "t", w)), tag_base(tag_base("y")))
+    assert stage1.limits_prev["c0"] == ((tag_base("y"),),)
+    expected = (tag_free(witness_id("F", "c0", "t", 0)), tag_base(tag_base("y")))
     assert pairs == {"b": (expected,)}
 
 
@@ -381,12 +382,14 @@ def _stage_invariants(trace, sketch):
             assert quotient.source is trace.stages[stage.index - 1].total
             for obj in sketch.base.objects:
                 assert set(quotient.projection[obj].values()) == set(quotient.target.carrier[obj])
+        at = {c: {w: k for k, w in enumerate(ts)} for c, ts in stage.limits_prev.items()}
         for name, arrow in sketch.base.arrows.items():
             for fid, (cone, t, w) in free_witnesses(stage, arrow.dom):
-                composed = sketch.base.compose(name, t)
-                assert stage.total.action[name][fid] == tag_free(witness_id("F", cone, composed, w))
+                composed, k = sketch.base.compose(name, t), at[cone][w]
+                assert stage.total.action[name][fid] == tag_free(witness_id("F", cone, composed, k))
         for (cone, t), row in stage.free_rows.items():
-            assert row == [tag_free(witness_id("F", cone, t, w)) for w in stage.limits_prev[cone]]
+            tuples = stage.limits_prev[cone]
+            assert row == [tag_free(witness_id("F", cone, t, k)) for k in range(len(tuples))]
             # the rows hold the total's own strings
             own = {id(x) for x in stage.total.carrier[sketch.base.arrows[t].cod]}
             assert all(id(x) in own for x in row)

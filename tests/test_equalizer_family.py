@@ -80,5 +80,5 @@ def test_universal_property_on_the_equalizer_family():
     )
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    verdict = check_uniqueness(trace, result, sketch)
+    verdict = check_uniqueness(trace, result)
     assert verdict.status == "unique"

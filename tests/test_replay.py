@@ -25,8 +25,8 @@ import pytest
 from limsketch.compare import build_alpha
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded, EngineError
-from limsketch.kelly import pair_element_id, reflect_kelly
-from limsketch.setops import make_presentation
+from limsketch.kelly import reflect_kelly
+from limsketch.setops import make_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, build_sketch
 from limsketch.universal import solve_factorisation
 
@@ -78,8 +78,9 @@ def test_alpha_refuses_merged_elim_classes(binary):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
-# a free element of class B:B:u at stage 2 of the binary fixture, and the other class there
-MOVED, OTHER = "E:F2:c03:pi12#3:B:u3:B:v", "B:B:v"
+# a free element of class B:B:u at stage 2 of the binary fixture, the witness at pi1 over
+# the tuple (B:u, B:v) at position 1 of stage 1's limits, and the other class there
+MOVED, OTHER = "E:F2:c03:pi11:1", "B:B:v"
 
 
 def _moved_member():
@@ -87,6 +88,7 @@ def _moved_member():
     sketch, pres = _binary()
     elim_trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
     kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
+    assert elim_trace.stages[1].limits_prev["c0"][1] == ("B:u", "B:v")
     projection = elim_trace.stages[2].quotient.projection["a"]
     assert projection[MOVED] == "B:B:u" and OTHER in projection.values()
     projection[MOVED] = OTHER
@@ -101,14 +103,27 @@ def test_alpha_refuses_an_element_sent_to_another_class():
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
+def drop_formal_pair(elim_trace, kelly_trace) -> tuple[str, str, tuple[str, ...]]:
+    """Delete from completion stage 1 at p the pair alpha sends stage 1's first free p element to.
+
+    Returns its cone, arrow and limit tuple of X.
+    """
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
+    # alpha at stage 0 strips the base tag from each tuple component
+    w = tuple(x.split(":", 1)[1] for x in w)
+    step = kelly_trace.stages[0]
+    pid = witness_id("K", cone, arrow, step.limits[cone].index(w))
+    del step.quotient.projection["p"][f"P:{pid}"]
+    return cone, arrow, w
+
+
 def test_alpha_refuses_missing_formal_pair(binary):
     sketch, pres = binary
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
-    # alpha at stage 0 strips the base tag from each tuple component
-    pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    del kelly_trace.stages[0].quotient.projection["p"][f"P:{pid}"]
-    with pytest.raises(EngineError, match="missing in the completion sum at 'p'"):
+    cone, arrow, w = drop_formal_pair(elim_trace, kelly_trace)
+    message = f"pair of cone '{cone}' at arrow '{arrow}' over tuple '2#1:u1:u' missing in the "
+    assert w == ("u", "u")
+    with pytest.raises(EngineError, match=message + "completion sum at 'p'"):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
@@ -212,9 +227,7 @@ def _corrupt_moved_member_alpha():
 def _corrupt_missing_formal_pair_alpha():
     sketch, pres = _binary()
     elim_trace, kelly_trace = stage_aligned(sketch, pres)
-    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
-    pid = pair_element_id(cone, arrow, tuple(x.split(":", 1)[1] for x in w))
-    del kelly_trace.stages[0].quotient.projection["p"][f"P:{pid}"]
+    drop_formal_pair(elim_trace, kelly_trace)
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 

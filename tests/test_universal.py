@@ -66,7 +66,7 @@ def test_iso_fixture_factors_through_singleton_model():
     f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, result, sketch).status == "unique"
+    assert check_uniqueness(trace, result).status == "unique"
 
 
 def test_binary_fixture_factorisation_is_an_isomorphism():
@@ -119,7 +119,7 @@ def test_solver_works_on_kelly_traces():
     )
     result = solve_factorisation(trace, f, model, sketch)
     assert result.commutes
-    assert check_uniqueness(trace, result, sketch).status == "unique"
+    assert check_uniqueness(trace, result).status == "unique"
 
 
 def test_enumeration_of_empty_source_is_single():
@@ -150,7 +150,7 @@ def test_uniqueness_binary_is_conclusive():
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch), sketch)
+    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch))
     assert verdict.status == "unique"
     assert verdict.search_space == 1024
     assert verdict.search_space <= 10**6
@@ -211,13 +211,13 @@ def test_uniqueness_needs_a_factorisation_out_of_the_trace_core():
     elim_trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     kelly_trace = reflect_kelly(pres, sketch, budget=8)
     result = solve_factorisation(kelly_trace, f, model, sketch)
-    assert check_uniqueness(kelly_trace, result, sketch).status == "unique"
+    assert check_uniqueness(kelly_trace, result).status == "unique"
     # an equal core is not enough: the certificate holds for the core the factorisation walked
     copy = FactorisationResult(nat(replace(kelly_trace.core), model, result.g.components), True)
     stuck = reflect_elim(pres, sketch, budget=0)
     for trace, res in ((elim_trace, result), (kelly_trace, copy), (stuck, result)):
         with pytest.raises(PreconditionError, match="factorisation out of the trace's core$"):
-            check_uniqueness(trace, res, sketch)
+            check_uniqueness(trace, res)
 
 
 # -- the factorisation from a core and rho: its log and its refusals -----------
@@ -322,7 +322,7 @@ def test_generated_core_is_unique_without_enumeration(monkeypatch):
 
     monkeypatch.setattr(universal_mod, "enumerate_nat_trans", no_enumeration)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch), sketch)
+    verdict = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch))
     assert (verdict.status, verdict.search_space) == ("unique", 1024)
 
 
@@ -334,7 +334,7 @@ def test_certificate_needs_a_model_codomain():
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, collapsed, {"a": {"u": "u", "v": "u"}, "p": {}})
     with pytest.raises(PreconditionError, match="not a model"):
-        check_uniqueness(trace, solve_factorisation(trace, f, collapsed, sketch), sketch)
+        check_uniqueness(trace, solve_factorisation(trace, f, collapsed, sketch))
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -365,7 +365,7 @@ def test_certificate_matches_one_commuting_transformation(name):
             closure = generated(trace.core, trace.rho, sketch)
             assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
             result = solve_factorisation(trace, f, model, sketch)
-            verdict = check_uniqueness(trace, result, sketch)
+            verdict = check_uniqueness(trace, result)
             assert (verdict.status, len(commuting)) == ("unique", 1), (seed, trace)
             assert verdict.search_space == enum.search_space
             compared += 1

@@ -45,6 +45,8 @@ from tests.fixtures import (
 from tests.oracles import (
     brute_leg_pairs,
     brute_witness_presentation,
+    decode_id,
+    decode_tail,
     random_valid_presentation,
     relation_cases,
 )
@@ -67,7 +69,8 @@ def checked(monkeypatch):
         assert got.carrier == {d: tuple(prefix + x for x in xs) for d, xs in want.carrier.items()}
         for (cone, t), row in got_rows.items():
             tuples = next(ts for c, _, ts in limits if c == cone)
-            assert row == [prefix + witness_id(kind, cone, t, w) for w in tuples]
+            assert row == [prefix + witness_id(kind, cone, t, k) for k in range(len(tuples))]
+            assert sorted(row) == row
         assert {a: list(m.items()) for a, m in got.action.items()} == {
             a: [(prefix + x, prefix + y) for x, y in m.items()] for a, m in want.action.items()
         }
@@ -211,41 +214,29 @@ def test_report_free_lists_and_free_steps_read_the_total(monkeypatch, name):
     assert seen > 0
 
 
-def _decode(kind: str, wid: str) -> tuple[str, str, tuple[str, ...]]:
-    """Read (cone, arrow, w) back from a witness id of engine ``kind``."""
-    pos = len(kind)
-
-    def number(sep: str) -> int:
-        nonlocal pos
-        cut = wid.index(sep, pos)
-        value, pos = int(wid[pos:cut]), cut + 1
-        return value
-
-    def string() -> str:
-        nonlocal pos
-        size = number(":")
-        pos += size
-        return wid[pos - size : pos]
-
-    assert wid.startswith(kind)
-    cone, arrow = string(), string()
-    w = tuple(string() for _ in range(number("#")))
-    assert pos == len(wid)
-    return cone, arrow, w
-
-
 # fields made of the codec's own separators and length digits
 FIELD = st.text(alphabet="0123456789:#ab", max_size=6)
-WITNESS = st.tuples(FIELD, FIELD, st.lists(FIELD, max_size=4).map(tuple))
+POSITION = st.integers(min_value=0, max_value=10**7)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(["F", "K"]), WITNESS)
-def test_witness_id_is_head_then_tail_and_decodes(kind, witness):
-    cone, arrow, w = witness
-    wid = witness_id(kind, cone, arrow, w)
-    assert wid == witness_head(kind, cone, arrow) + witness_tail(w)
-    assert _decode(kind, wid) == witness
+@given(st.sampled_from(["F", "K"]), FIELD, FIELD, POSITION)
+def test_witness_id_is_head_then_position_and_decodes(kind, cone, arrow, k):
+    wid = witness_id(kind, cone, arrow, k)
+    assert wid == witness_head(kind, cone, arrow) + f"{len(str(k))}:{k}"
+    assert decode_id(kind, wid) == (cone, arrow, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["F", "K"]), FIELD, FIELD, POSITION, POSITION)
+def test_witness_ids_of_one_row_sort_in_row_order(kind, cone, arrow, k, j):
+    assert (witness_id(kind, cone, arrow, k) < witness_id(kind, cone, arrow, j)) == (k < j)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(FIELD, max_size=4).map(tuple))
+def test_witness_tail_decodes(w):
+    assert decode_tail(witness_tail(w)) == w
 
 
 def test_rectification_pairs_match_their_definition():
