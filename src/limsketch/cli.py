@@ -111,6 +111,15 @@ def _check_counts(args: argparse.Namespace) -> None:
             raise InputError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
 
 
+def _caps(args: argparse.Namespace) -> dict[str, int]:
+    """The keyword caps of a staged command's engine calls: its ``_COUNT_FLAGS`` values."""
+    return {dest: getattr(args, dest) for dest in _COUNT_FLAGS}
+
+
+def _size_line(size: dict[str, int]) -> str:
+    return " ".join(f"{o}={n}" for o, n in size.items())
+
+
 def _sink(out: str | None):
     """The report's destination: the file ``out``, or stdout."""
     try:
@@ -154,40 +163,18 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     sketch = _load_sketch(args.sketch)
     pres = _load_presentation(args.presentation, sketch)
     if args.engine == "elim":
-        trace = elim.reflect_elim(
-            pres,
-            sketch,
-            budget=args.budget,
-            mode=args.mode,
-            max_tuples=args.max_tuples,
-            max_elements=args.max_elements,
-        )
-        sizes = [
-            (st.index, {o: len(st.total.carrier[o]) for o in sketch.base.objects})
-            for st in trace.stages
-        ]
+        trace = elim.reflect_elim(pres, sketch, mode=args.mode, **_caps(args))
+        sizes = [st.total.size() for st in trace.stages]
     else:
-        trace = kelly.reflect_kelly(
-            pres,
-            sketch,
-            budget=args.budget,
-            max_tuples=args.max_tuples,
-            max_elements=args.max_elements,
-        )
-        sizes = [(0, {o: len(pres.carrier[o]) for o in sketch.base.objects})]
-        sizes += [
-            (n, {o: len(step.obj.carrier[o]) for o in sketch.base.objects})
-            for n, step in enumerate(trace.stages, 1)
-        ]
+        trace = kelly.reflect_kelly(pres, sketch, **_caps(args))
+        sizes = [trace.object_at(n).size() for n in range(len(trace.stages) + 1)]
     _emit(trace.to_json_dict(), args.out)
-    for index, size in sizes:
-        line = " ".join(f"{o}={size[o]}" for o in sketch.base.objects)
-        print(f"stage {index}: {line}")
+    for index, size in enumerate(sizes):
+        print(f"stage {index}: {_size_line(size)}")
     if trace.converged:
         core = trace.core
         assert core is not None
-        line = " ".join(f"{o}={len(core.carrier[o])}" for o in sketch.base.objects)
-        print(f"converged at stage {trace.converged_at}; core sizes: {line}")
+        print(f"converged at stage {trace.converged_at}; core sizes: {_size_line(core.size())}")
         return EXIT_OK
     print("budget exhausted before convergence")
     return EXIT_BUDGET
@@ -196,36 +183,14 @@ def cmd_reflect(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     sketch = _load_sketch(args.sketch)
     pres = _load_presentation(args.presentation, sketch)
-    faithful = elim.reflect_elim(
-        pres,
-        sketch,
-        budget=args.budget,
-        mode=elim.FAITHFUL,
-        max_tuples=args.max_tuples,
-        max_elements=args.max_elements,
-    )
+    caps = _caps(args)
+    faithful = elim.reflect_elim(pres, sketch, mode=elim.FAITHFUL, **caps)
     # the completion stages run past convergence to line up with the faithful ones
-    kelly_trace = kelly.reflect_kelly(
-        pres,
-        sketch,
-        budget=args.budget,
-        stop_on_convergence=False,
-        max_tuples=args.max_tuples,
-        max_elements=args.max_elements,
-    )
+    kelly_trace = kelly.reflect_kelly(pres, sketch, stop_on_convergence=False, **caps)
     alpha = compare_mod.build_alpha(faithful, kelly_trace, sketch)
-    elim_conv = (
-        faithful
-        if faithful.converged
-        else elim.reflect_elim(
-            pres,
-            sketch,
-            budget=args.budget,
-            mode=elim.PRUNED,
-            max_tuples=args.max_tuples,
-            max_elements=args.max_elements,
-        )
-    )
+    elim_conv = faithful
+    if not faithful.converged:
+        elim_conv = elim.reflect_elim(pres, sketch, mode=elim.PRUNED, **caps)
     if not elim_conv.converged or not kelly_trace.converged:
         print("budget exhausted before both constructions converged")
         return EXIT_BUDGET
@@ -243,22 +208,15 @@ def cmd_universal(args: argparse.Namespace) -> int:
     pres = _load_presentation(args.presentation, sketch)
     model = _load_presentation(args.model, sketch)
     f = _load(args.map, _nat_trans_from_json_dict, source=pres, target=model)
-    trace = elim.reflect_elim(
-        pres,
-        sketch,
-        budget=args.budget,
-        mode=elim.PRUNED,
-        max_tuples=args.max_tuples,
-        max_elements=args.max_elements,
-    )
+    trace = elim.reflect_elim(pres, sketch, mode=elim.PRUNED, **_caps(args))
     if not trace.converged:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
     result = universal.solve_factorisation(trace, f, model, sketch, max_tuples=args.max_tuples)
-    verdict = universal.check_uniqueness(trace, result)
-    _emit(universal.universal_to_json_dict(result, verdict), args.out)
-    print(f"factorisation exists and commutes: {str(result.commutes).lower()}")
-    print(f"uniqueness: {verdict.status} (search space {verdict.search_space})")
+    space = universal.check_uniqueness(trace, result)
+    _emit(universal.universal_to_json_dict(space), args.out)
+    print("factorisation exists and commutes: true")
+    print(f"uniqueness: unique (search space {space})")
     return EXIT_OK
 
 

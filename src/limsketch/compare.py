@@ -23,7 +23,7 @@ from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
 from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
 from .kelly import CompletionStep, KellyTrace
-from .setops import NatTransSpec, SetPresentation, compose_nat, identity_nat
+from .setops import SetPresentation, compose_nat, identity_nat
 from .sketchlib import LimitSketch
 from .universal import Components, FactorisationResult, factor_through_model
 
@@ -38,7 +38,7 @@ def replay(
     completion step i (at stage 0, both identities): the square alpha_i .
     p = unit_i . alpha_(i-1) at x.  Two x of one fibre with different
     images raise :class:`EngineError`.  The free part maps row by row
-    (:meth:`~limsketch.elim.Stage.witness_rows`): the tuples of a cone are
+    (``free_rows`` over ``limits_prev``): the tuples of a cone are
     imaged once per stage, and the k-th id of a row over arrow t maps to
     the class in the completion of the formal pair (t, k-th image)
     (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).
@@ -67,10 +67,10 @@ def replay(
                     )
             nxt[d] = {tag_base(k): value for k, value in out.items()}
         images: dict[str, list[tuple[str, ...]]] = {}
-        for cone, arrow, tuples, ids in stage.witness_rows():
+        for (cone, arrow), ids in stage.free_rows.items():
             if cone not in images:
                 maps = position_maps[cone]
-                images[cone] = [tuple(map(getitem, maps, w)) for w in tuples]
+                images[cone] = [tuple(map(getitem, maps, w)) for w in stage.limits_prev[cone]]
             d = arrows[arrow].cod
             nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, images[cone])))
         current = nxt

@@ -39,7 +39,6 @@ the tuple it lies over.  The tuples themselves are the per-stage table,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import BudgetExceeded, InputError, PreconditionError
 from .fincat import report_text
@@ -115,11 +114,6 @@ class Stage:
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
         return self.total.carrier[obj][len(self.quotient.target.carrier[obj]) :]
-
-    def witness_rows(self) -> Iterator[tuple[str, str, tuple[tuple[str, ...], ...], list[str]]]:
-        """Replay view of the free part: per (cone, arrow), the limit tuples and ids over them."""
-        for (cone, arrow), ids in self.free_rows.items():
-            yield cone, arrow, self.limits_prev[cone], ids
 
     def pair_counts(self) -> tuple[int, int]:
         one = sum(len(v) for v in self.rule1.values())
@@ -247,29 +241,30 @@ def e_step(
     stage: Stage,
     sketch: LimitSketch,
     mode: str = FAITHFUL,
-    quotient: QuotientMap | None = None,
+    *,
+    quotient: QuotientMap,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> FreeStep:
     """Build the next free part from the current stage's limits.
 
+    ``quotient`` is the projection p of the total onto the next base Q.
     Faithful mode adds one element per (cone, arrow out of the peak,
-    limit tuple of the total).  Pruned mode needs ``quotient``, the
-    projection p of the total onto the next base Q, and keeps only the
-    limit tuples w whose image p . w is not in the gap image of Q, which
-    keeps the transient population from growing without changing the
-    reflection up to isomorphism.  It finds them with :func:`_unhit_lifts`,
-    without enumerating the limit of the total.  ``limits`` holds the
-    tuples kept, in the product order of the total's carriers.
+    limit tuple of the total).  Pruned mode keeps only the limit tuples
+    w whose image p . w is not in the gap image of Q, which keeps the
+    transient population from growing without changing the reflection up
+    to isomorphism.  It finds them with :func:`_unhit_lifts`, without
+    enumerating the limit of the total.  ``limits`` holds the tuples
+    kept, in the product order of the total's carriers.
 
     ``max_tuples`` bounds the candidates visited per cone: in the limit of
     the total in faithful mode; in the limit of Q plus all the lifts, as
-    one running count, in pruned mode.
+    one running count, in pruned mode.  ``max_elements`` bounds each
+    object of the next total, Q plus the free part, checked in closed
+    form before the free part is built.
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
-    if mode == PRUNED and quotient is None:
-        raise PreconditionError("pruned e_step needs the quotient onto the next base")
     base = sketch.base
     limits: dict[str, tuple[tuple[str, ...], ...]] = {}
     for cone in sketch.cones:
@@ -281,7 +276,7 @@ def e_step(
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {stage.index + 1}: {exc}") from None
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
-    check_witness_size(f"free part at stage {stage.index + 1}", base, summands, max_elements)
+    check_witness_size(f"stage {stage.index + 1}", quotient.target, summands, max_elements)
     free, rows = witness_presentation("F", base, summands, FREE_TAG)
     kan_unit_raw = {
         c.name: dict(zip(limits[c.name], rows[c.name, base.identities[c.peak]]))
@@ -346,10 +341,6 @@ def elim_stage(
     quotient = functorial_quotient(stage.total, merged)
     step = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
-    )
-    summands = [(c.name, c.peak, step.limits[c.name]) for c in sketch.cones]
-    check_witness_size(
-        f"stage {stage.index + 1}", sketch.base, summands, max_elements, left=quotient.target
     )
     total, _ = witness_sum(quotient.target, step.free, BASE_TAG)
     return Stage(

@@ -120,7 +120,7 @@ def kelly_P(
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in sketch.cones}
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
-    check_witness_size("completion sum", base, summands, max_elements, left=pres)
+    check_witness_size("completion sum", pres, summands, max_elements)
     pairs, rows = witness_presentation("K", base, summands, SUM_PAIR_TAG)
     sum_pres, inj = witness_sum(pres, pairs, SUM_BASE_TAG)
     position = {c: {w: k for k, w in enumerate(tuples)} for c, tuples in limits.items()}

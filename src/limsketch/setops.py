@@ -584,22 +584,22 @@ def disjoint_sum(
 
 def check_witness_size(
     label: str,
-    base: FinCategory,
+    left: SetPresentation,
     limits: Iterable[tuple[str, str, Sequence[tuple[str, ...]]]],
     cap: int,
-    left: SetPresentation | None = None,
 ) -> None:
     """Refuse, before it is built, a sum of ``left`` and a witness summand over ``limits``.
 
-    The summand is :func:`witness_presentation`'s, and the sum's size at d
-    is |left(d)| plus, per cone c, |hom(peak_c, d)| x |L_c|.
-    The first object over ``cap`` raises :class:`BudgetExceeded` with
+    The summand is :func:`witness_presentation`'s over ``left``'s base,
+    and the sum's size at d is |left(d)| plus, per cone c,
+    |hom(peak_c, d)| x |L_c|.  The first object over ``cap`` raises
+    :class:`BudgetExceeded` with
     ``"{label} object {d!r} has {size} elements (cap {cap})"``.
     """
+    base = left.base
     counts = [(peak, len(tuples)) for _, peak, tuples in limits]
     for d in base.objects:
-        size = 0 if left is None else len(left.carrier[d])
-        size += sum(len(base.hom(peak, d)) * n for peak, n in counts)
+        size = len(left.carrier[d]) + sum(len(base.hom(peak, d)) * n for peak, n in counts)
         if size > cap:
             raise BudgetExceeded(f"{label} object {d!r} has {size} elements (cap {cap})")
 

@@ -9,10 +9,12 @@ g . rho = f at rho's image, naturality along an arrow, and the inverse of
 M's gap map at a peak, which exists exactly because M is a model.
 :func:`factor_through_model` folds M along that record to construct g,
 and the same closure, reaching the whole core, certifies that no other g
-commutes with rho: :func:`check_uniqueness` reads that certificate off
-g without walking again.  A core that rho does not generate is an engine
-fault.  Neither reads the engines' stages: a trace is read through its
-``core`` and ``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
+commutes with rho.  The construction is the verdict: a g that does not
+commute, or a core that rho does not generate, is an engine fault, so a
+returned g exists, commutes and is unique, and :func:`check_uniqueness`
+only sizes the search space the certificate stands in for.  Neither
+reads the engines' stages: a trace is read through its ``core`` and
+``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
 transformations out of a core, a limit over its category of elements
 found by the cone-limit join; the tests check the certificate against
 it, and the construction never feeds either check.
@@ -47,7 +49,6 @@ class FactorisationResult:
     """
 
     g: NatTransSpec
-    commutes: bool
     log: list[dict] = field(default_factory=list)
 
 
@@ -116,10 +117,9 @@ def factor_through_model(
     report = g.validate()
     if not report.ok:
         raise EngineError(f"constructed factorisation is not natural: {report.violations[0]}")
-    commutes = compose_nat(g, rho).components == f.components
-    if not commutes:
+    if compose_nat(g, rho).components != f.components:
         raise EngineError("constructed factorisation does not commute with the reflection")
-    return FactorisationResult(g, commutes, log)
+    return FactorisationResult(g, log)
 
 
 @dataclass
@@ -269,38 +269,28 @@ def generated(
     return closure
 
 
-@dataclass
-class UniquenessVerdict:
-    status: str  # "unique"
-    search_space: int
-
-
 def check_uniqueness(
     trace: ReflectionTrace | KellyTrace,
     result: FactorisationResult,
-) -> UniquenessVerdict:
-    """Certify that at most one map core => M commutes with rho.
+) -> int:
+    """The closed-form number of candidate maps core => M, of which ``result.g`` alone commutes.
 
     ``result`` is the factorisation into M that :func:`solve_factorisation`
     built out of ``trace.core``: it checked that M is a model and that rho
     generates the whole core, so two maps into M that agree on rho agree
-    everywhere and the verdict is "unique".  ``search_space`` is the
-    closed-form number of candidate component families.  A ``result`` out
-    of another core raises :class:`PreconditionError`.
+    everywhere.  The count is the product over objects of all component
+    functions.  A ``result`` out of another core raises
+    :class:`PreconditionError`.
     """
     if result.g.source is not trace.core:
         raise PreconditionError("uniqueness check needs a factorisation out of the trace's core")
-    return UniquenessVerdict("unique", _search_space(trace.core, result.g.target))
+    return _search_space(trace.core, result.g.target)
 
 
-def universal_to_json_dict(result: FactorisationResult, verdict: UniquenessVerdict) -> dict:
-    return {
-        "exists": True,
-        "commutes": result.commutes,
-        "uniqueness": verdict.status,
-        "search_space": verdict.search_space,
-    }
+def universal_to_json_dict(search_space: int) -> dict:
+    """The verdict on a factorisation: built, and unique among ``search_space`` candidates."""
+    return {"exists": True, "commutes": True, "uniqueness": "unique", "search_space": search_space}
 
 
-def universal_report(result: FactorisationResult, verdict: UniquenessVerdict) -> str:
-    return report_text(universal_to_json_dict(result, verdict))
+def universal_report(search_space: int) -> str:
+    return report_text(universal_to_json_dict(search_space))

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+import limsketch.elim as elim_mod
+
 from limsketch.elim import (
     BASE_TAG,
     FAITHFUL,
@@ -23,7 +25,13 @@ from limsketch.compare import reflector_iso_check
 from limsketch.errors import BudgetExceeded, InputError
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import make_presentation, validate_presentation, witness_id
+from limsketch.setops import (
+    functorial_quotient,
+    make_presentation,
+    validate_presentation,
+    witness_id,
+    witness_presentation,
+)
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, build_sketch, gap_map, is_model
 
 from tests.fixtures import (
@@ -45,7 +53,16 @@ def free_size(stage) -> dict[str, int]:
     return {o: len(stage.free_part(o)) for o in stage.quotient.target.base.objects}
 
 
-# -- e_step (exercised through elim_stage, which wires the pruning inputs) ----
+def next_quotient(stage, sketch):
+    """The total of ``stage`` merged under its rule (1) and (2) pairs, as ``elim_stage`` does."""
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for rule in (relation_one(stage, sketch), relation_two(stage, sketch)):
+        for d, generators in rule.items():
+            pairs.setdefault(d, []).extend(generators)
+    return functorial_quotient(stage.total, pairs)
+
+
+# -- e_step (exercised through elim_stage, which builds the quotient it takes) --
 
 
 def test_free_sizes_iso_stage_one():
@@ -85,7 +102,7 @@ def test_free_action_post_composes_arrows():
 def test_kan_unit_points_at_identity_witnesses():
     sketch = iso_sketch()
     stage0 = initial_stage(iso_fixture(sketch), sketch)
-    step = e_step(stage0, sketch, FAITHFUL)
+    step = e_step(stage0, sketch, FAITHFUL, quotient=next_quotient(stage0, sketch))
     stage1 = elim_stage(stage0, sketch, FAITHFUL)
     (w,) = stage1.limits_prev["c0"]
     unit = dict(zip(stage1.limits_prev["c0"], stage1.free_rows["c0", "id_a"]))
@@ -323,18 +340,33 @@ CAP_CASES = [
 ]
 
 
+@pytest.mark.parametrize("mode", [FAITHFUL, PRUNED])
 @pytest.mark.parametrize("make_sketch, make_pres", CAP_CASES)
-def test_free_part_cap_is_the_closed_form_size(make_sketch, make_pres):
+def test_step_cap_refuses_the_stage_total_before_building_the_free_part(
+    monkeypatch, make_sketch, make_pres, mode
+):
     sketch = make_sketch()
     stage = initial_stage(make_pres(sketch), sketch)
-    step = e_step(stage, sketch, FAITHFUL)
-    sizes = step.free.size()
+    quotient = next_quotient(stage, sketch)
+    built = []
+
+    def spy(kind, *args):
+        built.append(kind)
+        return witness_presentation(kind, *args)
+
+    monkeypatch.setattr(elim_mod, "witness_presentation", spy)
+    step = e_step(stage, sketch, mode, quotient=quotient)
+    base, free = quotient.target.size(), step.free.size()
+    sizes = {o: base[o] + free[o] for o in sketch.base.objects}
     largest = max(sizes.values())
-    assert e_step(stage, sketch, FAITHFUL, max_elements=largest) == step
+    assert e_step(stage, sketch, mode, quotient=quotient, max_elements=largest) == step
+    assert built == ["F", "F"]
+    built.clear()
     first = next(o for o in sketch.base.objects if sizes[o] == largest)
-    message = f"free part at stage 1 object {first!r} has {largest} elements (cap {largest - 1})"
+    message = f"stage 1 object {first!r} has {largest} elements (cap {largest - 1})"
     with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
-        e_step(stage, sketch, FAITHFUL, max_elements=largest - 1)
+        e_step(stage, sketch, mode, quotient=quotient, max_elements=largest - 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("mode", [FAITHFUL, PRUNED])
@@ -440,11 +472,13 @@ def test_stage_element_provenance_view():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=FAITHFUL)
     stage1 = trace.stages[1]
     seen = set()
-    # the replay reads base classes from the projection and free elements from ``witness_rows``
+    # the replay reads base classes from the projection, free elements from ``free_rows``
+    # over the tuples of ``limits_prev``
     classes = fibres(stage1.quotient.projection["b"])
     view = [(tag_base(k), members, ()) for k, members in classes.items()]
-    for cone, arrow, tuples, ids in stage1.witness_rows():
+    for (cone, arrow), ids in stage1.free_rows.items():
         if sketch.base.arrows[arrow].cod == "b":
+            tuples = stage1.limits_prev[cone]
             view.extend((tagged, (), ((cone, arrow, w),)) for w, tagged in zip(tuples, ids))
     for tagged, members, witnesses in view:
         seen.add(tagged)

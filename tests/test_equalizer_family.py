@@ -5,7 +5,7 @@ from __future__ import annotations
 from limsketch.compare import reflector_iso_check
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import make_presentation
+from limsketch.setops import compose_nat, make_presentation
 from limsketch.sketchlib import is_model, sketch_equalizer
 from limsketch.universal import check_uniqueness, solve_factorisation
 
@@ -79,6 +79,6 @@ def test_universal_property_on_the_equalizer_family():
         },
     )
     result = solve_factorisation(trace, f, model, sketch)
-    assert result.commutes
-    verdict = check_uniqueness(trace, result)
-    assert verdict.status == "unique"
+    assert compose_nat(result.g, trace.rho).components == f.components
+    # 3**3 maps at a, 2**2 at b and at q
+    assert check_uniqueness(trace, result) == 432
