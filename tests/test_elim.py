@@ -340,6 +340,30 @@ CAP_CASES = [
 ]
 
 
+@pytest.mark.parametrize("make_sketch, make_pres", CAP_CASES)
+def test_free_part_cap_is_the_closed_form_size(make_sketch, make_pres):
+    # the step cap counts the free part at d as the sum over cones c of
+    # |hom(peak_c, d)| x |L_c|: that is the size of the free part built
+    sketch = make_sketch()
+    stage = initial_stage(make_pres(sketch), sketch)
+    quotient = next_quotient(stage, sketch)
+    step = e_step(stage, sketch, FAITHFUL, quotient=quotient)
+    base = sketch.base
+    closed = {
+        d: sum(len(base.hom(c.peak, d)) * len(step.limits[c.name]) for c in sketch.cones)
+        for d in base.objects
+    }
+    assert step.free.size() == closed
+    assert any(closed.values())
+    totals = {d: len(quotient.target.carrier[d]) + closed[d] for d in base.objects}
+    largest = max(totals.values())
+    assert e_step(stage, sketch, FAITHFUL, quotient=quotient, max_elements=largest) == step
+    first = next(d for d in base.objects if totals[d] == largest)
+    message = f"stage 1 object {first!r} has {largest} elements (cap {largest - 1})"
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        e_step(stage, sketch, FAITHFUL, quotient=quotient, max_elements=largest - 1)
+
+
 @pytest.mark.parametrize("mode", [FAITHFUL, PRUNED])
 @pytest.mark.parametrize("make_sketch, make_pres", CAP_CASES)
 def test_step_cap_refuses_the_stage_total_before_building_the_free_part(
