@@ -16,7 +16,7 @@ units, through :func:`limsketch.universal.factor_through_model`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
+from operator import itemgetter
 from typing import Iterator
 
 from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
@@ -38,10 +38,13 @@ def replay(
     completion step i (at stage 0, both identities): the square alpha_i .
     p = unit_i . alpha_(i-1) at x.  Two x of one fibre with different
     images raise :class:`EngineError`.  The free part maps row by row
-    (``free_rows`` over ``limits_prev``): the tuples of a cone are
-    imaged once per stage, and the k-th id of a row over arrow t maps to
-    the class in the completion of the formal pair (t, k-th image)
-    (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).
+    (``free_rows`` over ``limits_prev``): the k-th id of a row over arrow
+    t maps to the class in the completion of the formal pair (t, k-th
+    image) (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).  Every
+    row of a cone, here and in the completion, lists its elements in the
+    order of the cone's tuples, so the tuples are imaged once per cone
+    and stage, a column at a time, and each image's place in the
+    completion's ``limits`` is looked up once and read by every row.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
     current: Components = identity_nat(stages[0].quotient.target).components
@@ -66,13 +69,17 @@ def replay(
                         f"{tag_base(k)!r} maps to {sorted(clash)}"
                     )
             nxt[d] = {tag_base(k): value for k, value in out.items()}
-        images: dict[str, list[tuple[str, ...]]] = {}
+        # per cone, its imaged tuples and their places in the completion's limits
+        images: dict[str, tuple[list[tuple[str, ...]], list[int | None]]] = {}
         for (cone, arrow), ids in stage.free_rows.items():
             if cone not in images:
-                maps = position_maps[cone]
-                images[cone] = [tuple(map(getitem, maps, w)) for w in stage.limits_prev[cone]]
+                maps, tuples = position_maps[cone], stage.limits_prev[cone]
+                cols = [map(m.__getitem__, map(itemgetter(k), tuples)) for k, m in enumerate(maps)]
+                # a cone over the empty shape has no column and the one tuple ()
+                imaged = list(zip(*cols)) if maps else list(tuples)
+                images[cone] = imaged, list(map(step.position[cone].get, imaged))
             d = arrows[arrow].cod
-            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, images[cone])))
+            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, *images[cone])))
         current = nxt
         yield current
 
@@ -115,13 +122,28 @@ def _check_naturality(
     target: SetPresentation,
     components: dict[str, dict[str, str]],
 ) -> str | None:
-    """The first square that breaks, arrow by arrow, each side mapped over the carrier."""
+    """The first square that breaks, arrows in sorted order, each side mapped over the carrier.
+
+    Alpha over each source carrier is mapped once per object, from the
+    component's values when its keys list the carrier in order (as the
+    replay builds them), and every arrow out of the object reads it.
+    Each square still applies the actual source and target actions: an
+    arrow whose source images list the codomain's carrier in order, as an
+    identity's do, takes alpha over that carrier as its right side.
+    """
     base = source.base
+    over: dict[str, list[str]] = {}
+    for o in base.objects:
+        xs, comp = source.carrier[o], components[o]
+        over[o] = list(comp.values()) if tuple(comp) == xs else list(map(comp.__getitem__, xs))
     for name, arrow in sorted(base.arrows.items()):
         xs = source.carrier[arrow.dom]
-        at_dom, at_cod = components[arrow.dom].__getitem__, components[arrow.cod].__getitem__
-        left = list(map(target.action[name].__getitem__, map(at_dom, xs)))
-        right = list(map(at_cod, map(source.action[name].__getitem__, xs)))
+        images = tuple(map(source.action[name].__getitem__, xs))
+        left = list(map(target.action[name].__getitem__, over[arrow.dom]))
+        if images == source.carrier[arrow.cod]:
+            right = over[arrow.cod]
+        else:
+            right = list(map(components[arrow.cod].__getitem__, images))
         if left != right:
             x = next(x for x, u, v in zip(xs, left, right) if u != v)
             return f"naturality breaks at arrow {name!r} on {x!r}"

@@ -225,16 +225,21 @@ def relation_two(
 
 @dataclass
 class FreeStep:
-    """The next free part: the tagged witness summand, the tuples it is built from, its rows.
-
-    ``kan_unit_raw[c]`` sends each tuple of ``limits[c]`` to its witness at
-    the identity of the peak of c.
-    """
+    """The next free part: the tagged witness summand, the tuples it is built from, its rows."""
 
     free: SetPresentation
     limits: dict[str, tuple[tuple[str, ...], ...]]
     rows: dict[tuple[str, str], list[str]]
-    kan_unit_raw: dict[str, dict[tuple[str, ...], str]]
+
+    @property
+    def kan_unit_raw(self) -> dict[str, dict[tuple[str, ...], str]]:
+        """Per cone c, each tuple of ``limits[c]`` sent to its witness at the identity of the peak.
+
+        Built on each read from the row of that identity; no engine reads it.
+        """
+        is_identity = self.free.base.is_identity
+        rows = self.rows.items()
+        return {c: dict(zip(self.limits[c], row)) for (c, t), row in rows if is_identity(t)}
 
 
 def e_step(
@@ -278,11 +283,7 @@ def e_step(
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     check_witness_size(f"stage {stage.index + 1}", quotient.target, summands, max_elements)
     free, rows = witness_presentation("F", base, summands, FREE_TAG)
-    kan_unit_raw = {
-        c.name: dict(zip(limits[c.name], rows[c.name, base.identities[c.peak]]))
-        for c in sketch.cones
-    }
-    return FreeStep(free, limits, rows, kan_unit_raw)
+    return FreeStep(free, limits, rows)
 
 
 def _unhit_lifts(

@@ -309,11 +309,14 @@ def _report_chunks(value: object, indent: str = "") -> Iterator[str]:
     A batch is joined once and checked for plainness: printable ASCII but
     ``"`` and ``\\``.  A plain string is written as itself in quotes, all
     that escaping would do; any other batch is escaped string by string.
-    Dict keys must be strings: any other key raises ``TypeError``.
+    Dict keys must be strings: any other key raises ``TypeError``.  A map
+    whose keys already come in sorted order, as alpha's components, ``p``,
+    ``rho`` and ``unit`` do, is read by its values, not key by key.
     """
     if isinstance(value, dict):
         keys: Sequence[str] = sorted(value)
-        values, ends = [value[k] for k in keys], "{}"
+        values = list(value.values()) if keys == list(value) else [value[k] for k in keys]
+        ends = "{}"
     elif isinstance(value, (list, tuple)):
         keys, values, ends = (), value, "[]"
     else:

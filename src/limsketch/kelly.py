@@ -85,13 +85,20 @@ class CompletionStep:
     def obj(self) -> SetPresentation:
         return self.quotient.target
 
-    def pair_classes(self, obj: str, cone: str, arrow: str, tuples: list) -> list[str]:
-        """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``."""
-        projection, position = self.quotient.projection[obj], self.position[cone]
-        row = self.rows[cone, arrow]
+    def pair_classes(
+        self, obj: str, cone: str, arrow: str, tuples: list, places: list[int | None]
+    ) -> list[str]:
+        """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``.
+
+        ``places[j]`` is ``position[cone].get(tuples[j])``, looked up once
+        for every row of the cone.  A tuple without a place, or a pair the
+        projection lacks, raises :class:`EngineError` naming the first one.
+        """
+        projection, row = self.quotient.projection[obj], self.rows[cone, arrow]
         try:
-            return [projection[row[position[w]]] for w in tuples]
-        except KeyError:
+            return list(map(projection.__getitem__, map(row.__getitem__, places)))
+        except (KeyError, TypeError):
+            position = self.position[cone]
             w = next(w for w in tuples if w not in position or row[position[w]] not in projection)
             raise EngineError(
                 f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "

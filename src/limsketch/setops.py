@@ -64,6 +64,17 @@ def _position(k: int) -> str:
     return f"{len(digits)}:{digits}"
 
 
+def _positions(n: int) -> list[str]:
+    """``[_position(k) for k in range(n)]``, built one block of equal digit width at a time."""
+    out: list[str] = []
+    width, start = 1, 0
+    while start < n:
+        stop, prefix = min(n, 10**width), f"{width}:"
+        out += [prefix + str(k) for k in range(start, stop)]
+        width, start = width + 1, stop
+    return out
+
+
 def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
     """The carriers of ``pres`` as stored, object by object, for JSON reports."""
     return {o: list(pres.carrier[o]) for o in pres.base.objects}
@@ -622,7 +633,7 @@ def witness_presentation(
     carrier: dict[str, list[str]] = {d: [] for d in base.objects}
     rows: dict[tuple[str, str], list[str]] = {}
     for cone, peak, tuples in limits:
-        positions = [_position(k) for k in range(len(tuples))]
+        positions = _positions(len(tuples))
         for d in base.objects:
             for t in base.hom(peak, d):
                 head = f"{tag}:" + witness_head(kind, cone, t)
@@ -646,8 +657,11 @@ def witness_sum(
     """:func:`disjoint_sum` of ``left``, tagged ``tag:``, and the tagged summand ``right``.
 
     ``right`` comes from :func:`witness_presentation` with another tag, so
-    its strings and actions go into the sum as they are.  Returns the sum
-    and the injection of ``left``.
+    its strings and actions go into the sum as they are: each action of
+    the sum is a copy of ``right``'s, which stays unchanged, with
+    ``left``'s entries added, so its keys list ``right``'s elements first;
+    readers go by the sorted carriers.  Returns the sum and the injection
+    of ``left``.
     """
     base = left.base
     inj = {obj: {x: f"{tag}:{x}" for x in left.carrier[obj]} for obj in base.objects}
@@ -656,9 +670,9 @@ def witness_sum(
     }
     action: dict[str, dict[str, str]] = {}
     for name, arrow in base.arrows.items():
-        into = inj[arrow.cod]
-        mapping = action[name] = {inj[arrow.dom][x]: into[y] for x, y in left.action[name].items()}
-        mapping.update(right.action[name])
+        dom, cod, act = inj[arrow.dom], inj[arrow.cod], left.action[name]
+        mapping = action[name] = right.action[name].copy()
+        mapping.update(zip(map(dom.__getitem__, act), map(cod.__getitem__, act.values())))
     return SetPresentation(base, carrier, action), inj
 
 

@@ -5,7 +5,12 @@ import sys
 import pytest
 
 from limsketch import sketchlib
-from limsketch.compare import build_alpha, reflector_iso_check
+from limsketch.compare import (
+    _check_naturality,
+    build_alpha,
+    comparison_to_json_dict,
+    reflector_iso_check,
+)
 from limsketch.elim import BASE_TAG, FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import PreconditionError
 from limsketch.kelly import reflect_kelly
@@ -56,6 +61,49 @@ def test_alpha_squares_pass_on_collapsed_binary():
     faithful, stages = _aligned_traces(binary_collapsed_fixture(sketch), sketch)
     alpha = build_alpha(faithful, stages, sketch)
     assert alpha.ok
+
+
+@pytest.mark.parametrize(
+    ("arrow", "first"),
+    # alpha is one to one at p; at a, B:B:v is the first of the elements over v
+    [("pi1", "E:F2:c04:id_p1:3"), ("id_a", "B:B:v")],
+)
+def test_alpha_reports_the_first_broken_naturality_square(arrow, first):
+    """A completion action sent astray at ``arrow`` and at ``pi2``, which sorts after it.
+
+    Each corrupted value is the image under alpha of the last element of
+    the arrow's domain at stage 1; the witness names ``arrow`` and the
+    first element, in carrier order, with that image.  The replay reads
+    no action of the completion, so only the naturality check sees it.
+    """
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    faithful = reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
+    stages = reflect_kelly(pres, sketch, budget=1, stop_on_convergence=False)
+    iso = reflector_iso_check(
+        reflect_elim(pres, sketch, mode=PRUNED), reflect_kelly(pres, sketch), sketch
+    )
+    before = build_alpha(faithful, stages, sketch)
+    assert before.ok
+    source, target = faithful.stages[1].total, stages.object_at(1)
+    alpha_1 = before.stages[1].components
+    for name in (arrow, "pi2"):
+        dom, cod = sketch.base.arrows[name].dom, sketch.base.arrows[name].cod
+        y = alpha_1[dom][source.carrier[dom][-1]]
+        action = target.action[name]
+        action[y] = next(z for z in target.carrier[cod] if z != action[y])
+    witness = f"naturality breaks at arrow {arrow!r} on {first!r}"
+
+    alpha = build_alpha(faithful, stages, sketch)
+    assert [(s.naturality_ok, s.witness) for s in alpha.stages] == [(True, None), (False, witness)]
+    assert not alpha.ok
+    report = comparison_to_json_dict(alpha, iso)
+    assert report["alpha"]["squares_ok"] is False
+    assert report["alpha"]["stages"][1]["naturality_ok"] is False
+    assert report["alpha"]["stages"][1]["witness"] == witness
+    # components whose keys are not in carrier order are read key by key, to the same witness
+    backwards = {d: dict(reversed(c.items())) for d, c in alpha.stages[1].components.items()}
+    assert _check_naturality(source, target, backwards) == witness
 
 
 def test_alpha_rejects_pruned_traces():

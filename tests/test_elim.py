@@ -108,8 +108,9 @@ def test_kan_unit_points_at_identity_witnesses():
     unit = dict(zip(stage1.limits_prev["c0"], stage1.free_rows["c0", "id_a"]))
     assert unit[w] == tag_free(witness_id("F", "c0", "id_a", 0))
     assert unit[w] in stage1.total.carrier["a"]
-    # the unit the free step reports is the one its rows give
+    # the unit the free step reports is the one its rows give, built when read, not stored
     assert step.kan_unit_raw == {"c0": unit}
+    assert "kan_unit_raw" not in vars(step)
 
 
 # -- relation_one -------------------------------------------------------------

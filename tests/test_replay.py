@@ -2,11 +2,12 @@
 
 Each test corrupts one stage-aligned pair of traces the way a broken
 engine could: two classes with different images are merged, one element
-is sent to another class, or a formal pair is dropped from a completion's
-projection.  A quotient is its projection, so each corruption edits one.
-``build_alpha`` must raise ``EngineError``.  The factorisation reads no
-stage, only a trace's core and rho, so a corrupted stage cannot reach it;
-``tests.test_universal`` covers the errors it still raises.
+is sent to another class, a formal pair is dropped from a completion's
+projection, or a tuple from a completion's limits.  A quotient is its
+projection, so each of the first three edits one.  ``build_alpha`` must
+raise ``EngineError``.  The factorisation reads no stage, only a trace's
+core and rho, so a corrupted stage cannot reach it; ``tests.test_universal``
+covers the errors it still raises.
 
 The replay maps a staged step's free part row by row; ``brute_replay`` in
 ``tests.oracles`` maps it element by element.  The two must build the same
@@ -127,6 +128,36 @@ def test_alpha_refuses_missing_formal_pair(binary):
         build_alpha(elim_trace, kelly_trace, sketch)
 
 
+def drop_limit_tuple(elim_trace, kelly_trace) -> tuple[str, str, tuple[str, ...]]:
+    """Take out of completion stage 1's limits the tuple under stage 1's first free p element.
+
+    A tuple no image takes stands in at its position, so every other tuple
+    keeps its place.  Returns the cone, the arrow and the tuple of X.
+    """
+    cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
+    # alpha at stage 0 strips the base tag from each tuple component
+    w = tuple(x.split(":", 1)[1] for x in w)
+    step = kelly_trace.stages[0]
+    tuples = step.limits[cone]
+    k = tuples.index(w)
+    stand_in = ("?",) * len(w)
+    step.limits[cone] = (*tuples[:k], stand_in, *tuples[k + 1 :])
+    del step.position[cone][w]
+    step.position[cone][stand_in] = k
+    return cone, arrow, w
+
+
+def test_alpha_refuses_an_image_missing_from_the_completion_limits(binary):
+    sketch, pres = binary
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    cone, _, w = drop_limit_tuple(elim_trace, kelly_trace)
+    # the first row over the tuple is that of pi1, at a
+    message = f"pair of cone '{cone}' at arrow 'pi1' over tuple '2#1:u1:u' missing in the "
+    assert w == ("u", "u")
+    with pytest.raises(EngineError, match=message + "completion sum at 'a'"):
+        build_alpha(elim_trace, kelly_trace, sketch)
+
+
 # -- the row replay against the element-by-element replay ------------------------
 
 
@@ -231,12 +262,20 @@ def _corrupt_missing_formal_pair_alpha():
     return _alpha_both(elim_trace, kelly_trace, sketch)
 
 
+def _corrupt_missing_position_alpha():
+    sketch, pres = _binary()
+    elim_trace, kelly_trace = stage_aligned(sketch, pres)
+    drop_limit_tuple(elim_trace, kelly_trace)
+    return _alpha_both(elim_trace, kelly_trace, sketch)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _corrupt_merged_elim_classes_alpha,
         _corrupt_moved_member_alpha,
         _corrupt_missing_formal_pair_alpha,
+        _corrupt_missing_position_alpha,
     ],
     ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):],
 )

@@ -11,6 +11,7 @@ which tags both summands element by element.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from limsketch.errors import BudgetExceeded
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
     SetPresentation,
+    _position,
+    _positions,
     disjoint_sum,
     functorial_quotient,
     make_presentation,
@@ -95,7 +98,10 @@ def sums(monkeypatch):
     calls: list[str] = []
 
     def both(left, right, tag):
+        before = ({d: tuple(xs) for d, xs in right.carrier.items()}, copy.deepcopy(right.action))
         got, got_inj = witness_sum(left, right, tag)
+        assert (right.carrier, right.action) == before
+        assert all(got.action[a] is not m for a, m in right.action.items())
         # the summand untagged, as ``disjoint_sum`` takes it
         right_tag = WITNESS_TAG[tag]
         cut = len(right_tag) + 1
@@ -237,6 +243,31 @@ def test_witness_ids_of_one_row_sort_in_row_order(kind, cone, arrow, k, j):
 @given(st.lists(FIELD, max_size=4).map(tuple))
 def test_witness_tail_decodes(w):
     assert decode_tail(witness_tail(w)) == w
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 10_001])
+def test_block_positions_are_the_positions_one_by_one(n):
+    assert _positions(n) == [_position(k) for k in range(n)]
+
+
+def test_witness_sum_copies_the_summand_actions_and_leaves_the_summand_alone():
+    """The free part a step returns keeps its summand: the sum may not write into it."""
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    summands = [("c0", "p", (("u", "u"), ("u", "v")))]
+    right, _ = witness_presentation("F", sketch.base, summands, elim.FREE_TAG)
+    carrier, action = dict(right.carrier), copy.deepcopy(right.action)
+    total, inj = witness_sum(pres, right, elim.BASE_TAG)
+    assert right.carrier == carrier and right.action == action
+    for name, mapping in right.action.items():
+        arrow = sketch.base.arrows[name]
+        tagged = {inj[arrow.dom][x]: inj[arrow.cod][y] for x, y in pres.action[name].items()}
+        assert total.action[name] is not mapping
+        assert total.action[name] == mapping | tagged
+    # writing into the sum leaves the summand as it was
+    for mapping in total.action.values():
+        mapping.clear()
+    assert right.action == action
 
 
 def test_rectification_pairs_match_their_definition():
