@@ -50,14 +50,12 @@ from .setops import (
     NatTransSpec,
     QuotientMap,
     SetPresentation,
-    check_witness_size,
     disjoint_sum,
     empty_presentation,
     encode_carriers,
     functorial_quotient,
     identity_nat,
     limits_table,
-    witness_presentation,
     witness_sum,
 )
 from .sketchlib import (
@@ -225,19 +223,29 @@ def relation_two(
 
 @dataclass
 class FreeStep:
-    """The next free part: the tagged witness summand, the tuples it is built from, its rows."""
+    """The next total (Q plus the free part), the tuples the free part is built from, its rows."""
 
-    free: SetPresentation
+    total: SetPresentation
     limits: dict[str, tuple[tuple[str, ...], ...]]
     rows: dict[tuple[str, str], list[str]]
+
+    @property
+    def free(self) -> SetPresentation:
+        """The free part, tagged ``E:``: ``total`` restricted to the rows; built on each read."""
+        base, act = self.total.base, self.total.action
+        carrier: dict[str, list[str]] = {d: [] for d in base.objects}
+        for (_, t), row in self.rows.items():
+            carrier[base.arrows[t].cod] += row
+        action = {a: {x: act[a][x] for x in carrier[arrow.dom]} for a, arrow in base.arrows.items()}
+        return SetPresentation(base, {d: tuple(sorted(xs)) for d, xs in carrier.items()}, action)
 
     @property
     def kan_unit_raw(self) -> dict[str, dict[tuple[str, ...], str]]:
         """Per cone c, each tuple of ``limits[c]`` sent to its witness at the identity of the peak.
 
-        Built on each read from the row of that identity; no engine reads it.
+        Built on each read from the row of that identity.  No engine reads it or :attr:`free`.
         """
-        is_identity = self.free.base.is_identity
+        is_identity = self.total.base.is_identity
         rows = self.rows.items()
         return {c: dict(zip(self.limits[c], row)) for (c, t), row in rows if is_identity(t)}
 
@@ -245,13 +253,13 @@ class FreeStep:
 def e_step(
     stage: Stage,
     sketch: LimitSketch,
-    mode: str = FAITHFUL,
+    mode: str,
     *,
     quotient: QuotientMap,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> FreeStep:
-    """Build the next free part from the current stage's limits.
+    """Build the next total, Q plus the free part, from the current stage's limits.
 
     ``quotient`` is the projection p of the total onto the next base Q.
     Faithful mode adds one element per (cone, arrow out of the peak,
@@ -265,12 +273,10 @@ def e_step(
     ``max_tuples`` bounds the candidates visited per cone: in the limit of
     the total in faithful mode; in the limit of Q plus all the lifts, as
     one running count, in pruned mode.  ``max_elements`` bounds each
-    object of the next total, Q plus the free part, checked in closed
-    form before the free part is built.
+    object of the next total, checked in closed form before it is built.
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
-    base = sketch.base
     limits: dict[str, tuple[tuple[str, ...], ...]] = {}
     for cone in sketch.cones:
         try:
@@ -281,9 +287,9 @@ def e_step(
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {stage.index + 1}: {exc}") from None
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
-    check_witness_size(f"stage {stage.index + 1}", quotient.target, summands, max_elements)
-    free, rows = witness_presentation("F", base, summands, FREE_TAG)
-    return FreeStep(free, limits, rows)
+    label, tags = f"stage {stage.index + 1}", (BASE_TAG, FREE_TAG)
+    total, _, rows = witness_sum(label, quotient.target, "F", summands, tags, max_elements)
+    return FreeStep(total, limits, rows)
 
 
 def _unhit_lifts(
@@ -328,7 +334,7 @@ def _unhit_lifts(
 def elim_stage(
     stage: Stage,
     sketch: LimitSketch,
-    mode: str = FAITHFUL,
+    mode: str,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> Stage:
@@ -343,11 +349,10 @@ def elim_stage(
     step = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
-    total, _ = witness_sum(quotient.target, step.free, BASE_TAG)
     return Stage(
         index=stage.index + 1,
         quotient=quotient,
-        total=total,
+        total=step.total,
         limits_prev=step.limits,
         free_rows=step.rows,
         rule1=pairs1,

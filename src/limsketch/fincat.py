@@ -439,9 +439,20 @@ def category_dumps(category: FinCategory) -> str:
 
 
 def read_json(text: str, source: str) -> object:
-    """The JSON value of ``text``; undecodable or too deeply nested text names ``source``."""
+    """The JSON value of ``text``; undecodable or too deeply nested text names ``source``.
+
+    So does an object that repeats a key, where ``json.loads`` alone keeps the last value.
+    """
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        if len(obj := dict(pairs)) < len(pairs):
+            seen: set[str] = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise InputError(f"{source}: duplicate key {key!r} in a JSON object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{source}: JSON parse error: {exc}") from None
 

@@ -18,12 +18,12 @@ the quotient, which closes every merge under every arrow action, pushes
 them onto the pairs of every arrow t.  ``r0``, ``r1`` and the report's
 counts are these generators, not every pair they imply.
 
-The pair summands are the witness rows of ``witness_presentation``, as
-in the staged engine's free part, and those rows with the limit tuples
-under them are the only record of the pairs: a pair's id names its tuple
-by position, and each stage of a report lists the tuples as ``"limits"``.
-R1 is the staged engine's
-rule (2), one :func:`~limsketch.sketchlib.rectification_pairs` for both.
+The sum is built by :func:`~limsketch.setops.witness_sum`, as the staged
+engine's total is: the pair summands are its witness rows, and those rows
+with the limit tuples under them are the only record of the pairs.  A
+pair's id names its tuple by position, and each stage of a report lists
+the tuples as ``"limits"``.  R1 is the staged engine's rule (2), one
+:func:`~limsketch.sketchlib.rectification_pairs` for both.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ from .setops import (
     NatTransSpec,
     QuotientMap,
     SetPresentation,
-    check_witness_size,
     compose_nat,
     encode_carriers,
     functorial_quotient,
     identity_nat,
     limits_table,
-    witness_presentation,
     witness_sum,
     witness_tail,
 )
@@ -127,9 +125,8 @@ def kelly_P(
     base = pres.base
     limits = {c.name: cone_limit(pres, c, max_tuples=max_tuples) for c in sketch.cones}
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
-    check_witness_size("completion sum", pres, summands, max_elements)
-    pairs, rows = witness_presentation("K", base, summands, SUM_PAIR_TAG)
-    sum_pres, inj = witness_sum(pres, pairs, SUM_BASE_TAG)
+    tags = (SUM_BASE_TAG, SUM_PAIR_TAG)
+    sum_pres, inj, rows = witness_sum("completion sum", pres, "K", summands, tags, max_elements)
     position = {c: {w: k for k, w in enumerate(tuples)} for c, tuples in limits.items()}
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}

@@ -593,19 +593,32 @@ def disjoint_sum(
     return SetPresentation(base, carrier, action), inj_left, inj_right
 
 
-def check_witness_size(
+def witness_sum(
     label: str,
     left: SetPresentation,
-    limits: Iterable[tuple[str, str, Sequence[tuple[str, ...]]]],
+    kind: str,
+    limits: Sequence[tuple[str, str, Sequence[tuple[str, ...]]]],
+    tags: tuple[str, str],
     cap: int,
-) -> None:
-    """Refuse, before it is built, a sum of ``left`` and a witness summand over ``limits``.
+) -> tuple[SetPresentation, dict[str, dict[str, str]], dict[tuple[str, str], list[str]]]:
+    """The sum of ``left`` and the witness summand over ``limits``, with its injection and rows.
 
-    The summand is :func:`witness_presentation`'s over ``left``'s base,
-    and the sum's size at d is |left(d)| plus, per cone c,
-    |hom(peak_c, d)| x |L_c|.  The first object over ``cap`` raises
-    :class:`BudgetExceeded` with
-    ``"{label} object {d!r} has {size} elements (cap {cap})"``.
+    ``limits`` lists (c, peak_c, L_c), and the summand is the sum over
+    cones c of hom(peak_c, -) x L_c.  The sum's size at d, |left(d)| plus,
+    per cone c, |hom(peak_c, d)| x |L_c|, is checked first: the first
+    object over ``cap`` raises :class:`BudgetExceeded` with
+    ``"{label} object {d!r} has {size} elements (cap {cap})"`` before
+    anything is built.
+
+    With ``tags = (ltag, tag)``, x of ``left`` is ``ltag:x``, as
+    :func:`disjoint_sum` names it.  The witness (c, t, w) with w the k-th
+    tuple of L_c is ``tag:`` + :func:`witness_id` of (c, t, k), built once,
+    and an arrow a sends it to (c, a . t, w).  The row of (c, t) lists
+    those names for k = 0, 1, ... in order, so position k of every row of
+    c lies over the k-th tuple of L_c, and an action maps the row of (c, t)
+    onto the row of (c, a . t): rows, carriers and action values share one
+    string per element.  Each action lists the witnesses before ``left``'s
+    elements; readers go by the sorted carriers.
     """
     base = left.base
     counts = [(peak, len(tuples)) for _, peak, tuples in limits]
@@ -613,24 +626,9 @@ def check_witness_size(
         size = len(left.carrier[d]) + sum(len(base.hom(peak, d)) * n for peak, n in counts)
         if size > cap:
             raise BudgetExceeded(f"{label} object {d!r} has {size} elements (cap {cap})")
-
-
-def witness_presentation(
-    kind: str,
-    base: FinCategory,
-    limits: Iterable[tuple[str, str, Sequence[tuple[str, ...]]]],
-    tag: str,
-) -> tuple[SetPresentation, dict[tuple[str, str], list[str]]]:
-    """The sum over cones c of hom(peak_c, -) x L_c, as a summand tagged ``tag``, and its rows.
-
-    ``limits`` lists (c, peak_c, L_c); the element (c, t, w) with w the k-th
-    tuple of L_c is named ``tag:`` + :func:`witness_id` of (c, t, k), built
-    once, and an arrow a sends it to (c, a . t, w).  The row of (c, t)
-    lists the names for k = 0, 1, ... in order, so position k of every row
-    of c lies over the k-th tuple of L_c, and an action maps the row of
-    (c, t) onto the row of (c, a . t): its values are the carrier's.
-    """
-    carrier: dict[str, list[str]] = {d: [] for d in base.objects}
+    ltag, tag = tags
+    inj = {d: {x: f"{ltag}:{x}" for x in left.carrier[d]} for d in base.objects}
+    carrier = {d: list(inj[d].values()) for d in base.objects}
     rows: dict[tuple[str, str], list[str]] = {}
     for cone, peak, tuples in limits:
         positions = _positions(len(tuples))
@@ -638,42 +636,17 @@ def witness_presentation(
             for t in base.hom(peak, d):
                 head = f"{tag}:" + witness_head(kind, cone, t)
                 row = rows[cone, t] = [head + pos for pos in positions]
-                carrier[d].extend(row)
+                carrier[d] += row
     action: dict[str, dict[str, str]] = {}
     for name, arrow in base.arrows.items():
         mapping = action[name] = {}
         for (cone, t), row in rows.items():
             if base.arrows[t].cod == arrow.dom:
                 mapping.update(zip(row, rows[cone, base.compose(name, t)]))
-    pres = SetPresentation(base, {d: tuple(sorted(carrier[d])) for d in base.objects}, action)
-    return pres, rows
-
-
-def witness_sum(
-    left: SetPresentation,
-    right: SetPresentation,
-    tag: str,
-) -> tuple[SetPresentation, dict[str, dict[str, str]]]:
-    """:func:`disjoint_sum` of ``left``, tagged ``tag:``, and the tagged summand ``right``.
-
-    ``right`` comes from :func:`witness_presentation` with another tag, so
-    its strings and actions go into the sum as they are: each action of
-    the sum is a copy of ``right``'s, which stays unchanged, with
-    ``left``'s entries added, so its keys list ``right``'s elements first;
-    readers go by the sorted carriers.  Returns the sum and the injection
-    of ``left``.
-    """
-    base = left.base
-    inj = {obj: {x: f"{tag}:{x}" for x in left.carrier[obj]} for obj in base.objects}
-    carrier = {
-        obj: tuple(sorted([*inj[obj].values(), *right.carrier[obj]])) for obj in base.objects
-    }
-    action: dict[str, dict[str, str]] = {}
-    for name, arrow in base.arrows.items():
         dom, cod, act = inj[arrow.dom], inj[arrow.cod], left.action[name]
-        mapping = action[name] = right.action[name].copy()
         mapping.update(zip(map(dom.__getitem__, act), map(cod.__getitem__, act.values())))
-    return SetPresentation(base, carrier, action), inj
+    sorted_carrier = {d: tuple(sorted(xs)) for d, xs in carrier.items()}
+    return SetPresentation(base, sorted_carrier, action), inj, rows
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -137,6 +137,25 @@ def test_check_malformed_json_exits_two(workspace):
     assert "parse error" in proc.stderr
 
 
+@pytest.mark.parametrize("document", ["presentation", "sketch"])
+def test_repeated_json_key_exits_two(workspace, tmp_path, document):
+    """A repeated key is refused, where ``json.loads`` alone would keep its last value."""
+    path = tmp_path / f"repeated_{document}.json"
+    sketch, pres = workspace["binary_sketch"], workspace["binary_pres"]
+    if document == "presentation":
+        key, pres = "a", path
+        path.write_text(
+            '{"category": "binary_product", "carrier": {"a": ["u", "v"], "a": ["w"], "p": []},'
+            ' "action": {"pi1": {}, "pi2": {}}}'
+        )
+    else:
+        path.write_text(sketch.read_text().replace("{", '{"cones": [], ', 1))
+        key, sketch = "cones", path
+    proc = run_cli("check", "--sketch", str(sketch), "--presentation", str(pres))
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {path}: duplicate key {key!r} in a JSON object\n"
+
+
 def test_reflect_elim_pruned_converges(workspace, tmp_path):
     out = tmp_path / "trace.json"
     proc = run_cli(

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-import limsketch.elim as elim_mod
+import limsketch.setops as setops_mod
 
 from limsketch.elim import (
     BASE_TAG,
@@ -30,7 +30,6 @@ from limsketch.setops import (
     make_presentation,
     validate_presentation,
     witness_id,
-    witness_presentation,
 )
 from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, build_sketch, gap_map, is_model
 
@@ -373,19 +372,21 @@ def test_step_cap_refuses_the_stage_total_before_building_the_free_part(
     sketch = make_sketch()
     stage = initial_stage(make_pres(sketch), sketch)
     quotient = next_quotient(stage, sketch)
-    built = []
+    # ``witness_sum`` names the witnesses of each cone from one list of positions
+    positions, built = setops_mod._positions, []
 
-    def spy(kind, *args):
-        built.append(kind)
-        return witness_presentation(kind, *args)
+    def spy(n):
+        built.append(n)
+        return positions(n)
 
-    monkeypatch.setattr(elim_mod, "witness_presentation", spy)
+    monkeypatch.setattr(setops_mod, "_positions", spy)
     step = e_step(stage, sketch, mode, quotient=quotient)
     base, free = quotient.target.size(), step.free.size()
     sizes = {o: base[o] + free[o] for o in sketch.base.objects}
+    assert step.total.size() == sizes
     largest = max(sizes.values())
     assert e_step(stage, sketch, mode, quotient=quotient, max_elements=largest) == step
-    assert built == ["F", "F"]
+    assert len(built) == 2 * len(sketch.cones)
     built.clear()
     first = next(o for o in sketch.base.objects if sizes[o] == largest)
     message = f"stage 1 object {first!r} has {largest} elements (cap {largest - 1})"

@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+import limsketch.setops as setops_mod
+
 from limsketch.errors import BudgetExceeded
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import SUM_BASE_TAG, kelly_P, reflect_kelly
@@ -176,8 +178,16 @@ def test_kelly_trace_dumps_are_deterministic():
     assert '"engine": "kelly"' in one
 
 
-def test_element_cap_is_the_closed_form_sum_size():
-    """The cap checks exactly the carriers of the sum the completion builds."""
+def test_element_cap_is_the_closed_form_sum_size(monkeypatch):
+    """The cap checks exactly the carriers of the sum the completion builds, before building it."""
+    # ``witness_sum`` names the pairs of each cone from one list of positions
+    positions, built = setops_mod._positions, []
+
+    def spy(n):
+        built.append(n)
+        return positions(n)
+
+    monkeypatch.setattr(setops_mod, "_positions", spy)
     for sketch, pres in (
         (iso_sketch(), iso_fixture()),
         (binary_sketch(), binary_fixture()),
@@ -186,10 +196,13 @@ def test_element_cap_is_the_closed_form_sum_size():
         sizes = kelly_P(pres, sketch).quotient.source.size()
         largest = max(sizes.values())
         assert kelly_P(pres, sketch, max_elements=largest).obj == kelly_P(pres, sketch).obj
+        assert len(built) == 3 * len(sketch.cones)
+        built.clear()
         first = next(o for o in sketch.base.objects if sizes[o] == largest)
         message = f"completion sum object {first!r} has {largest} elements (cap {largest - 1})"
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
             kelly_P(pres, sketch, max_elements=largest - 1)
+        assert built == []
 
 
 def test_reflect_kelly_names_the_stage_over_the_element_cap():

@@ -9,6 +9,7 @@ import pytest
 
 import limsketch.universal as universal_mod
 
+from limsketch.compare import build_alpha, reflector_iso_check
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded, EngineError, PreconditionError
 from limsketch.fincat import FinCategory
@@ -380,14 +381,17 @@ RANDOM_SKETCH_ENGINES = [
 
 
 def test_rho_generates_every_converged_core_on_random_sketches():
-    """On random sketches, every converged core is a model that rho generates.
+    """On random sketches, every converged core is a model that rho generates; engines agree.
 
     Each of 160 seeded sketches gets four random presentations, each
     reflected by pruned and faithful ``elim`` and by ``kelly``.  Budget
     refusals and traces that exhaust their stages are counted, not
     filtered out, and at least 1,600 of the 1,920 traces must converge.
     The convergence rule of each ``elim`` trace is counted per engine:
-    pruned ``stable-core`` occurs only on sketches like these.
+    pruned ``stable-core`` occurs only on sketches like these.  Every two
+    engines that converge on one presentation give isomorphic reflections
+    (``reflector_iso_check``), and the faithful trace lines up with a
+    2-stage ``kelly`` trace run past convergence (``build_alpha``).
     """
     caps = {"max_tuples": 100_000, "max_elements": 5_000}
     outcomes: Counter = Counter()
@@ -397,12 +401,23 @@ def test_rho_generates_every_converged_core_on_random_sketches():
         sketch = random_sketch(rng)
         for _ in range(4):
             pres = random_valid_presentation(rng, sketch.base, max_size=3)
+            converged = {}
             for engine, reflect, options in RANDOM_SKETCH_ENGINES:
                 try:
                     trace = reflect(pres, sketch, **options, **caps)
                 except BudgetExceeded:
                     outcomes["refused"] += 1
                     continue
+                if engine == "faithful":
+                    try:
+                        kelly2 = reflect_kelly(
+                            pres, sketch, budget=2, stop_on_convergence=False, **caps
+                        )
+                    except BudgetExceeded:
+                        outcomes["alpha refused"] += 1
+                    else:
+                        assert build_alpha(trace, kelly2, sketch).ok, seed
+                        outcomes["alpha"] += 1
                 if not trace.converged:
                     outcomes["budget exhausted"] += 1
                     continue
@@ -411,9 +426,16 @@ def test_rho_generates_every_converged_core_on_random_sketches():
                 assert is_model(trace.core, sketch).is_model, (seed, engine)
                 outcomes["converged"] += 1
                 core_kinds[engine, getattr(trace, "core_kind", None)] += 1
-    assert sum(outcomes.values()) == 160 * 4 * len(RANDOM_SKETCH_ENGINES)
+                for other, first in converged.items():
+                    assert reflector_iso_check(first, trace, sketch).ok, (seed, other, engine)
+                    outcomes["isomorphic"] += 1
+                converged[engine] = trace
+    traces = ("refused", "budget exhausted", "converged")
+    assert sum(outcomes[k] for k in traces) == 160 * 4 * len(RANDOM_SKETCH_ENGINES)
     assert outcomes["converged"] >= 1_600, outcomes
     assert core_kinds["pruned", "stable-core"] >= 1, core_kinds
+    assert outcomes["isomorphic"] >= 1_300, outcomes
+    assert outcomes["alpha"] >= 600, outcomes
 
 
 def test_factorisation_is_deterministic():

@@ -1,17 +1,14 @@
-"""The witness summand against its definition, on every stage both engines build.
+"""Both engines' witness sums against their definition, on every stage they build.
 
-``witness_presentation`` names each element once, tag included, and maps
-each action row by row; ``brute_witness_presentation`` encodes every
-untagged id afresh.  Both engines are run with that function wrapped, so
-each call is checked against the oracle on the very inputs the engine gave
-it.  Likewise ``witness_sum``, which tags the left summand and takes the
-tagged witness summand as it is, is checked against ``disjoint_sum``,
-which tags both summands element by element.
+``witness_sum`` names each witness once, tag included, and maps each
+action row by row; ``brute_witness_presentation`` encodes every untagged
+witness id afresh, and ``disjoint_sum`` tags both summands element by
+element.  Both engines are run with ``witness_sum`` wrapped, so each call
+is checked against the two on the very inputs the engine gave it.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 
 import pytest
@@ -31,7 +28,6 @@ from limsketch.setops import (
     make_presentation,
     witness_head,
     witness_id,
-    witness_presentation,
     witness_sum,
     witness_tail,
 )
@@ -55,76 +51,42 @@ from tests.oracles import (
 )
 
 
-# the tag of each engine's witness summand, by the tag of the other summand
-WITNESS_TAG = {elim.BASE_TAG: elim.FREE_TAG, kelly.SUM_BASE_TAG: kelly.SUM_PAIR_TAG}
-
-
 @pytest.fixture()
-def checked(monkeypatch):
-    """Route both engines' witness summands through the oracle; count the calls."""
+def sums(monkeypatch):
+    """Route both engines' witness sums through the oracles; record each sum's witness kind."""
     calls: list[str] = []
 
-    def both(kind, base, limits, tag):
+    def both(label, left, kind, limits, tags, cap):
         limits = [(cone, peak, tuple(tuples)) for cone, peak, tuples in limits]
-        got, got_rows = witness_presentation(kind, base, limits, tag)
+        got, got_inj, got_rows = witness_sum(label, left, kind, limits, tags, cap)
+        base, tag = left.base, tags[1]
         want, _ = brute_witness_presentation(kind, base, limits)
+        want_sum, want_inj, _ = disjoint_sum(left, want, tags)
+        assert got.carrier == want_sum.carrier
+        assert got.action == want_sum.action
+        assert got_inj == want_inj
         prefix = f"{tag}:"
-        assert got.carrier == {d: tuple(prefix + x for x in xs) for d, xs in want.carrier.items()}
         for (cone, t), row in got_rows.items():
             tuples = next(ts for c, _, ts in limits if c == cone)
             assert row == [prefix + witness_id(kind, cone, t, k) for k in range(len(tuples))]
             assert sorted(row) == row
-        assert {a: list(m.items()) for a, m in got.action.items()} == {
-            a: [(prefix + x, prefix + y) for x, y in m.items()] for a, m in want.action.items()
-        }
-        # the rows and the action values are the carrier's own strings
+        # each action maps the witnesses in the oracle's order, before ``left``'s elements
+        for name, mapping in got.action.items():
+            witnesses = [(x, y) for x, y in mapping.items() if x.startswith(prefix)]
+            assert witnesses == [(prefix + x, prefix + y) for x, y in want.action[name].items()]
+            assert list(mapping)[: len(witnesses)] == [x for x, _ in witnesses]
+        # the rows, the injection and the action keys and values are the carrier's own strings
         own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
         for (_, t), row in got_rows.items():
             assert all(id(x) in own[base.arrows[t].cod] for x in row)
+        for d, tagged in got_inj.items():
+            assert all(id(x) in own[d] for x in tagged.values())
         for name, mapping in got.action.items():
-            cod = own[base.arrows[name].cod]
-            assert all(id(y) in cod for y in mapping.values())
-        calls.append(kind)
-        return got, got_rows
-
-    monkeypatch.setattr(elim, "witness_presentation", both)
-    monkeypatch.setattr(kelly, "witness_presentation", both)
-    return calls
-
-
-@pytest.fixture()
-def sums(monkeypatch):
-    """Route both engines' sums of a witness summand through ``disjoint_sum``; count them."""
-    calls: list[str] = []
-
-    def both(left, right, tag):
-        before = ({d: tuple(xs) for d, xs in right.carrier.items()}, copy.deepcopy(right.action))
-        got, got_inj = witness_sum(left, right, tag)
-        assert (right.carrier, right.action) == before
-        assert all(got.action[a] is not m for a, m in right.action.items())
-        # the summand untagged, as ``disjoint_sum`` takes it
-        right_tag = WITNESS_TAG[tag]
-        cut = len(right_tag) + 1
-        assert all(x[:cut] == f"{right_tag}:" for xs in right.carrier.values() for x in xs)
-        untagged = SetPresentation(
-            right.base,
-            {d: tuple(x[cut:] for x in xs) for d, xs in right.carrier.items()},
-            {a: {x[cut:]: y[cut:] for x, y in m.items()} for a, m in right.action.items()},
-        )
-        want, want_left, _ = disjoint_sum(left, untagged, (tag, right_tag))
-        assert got.carrier == want.carrier
-        assert got.action == want.action
-        assert got_inj == want_left
-        # the summand's strings are the sum's own, in its carriers and its actions
-        own = {d: {id(x) for x in xs} for d, xs in got.carrier.items()}
-        for d, xs in right.carrier.items():
-            assert all(id(x) in own[d] for x in xs)
-        for name, mapping in got.action.items():
-            arrow = left.base.arrows[name]
+            arrow = base.arrows[name]
             assert all(id(x) in own[arrow.dom] for x in mapping)
             assert all(id(y) in own[arrow.cod] for y in mapping.values())
-        calls.append(right_tag)
-        return got, got_inj
+        calls.append(kind)
+        return got, got_inj, got_rows
 
     monkeypatch.setattr(elim, "witness_sum", both)
     monkeypatch.setattr(kelly, "witness_sum", both)
@@ -150,7 +112,7 @@ def _run_all(pres, sketch, budget):
     [(iso_sketch, iso_fixture), (binary_sketch, binary_fixture), (sheaf_sketch, sheaf_fixture)],
     ids=["iso", "binary", "sheaf"],
 )
-def test_fixture_stages_match_oracle(checked, sums, sketch, fixture):
+def test_fixture_stages_match_oracle(sums, sketch, fixture):
     s = sketch()
     pres = fixture(s)
     faithful = reflect_elim(pres, s, budget=2, mode=FAITHFUL)
@@ -158,12 +120,11 @@ def test_fixture_stages_match_oracle(checked, sums, sketch, fixture):
     kelly_trace = reflect_kelly(pres, s, budget=2, stop_on_convergence=False)
     assert pruned.converged
     built = len(faithful.stages) - 1 + len(pruned.stages) - 1 + len(kelly_trace.stages)
-    assert len(checked) == built > 0
-    assert len(sums) == built
+    assert len(sums) == built > 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_binary_product_stages_match_oracle(checked, sums, n):
+def test_binary_product_stages_match_oracle(sums, n):
     sketch = binary_sketch()
     pres = make_presentation(
         sketch.base, {"a": [f"x{i}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
@@ -172,18 +133,16 @@ def test_binary_product_stages_match_oracle(checked, sums, n):
     assert trace.converged and trace.core.size() == {"a": n, "p": n * n}
     reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
     reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
-    assert checked.count("F") == len(trace.stages) and checked.count("K") == 2
-    assert sums.count("E") == len(trace.stages) and sums.count("P") == 2
+    assert sums.count("F") == len(trace.stages) and sums.count("K") == 2
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_random_presentations_match_oracle(checked, sums, name):
+def test_random_presentations_match_oracle(sums, name):
     sketch = build_sketch(name)
     rng = random.Random(f"witness-oracle:{name}")
     for _ in range(20):
         _run_all(random_valid_presentation(rng, sketch.base, max_size=4), sketch, budget=2)
-    assert "F" in checked and "K" in checked
-    assert len(sums) == len(checked)
+    assert "F" in sums and "K" in sums
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -248,26 +207,6 @@ def test_witness_tail_decodes(w):
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 10_001])
 def test_block_positions_are_the_positions_one_by_one(n):
     assert _positions(n) == [_position(k) for k in range(n)]
-
-
-def test_witness_sum_copies_the_summand_actions_and_leaves_the_summand_alone():
-    """The free part a step returns keeps its summand: the sum may not write into it."""
-    sketch = binary_sketch()
-    pres = binary_fixture(sketch)
-    summands = [("c0", "p", (("u", "u"), ("u", "v")))]
-    right, _ = witness_presentation("F", sketch.base, summands, elim.FREE_TAG)
-    carrier, action = dict(right.carrier), copy.deepcopy(right.action)
-    total, inj = witness_sum(pres, right, elim.BASE_TAG)
-    assert right.carrier == carrier and right.action == action
-    for name, mapping in right.action.items():
-        arrow = sketch.base.arrows[name]
-        tagged = {inj[arrow.dom][x]: inj[arrow.cod][y] for x, y in pres.action[name].items()}
-        assert total.action[name] is not mapping
-        assert total.action[name] == mapping | tagged
-    # writing into the sum leaves the summand as it was
-    for mapping in total.action.values():
-        mapping.clear()
-    assert right.action == action
 
 
 def test_rectification_pairs_match_their_definition():
