@@ -3,18 +3,18 @@ The strict universal property, executed
 =======================================
 
 Every map from a presentation into a model factors uniquely through the
-reflection.  One fixpoint shows both: the reflection map generates the
-core, so closing its image under the arrows and the gap rule reaches
-every element, and the map is forced on each element as it is reached
-(through f on the image, the model's action along an arrow, the inverse
-of the model's gap map at a peak).  That constructs the factorisation,
-and it certifies uniqueness: two maps into a model that agree on the
-reflection map agree everywhere.  A core it does not generate is an
-engine fault; enumerating every natural transformation out of such a
-core shows why: more than one map commutes.
+reflection.  A reflection is known by its unit rho: X -> LX, whose
+target is the core, and everything below reads rho alone, never a
+trace.  One fixpoint shows both: rho generates the core, so closing its
+image under the arrows and the gap rule reaches every element, and the
+map is forced on each element as it is reached (through f on the image,
+the model's action along an arrow, the inverse of the model's gap map at
+a peak).  That constructs the factorisation, and it certifies
+uniqueness: two maps into a model that agree on rho agree everywhere.  A
+unit that does not generate its core is an engine fault; enumerating
+every natural transformation out of such a core shows why: more than one
+map commutes.
 """
-
-from types import SimpleNamespace
 
 from limsketch import EngineError, NatTransSpec, make_presentation, sketch_binary_product
 from limsketch.elim import PRUNED, reflect_elim
@@ -42,7 +42,7 @@ f = NatTransSpec(X, M, {"a": {"u": "u", "v": "v"}, "p": {}})
 print("map into the model is natural:", f.validate().ok)
 
 # solve_factorisation returns g only once g . rho = f holds; check it again here
-result = solve_factorisation(trace, f, M, sketch)
+result = solve_factorisation(trace.rho, f, M, sketch)
 print("\nfactorisation commutes:", compose_nat(result.g, trace.rho).components == f.components)
 print("g at p:")
 for witness, value in sorted(result.g.components["p"].items()):
@@ -57,7 +57,7 @@ print("peaks reached through the gap inverse:", len(result.log))
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
-print("g is unique among", check_uniqueness(trace, result), "candidate maps")
+print("g is unique among", check_uniqueness(result), "candidate maps")
 
 # The enumeration agrees: all natural transformations core -> M (a join
 # over the elements of the core), of which one commutes with rho.
@@ -65,8 +65,8 @@ enum = enumerate_nat_trans(trace.core, M)
 print("natural transformations core -> M:", len(enum.transformations),
       "of", enum.search_space, "candidates")
 
-# A core that rho does not generate, here with a third point w that nothing
-# in X reaches, is refused as an engine fault: no reflection builds one.
+# A unit into a core it does not generate, here with a third point w that
+# nothing in X reaches, is refused as an engine fault: no reflection builds one.
 points = ["u", "v", "w"]
 grid = [x + y for x in points for y in points]
 bigger = make_presentation(
@@ -74,11 +74,9 @@ bigger = make_presentation(
     {"a": points, "p": grid},
     {"pi1": {q: q[0] for q in grid}, "pi2": {q: q[1] for q in grid}},
 )
-hand = SimpleNamespace(
-    converged=True, core=bigger, rho=NatTransSpec(X, bigger, {"a": {"u": "u", "v": "v"}, "p": {}})
-)
+hand = NatTransSpec(X, bigger, {"a": {"u": "u", "v": "v"}, "p": {}})
 print("\nrho generates the hand-made core:",
-      {d: len(c) for d, c in generated(bigger, hand.rho, sketch).items()}, "of", bigger.size())
+      {d: len(c) for d, c in generated(bigger, hand, sketch).items()}, "of", bigger.size())
 try:
     solve_factorisation(hand, f, M, sketch)
 except EngineError as exc:
@@ -88,6 +86,6 @@ except EngineError as exc:
 # two maps commute with rho, one for each place w may go.
 every = enumerate_nat_trans(bigger, M, cap=2**3 * 4**9)
 commuting = [g for g in every.transformations
-             if compose_nat(g, hand.rho).components == f.components]
+             if compose_nat(g, hand).components == f.components]
 print("commuting maps out of", every.search_space, "candidates:", len(commuting),
       "- w may go to", [g.components["a"]["w"] for g in commuting])

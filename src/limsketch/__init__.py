@@ -9,7 +9,7 @@ reflection map generates the core, so two maps into a model that agree
 on it agree everywhere.
 """
 
-from .compare import AlphaTrace, build_alpha, reflector_iso_check
+from .compare import AlphaTrace, build_alpha, reflector_iso_check, unit_iso_check
 from .elim import (
     FAITHFUL,
     PRUNED,

@@ -151,7 +151,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             if check.injectivity_witness:
                 lines.append(f"  merged pair: {check.injectivity_witness}")
-            if check.unhit_tuple:
+            if check.unhit_tuple is not None:
                 lines.append(f"  unhit tuple: {check.unhit_tuple}")
         lines.append(f"model: {str(report.is_model).lower()}")
         with _sink(args.out) as sink:
@@ -172,9 +172,8 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     for index, size in enumerate(sizes):
         print(f"stage {index}: {_size_line(size)}")
     if trace.converged:
-        core = trace.core
-        assert core is not None
-        print(f"converged at stage {trace.converged_at}; core sizes: {_size_line(core.size())}")
+        core_sizes = _size_line(trace.core.size())
+        print(f"converged at stage {trace.converged_at}; core sizes: {core_sizes}")
         return EXIT_OK
     print("budget exhausted before convergence")
     return EXIT_BUDGET
@@ -212,8 +211,8 @@ def cmd_universal(args: argparse.Namespace) -> int:
     if not trace.converged:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
-    result = universal.solve_factorisation(trace, f, model, sketch, max_tuples=args.max_tuples)
-    space = universal.check_uniqueness(trace, result)
+    result = universal.solve_factorisation(trace.rho, f, model, sketch, max_tuples=args.max_tuples)
+    space = universal.check_uniqueness(result)
     _emit(universal.universal_to_json_dict(space), args.out)
     print("factorisation exists and commutes: true")
     print(f"uniqueness: unique (search space {space})")

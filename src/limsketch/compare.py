@@ -7,10 +7,14 @@ class p(x) in the base to the unit of the matching completion stage
 applied to the image of x, and a free element over a limit tuple maps to
 the class of the corresponding formal pair in the completion.  That is
 the stage-commutation square at every x, so a stage whose square fails
-is refused; every naturality square is checked after the replay.  A
-failure is reported with a witness and never repaired.
-The isomorphism of the two reflections reads only their cores and
-units, through :func:`limsketch.universal.factor_through_model`.
+is refused; every naturality square is checked after the replay, by
+:func:`limsketch.setops.naturality_break`.  A failure is reported with a
+witness and never repaired.
+A reflection is known by its unit rho: X -> LX, whose target is the
+core.  :func:`unit_iso_check` certifies two units isomorphic by
+factoring each through the other's core with
+:func:`limsketch.universal.factor_through_model`;
+:func:`reflector_iso_check` runs it on the units of two converged traces.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
 from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
 from .kelly import CompletionStep, KellyTrace
-from .setops import SetPresentation, compose_nat, identity_nat
+from .setops import NatTransSpec, compose_nat, identity_nat, naturality_break
 from .sketchlib import LimitSketch
 from .universal import Components, FactorisationResult, factor_through_model
 
@@ -117,39 +121,6 @@ class AlphaTrace:
         }
 
 
-def _check_naturality(
-    source: SetPresentation,
-    target: SetPresentation,
-    components: dict[str, dict[str, str]],
-) -> str | None:
-    """The first square that breaks, arrows in sorted order, each side mapped over the carrier.
-
-    Alpha over each source carrier is mapped once per object, from the
-    component's values when its keys list the carrier in order (as the
-    replay builds them), and every arrow out of the object reads it.
-    Each square still applies the actual source and target actions: an
-    arrow whose source images list the codomain's carrier in order, as an
-    identity's do, takes alpha over that carrier as its right side.
-    """
-    base = source.base
-    over: dict[str, list[str]] = {}
-    for o in base.objects:
-        xs, comp = source.carrier[o], components[o]
-        over[o] = list(comp.values()) if tuple(comp) == xs else list(map(comp.__getitem__, xs))
-    for name, arrow in sorted(base.arrows.items()):
-        xs = source.carrier[arrow.dom]
-        images = tuple(map(source.action[name].__getitem__, xs))
-        left = list(map(target.action[name].__getitem__, over[arrow.dom]))
-        if images == source.carrier[arrow.cod]:
-            right = over[arrow.cod]
-        else:
-            right = list(map(components[arrow.cod].__getitem__, images))
-        if left != right:
-            x = next(x for x, u, v in zip(xs, left, right) if u != v)
-            return f"naturality breaks at arrow {name!r} on {x!r}"
-    return None
-
-
 def build_alpha(
     elim_trace: ReflectionTrace,
     kelly_trace: KellyTrace,
@@ -175,7 +146,9 @@ def build_alpha(
     stages: list[AlphaStage] = []
     for i, comp in enumerate(replay(elim_trace.stages, steps, sketch)):
         total = elim_trace.stages[i].total
-        witness = _check_naturality(total, kelly_trace.object_at(i), comp)
+        witness = None
+        if square := naturality_break(total, kelly_trace.object_at(i), comp):
+            witness = f"naturality breaks at arrow {square[0]!r} on {square[1]!r}"
         stages.append(AlphaStage(i, comp, witness is None, witness))
     return AlphaTrace(stages)
 
@@ -191,32 +164,40 @@ class IsoVerdict:
         return {"isomorphic": self.ok, "detail": self.detail}
 
 
-def reflector_iso_check(
-    first: ReflectionTrace | KellyTrace,
-    second: ReflectionTrace | KellyTrace,
-    sketch: LimitSketch,
-) -> IsoVerdict:
-    """Certify that two converged reflections of one X are isomorphic.
+def unit_iso_check(first: NatTransSpec, second: NatTransSpec, sketch: LimitSketch) -> IsoVerdict:
+    """Certify that two units of one X, into the cores C and D, are isomorphic reflections.
 
-    Each reflection map is factored through the other trace; the verdict
-    holds when the two factorisations compose to identities both ways.
-    Each core is a model already, checked by its engine on convergence.
+    Each unit is factored through the other's core: forward is the g: C
+    -> D with g . first = second, backward the one D -> C; the verdict
+    holds when the two compose to identities both ways.  Each core must
+    be a model, and each unit must generate its core.
     """
-    for trace in (first, second):
-        if not trace.converged or trace.core is None or trace.rho is None:
-            raise PreconditionError("reflector comparison needs converged traces")
-    forward = factor_through_model(first, second.rho, second.core, sketch)
-    backward = factor_through_model(second, first.rho, first.core, sketch)
+    forward = factor_through_model(first, second, second.target, sketch)
+    backward = factor_through_model(second, first, first.target, sketch)
     round_first = compose_nat(backward.g, forward.g)
     round_second = compose_nat(forward.g, backward.g)
-    ok_first = round_first.components == identity_nat(first.core).components
-    ok_second = round_second.components == identity_nat(second.core).components
+    ok_first = round_first.components == identity_nat(first.target).components
+    ok_second = round_second.components == identity_nat(second.target).components
     detail = ""
     if not ok_first:
         detail = "backward . forward is not the identity on the first core"
     elif not ok_second:
         detail = "forward . backward is not the identity on the second core"
     return IsoVerdict(ok_first and ok_second, forward, backward, detail)
+
+
+def reflector_iso_check(
+    first: ReflectionTrace | KellyTrace,
+    second: ReflectionTrace | KellyTrace,
+    sketch: LimitSketch,
+) -> IsoVerdict:
+    """:func:`unit_iso_check` on the units of two converged traces of one X.
+
+    Each core is a model already, checked by its engine on convergence.
+    """
+    if not first.converged or not second.converged:
+        raise PreconditionError("reflector comparison needs converged traces")
+    return unit_iso_check(first.rho, second.rho, sketch)
 
 
 def comparison_to_json_dict(alpha: AlphaTrace, iso: IsoVerdict) -> dict:

@@ -127,13 +127,16 @@ class ReflectionTrace:
     sketch: LimitSketch
     stages: list[Stage]
     converged_at: int | None
-    core: SetPresentation | None
-    rho: NatTransSpec | None
+    rho: NatTransSpec | None  # the unit X -> core, once converged
     core_kind: str | None = None  # "model-input" | "stable-core" | "base-fixpoint"
 
     @property
     def converged(self) -> bool:
         return self.converged_at is not None
+
+    @property
+    def core(self) -> SetPresentation | None:
+        return None if self.rho is None else self.rho.target
 
     @property
     def verdict(self) -> str:
@@ -423,9 +426,7 @@ def reflect_elim(
     stage0 = initial_stage(pres, sketch)
     stages = [stage0]
     if is_model(pres, sketch, max_tuples=max_tuples).is_model:
-        return ReflectionTrace(
-            mode, sketch, stages, 0, pres, identity_nat(pres), core_kind="model-input"
-        )
+        return ReflectionTrace(mode, sketch, stages, 0, identity_nat(pres), core_kind="model-input")
     prev_core = {d: tuple(pres.carrier[d]) for d in sketch.base.objects}
     core_pres: SetPresentation | None = None
     converged_at: int | None = None
@@ -451,7 +452,7 @@ def reflect_elim(
                 break
         prev_core = core_ids
     if core_pres is None:
-        return ReflectionTrace(mode, sketch, stages, None, None, None)
+        return ReflectionTrace(mode, sketch, stages, None, None)
     rho_components: dict[str, dict[str, str]] = {}
     for d in sketch.base.objects:
         comp: dict[str, str] = {}
@@ -462,4 +463,4 @@ def reflect_elim(
             comp[x] = v
         rho_components[d] = comp
     rho = NatTransSpec(pres, core_pres, rho_components)
-    return ReflectionTrace(mode, sketch, stages, converged_at, core_pres, rho, core_kind=core_kind)
+    return ReflectionTrace(mode, sketch, stages, converged_at, rho, core_kind=core_kind)

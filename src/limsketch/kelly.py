@@ -159,12 +159,15 @@ class KellyTrace:
     start: SetPresentation
     stages: list[CompletionStep]  # stage n at ``stages[n - 1]``
     converged_at: int | None
-    core: SetPresentation | None
-    rho: NatTransSpec | None
+    rho: NatTransSpec | None  # the unit X -> core, once converged
 
     @property
     def converged(self) -> bool:
         return self.converged_at is not None
+
+    @property
+    def core(self) -> SetPresentation | None:
+        return None if self.rho is None else self.rho.target
 
     @property
     def verdict(self) -> str:
@@ -237,9 +240,8 @@ def reflect_kelly(
         if converged_at is None and is_model(current, sketch, max_tuples=max_tuples).is_model:
             converged_at = n
     if converged_at is None:
-        return KellyTrace(sketch, pres, stages, None, None, None)
-    core = pres if converged_at == 0 else stages[converged_at - 1].obj
+        return KellyTrace(sketch, pres, stages, None, None)
     rho = identity_nat(pres)
     for step in stages[:converged_at]:
         rho = compose_nat(step.unit, rho)
-    return KellyTrace(sketch, pres, stages, converged_at, core, rho)
+    return KellyTrace(sketch, pres, stages, converged_at, rho)

@@ -199,45 +199,66 @@ class NatTransSpec:
     components: dict[str, dict[str, str]]
 
     def validate(self) -> ValidationReport:
+        """Each component total, in range and without foreign keys; then the first broken square."""
         report = ValidationReport()
         base = self.source.base
-        # a foreign key comes with a missing key or a surplus: only then look
-        odd_objects = len(self.components) != len(base.objects)
         for obj in base.objects:
             comp = self.components.get(obj)
             if comp is None:
                 report.add("component-missing", f"no component at {obj!r}")
-                odd_objects = True
                 continue
             tgt = set(self.target.carrier.get(obj, ()))
             src = self.source.carrier.get(obj, ())
-            odd_keys = len(comp) != len(src)
             for x in src:
                 if x not in comp:
                     report.add("component-partial", f"at {obj!r}: undefined on {x!r}")
-                    odd_keys = True
                 elif comp[x] not in tgt:
                     report.add("component-range", f"at {obj!r}: {x!r} maps outside")
-            if odd_keys:
-                for x in sorted(comp.keys() - src):
-                    report.add("component-domain", f"at {obj!r}: defined on foreign {x!r}")
-        if odd_objects:
-            for obj in sorted(self.components.keys() - base.objects):
-                report.add("component-object", f"component at unknown object {obj!r}")
-        for name, arrow in sorted(base.arrows.items()):
-            src_act = self.source.action.get(name, {})
-            tgt_act = self.target.action.get(name, {})
-            comp_d = self.components.get(arrow.dom, {})
-            comp_c = self.components.get(arrow.cod, {})
-            for x in self.source.carrier.get(arrow.dom, ()):
-                left = tgt_act.get(comp_d.get(x, ""), None)
-                right = comp_c.get(src_act.get(x, ""), None)
-                if left != right:
-                    report.add(
-                        "naturality",
-                        f"arrow {name!r} on {x!r}: {left!r} != {right!r}",
-                    )
+            for x in sorted(comp.keys() - src):
+                report.add("component-domain", f"at {obj!r}: defined on foreign {x!r}")
+        for obj in sorted(self.components.keys() - base.objects):
+            report.add("component-object", f"component at unknown object {obj!r}")
+        if report.ok and (square := naturality_break(self.source, self.target, self.components)):
+            name, x, left, right = square
+            report.add("naturality", f"arrow {name!r} on {x!r}: {left!r} != {right!r}")
         return report
+
+
+def naturality_break(
+    source: SetPresentation,
+    target: SetPresentation,
+    components: Mapping[str, Mapping[str, str]],
+) -> tuple[str, str, str, str] | None:
+    """The first square that breaks, as (arrow, x, left, right), or None when all commute.
+
+    Arrows come in sorted order and x in its object's carrier order; left
+    is the target action of the arrow at the component's value at x, right
+    the component at the source action's image of x.  The components must
+    be total on the source carriers and land in the target carriers.
+
+    The components over each source carrier are mapped once per object,
+    from the component's values when its keys list the carrier in order
+    (as alpha's replay builds them), and every arrow out of the object
+    reads them.  Each square still applies the actual source and target
+    actions: an arrow whose source images list the codomain's carrier in
+    order, as an identity's do, takes the mapped carrier as its right side.
+    """
+    base = source.base
+    over: dict[str, list[str]] = {}
+    for o in base.objects:
+        xs, comp = source.carrier[o], components[o]
+        over[o] = list(comp.values()) if tuple(comp) == xs else list(map(comp.__getitem__, xs))
+    for name, arrow in sorted(base.arrows.items()):
+        xs = source.carrier[arrow.dom]
+        images = tuple(map(source.action[name].__getitem__, xs))
+        left = list(map(target.action[name].__getitem__, over[arrow.dom]))
+        if images == source.carrier[arrow.cod]:
+            right = over[arrow.cod]
+        else:
+            right = list(map(components[arrow.cod].__getitem__, images))
+        if left != right:
+            return next((name, x, u, v) for x, u, v in zip(xs, left, right) if u != v)
+    return None
 
 
 def identity_nat(pres: SetPresentation) -> NatTransSpec:

@@ -208,7 +208,7 @@ class ModelReport:
                     "injectivity_witness": list(c.injectivity_witness)
                     if c.injectivity_witness
                     else None,
-                    "unhit_tuple": list(c.unhit_tuple) if c.unhit_tuple else None,
+                    "unhit_tuple": None if c.unhit_tuple is None else list(c.unhit_tuple),
                 }
                 for c in self.checks
             ],

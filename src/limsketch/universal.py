@@ -12,9 +12,11 @@ and the same closure, reaching the whole core, certifies that no other g
 commutes with rho.  The construction is the verdict: a g that does not
 commute, or a core that rho does not generate, is an engine fault, so a
 returned g exists, commutes and is unique, and :func:`check_uniqueness`
-only sizes the search space the certificate stands in for.  Neither
-reads the engines' stages: a trace is read through its ``core`` and
-``rho`` alone.  :func:`enumerate_nat_trans` lists all natural
+only sizes the search space the certificate stands in for.  A
+reflection is known by its unit (Mac Lane, *Categories for the Working
+Mathematician*, IV.1): both read the unit rho: X -> LX alone, a
+:class:`~limsketch.setops.NatTransSpec` whose target is the core, and
+no engine's trace.  :func:`enumerate_nat_trans` lists all natural
 transformations out of a core, a limit over its category of elements
 found by the cone-limit join; the tests check the certificate against
 it, and the construction never feeds either check.
@@ -25,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .elim import ReflectionTrace
 from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
-from .kelly import KellyTrace
 from .setops import DEFAULT_TUPLE_BUDGET, LimitJoin, NatTransSpec, SetPresentation, compose_nat
 from .sketchlib import LimitSketch, gap_map, is_model
 
@@ -53,29 +53,27 @@ class FactorisationResult:
 
 
 def solve_factorisation(
-    trace: ReflectionTrace | KellyTrace,
+    rho: NatTransSpec,
     f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> FactorisationResult:
-    """Construct g with g . rho = f: check the trace converged and M a model, then factor."""
-    if not trace.converged:
-        raise PreconditionError("factorisation needs a converged trace")
+    """g with g . rho = f out of the core ``rho.target``: check M a model, then factor."""
     report = is_model(model, sketch, max_tuples=max_tuples)
     if not report.is_model:
         bad = next(c for c in report.checks if not c.ok)
         raise PreconditionError(f"not a model: cone {bad.cone!r} gap map not bijective")
-    return factor_through_model(trace, f, model, sketch)
+    return factor_through_model(rho, f, model, sketch)
 
 
 def factor_through_model(
-    trace: ReflectionTrace | KellyTrace,
+    rho: NatTransSpec,
     f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
 ) -> FactorisationResult:
-    """g with g . rho = f from the ``core`` and ``rho`` of a converged trace, into a model M.
+    """g with g . rho = f out of the core ``rho.target``, into a model M.
 
     M is folded along :func:`reached`: an element reached from rho at x
     takes f(x), one reached along an arrow a from y takes M's action of a
@@ -84,8 +82,7 @@ def factor_through_model(
     to be natural and to commute with rho before being handed back; a
     broken core or rho surfaces as an error, never as a silently wrong g.
     """
-    core, rho = trace.core, trace.rho
-    assert core is not None and rho is not None
+    core = rho.target
     # M is a model, so each gap map is a bijection onto its cone's limit
     inverses = {c.name: {t: x for x, t in gap_map(model, c).items()} for c in sketch.cones}
     legs = {
@@ -269,22 +266,15 @@ def generated(
     return closure
 
 
-def check_uniqueness(
-    trace: ReflectionTrace | KellyTrace,
-    result: FactorisationResult,
-) -> int:
+def check_uniqueness(result: FactorisationResult) -> int:
     """The closed-form number of candidate maps core => M, of which ``result.g`` alone commutes.
 
-    ``result`` is the factorisation into M that :func:`solve_factorisation`
-    built out of ``trace.core``: it checked that M is a model and that rho
-    generates the whole core, so two maps into M that agree on rho agree
-    everywhere.  The count is the product over objects of all component
-    functions.  A ``result`` out of another core raises
-    :class:`PreconditionError`.
+    ``result`` is a factorisation that :func:`solve_factorisation` built:
+    it checked that M is a model and that rho generates the whole core,
+    so two maps into M that agree on rho agree everywhere.  The count is
+    the product over objects of all component functions.
     """
-    if result.g.source is not trace.core:
-        raise PreconditionError("uniqueness check needs a factorisation out of the trace's core")
-    return _search_space(trace.core, result.g.target)
+    return _search_space(result.g.source, result.g.target)
 
 
 def universal_to_json_dict(search_space: int) -> dict:

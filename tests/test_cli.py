@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from limsketch.fincat import category_to_json_dict
+from limsketch.fincat import CatFunctor, FinCategory, category_to_json_dict
 from limsketch.setops import presentation_dumps
 from limsketch.sketchlib import (
+    Cone,
+    LimitSketch,
     build_sketch,
     builder_names,
     sketch_binary_product,
@@ -127,6 +129,36 @@ def test_check_rejects_with_witness(workspace):
     assert "unhit tuple" in proc.stdout
     assert "('u', 'u')" in proc.stdout
 
+
+
+def _empty_shape_check(tmp_path: Path, fmt: str) -> subprocess.CompletedProcess:
+    """``check`` of an empty presentation against one cone over the empty shape: a terminal a."""
+    base = FinCategory.build("point", ["a"], [], {})
+    shape = FinCategory.build("nothing", [], [], {})
+    cone = Cone("c0", base, "a", shape, CatFunctor(shape, base, {}, {}), {})
+    sketch, pres = tmp_path / "terminal.json", tmp_path / "empty.json"
+    sketch.write_text(sketch_dumps(LimitSketch(base, (cone,), name="terminal")))
+    doc = {"category": category_to_json_dict(base), "carrier": {"a": []}, "action": {}}
+    pres.write_text(json.dumps(doc))
+    return run_cli("check", "--sketch", str(sketch), "--presentation", str(pres), "--format", fmt)
+
+
+def test_check_names_the_empty_unhit_tuple_in_json(tmp_path):
+    # the limit of the empty diagram is the one empty tuple, and an empty peak misses it
+    proc = _empty_shape_check(tmp_path, "json")
+    assert proc.returncode == 1
+    (cone,) = json.loads(proc.stdout)["cones"]
+    assert (cone["surjective"], cone["unhit_tuple"]) == (False, [])
+
+
+def test_check_names_the_empty_unhit_tuple_in_text(tmp_path):
+    proc = _empty_shape_check(tmp_path, "text")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "cone c0: FAIL (injective=true surjective=false)",
+        "  unhit tuple: ()",
+        "model: false",
+    ]
 
 def test_check_malformed_json_exits_two(workspace):
     proc = run_cli(

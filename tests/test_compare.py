@@ -6,7 +6,6 @@ import pytest
 
 from limsketch import sketchlib
 from limsketch.compare import (
-    _check_naturality,
     build_alpha,
     comparison_to_json_dict,
     reflector_iso_check,
@@ -14,6 +13,7 @@ from limsketch.compare import (
 from limsketch.elim import BASE_TAG, FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import PreconditionError
 from limsketch.kelly import reflect_kelly
+from limsketch.setops import naturality_break
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -103,7 +103,7 @@ def test_alpha_reports_the_first_broken_naturality_square(arrow, first):
     assert report["alpha"]["stages"][1]["witness"] == witness
     # components whose keys are not in carrier order are read key by key, to the same witness
     backwards = {d: dict(reversed(c.items())) for d, c in alpha.stages[1].components.items()}
-    assert _check_naturality(source, target, backwards) == witness
+    assert naturality_break(source, target, backwards)[:2] == (arrow, first)
 
 
 def test_alpha_rejects_pruned_traces():

@@ -45,3 +45,26 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of each module that ``source`` imports, or imports from."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import elim`` names its module among the imported names
+            modules.update([node.module] if node.module else [a.name for a in node.names])
+    return {m.rsplit(".", 1)[-1] for m in modules}
+
+
+def test_the_layering_check_reads_every_import_form():
+    source = "from .elim import x\nimport limsketch.kelly\nfrom . import compare\n"
+    assert imported_modules(source) == {"elim", "kelly", "compare"}
+
+
+def test_universal_reads_units_not_engines():
+    """The universal property is a unit's: ``universal`` imports neither engine nor ``compare``."""
+    source = (SRC / "universal.py").read_text(encoding="utf-8")
+    assert imported_modules(source) & {"elim", "kelly", "compare"} == set()

@@ -6,7 +6,7 @@ is sent to another class, a formal pair is dropped from a completion's
 projection, or a tuple from a completion's limits.  A quotient is its
 projection, so each of the first three edits one.  ``build_alpha`` must
 raise ``EngineError``.  The factorisation reads no stage, only a trace's
-core and rho, so a corrupted stage cannot reach it; ``tests.test_universal``
+unit rho, so a corrupted stage cannot reach it; ``tests.test_universal``
 covers the errors it still raises.
 
 The replay maps a staged step's free part row by row; ``brute_replay`` in
@@ -19,7 +19,6 @@ equal the element-by-element replay of the trace's stages.
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -172,9 +171,9 @@ def _refused(run):
 def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
     """Alpha by rows and by elements, and every factorisation between converged traces.
 
-    Each factorisation is built from the trace and from its core and rho
-    alone, and both must equal the element-by-element replay of the
-    trace's stages.  Returns the number of replays compared.
+    Each factorisation is built from the trace's unit rho alone, and must
+    equal the element-by-element replay of the trace's stages.  Returns
+    the number of replays compared.
     """
     compared = 0
     faithful = _refused(lambda: reflect_elim(pres, sketch, budget=faithful_budget, mode=FAITHFUL))
@@ -197,10 +196,7 @@ def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
     converged = [t for t in traces if t is not None and t.converged]
     for trace in converged:
         for other in converged:
-            got = solve_factorisation(trace, other.rho, other.core, sketch)
-            bare = SimpleNamespace(converged=True, core=trace.core, rho=trace.rho)
-            from_core = solve_factorisation(bare, other.rho, other.core, sketch)
-            assert (from_core.g.components, from_core.log) == (got.g.components, got.log)
+            got = solve_factorisation(trace.rho, other.rho, other.core, sketch)
             assert got.g.components == brute_factorisation(trace, other.rho, other.core, sketch)
             compared += 1
     return compared

@@ -393,6 +393,21 @@ def test_nat_trans_validation_catches_broken_square():
     assert any(v.rule == "naturality" for v in report.violations)
 
 
+
+def test_nat_trans_validation_reports_the_first_square_of_a_well_formed_map():
+    pres = iso_presentation()
+    tgt = make_presentation(iso_base(), {"a": ["m"], "b": ["n1", "n2"]}, {"t": {"m": "n1"}})
+    # both squares at t break; the report names the first, x1 in carrier order
+    bad = NatTransSpec(pres, tgt, {"a": {"x1": "m", "x2": "m"}, "b": {"y1": "n2", "y2": "n2"}})
+    assert [str(v) for v in bad.validate().violations] == [
+        "naturality: arrow 't' on 'x1': 'n1' != 'n2'"
+    ]
+    # a map that is not total reads no square
+    partial = NatTransSpec(pres, tgt, {"a": {"x1": "m"}, "b": {"y1": "n2", "y2": "n2"}})
+    assert [str(v) for v in partial.validate().violations] == [
+        "component-partial: at 'a': undefined on 'x2'"
+    ]
+
 def test_terminal_presentation_validates():
     assert validate_presentation(terminal_presentation(iso_base())).ok
 

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +21,6 @@ from limsketch.setops import (
 )
 from limsketch.sketchlib import BUILDERS, is_model
 from limsketch.universal import (
-    FactorisationResult,
     check_uniqueness,
     enumerate_nat_trans,
     generated,
@@ -53,7 +50,7 @@ def test_terminal_codomain_gives_constant_factorisation():
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     terminal = terminal_presentation(sketch.base)
     f = nat(pres, terminal, {"a": {"x1": "*", "x2": "*"}, "b": {"y": "*"}})
-    result = solve_factorisation(trace, f, terminal, sketch)
+    result = solve_factorisation(trace.rho, f, terminal, sketch)
     assert compose_nat(result.g, trace.rho).components == f.components
     for obj in sketch.base.objects:
         assert set(result.g.components[obj].values()) <= {"*"}
@@ -65,10 +62,10 @@ def test_iso_fixture_factors_through_singleton_model():
     model = iso_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
-    result = solve_factorisation(trace, f, model, sketch)
+    result = solve_factorisation(trace.rho, f, model, sketch)
     assert compose_nat(result.g, trace.rho).components == f.components
     # one candidate: the singleton model leaves g no choice
-    assert check_uniqueness(trace, result) == 1
+    assert check_uniqueness(result) == 1
 
 
 def test_binary_fixture_factorisation_is_an_isomorphism():
@@ -77,7 +74,7 @@ def test_binary_fixture_factorisation_is_an_isomorphism():
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    result = solve_factorisation(trace, f, model, sketch)
+    result = solve_factorisation(trace.rho, f, model, sketch)
     assert compose_nat(result.g, trace.rho).components == f.components
     for obj in sketch.base.objects:
         values = list(result.g.components[obj].values())
@@ -92,17 +89,7 @@ def test_solver_rejects_non_model_codomain():
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, pres, {"a": {"x1": "x1", "x2": "x2"}, "b": {"y": "y"}})
     with pytest.raises(PreconditionError, match="not a model"):
-        solve_factorisation(trace, f, pres, sketch)
-
-
-def test_solver_rejects_unconverged_trace():
-    sketch = iso_sketch()
-    pres = iso_fixture(sketch)
-    stuck = reflect_elim(pres, sketch, budget=0)
-    model = iso_model(sketch)
-    f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
-    with pytest.raises(PreconditionError):
-        solve_factorisation(stuck, f, model, sketch)
+        solve_factorisation(trace.rho, f, pres, sketch)
 
 
 def test_solver_works_on_kelly_traces():
@@ -119,10 +106,10 @@ def test_solver_works_on_kelly_traces():
             "W": {"0": "0", "1": "1"},
         },
     )
-    result = solve_factorisation(trace, f, model, sketch)
+    result = solve_factorisation(trace.rho, f, model, sketch)
     assert compose_nat(result.g, trace.rho).components == f.components
     # two elements at each of four objects into two: (2**2)**4 candidates
-    assert check_uniqueness(trace, result) == 256
+    assert check_uniqueness(result) == 256
 
 
 def test_enumeration_of_empty_source_is_single():
@@ -153,13 +140,13 @@ def test_uniqueness_binary_is_conclusive():
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    space = check_uniqueness(trace, solve_factorisation(trace, f, model, sketch))
+    space = check_uniqueness(solve_factorisation(trace.rho, f, model, sketch))
     assert space == 1024
     assert space <= 10**6
 
 
-def _ungenerated_trace(sketch):
-    """A converged trace by hand: the core a = {u, v, w}, p = a x a; rho hits u and v only."""
+def _ungenerated_unit(sketch):
+    """A unit by hand into the core a = {u, v, w}, p = a x a; rho hits u and v only."""
     points = ["u", "v", "w"]
     pairs = [x + y for x in points for y in points]
     core = make_presentation(
@@ -170,25 +157,25 @@ def _ungenerated_trace(sketch):
     pres = binary_fixture(sketch)
     rho = nat(pres, core, {"a": {"u": "u", "v": "v"}, "p": {}})
     f = nat(pres, binary_model(sketch), {"a": {"u": "u", "v": "v"}, "p": {}})
-    return SimpleNamespace(converged=True, core=core, rho=rho), f
+    return rho, f
 
 
 def test_generated_stops_at_what_rho_reaches():
     sketch = binary_sketch()
-    trace, _ = _ungenerated_trace(sketch)
-    closure = generated(trace.core, trace.rho, sketch)
+    rho, _ = _ungenerated_unit(sketch)
+    closure = generated(rho.target, rho, sketch)
     assert closure == {"a": {"u", "v"}, "p": {"uu", "uv", "vu", "vv"}}
 
 
 def test_generated_fills_every_gap_over_its_image():
     sketch = binary_sketch()
-    trace, _ = _ungenerated_trace(sketch)
+    core = _ungenerated_unit(sketch)[0].target
     # rho hits u, w and the pair (u, w); the gap rule adds the other pairs over u and w
     source = make_presentation(
         sketch.base, {"a": ["u", "w"], "p": ["uw"]}, {"pi1": {"uw": "u"}, "pi2": {"uw": "w"}}
     )
-    rho = nat(source, trace.core, {"a": {"u": "u", "w": "w"}, "p": {"uw": "uw"}})
-    closure = generated(trace.core, rho, sketch)
+    rho = nat(source, core, {"a": {"u": "u", "w": "w"}, "p": {"uw": "uw"}})
+    closure = generated(core, rho, sketch)
     assert closure == {"a": {"u", "w"}, "p": {"uu", "uw", "wu", "ww"}}
 
 
@@ -196,33 +183,17 @@ def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
     # the certificate is read off a factorisation, and none is built out of an ungenerated core,
     # though a natural g commuting with rho exists: w goes where u goes
     sketch = binary_sketch()
-    trace, f = _ungenerated_trace(sketch)
+    rho, f = _ungenerated_unit(sketch)
     model = binary_model(sketch)
     at_a = {"u": "u", "v": "v", "w": "u"}
-    at_p = {q: at_a[q[0]] + at_a[q[1]] for q in trace.core.carrier["p"]}
-    g = nat(trace.core, model, {"a": at_a, "p": at_p})
-    assert compose_nat(g, trace.rho).components == f.components
+    at_p = {q: at_a[q[0]] + at_a[q[1]] for q in rho.target.carrier["p"]}
+    g = nat(rho.target, model, {"a": at_a, "p": at_p})
+    assert compose_nat(g, rho).components == f.components
     with pytest.raises(EngineError, match="object 'a' misses 'w'$"):
-        solve_factorisation(trace, f, model, sketch)
+        solve_factorisation(rho, f, model, sketch)
 
 
-def test_uniqueness_needs_a_factorisation_out_of_the_trace_core():
-    sketch = binary_sketch()
-    pres, model = binary_fixture(sketch), binary_model(sketch)
-    f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    elim_trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
-    kelly_trace = reflect_kelly(pres, sketch, budget=8)
-    result = solve_factorisation(kelly_trace, f, model, sketch)
-    assert check_uniqueness(kelly_trace, result) == 1024
-    # an equal core is not enough: the certificate holds for the core the factorisation walked
-    copy = FactorisationResult(nat(replace(kelly_trace.core), model, result.g.components))
-    stuck = reflect_elim(pres, sketch, budget=0)
-    for trace, res in ((elim_trace, result), (kelly_trace, copy), (stuck, result)):
-        with pytest.raises(PreconditionError, match="factorisation out of the trace's core$"):
-            check_uniqueness(trace, res)
-
-
-# -- the factorisation from a core and rho: its log and its refusals -----------
+# -- the factorisation from a unit: its log and its refusals ------------------
 
 
 def test_factorisation_log_records_each_gap_inverse():
@@ -230,7 +201,7 @@ def test_factorisation_log_records_each_gap_inverse():
     pres, model = binary_fixture(sketch), binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    result = solve_factorisation(trace, f, model, sketch)
+    result = solve_factorisation(trace.rho, f, model, sketch)
     # X has no pairs, so every element at p is a peak reached through the gap map
     assert sorted(entry["element"] for entry in result.log) == sorted(trace.core.carrier["p"])
     for entry in result.log:
@@ -243,9 +214,9 @@ def test_factorisation_log_records_each_gap_inverse():
 
 def test_factorisation_of_an_ungenerated_core_is_an_engine_error():
     sketch = binary_sketch()
-    trace, f = _ungenerated_trace(sketch)
+    rho, f = _ungenerated_unit(sketch)
     with pytest.raises(EngineError, match="rho does not generate the core: object 'a' misses 'w'$"):
-        solve_factorisation(trace, f, binary_model(sketch), sketch)
+        solve_factorisation(rho, f, binary_model(sketch), sketch)
 
 
 def test_factorisation_refuses_a_rho_that_merges_what_f_separates():
@@ -255,9 +226,8 @@ def test_factorisation_refuses_a_rho_that_merges_what_f_separates():
     point = binary_singleton_model(sketch)
     rho = nat(pres, point, {"a": {"u": "u", "v": "u"}, "p": {}})
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    trace = SimpleNamespace(converged=True, core=point, rho=rho)
     with pytest.raises(EngineError, match="does not commute with the reflection$"):
-        solve_factorisation(trace, f, model, sketch)
+        solve_factorisation(rho, f, model, sketch)
 
 
 def test_factorisation_refuses_a_map_that_is_not_natural():
@@ -266,9 +236,8 @@ def test_factorisation_refuses_a_map_that_is_not_natural():
     point, model = binary_singleton_model(sketch), binary_model(sketch)
     rho = nat(point, point, {"a": {"u": "u"}, "p": {"q": "q"}})
     f = NatTransSpec(point, model, {"a": {"u": "u"}, "p": {"q": "uv"}})
-    trace = SimpleNamespace(converged=True, core=point, rho=rho)
     with pytest.raises(EngineError, match="constructed factorisation is not natural: "):
-        solve_factorisation(trace, f, model, sketch)
+        solve_factorisation(rho, f, model, sketch)
 
 
 def test_factorisation_refuses_leg_images_outside_the_model_limit():
@@ -278,20 +247,19 @@ def test_factorisation_refuses_leg_images_outside_the_model_limit():
     ident, swap = {"0": "0", "1": "1"}, {"0": "1", "1": "0"}
     rho = nat(pres, model, {"U": ident, "V": ident, "W": ident})
     f = NatTransSpec(pres, model, {"T": {}, "U": ident, "V": ident, "W": swap})
-    trace = SimpleNamespace(converged=True, core=model, rho=rho)
     with pytest.raises(EngineError, match="is not hit by the gap map of 'c0'$"):
-        solve_factorisation(trace, f, model, sketch)
+        solve_factorisation(rho, f, model, sketch)
 
 
 def test_enumeration_finds_two_commuting_maps_on_an_ungenerated_core():
     sketch = binary_sketch()
-    trace, f = _ungenerated_trace(sketch)
+    rho, f = _ungenerated_unit(sketch)
     model = binary_model(sketch)
-    enum = enumerate_nat_trans(trace.core, model, cap=2**3 * 4**9)
+    enum = enumerate_nat_trans(rho.target, model, cap=2**3 * 4**9)
     assert (enum.status, enum.search_space) == ("ok", 2**3 * 4**9)
     found = [
         g for g in enum.transformations
-        if compose_nat(g, trace.rho).components == f.components
+        if compose_nat(g, rho).components == f.components
     ]
     # the two commuting maps differ only in where w goes
     assert [g.components["a"]["w"] for g in found] == ["u", "v"]
@@ -324,7 +292,7 @@ def test_generated_core_is_unique_without_enumeration(monkeypatch):
 
     monkeypatch.setattr(universal_mod, "enumerate_nat_trans", no_enumeration)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    assert check_uniqueness(trace, solve_factorisation(trace, f, model, sketch)) == 1024
+    assert check_uniqueness(solve_factorisation(trace.rho, f, model, sketch)) == 1024
 
 
 def test_certificate_needs_a_model_codomain():
@@ -335,7 +303,7 @@ def test_certificate_needs_a_model_codomain():
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, collapsed, {"a": {"u": "u", "v": "u"}, "p": {}})
     with pytest.raises(PreconditionError, match="not a model"):
-        check_uniqueness(trace, solve_factorisation(trace, f, collapsed, sketch))
+        check_uniqueness(solve_factorisation(trace.rho, f, collapsed, sketch))
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -365,9 +333,9 @@ def test_certificate_matches_one_commuting_transformation(name):
             ]
             closure = generated(trace.core, trace.rho, sketch)
             assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
-            result = solve_factorisation(trace, f, model, sketch)
+            result = solve_factorisation(trace.rho, f, model, sketch)
             assert [g.components for g in commuting] == [result.g.components], (seed, trace)
-            assert check_uniqueness(trace, result) == enum.search_space
+            assert check_uniqueness(result) == enum.search_space
             compared += 1
     assert compared >= 16
 
@@ -447,7 +415,7 @@ def test_factorisation_is_deterministic():
     for _ in range(2):
         trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
         f = nat(pres, model, f_components)
-        result = solve_factorisation(trace, f, model, sketch)
+        result = solve_factorisation(trace.rho, f, model, sketch)
         outputs.append(result.g.components)
     assert outputs[0] == outputs[1]
 
