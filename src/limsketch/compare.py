@@ -48,7 +48,8 @@ def replay(
     row of a cone, here and in the completion, lists its elements in the
     order of the cone's tuples, so the tuples are imaged once per cone
     and stage, a column at a time, and each image's place in the
-    completion's ``limits`` is looked up once and read by every row.
+    completion's ``limits`` is looked up once and read by every row; the
+    images are streamed, and only a refusal images them again, to name one.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
     current: Components = identity_nat(stages[0].quotient.target).components
@@ -73,19 +74,23 @@ def replay(
                         f"{tag_base(k)!r} maps to {sorted(clash)}"
                     )
             nxt[d] = {tag_base(k): value for k, value in out.items()}
-        # per cone, its imaged tuples and their places in the completion's limits
-        images: dict[str, tuple[list[tuple[str, ...]], list[int | None]]] = {}
+        # per cone, the places of its imaged tuples in the completion's limits
+        places: dict[str, list[int | None]] = {}
         for (cone, arrow), ids in stage.free_rows.items():
-            if cone not in images:
-                maps, tuples = position_maps[cone], stage.limits_prev[cone]
-                cols = [map(m.__getitem__, map(itemgetter(k), tuples)) for k, m in enumerate(maps)]
-                # a cone over the empty shape has no column and the one tuple ()
-                imaged = list(zip(*cols)) if maps else list(tuples)
-                images[cone] = imaged, list(map(step.position[cone].get, imaged))
-            d = arrows[arrow].cod
-            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, *images[cone])))
+            maps, tuples = position_maps[cone], stage.limits_prev[cone]
+            if cone not in places:
+                places[cone] = list(map(step.position[cone].get, _imaged(maps, tuples)))
+            d, again = arrows[arrow].cod, _imaged(maps, tuples)  # read only by a refusal
+            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, again, places[cone])))
         current = nxt
         yield current
+
+
+def _imaged(maps: list[dict[str, str]], tuples: tuple[tuple[str, ...], ...]) -> Iterator:
+    """The tuples with component k sent through ``maps[k]``, streamed a column at a time."""
+    cols = [map(m.__getitem__, map(itemgetter(k), tuples)) for k, m in enumerate(maps)]
+    # a cone over the empty shape has no column and the one tuple ()
+    return zip(*cols) if maps else iter(tuples)
 
 
 @dataclass

@@ -239,7 +239,7 @@ class FreeStep:
         carrier: dict[str, list[str]] = {d: [] for d in base.objects}
         for (_, t), row in self.rows.items():
             carrier[base.arrows[t].cod] += row
-        action = {a: {x: act[a][x] for x in carrier[arrow.dom]} for a, arrow in base.arrows.items()}
+        action = {a: {x: act[a][x] for x in carrier[r.dom]} for a, r in base.non_identities.items()}
         return SetPresentation(base, {d: tuple(sorted(xs)) for d, xs in carrier.items()}, action)
 
     @property
@@ -367,7 +367,7 @@ def _subpresentation(pres: SetPresentation, keep: dict[str, tuple[str, ...]]) ->
     carrier = {o: tuple(sorted(keep.get(o, ()))) for o in pres.base.objects}
     kept = {o: set(carrier[o]) for o in pres.base.objects}
     action: dict[str, dict[str, str]] = {}
-    for name, arrow in pres.base.arrows.items():
+    for name, arrow in pres.base.non_identities.items():
         mapping: dict[str, str] = {}
         for x in carrier[arrow.dom]:
             y = pres.action[name][x]

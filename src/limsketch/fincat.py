@@ -59,9 +59,10 @@ class FinCategory:
     ``composition`` maps ``(g, f)`` to ``g after f`` and must contain an
     entry for exactly the composable pairs (``cod(f) == dom(g)``),
     identities included.  Instances are treated as immutable after
-    construction: the hom sets and the identity arrows are indexed once,
-    in ``__post_init__``, so :meth:`hom` and :meth:`is_identity` are
-    lookups.
+    construction: the hom sets and the arrows other than identities are
+    indexed once, in ``__post_init__``, so :meth:`hom` and
+    :meth:`is_identity` are lookups; ``non_identities`` holds those arrows
+    by sorted name.
     """
 
     objects: tuple[str, ...]
@@ -72,19 +73,17 @@ class FinCategory:
     _homs: dict[tuple[str, str], tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
-    _identity_arrows: frozenset[str] = field(init=False, repr=False, compare=False)
+    non_identities: dict[str, Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         homs: dict[tuple[str, str], list[str]] = {}
-        for n in sorted(self.arrows):
-            ar = self.arrows[n]
+        self.non_identities = {}
+        for n, ar in sorted(self.arrows.items()):
             homs.setdefault((ar.dom, ar.cod), []).append(n)
+            # an identity is the arrow its object names, from that object to itself
+            if ar.dom != ar.cod or self.identities.get(ar.dom) != n:
+                self.non_identities[n] = ar
         self._homs = {k: tuple(v) for k, v in homs.items()}
-        self._identity_arrows = frozenset(
-            n
-            for o, n in self.identities.items()
-            if (a := self.arrows.get(n)) and a.dom == o == a.cod
-        )
 
     @classmethod
     def build(
@@ -143,11 +142,9 @@ class FinCategory:
 
     def is_identity(self, arrow_name: str) -> bool:
         """Whether ``arrow_name`` is its domain's identity; an unknown arrow raises."""
-        if arrow_name in self._identity_arrows:
-            return True
         if arrow_name not in self.arrows:
             raise InputError(f"unknown arrow {arrow_name!r}")
-        return False
+        return arrow_name not in self.non_identities
 
 
 def validate_category(category: FinCategory) -> ValidationReport:

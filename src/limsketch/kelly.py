@@ -29,6 +29,7 @@ the tuples as ``"limits"``.  R1 is the staged engine's rule (2), one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BudgetExceeded, EngineError, InputError
 from .fincat import report_text
@@ -84,13 +85,13 @@ class CompletionStep:
         return self.quotient.target
 
     def pair_classes(
-        self, obj: str, cone: str, arrow: str, tuples: list, places: list[int | None]
+        self, obj: str, cone: str, arrow: str, tuples: Iterable, places: list[int | None]
     ) -> list[str]:
         """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``.
 
-        ``places[j]`` is ``position[cone].get(tuples[j])``, looked up once
-        for every row of the cone.  A tuple without a place, or a pair the
-        projection lacks, raises :class:`EngineError` naming the first one.
+        ``places[j]`` is ``position[cone].get(tuples[j])``, once per cone.  A
+        tuple without a place, or a pair the projection lacks, raises
+        :class:`EngineError` naming the first: the only read of ``tuples``.
         """
         projection, row = self.quotient.projection[obj], self.rows[cone, arrow]
         try:

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -85,18 +85,52 @@ def limits_table(limits: Mapping[str, Sequence[tuple[str, ...]]]) -> dict[str, l
     return {cone: [witness_tail(w) for w in tuples] for cone, tuples in limits.items()}
 
 
+class ArrowActions(dict):
+    """Each arrow's action on the carriers; an identity's, when not stored, is built.
+
+    Indexing keeps what it builds; :meth:`get` and equality keep nothing.
+    """
+
+    def __init__(self, base: FinCategory, carrier: Mapping[str, tuple[str, ...]], action=()):
+        super().__init__(action)
+        self.base, self.carrier = base, carrier
+
+    def get(self, name: str, default=None):
+        act, arrow = dict.get(self, name), self.base.arrows.get(name)
+        if act is None and arrow is not None and self.base.is_identity(name):
+            act = {x: x for x in self.carrier.get(arrow.dom, ())}
+        return default if act is None else act
+
+    def __missing__(self, name: str) -> dict[str, str]:
+        if (act := self.get(name)) is None:
+            raise KeyError(name)
+        return self.setdefault(name, act)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, dict):
+            return NotImplemented
+        return all(self.get(n) == other.get(n) for n in self.keys() | other.keys())
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+
 @dataclass
 class SetPresentation:
     """A functor ``base -> Set`` given by explicit carriers and actions.
 
     ``carrier`` maps each object to a sorted tuple of element identifiers
     and ``action`` maps each arrow to a total function between the
-    corresponding carriers.
+    corresponding carriers.  The library stores non-identity actions only:
+    ``action`` is an :class:`ArrowActions`, which builds the rest on read.
     """
 
     base: FinCategory
     carrier: dict[str, tuple[str, ...]]
     action: dict[str, dict[str, str]]
+
+    def __post_init__(self) -> None:
+        self.action = ArrowActions(self.base, self.carrier, self.action)
 
     def size(self) -> dict[str, int]:
         return {o: len(self.carrier[o]) for o in self.base.objects}
@@ -107,7 +141,7 @@ def make_presentation(
     carrier: Mapping[str, Iterable[str]],
     action: Mapping[str, Mapping[str, str]],
 ) -> SetPresentation:
-    """Normalize carriers/actions, filling identity actions; a stray entry or moved point fails."""
+    """Normalize carriers/actions, checking identity actions; a stray entry or moved point fails."""
     carr = {o: tuple(sorted(set(carrier.get(o, ())))) for o in base.objects}
     act: dict[str, dict[str, str]] = {}
     for arrow_name, arrow in base.arrows.items():
@@ -126,15 +160,11 @@ def make_presentation(
             raise InputError(f"action of {arrow_name!r} defined on {x!r}, not in {arrow.dom!r}")
         if base.is_identity(arrow_name) and (moved := [x for x, y in given.items() if y != x]):
             raise InputError(f"identity action {arrow_name!r} moves {min(moved)!r}")
-    return SetPresentation(base, carr, act)
+    return SetPresentation(base, carr, {a: act[a] for a in base.non_identities})
 
 
 def empty_presentation(base: FinCategory) -> SetPresentation:
-    return SetPresentation(
-        base,
-        {o: () for o in base.objects},
-        {a: {} for a in base.arrows},
-    )
+    return SetPresentation(base, {o: () for o in base.objects}, {a: {} for a in base.non_identities})
 
 
 def terminal_presentation(base: FinCategory) -> SetPresentation:
@@ -142,7 +172,7 @@ def terminal_presentation(base: FinCategory) -> SetPresentation:
     return SetPresentation(
         base,
         {o: ("*",) for o in base.objects},
-        {a: {"*": "*"} for a in base.arrows},
+        {a: {"*": "*"} for a in base.non_identities},
     )
 
 
@@ -236,28 +266,19 @@ def naturality_break(
     the component at the source action's image of x.  The components must
     be total on the source carriers and land in the target carriers.
 
-    The components over each source carrier are mapped once per object,
-    from the component's values when its keys list the carrier in order
-    (as alpha's replay builds them), and every arrow out of the object
-    reads them.  Each square still applies the actual source and target
-    actions: an arrow whose source images list the codomain's carrier in
-    order, as an identity's do, takes the mapped carrier as its right side.
+    An identity whose action neither side stores is skipped: its square
+    holds by definition.  Each arrow's two sides are compared as streamed
+    maps, and a broken arrow is scanned again to name its first square.
     """
     base = source.base
-    over: dict[str, list[str]] = {}
-    for o in base.objects:
-        xs, comp = source.carrier[o], components[o]
-        over[o] = list(comp.values()) if tuple(comp) == xs else list(map(comp.__getitem__, xs))
     for name, arrow in sorted(base.arrows.items()):
-        xs = source.carrier[arrow.dom]
-        images = tuple(map(source.action[name].__getitem__, xs))
-        left = list(map(target.action[name].__getitem__, over[arrow.dom]))
-        if images == source.carrier[arrow.cod]:
-            right = over[arrow.cod]
-        else:
-            right = list(map(components[arrow.cod].__getitem__, images))
-        if left != right:
-            return next((name, x, u, v) for x, u, v in zip(xs, left, right) if u != v)
+        if base.is_identity(name) and name not in source.action and name not in target.action:
+            continue
+        xs, at, on = source.carrier[arrow.dom], components[arrow.dom], components[arrow.cod]
+        src, tgt = source.action[name], target.action[name]
+        left = map(tgt.__getitem__, map(at.__getitem__, xs))
+        if not all(map(eq, left, map(on.__getitem__, map(src.__getitem__, xs)))):
+            return next((name, x, u, v) for x in xs if (u := tgt[at[x]]) != (v := on[src[x]]))
     return None
 
 
@@ -349,11 +370,7 @@ class LimitJoin:
 
         Equal shapes share one join (:func:`_shape_join`).
         """
-        arrows = tuple(
-            (a.name, a.dom, a.cod)
-            for n, a in sorted(shape.arrows.items())
-            if not shape.is_identity(n)
-        )
+        arrows = tuple((a.name, a.dom, a.cod) for a in shape.non_identities.values())
         return _shape_join(tuple(sorted(shape.objects)), arrows)
 
     def run(
@@ -522,7 +539,7 @@ def functorial_quotient(
 
     Merged pairs are pushed through every arrow action until no merge
     fires (congruence closure); the target carrier at each object is the
-    set of classes, named by their least member.
+    set of classes, named by their least member.  Identities store no action.
 
     Each object has an inline union-find forest with an entry per
     non-root.  A find halves its path (``parent[x] = x = grandparent``
@@ -533,9 +550,8 @@ def functorial_quotient(
     parents: dict[str, dict[str, str]] = {o: {} for o in base.objects}
     # per object, the (codomain, action) of each non-identity arrow out of it
     pushes: dict[str, list[tuple[str, dict[str, str]]]] = {o: [] for o in base.objects}
-    for name, arrow in sorted(base.arrows.items()):
-        if not base.is_identity(name):
-            pushes[arrow.dom].append((arrow.cod, pres.action[name]))
+    for name, arrow in base.non_identities.items():
+        pushes[arrow.dom].append((arrow.cod, pres.action[name]))
 
     work: list[tuple[str, str, str]] = []
     for obj in sorted(pairs):
@@ -575,7 +591,7 @@ def functorial_quotient(
         projection[obj] = proj
         carrier[obj] = tuple(sorted(set(proj.values())))
     action: dict[str, dict[str, str]] = {}
-    for name, arrow in pres.base.arrows.items():
+    for name, arrow in base.non_identities.items():
         act = pres.action[name]
         action[name] = {rep: projection[arrow.cod][act[rep]] for rep in carrier[arrow.dom]}
     target = SetPresentation(base, carrier, action)
@@ -604,7 +620,7 @@ def disjoint_sum(
             sorted(list(inj_left[obj].values()) + list(inj_right[obj].values()))
         )
     action: dict[str, dict[str, str]] = {}
-    for name, arrow in base.arrows.items():
+    for name, arrow in base.non_identities.items():
         mapping: dict[str, str] = {}
         for x, tagged in inj_left[arrow.dom].items():
             mapping[tagged] = inj_left[arrow.cod][left.action[name][x]]
@@ -638,8 +654,8 @@ def witness_sum(
     those names for k = 0, 1, ... in order, so position k of every row of
     c lies over the k-th tuple of L_c, and an action maps the row of (c, t)
     onto the row of (c, a . t): rows, carriers and action values share one
-    string per element.  Each action lists the witnesses before ``left``'s
-    elements; readers go by the sorted carriers.
+    string per element.  Each non-identity arrow's action lists the
+    witnesses before ``left``'s elements; readers go by sorted carriers.
     """
     base = left.base
     counts = [(peak, len(tuples)) for _, peak, tuples in limits]
@@ -659,7 +675,7 @@ def witness_sum(
                 row = rows[cone, t] = [head + pos for pos in positions]
                 carrier[d] += row
     action: dict[str, dict[str, str]] = {}
-    for name, arrow in base.arrows.items():
+    for name, arrow in base.non_identities.items():
         mapping = action[name] = {}
         for (cone, t), row in rows.items():
             if base.arrows[t].cod == arrow.dom:
@@ -681,9 +697,7 @@ def presentation_to_json_dict(pres: SetPresentation, category: str | dict | None
     return {
         "category": cat,
         "carrier": encode_carriers(pres),
-        "action": {
-            a: pres.action[a] for a in sorted(pres.base.arrows) if not pres.base.is_identity(a)
-        },
+        "action": {a: pres.action[a] for a in pres.base.non_identities},
     }
 
 

@@ -83,9 +83,7 @@ def validate_cone(cone: Cone) -> ValidationReport:
             )
     for z in sorted(cone.legs.keys() - cone.shape.objects):
         report.add("leg-object", f"leg given at unknown shape object {z!r}")
-    for name, arrow in sorted(cone.shape.arrows.items()):
-        if cone.shape.is_identity(name):
-            continue
+    for name, arrow in cone.shape.non_identities.items():
         leg_src = cone.legs.get(arrow.dom)
         leg_tgt = cone.legs.get(arrow.cod)
         img = cone.diagram.arrow_map.get(name)
@@ -124,10 +122,10 @@ def check_presentation(pres: SetPresentation, sketch: LimitSketch) -> None:
 def restrict_along(pres: SetPresentation, cone: Cone) -> SetPresentation:
     """The composite ``pres . diagram`` as a presentation over the shape.
 
-    Its carriers and actions are shared with ``pres``, not copied.
+    It shares the carriers of ``pres`` and, for non-identity arrows only, its actions.
     """
     carrier = {z: pres.carrier[cone.diagram.on_object(z)] for z in cone.shape.objects}
-    action = {a: pres.action[cone.diagram.on_arrow(a)] for a in cone.shape.arrows}
+    action = {a: pres.action[cone.diagram.on_arrow(a)] for a in cone.shape.non_identities}
     return SetPresentation(cone.shape, carrier, action)
 
 

@@ -82,6 +82,8 @@ def factor_through_model(
     to be natural and to commute with rho before being handed back; a
     broken core or rho surfaces as an error, never as a silently wrong g.
     """
+    if f.source is not rho.source and f.source != rho.source:
+        raise PreconditionError(f"f.source {f.source.size()} is not rho.source {rho.source.size()}")
     core = rho.target
     # M is a model, so each gap map is a bijection onto its cone's limit
     inverses = {c.name: {t: x for x, t in gap_map(model, c).items()} for c in sketch.cones}
@@ -175,9 +177,7 @@ def enumerate_nat_trans(
     free = [node for node in nodes if node not in fixed]
     carriers = {(d, x): target.carrier[d] for d, x in free}
     edges: list[tuple[str, tuple[str, str], tuple[str, str]]] = []
-    for name, a in sorted(base.arrows.items()):
-        if base.is_identity(name):
-            continue
+    for name, a in base.non_identities.items():
         act = target.action[name]
         for x in source.carrier[a.dom]:
             u, v = (a.dom, x), (a.cod, source.action[name][x])
@@ -222,9 +222,8 @@ def reached(
     """
     base = core.base
     arrows: dict[str, list[tuple[str, str, dict[str, str]]]] = {d: [] for d in base.objects}
-    for name, a in sorted(base.arrows.items()):
-        if not base.is_identity(name):
-            arrows[a.dom].append((a.cod, name, core.action[name]))
+    for name, a in base.non_identities.items():
+        arrows[a.dom].append((a.cod, name, core.action[name]))
     # per object, its leg positions: (cone, peak, lacking counts, peak elements by leg image)
     positions: dict[str, list[tuple[str, str, dict[str, int], dict[str, list[str]]]]] = {
         d: [] for d in base.objects

@@ -92,6 +92,32 @@ def test_solver_rejects_non_model_codomain():
         solve_factorisation(trace.rho, f, pres, sketch)
 
 
+@pytest.mark.parametrize("engine", ["elim", "kelly"])
+def test_solver_refuses_f_from_another_source(engine):
+    # f = id_M leaves M, not X: the caller's mismatch, not an engine fault
+    sketch = binary_sketch()
+    pres, model = binary_fixture(sketch), binary_model(sketch)
+    if engine == "elim":
+        rho = reflect_elim(pres, sketch, mode=PRUNED).rho
+    else:
+        rho = reflect_kelly(pres, sketch).rho
+    f = nat(model, model, {o: {x: x for x in model.carrier[o]} for o in sketch.base.objects})
+    message = r"f.source \{'a': 2, 'p': 4\} is not rho.source \{'a': 2, 'p': 0\}"
+    with pytest.raises(PreconditionError, match=message):
+        solve_factorisation(rho, f, model, sketch)
+
+
+def test_solver_accepts_f_from_an_equal_copy_of_the_source():
+    sketch = iso_sketch()
+    pres, model = iso_fixture(sketch), iso_model(sketch)
+    trace = reflect_elim(pres, sketch, mode=PRUNED)
+    copy = iso_fixture(sketch)
+    assert copy is not pres and copy == pres
+    f = next(t for t in enumerate_nat_trans(copy, model).transformations)
+    result = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(result.g, trace.rho).components == f.components
+
+
 def test_solver_works_on_kelly_traces():
     sketch = sheaf_sketch()
     pres = sheaf_fixture(sketch)
