@@ -27,7 +27,7 @@ from .elim import FAITHFUL, ReflectionTrace, Stage, tag_base
 from .errors import EngineError, InputError, PreconditionError
 from .fincat import report_text
 from .kelly import CompletionStep, KellyTrace
-from .setops import NatTransSpec, compose_nat, identity_nat, naturality_break
+from .setops import NatTransSpec, compose_nat, identity_nat, naturality_break, witness_tail
 from .sketchlib import LimitSketch
 from .universal import Components, FactorisationResult, factor_through_model
 
@@ -43,13 +43,14 @@ def replay(
     p = unit_i . alpha_(i-1) at x.  Two x of one fibre with different
     images raise :class:`EngineError`.  The free part maps row by row
     (``free_rows`` over ``limits_prev``): the k-th id of a row over arrow
-    t maps to the class in the completion of the formal pair (t, k-th
-    image) (:meth:`~limsketch.kelly.CompletionStep.pair_classes`).  Every
-    row of a cone, here and in the completion, lists its elements in the
-    order of the cone's tuples, so the tuples are imaged once per cone
-    and stage, a column at a time, and each image's place in the
-    completion's ``limits`` is looked up once and read by every row; the
-    images are streamed, and only a refusal images them again, to name one.
+    t maps to the class, under the completion's projection, of the formal
+    pair (t, k-th image), the id at the image's place in the completion's
+    row over t.  Every row of a cone, here and in the completion, lists
+    its elements in the order of the cone's tuples, so the tuples are
+    imaged once per cone and stage, a column at a time, and each image's
+    place is looked up once, in a map built from the completion's
+    ``limits``, and read by every row.  An image without a place, or a
+    pair the projection lacks, raises :class:`EngineError` naming the first.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
     current: Components = identity_nat(stages[0].quotient.target).components
@@ -79,9 +80,19 @@ def replay(
         for (cone, arrow), ids in stage.free_rows.items():
             maps, tuples = position_maps[cone], stage.limits_prev[cone]
             if cone not in places:
-                places[cone] = list(map(step.position[cone].get, _imaged(maps, tuples)))
-            d, again = arrows[arrow].cod, _imaged(maps, tuples)  # read only by a refusal
-            nxt[d].update(zip(ids, step.pair_classes(d, cone, arrow, again, places[cone])))
+                at = {w: k for k, w in enumerate(step.limits[cone])}
+                places[cone] = list(map(at.get, _imaged(maps, tuples)))
+            d, row, place = arrows[arrow].cod, step.rows[cone, arrow], places[cone]
+            projection = step.quotient.projection[d]
+            try:
+                nxt[d].update(zip(ids, map(projection.__getitem__, map(row.__getitem__, place))))
+            except (KeyError, TypeError):
+                j = next(j for j, k in enumerate(place) if k is None or row[k] not in projection)
+                w = tuple(m[x] for m, x in zip(maps, tuples[j]))
+                raise EngineError(
+                    f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
+                    f"missing in the completion sum at {d!r}"
+                ) from None
         current = nxt
         yield current
 

@@ -39,9 +39,9 @@ the tuple it lies over.  The tuples themselves are the per-stage table,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .errors import BudgetExceeded, InputError, PreconditionError
-from .fincat import report_text
+from .errors import BudgetExceeded, InputError
 from .setops import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_STAGE_BUDGET,
@@ -49,6 +49,7 @@ from .setops import (
     LimitJoin,
     NatTransSpec,
     QuotientMap,
+    Reflection,
     SetPresentation,
     disjoint_sum,
     empty_presentation,
@@ -120,7 +121,7 @@ class Stage:
 
 
 @dataclass
-class ReflectionTrace:
+class ReflectionTrace(Reflection):
     """The full staged record of one reflection run."""
 
     mode: str
@@ -130,19 +131,7 @@ class ReflectionTrace:
     rho: NatTransSpec | None  # the unit X -> core, once converged
     core_kind: str | None = None  # "model-input" | "stable-core" | "base-fixpoint"
 
-    @property
-    def converged(self) -> bool:
-        return self.converged_at is not None
-
-    @property
-    def core(self) -> SetPresentation | None:
-        return None if self.rho is None else self.rho.target
-
-    @property
-    def verdict(self) -> str:
-        return "converged" if self.converged else "budget-exhausted"
-
-    def to_json_dict(self) -> dict:
+    def engine_fields(self) -> dict:
         stages, objects, cut = [], self.sketch.base.objects, len(FREE_TAG) + 1
         for st in self.stages:
             r1, r2 = st.pair_counts()
@@ -158,19 +147,7 @@ class ReflectionTrace:
                     "rule2": r2,
                 }
             )
-        return {
-            "engine": "elim",
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "converged_at": self.converged_at,
-            "core_kind": self.core_kind,
-            "stages": stages,
-            "core": None if self.core is None else encode_carriers(self.core),
-            "rho": None if self.rho is None else self.rho.components,
-        }
-
-    def dumps(self) -> str:
-        return report_text(self.to_json_dict())
+        return {"engine": "elim", "mode": self.mode, "core_kind": self.core_kind, "stages": stages}
 
 
 def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
@@ -234,13 +211,11 @@ class FreeStep:
 
     @property
     def free(self) -> SetPresentation:
-        """The free part, tagged ``E:``: ``total`` restricted to the rows; built on each read."""
-        base, act = self.total.base, self.total.action
-        carrier: dict[str, list[str]] = {d: [] for d in base.objects}
+        """The free part, tagged ``E:``: :func:`_subpresentation` of ``total`` on the rows."""
+        keep: dict[str, list[str]] = {}
         for (_, t), row in self.rows.items():
-            carrier[base.arrows[t].cod] += row
-        action = {a: {x: act[a][x] for x in carrier[r.dom]} for a, r in base.non_identities.items()}
-        return SetPresentation(base, {d: tuple(sorted(xs)) for d, xs in carrier.items()}, action)
+            keep.setdefault(self.total.base.arrows[t].cod, []).extend(row)
+        return _subpresentation(self.total, keep)
 
     @property
     def kan_unit_raw(self) -> dict[str, dict[tuple[str, ...], str]]:
@@ -363,21 +338,18 @@ def elim_stage(
     )
 
 
-def _subpresentation(pres: SetPresentation, keep: dict[str, tuple[str, ...]]) -> SetPresentation:
-    carrier = {o: tuple(sorted(keep.get(o, ()))) for o in pres.base.objects}
-    kept = {o: set(carrier[o]) for o in pres.base.objects}
-    action: dict[str, dict[str, str]] = {}
-    for name, arrow in pres.base.non_identities.items():
-        mapping: dict[str, str] = {}
-        for x in carrier[arrow.dom]:
-            y = pres.action[name][x]
-            if y not in kept[arrow.cod]:
-                raise PreconditionError(
-                    f"subfunctor not closed: {name!r} sends {x!r} outside"
-                )
-            mapping[x] = y
-        action[name] = mapping
-    return SetPresentation(pres.base, carrier, action)
+def _subpresentation(pres: SetPresentation, keep: dict[str, Sequence[str]]) -> SetPresentation:
+    """``pres`` on the elements ``keep`` lists per object, which every action keeps inside.
+
+    Both callers pass such a subfunctor: the stable core is the classes
+    that hold a ``B:`` element, the image of the previous base, and the
+    free part is the witness rows; the sum's left injection and its rows
+    are each closed under every action.
+    """
+    base, act = pres.base, pres.action
+    carrier = {o: tuple(sorted(keep.get(o, ()))) for o in base.objects}
+    action = {a: {x: act[a][x] for x in carrier[r.dom]} for a, r in base.non_identities.items()}
+    return SetPresentation(base, carrier, action)
 
 
 def _core_class_ids(stage: Stage) -> dict[str, tuple[str, ...]]:

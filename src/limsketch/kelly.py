@@ -29,16 +29,15 @@ the tuples as ``"limits"``.  R1 is the staged engine's rule (2), one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import BudgetExceeded, EngineError, InputError
-from .fincat import report_text
+from .errors import BudgetExceeded, InputError
 from .setops import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_STAGE_BUDGET,
     DEFAULT_TUPLE_BUDGET,
     NatTransSpec,
     QuotientMap,
+    Reflection,
     SetPresentation,
     compose_nat,
     encode_carriers,
@@ -46,7 +45,6 @@ from .setops import (
     identity_nat,
     limits_table,
     witness_sum,
-    witness_tail,
 )
 from .sketchlib import (
     LimitSketch,
@@ -68,41 +66,19 @@ class CompletionStep:
     ``limits[c]`` lists the limit tuples of the presentation at cone c, and
     ``rows[c, t]`` the ids in the sum of the formal pairs (t, w) over them,
     in order, for each arrow t out of the peak of c: these are the only
-    record of the pairs.  ``position[c]`` sends each tuple of ``limits[c]``
-    to its place in the rows of c.
+    record of the pairs, and the pair over the k-th tuple is the k-th id.
     """
 
     unit: NatTransSpec
     quotient: QuotientMap
     limits: dict[str, tuple[tuple[str, ...], ...]]
     rows: dict[tuple[str, str], list[str]]
-    position: dict[str, dict[tuple[str, ...], int]]
     r0: dict[str, tuple[tuple[str, str], ...]]
     r1: dict[str, tuple[tuple[str, str], ...]]
 
     @property
     def obj(self) -> SetPresentation:
         return self.quotient.target
-
-    def pair_classes(
-        self, obj: str, cone: str, arrow: str, tuples: Iterable, places: list[int | None]
-    ) -> list[str]:
-        """The classes at ``obj`` of the formal pairs (``arrow``, w) of ``cone``, w in ``tuples``.
-
-        ``places[j]`` is ``position[cone].get(tuples[j])``, once per cone.  A
-        tuple without a place, or a pair the projection lacks, raises
-        :class:`EngineError` naming the first: the only read of ``tuples``.
-        """
-        projection, row = self.quotient.projection[obj], self.rows[cone, arrow]
-        try:
-            return list(map(projection.__getitem__, map(row.__getitem__, places)))
-        except (KeyError, TypeError):
-            position = self.position[cone]
-            w = next(w for w in tuples if w not in position or row[position[w]] not in projection)
-            raise EngineError(
-                f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
-                f"missing in the completion sum at {obj!r}"
-            ) from None
 
     def r_counts(self) -> tuple[int, int]:
         return (
@@ -128,13 +104,13 @@ def kelly_P(
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     tags = (SUM_BASE_TAG, SUM_PAIR_TAG)
     sum_pres, inj, rows = witness_sum("completion sum", pres, "K", summands, tags, max_elements)
-    position = {c: {w: k for k, w in enumerate(tuples)} for c, tuples in limits.items()}
 
     r0: dict[str, set[tuple[str, str]]] = {d: set() for d in base.objects}
     for cone in sketch.cones:
-        at, into = position[cone.name], inj[cone.peak]
-        row = rows[cone.name, base.identities[cone.peak]]
-        r0[cone.peak].update((row[at[image]], into[a]) for a, image in gap_map(pres, cone).items())
+        # each tuple sent to its pair at the identity of the peak
+        pair = dict(zip(limits[cone.name], rows[cone.name, base.identities[cone.peak]]))
+        into = inj[cone.peak]
+        r0[cone.peak].update((pair[image], into[a]) for a, image in gap_map(pres, cone).items())
     r1 = rectification_pairs(sketch, limits, rows, inj)
     quotient = functorial_quotient(
         sum_pres, {d: sorted(r0[d].union(r1.get(d, ()))) for d in base.objects}
@@ -143,43 +119,24 @@ def kelly_P(
         d: {x: quotient.projection[d][tx] for x, tx in inj[d].items()} for d in base.objects
     }
     unit = NatTransSpec(pres, quotient.target, unit_components)
-    return CompletionStep(
-        unit,
-        quotient,
-        limits,
-        rows,
-        position,
-        {d: tuple(sorted(r0[d])) for d in base.objects if r0[d]},
-        r1,
-    )
+    r0_pairs = {d: tuple(sorted(r0[d])) for d in base.objects if r0[d]}
+    return CompletionStep(unit, quotient, limits, rows, r0_pairs, r1)
 
 
 @dataclass
-class KellyTrace:
+class KellyTrace(Reflection):
     sketch: LimitSketch
     start: SetPresentation
     stages: list[CompletionStep]  # stage n at ``stages[n - 1]``
     converged_at: int | None
     rho: NatTransSpec | None  # the unit X -> core, once converged
 
-    @property
-    def converged(self) -> bool:
-        return self.converged_at is not None
-
-    @property
-    def core(self) -> SetPresentation | None:
-        return None if self.rho is None else self.rho.target
-
-    @property
-    def verdict(self) -> str:
-        return "converged" if self.converged else "budget-exhausted"
-
     def object_at(self, index: int) -> SetPresentation:
         if index == 0:
             return self.start
         return self.stages[index - 1].obj
 
-    def to_json_dict(self) -> dict:
+    def engine_fields(self) -> dict:
         stages = []
         for n, step in enumerate(self.stages, 1):
             r0, r1 = step.r_counts()
@@ -193,17 +150,7 @@ class KellyTrace:
                     "r1": r1,
                 }
             )
-        return {
-            "engine": "kelly",
-            "verdict": self.verdict,
-            "converged_at": self.converged_at,
-            "stages": stages,
-            "core": None if self.core is None else encode_carriers(self.core),
-            "rho": None if self.rho is None else self.rho.components,
-        }
-
-    def dumps(self) -> str:
-        return report_text(self.to_json_dict())
+        return {"engine": "kelly", "stages": stages}
 
 
 def reflect_kelly(

@@ -195,8 +195,9 @@ def validate_presentation(pres: SetPresentation) -> ValidationReport:
                 report.add("action-partial", f"{name!r} undefined on {x!r}")
             elif act[x] not in cod:
                 report.add("action-range", f"{name!r} sends {x!r} outside the carrier")
+        members = set(dom)
         for x in act:
-            if x not in dom:
+            if x not in members:
                 report.add("action-domain", f"{name!r} defined on foreign {x!r}")
     for obj in base.objects:
         ident = base.identities[obj]
@@ -252,6 +253,44 @@ class NatTransSpec:
             name, x, left, right = square
             report.add("naturality", f"arrow {name!r} on {x!r}: {left!r} != {right!r}")
         return report
+
+
+class Reflection:
+    """What a run's unit rho: X -> core decides, shared by both engines' traces.
+
+    A trace sets ``converged_at`` (None until a model appears) and ``rho``
+    (None until converged) and adds its own report keys in :meth:`engine_fields`.
+    """
+
+    converged_at: int | None
+    rho: NatTransSpec | None
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_at is not None
+
+    @property
+    def core(self) -> SetPresentation | None:
+        return None if self.rho is None else self.rho.target
+
+    @property
+    def verdict(self) -> str:
+        return "converged" if self.converged else "budget-exhausted"
+
+    def engine_fields(self) -> dict:
+        raise NotImplementedError
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self.engine_fields(),
+            "verdict": self.verdict,
+            "converged_at": self.converged_at,
+            "core": None if self.core is None else encode_carriers(self.core),
+            "rho": None if self.rho is None else self.rho.components,
+        }
+
+    def dumps(self) -> str:
+        return report_text(self.to_json_dict())
 
 
 def naturality_break(

@@ -153,12 +153,6 @@ def enumerate_nat_trans(
     come in the product order of the nodes' carriers, the order in which
     a candidate-by-candidate search finds them.
 
-    A node whose target carrier is one element takes that value and stays
-    out of the join: an edge into it always holds (``target``'s actions
-    stay in its carriers), and an edge out of it fixes the value at its
-    other end.  The join's rows are thus as wide as
-    the nodes with a choice, at most log2 of the search space.
-
     The candidate space is the product over objects of all component
     functions, computed in closed form; above ``cap`` candidates the
     enumeration refuses and reports that size instead of guessing.  An
@@ -173,28 +167,19 @@ def enumerate_nat_trans(
         return EnumerationResult("ok", [], space)
     base = source.base
     nodes = [(d, x) for d in base.objects for x in source.carrier[d]]
-    fixed = {(d, x): target.carrier[d][0] for d, x in nodes if len(target.carrier[d]) == 1}
-    free = [node for node in nodes if node not in fixed]
-    carriers = {(d, x): target.carrier[d] for d, x in free}
-    edges: list[tuple[str, tuple[str, str], tuple[str, str]]] = []
-    for name, a in base.non_identities.items():
-        act = target.action[name]
-        for x in source.carrier[a.dom]:
-            u, v = (a.dom, x), (a.cod, source.action[name][x])
-            if v in fixed:
-                continue
-            if u in fixed:
-                carriers[v] = tuple(y for y in carriers[v] if y == act[fixed[u]])
-            else:
-                edges.append((name, u, v))
+    carriers = {(d, x): target.carrier[d] for d, x in nodes}
+    edges = [
+        (name, (a.dom, x), (a.cod, source.action[name][x]))
+        for name, a in base.non_identities.items()
+        for x in source.carrier[a.dom]
+    ]
     # no step holds more rows than the space, which the cap already bounds
-    tuples, _ = LimitJoin(free, edges).run(target.action, carriers, max_tuples=None)
+    tuples, _ = LimitJoin(nodes, edges).run(target.action, carriers, max_tuples=None)
     found: list[NatTransSpec] = []
     for t in tuples:
-        value = {**fixed, **dict(zip(free, t))}
         components: Components = {d: {} for d in base.objects}
-        for d, x in nodes:
-            components[d][x] = value[d, x]
+        for (d, x), y in zip(nodes, t):
+            components[d][x] = y
         found.append(NatTransSpec(source, target, components))
     return EnumerationResult("ok", found, space)
 

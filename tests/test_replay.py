@@ -140,9 +140,8 @@ def drop_limit_tuple(elim_trace, kelly_trace) -> tuple[str, str, tuple[str, ...]
     tuples = step.limits[cone]
     k = tuples.index(w)
     stand_in = ("?",) * len(w)
+    # compare builds its tuple-to-place map from ``limits``: the only record to edit
     step.limits[cone] = (*tuples[:k], stand_in, *tuples[k + 1 :])
-    del step.position[cone][w]
-    step.position[cone][stand_in] = k
     return cone, arrow, w
 
 

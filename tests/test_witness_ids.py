@@ -152,10 +152,12 @@ def test_report_limits_table_round_trips(label, sketch, pres):
             for step, entry in zip(trace.stages, report["stages"], strict=True):
                 table = {c: [decode_tail(r) for r in rows] for c, rows in entry["limits"].items()}
                 assert table == {c: list(ts) for c, ts in step.limits.items()}
+                # each tuple's place in the table, as ``compare`` builds it
+                place = {c: {w: k for k, w in enumerate(ts)} for c, ts in table.items()}
                 for (cone, t), row in step.rows.items():
-                    for wid in row:
+                    for j, wid in enumerate(row):
                         _, _, k = decode_id("K", wid[len(kelly.SUM_PAIR_TAG) + 1 :])
-                        assert step.position[cone][table[cone][k]] == k
+                        assert place[cone][table[cone][k]] == k == j
                 # a class named by a formal pair names its tuple through the table
                 for xs in entry["carrier"].values():
                     for x in xs:
