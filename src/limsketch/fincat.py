@@ -300,6 +300,20 @@ _LEAF_BATCH = 4096  # list items or map entries per written chunk: about 1.3 MB 
 _PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')  # what JSON writes unescaped
 
 
+class SortedMap:
+    """A string map given as its keys, in sorted order, and their values, position by position.
+
+    A report writes it byte for byte as the dict it lists, with no dict
+    built.  It is neither a dict, a list nor a tuple, so ``json.dumps``
+    refuses it rather than encode something else.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: Sequence[str], values: Sequence[str]) -> None:
+        self.keys, self.values = keys, values
+
+
 def _report_chunks(value: object, indent: str = "") -> Iterator[str]:
     """``value`` as ``_REPORT_ENCODER`` encodes it, each string map or string list in batches.
 
@@ -307,11 +321,14 @@ def _report_chunks(value: object, indent: str = "") -> Iterator[str]:
     ``"`` and ``\\``.  A plain string is written as itself in quotes, all
     that escaping would do; any other batch is escaped string by string.
     Dict keys must be strings: any other key raises ``TypeError``.  A map
-    whose keys already come in sorted order, as alpha's components, ``p``,
-    ``rho`` and ``unit`` do, is read by its values, not key by key.
+    whose keys already come in sorted order, as ``p``, ``rho`` and
+    ``unit`` do, is read by its values, not key by key; a
+    :class:`SortedMap`, as alpha's components are, is read as it is given.
     """
-    if isinstance(value, dict):
-        keys: Sequence[str] = sorted(value)
+    if isinstance(value, SortedMap):
+        keys, values, ends = value.keys, value.values, "{}"
+    elif isinstance(value, dict):
+        keys = sorted(value)
         values = list(value.values()) if keys == list(value) else [value[k] for k in keys]
         ends = "{}"
     elif isinstance(value, (list, tuple)):

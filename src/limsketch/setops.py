@@ -177,13 +177,20 @@ def terminal_presentation(base: FinCategory) -> SetPresentation:
 
 
 def validate_presentation(pres: SetPresentation) -> ValidationReport:
-    """Check totality, identity actions and composition of actions."""
+    """Check totality, identity actions and composition of actions.
+
+    An identity whose action is not stored is x |-> x by definition: it
+    passes every check, so it is skipped rather than built.
+    """
     report = ValidationReport()
     base = pres.base
+    built = {base.identities[o] for o in base.objects} - pres.action.keys()
     for obj in base.objects:
         if obj not in pres.carrier:
             report.add("carrier-missing", f"no carrier for {obj!r}")
     for name, arrow in sorted(base.arrows.items()):
+        if name in built:
+            continue
         act = pres.action.get(name)
         if act is None:
             report.add("action-missing", f"no action for arrow {name!r}")
@@ -201,11 +208,15 @@ def validate_presentation(pres: SetPresentation) -> ValidationReport:
                 report.add("action-domain", f"{name!r} defined on foreign {x!r}")
     for obj in base.objects:
         ident = base.identities[obj]
+        if ident in built:
+            continue
         act = pres.action.get(ident, {})
         for x in pres.carrier.get(obj, ()):
             if act.get(x) != x:
                 report.add("identity-action", f"id action moves {x!r} at {obj!r}")
     for (g, f), gf in sorted(base.composition.items()):
+        if g in built or f in built:
+            continue
         fa = pres.action.get(f, {})
         ga = pres.action.get(g, {})
         gfa = pres.action.get(gf, {})

@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from limsketch import cli, sketchlib
 from limsketch.compare import (
+    _squares_hold,
     build_alpha,
     comparison_to_json_dict,
     reflector_iso_check,
 )
 from limsketch.elim import BASE_TAG, FAITHFUL, PRUNED, reflect_elim
-from limsketch.errors import PreconditionError
+from limsketch.errors import BudgetExceeded, EngineError, PreconditionError
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import naturality_break
+from limsketch.setops import make_presentation, naturality_break
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -28,6 +31,7 @@ from tests.fixtures import (
     sheaf_sketch,
 )
 from tests.oracles import commutation_breaks
+from tests.test_adjunction import CAPS, draws
 
 
 def _aligned_traces(pres, sketch, budget=3):
@@ -217,3 +221,136 @@ def test_compare_peak_memory_on_the_last_faithful_stage(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == "alpha squares: pass\nreflector isomorphism: verified\n"
     assert peak <= 21 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# -- the row decision against naturality_break ------------------------------------
+
+
+def _corruptions(rng: random.Random, pres, count: int):
+    """Up to ``count`` entries (arrow, x) of non-identity actions of ``pres``, with a new value."""
+    base = pres.base
+    entries = [(a, x) for a, r in base.non_identities.items() for x in pres.carrier[r.dom]]
+    for name, x in rng.sample(entries, min(count, len(entries))):
+        y = rng.choice(pres.carrier[base.arrows[name].cod])
+        if y != pres.action[name][x]:
+            yield name, x, y
+
+
+def assert_row_decision_agrees(faithful, stages, sketch, rng, count: int = 8) -> Counter:
+    """At every stage, the row decision against ``naturality_break`` on the components.
+
+    Uncorrupted, both find every square holding.  Then one action entry of
+    the faithful total (the source) or of the completion (the target) is
+    changed at a time.  The decision never holds where a square breaks; it
+    fails where every square holds only when a source entry leaves the
+    layout it tests: a row element sent anywhere, or a base element sent
+    out of the base.  Counts the corruptions by what the check found.
+    """
+    alpha = build_alpha(faithful, stages, sketch)
+    assert alpha.ok
+    found: Counter = Counter()
+    for alpha_stage, stage in zip(alpha.stages, faithful.stages):
+        target, components = stages.object_at(stage.index), alpha_stage.components
+        assert _squares_hold(stage, target, alpha_stage.values)
+        assert naturality_break(stage.total, target, components) is None
+        classes = stage.quotient.target.carrier
+        in_base = {d: set(stage.total.carrier[d][: len(c)]) for d, c in classes.items()}
+        for side in (stage.total, target):
+            for name, x, y in _corruptions(rng, side, count):
+                act = side.action[name]
+                kept, act[x] = act[x], y
+                try:
+                    square = naturality_break(stage.total, target, components)
+                    held = _squares_hold(stage, target, alpha_stage.values)
+                finally:
+                    act[x] = kept
+                arrow = sketch.base.arrows[name]
+                off_layout = x not in in_base[arrow.dom] or y not in in_base[arrow.cod]
+                if side is stage.total and off_layout:
+                    assert held is False, (name, x, y)
+                else:
+                    assert held == (square is None), (name, x, y)
+                found["breaks" if square else "holds"] += 1
+    return found
+
+
+def _product(n: int):
+    """binary_product with |a| = n and an empty peak."""
+    sketch = binary_sketch()
+    carrier = {"a": [f"x{i}" for i in range(n)], "p": []}
+    return sketch, make_presentation(sketch.base, carrier, {"pi1": {}, "pi2": {}})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (iso_sketch(), iso_fixture()),
+        lambda: (binary_sketch(), binary_fixture()),
+        lambda: (binary_sketch(), binary_collapsed_fixture()),
+        lambda: (sheaf_sketch(), sheaf_fixture()),
+        lambda: _product(1),
+        lambda: _product(2),
+    ],
+    ids=["iso", "binary", "binary-collapsed", "sheaf", "product-1", "product-2"],
+)
+def test_row_decision_agrees_with_naturality_break_on_fixtures(case):
+    sketch, pres = case()
+    faithful, stages = _aligned_traces(pres, sketch)
+    found = assert_row_decision_agrees(faithful, stages, sketch, random.Random("rows"))
+    assert sum(found.values()) >= 2
+
+
+def test_row_decision_agrees_with_naturality_break_on_random_draws():
+    """The draws of ``tests.test_adjunction``: faithful ``elim`` against ``kelly`` past convergence."""
+    compared, found = 0, Counter()
+    for seed, sketch, (pres,) in draws("rows"):
+        try:
+            faithful = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL, **CAPS)
+            depth = len(faithful.stages) - 1
+            stages = reflect_kelly(pres, sketch, budget=depth, stop_on_convergence=False, **CAPS)
+        except BudgetExceeded:
+            continue
+        found += assert_row_decision_agrees(faithful, stages, sketch, random.Random(seed))
+        compared += 1
+    assert compared >= 50 and found["breaks"] >= 150 and found["holds"] >= 100, (compared, found)
+
+
+def test_a_corrupted_source_row_gets_the_witness_of_naturality_break():
+    """A free element of the faithful total sent astray at pi1, where its square breaks."""
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    faithful = reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
+    stages = reflect_kelly(pres, sketch, budget=1, stop_on_convergence=False)
+    before = build_alpha(faithful, stages, sketch)
+    stage, target = faithful.stages[1], stages.object_at(1)
+    alpha_1 = before.stages[1].components
+    x = stage.free_rows["c0", "id_p"][-1]
+    action = stage.total.action["pi1"]
+    image = alpha_1["a"][action[x]]
+    action[x] = next(y for y in stage.total.carrier["a"] if alpha_1["a"][y] != image)
+    square = naturality_break(stage.total, target, alpha_1)
+    assert square is not None and square[:2] == ("pi1", x)
+    alpha = build_alpha(faithful, stages, sketch)
+    witness = f"naturality breaks at arrow 'pi1' on {x!r}"
+    assert [s.witness for s in alpha.stages] == [None, witness]
+    assert not alpha.ok
+
+
+def _extra_carrier_element(stage) -> None:
+    stage.total.carrier["a"] = tuple(sorted((*stage.total.carrier["a"], "E:zz")))
+
+
+def _row_without_its_last_id(stage) -> None:
+    stage.free_rows["c0", "pi1"].pop()
+
+
+@pytest.mark.parametrize("corrupt", [_extra_carrier_element, _row_without_its_last_id])
+def test_replay_refuses_a_total_that_breaks_the_alpha_layout(corrupt):
+    sketch = binary_sketch()
+    pres = binary_fixture(sketch)
+    faithful = reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
+    stages = reflect_kelly(pres, sketch, budget=1, stop_on_convergence=False)
+    corrupt(faithful.stages[1])
+    message = "alpha layout breaks at replay step 1 object 'a': the base block and the rows"
+    with pytest.raises(EngineError, match=message):
+        build_alpha(faithful, stages, sketch)

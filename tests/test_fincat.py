@@ -241,6 +241,34 @@ def test_leaves_longer_than_two_batches_escape_one_odd_string(batch, odd):
     )
 
 
+@pytest.mark.parametrize("batch", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "odd", ['q"uote', "back\\slash", "ctl\x01", "del\x7f", "\u00e9t\u00e9", "lone\ud800"]
+)
+def test_sorted_map_writes_the_dict_it_lists(batch, odd):
+    """A sorted map writes the bytes of its dict in the same batches, odd strings escaped."""
+    n = 2 * fincat._LEAF_BATCH + 7
+    at = {"first": 3, "middle": fincat._LEAF_BATCH + 3, "last": n - 1}[batch]
+    values = [f"B:E:c0|pi1|(a:x{i},a:y{i})" for i in range(n)]
+    keys = list(values)
+    values[at] = odd + values[at]
+    keys[at] = odd + keys[at]
+    keys.sort()
+    as_dict = dict(zip(keys, values))
+    by_map, by_dict = Writes(), Writes()
+    write_report({"m": fincat.SortedMap(tuple(keys), values), "n": 1}, by_map)
+    write_report({"m": as_dict, "n": 1}, by_dict)
+    assert len(by_map) == len(by_dict) and all(map(str.__eq__, by_map, by_dict))
+    assert "".join(by_map) == JSON_REPORT.encode({"m": as_dict, "n": 1}) + "\n"
+
+
+def test_sorted_map_is_no_json_value():
+    """``json`` refuses a sorted map instead of encoding it as a list; empty, it writes ``{}``."""
+    with pytest.raises(TypeError):
+        json.dumps({"m": fincat.SortedMap(("k",), ["v"])})
+    assert report_text({"m": fincat.SortedMap((), [])}) == JSON_REPORT.encode({"m": {}}) + "\n"
+
+
 def test_long_leaves_are_written_a_batch_at_a_time():
     n = 3 * fincat._LEAF_BATCH
     payload = {"map": {f"k{i:05}": "v" for i in range(n)}, "list": ["x"] * n}

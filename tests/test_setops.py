@@ -7,7 +7,9 @@ import pytest
 
 from limsketch.errors import BudgetExceeded, InputError
 from limsketch.fincat import FinCategory
+from limsketch.elim import FAITHFUL, reflect_elim
 from limsketch.setops import (
+    ArrowActions,
     LimitJoin,
     NatTransSpec,
     SetPresentation,
@@ -30,6 +32,7 @@ from limsketch.sketchlib import (
     sketch_two_cover_sheaf,
 )
 
+from tests.fixtures import binary_fixture, sheaf_fixture
 from tests.oracles import (
     brute_limit,
     dsu_partition,
@@ -431,6 +434,34 @@ def test_validation_names_foreign_action_entries_in_action_order():
         "action-domain: 't' defined on foreign 'z2'",
         "action-domain: 't' defined on foreign 'z1'",
     ]
+
+
+def test_validation_builds_no_identity_action(monkeypatch):
+    """An identity the presentation does not store is x |-> x: validation skips it, unbuilt."""
+    sketches = (sketch_binary_product(), sketch_two_cover_sheaf())
+    presentations = [binary_fixture(sketches[0]), sheaf_fixture(sketches[1])]
+    for sketch, pres in zip(sketches, list(presentations)):
+        trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
+        presentations += [stage.total for stage in trace.stages]
+    built, real = [], ArrowActions.get
+
+    def spy(self, name, default=None):
+        if name not in self and self.base.is_identity(name):
+            built.append(name)
+        return real(self, name, default)
+
+    monkeypatch.setattr(ArrowActions, "get", spy)
+    assert all(validate_presentation(pres).ok for pres in presentations)
+    assert len(presentations) == 8 and built == []
+
+
+def test_validation_checks_a_stored_identity():
+    carrier = {"a": ("x1", "x2"), "b": ("y1",)}
+    moved = {"t": {"x1": "y1", "x2": "y1"}, "id_a": {"x1": "x2", "x2": "x2"}}
+    report = validate_presentation(SetPresentation(iso_base(), carrier, moved))
+    assert [str(v) for v in report.violations] == ["identity-action: id action moves 'x1' at 'a'"]
+    fixed = {"t": {"x1": "y1", "x2": "y1"}, "id_a": {"x1": "x1", "x2": "x2"}}
+    assert validate_presentation(SetPresentation(iso_base(), carrier, fixed)).ok
 
 
 def test_terminal_presentation_validates():
