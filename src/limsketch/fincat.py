@@ -341,14 +341,17 @@ def _report_chunks(value: object, indent: str = "") -> Iterator[str]:
         return
     inner, esc = indent + "  ", encode_basestring_ascii
     lead, sep = ends[0] + "\n" + inner, ",\n" + inner
-    if all(isinstance(v, str) for v in values):
+    if all(map(isinstance, values, itertools.repeat(str))):
         for at in range(0, len(values), _LEAF_BATCH):
             ks, vs = keys[at : at + _LEAF_BATCH], values[at : at + _LEAF_BATCH]
             text = "".join(itertools.chain(ks, vs))
-            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
-                lines = [f'"{k}": "{v}"' for k, v in zip(ks, vs)] if ks else [f'"{v}"' for v in vs]
-            else:
+            if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
                 lines = [f"{esc(k)}: {esc(v)}" for k, v in zip(ks, vs)] if ks else list(map(esc, vs))
+            elif ks:
+                lines = [f'"{k}": "{v}"' for k, v in zip(ks, vs)]
+            else:
+                # a plain list batch is one join, its quotes inside the separator
+                lines = ['"' + ('"' + sep + '"').join(vs) + '"']
             yield lead + sep.join(lines)
             lead = sep
     else:

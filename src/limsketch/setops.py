@@ -177,7 +177,7 @@ def terminal_presentation(base: FinCategory) -> SetPresentation:
 
 
 def validate_presentation(pres: SetPresentation) -> ValidationReport:
-    """Check totality, identity actions and composition of actions.
+    """Check totality, identity actions and composition of actions, then stray keys.
 
     An identity whose action is not stored is x |-> x by definition: it
     passes every check, so it is skipped rather than built.
@@ -229,6 +229,10 @@ def validate_presentation(pres: SetPresentation) -> ValidationReport:
                     f"action({gf!r})({x!r}) = {direct!r} but "
                     f"action({g!r})(action({f!r})({x!r})) = {via!r}",
                 )
+    for obj in sorted(pres.carrier.keys() - base.objects):
+        report.add("carrier-object", f"carrier at unknown object {obj!r}")
+    for name in sorted(pres.action.keys() - base.arrows.keys()):
+        report.add("action-arrow", f"action of unknown arrow {name!r}")
     return report
 
 
@@ -358,10 +362,10 @@ def limit_of_diagram(
 ) -> tuple[tuple[str, ...], ...]:
     """Enumerate the limit of ``diag`` as compatible tuples.
 
-    Tuple components follow ``sorted(shape.objects)`` and tuples come in
-    the product order of the carriers as stored.  A tuple is kept when
-    every shape arrow carries its source component to its target
-    component.
+    Tuple components follow ``sorted(shape.objects)``, and the tuples
+    come sorted, which over sorted carriers is their product order.  A
+    tuple is kept when every shape arrow carries its source component to
+    its target component.
 
     The tuples are found by a join that binds one shape object at a time
     (see :func:`_join_plan`), so the work follows the fibers walked, not
@@ -380,21 +384,19 @@ class LimitJoin:
     The graph has ordered ``nodes`` and ``edges`` (key, dom, cod).  A run
     gives each node a carrier and each edge key a function, and returns
     every tuple (one component per node, in ``nodes`` order) whose dom
-    component each edge's function sends to its cod component, in the
-    product order of the carriers.  Edges are told apart by position, so
-    several may share one key.  A cone's limit is the join over its
-    shape's non-identity arrows (:meth:`of_shape`); the natural
-    transformations out of a presentation are the join over its category
-    of elements (``universal.enumerate_nat_trans``).
+    component each edge's function sends to its cod component, as sorted
+    tuples, which over sorted carriers is their product order.  Edges are
+    told apart by position, so several may share one key.  A cone's limit
+    is the join over its shape's non-identity arrows (:meth:`of_shape`);
+    the natural transformations out of a presentation are the join over
+    its category of elements (``universal.enumerate_nat_trans``).
 
     :meth:`run` takes the carriers per call, so it can enumerate the
     limit tuples with every component in a given subset, and it carries
     a running count of candidates visited across runs, so that one
     ``max_tuples`` bounds a whole sequence of joins.
 
-    A run changes no state of the join, so one join serves any number of
-    runs.  ``ordered`` records whether the plan makes its rows in product
-    order (:func:`_rows_in_product_order`); only other plans sort them.
+    A run changes no state of the join, so one join serves any number of runs.
     """
 
     def __init__(
@@ -408,7 +410,6 @@ class LimitJoin:
         self.plan = _join_plan(
             len(self.nodes), [(position[dom], position[cod]) for _, dom, cod in edges], self.keys
         )
-        self.ordered = _rows_in_product_order(self.plan)
         bound = [step.obj for step in self.plan]
         # the slot of each node in a row, or None when the plan binds the nodes in order
         in_order = bound == sorted(bound)
@@ -433,8 +434,9 @@ class LimitJoin:
     ) -> tuple[tuple[tuple[str, ...], ...], int]:
         """The limit tuples over ``carriers`` (a missing node has none), and the new count.
 
-        ``action[key]`` is the function of the edges with that key.  The
-        product of the scanned carriers of this join is checked against
+        The tuples come sorted, which over sorted carriers is their product
+        order.  ``action[key]`` is the function of the edges with that key.
+        The product of the scanned carriers of this join is checked against
         ``max_tuples``; the candidates it visits are added to the
         ``spent`` already visited, and that running count is checked too.
         ``max_tuples=None`` checks neither.
@@ -485,10 +487,7 @@ class LimitJoin:
         if self._perm is not None:
             # a permutation moves at least two nodes, so ``itemgetter`` gives tuples
             rows = list(map(itemgetter(*self._perm), rows))
-        if not self.ordered:
-            # restore product order over ``nodes`` by carrier positions
-            rank = [{x: k for k, x in enumerate(carrier)} for carrier in cars]
-            rows.sort(key=lambda t: [rk[x] for rk, x in zip(rank, t)])
+        rows.sort()
         return tuple(rows), visited
 
 
@@ -542,31 +541,6 @@ def _join_plan(n: int, edges: list[tuple[int, int]], keys: list[str]) -> list[_J
         checks = tuple((slot[edges[i][0]], slot[edges[i][1]], keys[i]) for i in ready)
         plan.append(_JoinStep(kind, obj, None if via is None else keys[via], src, checks))
     return plan
-
-
-def _rows_in_product_order(plan: Sequence[_JoinStep]) -> bool:
-    """Whether the rows of ``plan`` come out in product order over its nodes.
-
-    Rows come in the carrier order of the ``_SCAN`` and ``_FIBER``
-    candidates (the choices), in plan order; an ``_IMAGE`` component is a
-    function of the choice its chain of images starts from, and checks
-    only drop rows.  So the rows are in product order when the choice
-    nodes increase in plan order and each image node comes after its
-    choice, as in a cospan (scan, image of the apex, fiber).
-    """
-    last = -1  # the greatest choice node so far
-    root: list[int] = []  # per slot: the choice node its component is a function of
-    for step in plan:
-        if step.kind == _IMAGE:
-            choice = root[step.src]
-            if step.obj < choice:
-                return False
-        else:
-            if step.obj < last:
-                return False
-            last = choice = step.obj
-        root.append(choice)
-    return True
 
 
 # -- quotients ---------------------------------------------------------------

@@ -150,8 +150,8 @@ def enumerate_nat_trans(
     element, objects in ``base.objects`` order and elements in carrier
     order, ranging over ``target.carrier[d]``; an edge (d, x) -> (e, a(x))
     per arrow a, acting by ``target.action[a]``.  The transformations
-    come in the product order of the nodes' carriers, the order in which
-    a candidate-by-candidate search finds them.
+    come as sorted tuples, which over sorted carriers is their product
+    order, the order in which a candidate-by-candidate search finds them.
 
     The candidate space is the product over objects of all component
     functions, computed in closed form; above ``cap`` candidates the
