@@ -46,5 +46,5 @@ for stage in alpha.stages:
 pruned = reflect_elim(X, sketch, budget=8, mode=PRUNED)
 verdict = reflector_iso_check(pruned, kelly_trace, sketch)
 print("\nreflector isomorphism verified:", verdict.ok)
-print("forward component at a:", verdict.forward.g.components["a"])
-print("backward component at a:", verdict.backward.g.components["a"])
+print("forward component at a:", verdict.forward.components["a"])
+print("backward component at a:", verdict.backward.components["a"])

@@ -20,9 +20,11 @@ from limsketch import EngineError, NatTransSpec, make_presentation, sketch_binar
 from limsketch.elim import PRUNED, reflect_elim
 from limsketch.setops import compose_nat
 from limsketch.universal import (
+    PEAK,
     check_uniqueness,
     enumerate_nat_trans,
     generated,
+    reached,
     solve_factorisation,
 )
 
@@ -42,12 +44,14 @@ f = NatTransSpec(X, M, {"a": {"u": "u", "v": "v"}, "p": {}})
 print("map into the model is natural:", f.validate().ok)
 
 # solve_factorisation returns g only once g . rho = f holds; check it again here
-result = solve_factorisation(trace.rho, f, M, sketch)
-print("\nfactorisation commutes:", compose_nat(result.g, trace.rho).components == f.components)
+g = solve_factorisation(trace.rho, f, M, sketch)
+print("\nfactorisation commutes:", compose_nat(g, trace.rho).components == f.components)
 print("g at p:")
-for witness, value in sorted(result.g.components["p"].items()):
+for witness, value in sorted(g.components["p"].items()):
     print("  ", witness, "->", value)
-print("peaks reached through the gap inverse:", len(result.log))
+# g takes M's gap inverse at each peak element that the closure reaches as a peak
+peaks = sum(how == PEAK for _, _, how, _ in reached(trace.core, trace.rho, sketch))
+print("peaks reached through the gap inverse:", peaks)
 
 # Uniqueness by generation: closing rho's image under the arrows and the
 # gap rule (a pair whose projections are reached is reached) gives the
@@ -57,7 +61,7 @@ print("peaks reached through the gap inverse:", len(result.log))
 closure = generated(trace.core, trace.rho, sketch)
 print("\nrho generates the core:",
       all(len(closure[d]) == len(trace.core.carrier[d]) for d in sketch.base.objects))
-print("g is unique among", check_uniqueness(result), "candidate maps")
+print("g is unique among", check_uniqueness(g), "candidate maps")
 
 # The enumeration agrees: all natural transformations core -> M (a join
 # over the elements of the core), of which one commutes with rho.
@@ -85,7 +89,7 @@ except EngineError as exc:
 # The enumeration shows what the certificate guards against: on this core
 # two maps commute with rho, one for each place w may go.
 every = enumerate_nat_trans(bigger, M, cap=2**3 * 4**9)
-commuting = [g for g in every.transformations
-             if compose_nat(g, hand).components == f.components]
+commuting = [h for h in every.transformations
+             if compose_nat(h, hand).components == f.components]
 print("commuting maps out of", every.search_space, "candidates:", len(commuting),
-      "- w may go to", [g.components["a"]["w"] for g in commuting])
+      "- w may go to", [h.components["a"]["w"] for h in commuting])

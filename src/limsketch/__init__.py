@@ -56,7 +56,6 @@ from .sketchlib import (
     validate_cone,
 )
 from .universal import (
-    FactorisationResult,
     check_uniqueness,
     enumerate_nat_trans,
     generated,

@@ -211,8 +211,8 @@ def cmd_universal(args: argparse.Namespace) -> int:
     if not trace.converged:
         print("budget exhausted before convergence")
         return EXIT_BUDGET
-    result = universal.solve_factorisation(trace.rho, f, model, sketch, max_tuples=args.max_tuples)
-    space = universal.check_uniqueness(result)
+    g = universal.solve_factorisation(trace.rho, f, model, sketch, max_tuples=args.max_tuples)
+    space = universal.check_uniqueness(g)
     _emit(universal.universal_to_json_dict(space), args.out)
     print("factorisation exists and commutes: true")
     print(f"uniqueness: unique (search space {space})")

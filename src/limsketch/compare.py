@@ -40,7 +40,7 @@ from .setops import (
     witness_tail,
 )
 from .sketchlib import LimitSketch
-from .universal import Components, FactorisationResult, factor_through_model
+from .universal import Components, factor_through_model
 
 
 def replay(
@@ -273,8 +273,8 @@ def build_alpha(
 @dataclass
 class IsoVerdict:
     ok: bool
-    forward: FactorisationResult
-    backward: FactorisationResult
+    forward: NatTransSpec
+    backward: NatTransSpec
     detail: str = ""
 
     def to_json_dict(self) -> dict:
@@ -291,8 +291,8 @@ def unit_iso_check(first: NatTransSpec, second: NatTransSpec, sketch: LimitSketc
     """
     forward = factor_through_model(first, second, second.target, sketch)
     backward = factor_through_model(second, first, first.target, sketch)
-    round_first = compose_nat(backward.g, forward.g)
-    round_second = compose_nat(forward.g, backward.g)
+    round_first = compose_nat(backward, forward)
+    round_second = compose_nat(forward, backward)
     ok_first = round_first.components == identity_nat(first.target).components
     ok_second = round_second.components == identity_nat(second.target).components
     detail = ""

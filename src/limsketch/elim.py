@@ -53,7 +53,6 @@ from .setops import (
     SetPresentation,
     disjoint_sum,
     empty_presentation,
-    encode_carriers,
     functorial_quotient,
     identity_nat,
     limits_table,
@@ -138,10 +137,10 @@ class ReflectionTrace(Reflection):
             stages.append(
                 {
                     "index": st.index,
-                    "base": encode_carriers(st.quotient.target),
+                    "base": st.quotient.target.carrier,
                     "free": {o: [x[cut:] for x in st.free_part(o)] for o in objects},
                     "limits": limits_table(st.limits_prev),
-                    "total": encode_carriers(st.total),
+                    "total": st.total.carrier,
                     "p": st.quotient.projection if st.index else None,
                     "rule1": r1,
                     "rule2": r2,
@@ -397,7 +396,11 @@ def reflect_elim(
         raise InputError("budget must be >= 0")
     stage0 = initial_stage(pres, sketch)
     stages = [stage0]
-    if is_model(pres, sketch, max_tuples=max_tuples).is_model:
+    try:
+        model_input = is_model(pres, sketch, max_tuples=max_tuples).is_model
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"stage 0: {exc}") from None
+    if model_input:
         return ReflectionTrace(mode, sketch, stages, 0, identity_nat(pres), core_kind="model-input")
     prev_core = {d: tuple(pres.carrier[d]) for d in sketch.base.objects}
     core_pres: SetPresentation | None = None

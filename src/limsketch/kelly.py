@@ -40,7 +40,6 @@ from .setops import (
     Reflection,
     SetPresentation,
     compose_nat,
-    encode_carriers,
     functorial_quotient,
     identity_nat,
     limits_table,
@@ -143,7 +142,7 @@ class KellyTrace(Reflection):
             stages.append(
                 {
                     "index": n,
-                    "carrier": encode_carriers(step.obj),
+                    "carrier": step.obj.carrier,
                     "unit": step.unit.components,
                     "limits": limits_table(step.limits),
                     "r0": r0,
@@ -172,9 +171,11 @@ def reflect_kelly(
         raise InputError("budget must be >= 0")
     check_presentation(pres, sketch)
     stages: list[CompletionStep] = []
-    converged_at: int | None = None
-    if is_model(pres, sketch, max_tuples=max_tuples).is_model:
-        converged_at = 0
+    try:
+        model_input = is_model(pres, sketch, max_tuples=max_tuples).is_model
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"stage 0: {exc}") from None
+    converged_at: int | None = 0 if model_input else None
     current = pres
     for n in range(1, budget + 1):
         if converged_at is not None and stop_on_convergence:

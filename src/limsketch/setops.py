@@ -75,11 +75,6 @@ def _positions(n: int) -> list[str]:
     return out
 
 
-def encode_carriers(pres: SetPresentation) -> dict[str, list[str]]:
-    """The carriers of ``pres`` as stored, object by object, for JSON reports."""
-    return {o: list(pres.carrier[o]) for o in pres.base.objects}
-
-
 def limits_table(limits: Mapping[str, Sequence[tuple[str, ...]]]) -> dict[str, list[str]]:
     """Per cone, each limit tuple as its :func:`witness_tail`: row k is the tuple of position k."""
     return {cone: [witness_tail(w) for w in tuples] for cone, tuples in limits.items()}
@@ -300,7 +295,7 @@ class Reflection:
             **self.engine_fields(),
             "verdict": self.verdict,
             "converged_at": self.converged_at,
-            "core": None if self.core is None else encode_carriers(self.core),
+            "core": None if self.core is None else self.core.carrier,
             "rho": None if self.rho is None else self.rho.components,
         }
 
@@ -720,7 +715,7 @@ def presentation_to_json_dict(pres: SetPresentation, category: str | dict | None
     cat: str | dict = category if category is not None else category_to_json_dict(pres.base)
     return {
         "category": cat,
-        "carrier": encode_carriers(pres),
+        "carrier": pres.carrier,
         "action": {a: pres.action[a] for a in pres.base.non_identities},
     }
 

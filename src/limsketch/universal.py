@@ -24,7 +24,7 @@ it, and the construction never feeds either check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EngineError, InputError, PreconditionError
@@ -40,25 +40,13 @@ Components = dict[str, dict[str, str]]
 RHO, ARROW, PEAK = "rho", "arrow", "peak"
 
 
-@dataclass
-class FactorisationResult:
-    """The factorisation g, with one log entry per gap inverse taken.
-
-    Entry keys: object, element (the peak element), cone, tuple (its leg
-    images under g) and gap_inverse (the element of M over that tuple).
-    """
-
-    g: NatTransSpec
-    log: list[dict] = field(default_factory=list)
-
-
 def solve_factorisation(
     rho: NatTransSpec,
     f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
-) -> FactorisationResult:
+) -> NatTransSpec:
     """g with g . rho = f out of the core ``rho.target``: check M a model, then factor."""
     report = is_model(model, sketch, max_tuples=max_tuples)
     if not report.is_model:
@@ -72,7 +60,7 @@ def factor_through_model(
     f: NatTransSpec,
     model: SetPresentation,
     sketch: LimitSketch,
-) -> FactorisationResult:
+) -> NatTransSpec:
     """g with g . rho = f out of the core ``rho.target``, into a model M.
 
     M is folded along :func:`reached`: an element reached from rho at x
@@ -93,7 +81,6 @@ def factor_through_model(
     }
     arrows, f_at, act = core.base.arrows, f.components, model.action
     components: Components = {d: {} for d in core.base.objects}
-    log: list[dict] = []
     for d, y, how, via in reached(core, rho, sketch):
         if how == RHO:
             value = f_at[d][via]
@@ -104,7 +91,6 @@ def factor_through_model(
             v = tuple(components[o][leg[y]] for o, leg in legs[via])
             if (value := inverses[via].get(v)) is None:
                 raise EngineError(f"image tuple {v!r} is not hit by the gap map of {via!r}")
-            log.append(dict(object=d, element=y, cone=via, tuple=list(v), gap_inverse=value))
         components[d][y] = value
     for d in core.base.objects:
         missed = [x for x in core.carrier[d] if x not in components[d]]
@@ -118,7 +104,7 @@ def factor_through_model(
         raise EngineError(f"constructed factorisation is not natural: {report.violations[0]}")
     if compose_nat(g, rho).components != f.components:
         raise EngineError("constructed factorisation does not commute with the reflection")
-    return FactorisationResult(g, log)
+    return g
 
 
 @dataclass
@@ -250,15 +236,15 @@ def generated(
     return closure
 
 
-def check_uniqueness(result: FactorisationResult) -> int:
-    """The closed-form number of candidate maps core => M, of which ``result.g`` alone commutes.
+def check_uniqueness(g: NatTransSpec) -> int:
+    """The closed-form number of candidate maps core => M, of which ``g`` alone commutes.
 
-    ``result`` is a factorisation that :func:`solve_factorisation` built:
-    it checked that M is a model and that rho generates the whole core,
-    so two maps into M that agree on rho agree everywhere.  The count is
-    the product over objects of all component functions.
+    ``g`` is a factorisation that :func:`solve_factorisation` built: it
+    checked that M is a model and that rho generates the whole core, so
+    two maps into M that agree on rho agree everywhere.  The count is the
+    product over objects of all component functions.
     """
-    return _search_space(result.g.source, result.g.target)
+    return _search_space(g.source, g.target)
 
 
 def universal_to_json_dict(search_space: int) -> dict:

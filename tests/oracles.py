@@ -838,3 +838,93 @@ def _derive_actions(
             elif value[gf] != y:
                 return None
     return value
+
+
+# -- localisation families with closed forms -----------------------------------
+
+
+def _iterate(f: list[int], times: int) -> list[int]:
+    """The self-map f^times of {0 ... len(f) - 1}."""
+    act = list(range(len(f)))
+    for _ in range(times):
+        act = [f[x] for x in act]
+    return act
+
+
+def monoid_action_sketch(k: int, p: int) -> LimitSketch:
+    """The cyclic monoid s^(k+p) = s^k on one object o, with s inverted by one cone.
+
+    The arrow s^i is ``s{i}`` for 0 < i < k + p, and s^0 is ``id_o``; the
+    cone has peak o, a one-point shape sent to o and leg s, so a model is
+    an M-set on which s acts bijectively.
+    """
+
+    def power(i: int) -> str:
+        i = i if i < k + p else k + (i - k) % p
+        return f"s{i}" if i else "id_o"
+
+    top = range(1, k + p)
+    base = FinCategory.build(
+        f"cyclic_{k}_{p}",
+        ["o"],
+        [(f"s{i}", "o", "o") for i in top],
+        {(f"s{i}", f"s{j}"): power(i + j) for i in top for j in top},
+    )
+    shape = FinCategory.build("mono_point", ["z"], [], {})
+    diagram = CatFunctor(shape, base, {"z": "o"}, {"id_z": "id_o"})
+    cone = Cone("c0", base, "o", shape, diagram, {"z": power(1)})
+    return LimitSketch(base, (cone,), name=f"monoid_action_{k}_{p}")
+
+
+def monoid_action_presentation(sketch: LimitSketch, f: list[int]) -> SetPresentation:
+    """The M-set on {x0 ... x(n-1)} where s acts as ``f``; ``f`` must satisfy the relation."""
+    xs = [f"x{i}" for i in range(len(f))]
+    action = {
+        name: {xs[i]: xs[j] for i, j in enumerate(_iterate(f, int(name[1:])))}
+        for name in sketch.base.non_identities
+    }
+    return make_presentation(sketch.base, {"o": xs}, action)
+
+
+def random_monoid_action(rng: random.Random, k: int, p: int, n: int, tries: int = 200):
+    """A self-map f of {0 ... n-1} with f^(k+p) = f^k, drawn by rejection; None if none was hit."""
+    for _ in range(tries):
+        f = [rng.randrange(n) for _ in range(n)]
+        if _iterate(f, k + p) == _iterate(f, k):
+            return f
+    return None
+
+
+def monoid_action_reflection_size(f: list[int], p: int) -> int:
+    """|L(X)| = |X (x)_M Z/p|: the classes of X x Z/p under (f x, j) ~ (x, j + 1)."""
+    cells = [(x, j) for x in range(len(f)) for j in range(p)]
+    return len(dsu_partition(cells, [((f[x], j), (x, (j + 1) % p)) for x, j in cells]))
+
+
+def iso_chain_sketch(n: int) -> LimitSketch:
+    """The chain x0 -> ... -> xn with its composites; a cone per i < n makes x_i -> x_(i+1) iso.
+
+    The arrow x_i -> x_j is ``x{i}x{j}``; cone ``c{i}`` has peak x_i, a
+    one-point shape sent to x_(i+1) and leg ``x{i}x{i+1}``.  A model is a
+    chain of bijections, so |L(X)_i| = |X_n| at every i.
+    """
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    base = FinCategory.build(
+        f"chain_{n}",
+        [f"x{i}" for i in range(n + 1)],
+        [(f"x{i}x{j}", f"x{i}", f"x{j}") for i, j in pairs],
+        {(f"x{j}x{m}", f"x{i}x{j}"): f"x{i}x{m}" for i, j in pairs for m in range(j + 1, n + 1)},
+    )
+    shape = FinCategory.build("chain_point", ["z"], [], {})
+    cones = tuple(
+        Cone(
+            f"c{i}",
+            base,
+            f"x{i}",
+            shape,
+            CatFunctor(shape, base, {"z": f"x{i + 1}"}, {"id_z": f"id_x{i + 1}"}),
+            {"z": f"x{i}x{i + 1}"},
+        )
+        for i in range(n)
+    )
+    return LimitSketch(base, cones, name=f"iso_chain_{n}")

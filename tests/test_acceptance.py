@@ -283,9 +283,9 @@ def test_criterion_08_universal_property():
             trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
             assert trace.converged
             f = nat(pres, model, f_components)
-            result = solve_factorisation(trace.rho, f, model, sketch)
-            assert compose_nat(result.g, trace.rho).components == f.components
-            assert check_uniqueness(result) <= 10**6
+            g = solve_factorisation(trace.rho, f, model, sketch)
+            assert compose_nat(g, trace.rho).components == f.components
+            assert check_uniqueness(g) <= 10**6
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

@@ -442,6 +442,25 @@ def test_reflect_kelly_honours_max_elements(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["reflect", "--engine", "elim"], ["reflect", "--engine", "kelly"], ["compare"]],
+    ids=["elim", "kelly", "compare"],
+)
+def test_stage_zero_model_check_names_its_stage(tmp_path, command):
+    """The model check of X itself is stage 0: 3 points give 9 pairs, over a budget of 0."""
+    pres = tmp_path / "X3.json"
+    pres.write_text(json.dumps(_points_document(3)))
+    proc = run_cli(
+        *command, "--sketch", "binary_product", "--presentation", str(pres), "--max-tuples", "0"
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "budget error: stage 0: limit tuple budget exceeded at cone c0: product exceeds 0\n"
+    )
+    assert proc.stdout == ""
+
+
 def test_universal_max_tuples_bounds_the_model_check(tmp_path):
     """The model check of M honours ``--max-tuples``: 40 points give 1,600 pairs."""
     pres, model, f = (tmp_path / n for n in ("X2.json", "M40.json", "f2.json"))

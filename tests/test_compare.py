@@ -149,7 +149,7 @@ def test_reflector_iso_for_model_input_is_transported_identity():
     kelly_trace = reflect_kelly(model, sketch, budget=4)
     verdict = reflector_iso_check(elim_trace, kelly_trace, sketch)
     assert verdict.ok
-    assert verdict.forward.g.components == {
+    assert verdict.forward.components == {
         "a": {"m": "m"}, "b": {"n": "n"}
     }
 

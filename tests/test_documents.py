@@ -78,12 +78,14 @@ def documents(family: str, seed: int) -> dict[str, object]:
     sketch = build_sketch(family)
     x = random_valid_presentation(random.Random(seed), sketch.base, max_size=3)
     model = terminal_presentation(sketch.base)
-    return {
+    docs = {
         "S": sketch_to_json_dict(sketch),
         "X": presentation_to_json_dict(x),
         "M": presentation_to_json_dict(model, category=family),
         "f": {"components": {o: dict.fromkeys(x.carrier[o], "*") for o in sketch.base.objects}},
     }
+    # JSON values, as the files hold them: the payloads' carriers are stored tuples, leaves to `nodes`
+    return json.loads(json.dumps(docs))
 
 
 # -- mutations -----------------------------------------------------------------

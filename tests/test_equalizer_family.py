@@ -78,7 +78,7 @@ def test_universal_property_on_the_equalizer_family():
             "q": {},
         },
     )
-    result = solve_factorisation(trace.rho, f, model, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
     # 3**3 maps at a, 2**2 at b and at q
-    assert check_uniqueness(result) == 432
+    assert check_uniqueness(g) == 432

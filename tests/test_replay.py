@@ -195,8 +195,8 @@ def assert_replays_agree(pres, sketch, faithful_budget: int) -> int:
     converged = [t for t in traces if t is not None and t.converged]
     for trace in converged:
         for other in converged:
-            got = solve_factorisation(trace.rho, other.rho, other.core, sketch)
-            assert got.g.components == brute_factorisation(trace, other.rho, other.core, sketch)
+            g = solve_factorisation(trace.rho, other.rho, other.core, sketch)
+            assert g.components == brute_factorisation(trace, other.rho, other.core, sketch)
             compared += 1
     return compared
 

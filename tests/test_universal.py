@@ -19,11 +19,13 @@ from limsketch.setops import (
     make_presentation,
     terminal_presentation,
 )
-from limsketch.sketchlib import BUILDERS, is_model
+from limsketch.sketchlib import BUILDERS, gap_map, is_model
 from limsketch.universal import (
+    PEAK,
     check_uniqueness,
     enumerate_nat_trans,
     generated,
+    reached,
     solve_factorisation,
 )
 
@@ -50,10 +52,10 @@ def test_terminal_codomain_gives_constant_factorisation():
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     terminal = terminal_presentation(sketch.base)
     f = nat(pres, terminal, {"a": {"x1": "*", "x2": "*"}, "b": {"y": "*"}})
-    result = solve_factorisation(trace.rho, f, terminal, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, terminal, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
     for obj in sketch.base.objects:
-        assert set(result.g.components[obj].values()) <= {"*"}
+        assert set(g.components[obj].values()) <= {"*"}
 
 
 def test_iso_fixture_factors_through_singleton_model():
@@ -62,10 +64,10 @@ def test_iso_fixture_factors_through_singleton_model():
     model = iso_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"x1": "m", "x2": "m"}, "b": {"y": "n"}})
-    result = solve_factorisation(trace.rho, f, model, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
     # one candidate: the singleton model leaves g no choice
-    assert check_uniqueness(result) == 1
+    assert check_uniqueness(g) == 1
 
 
 def test_binary_fixture_factorisation_is_an_isomorphism():
@@ -74,13 +76,13 @@ def test_binary_fixture_factorisation_is_an_isomorphism():
     model = binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    result = solve_factorisation(trace.rho, f, model, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
     for obj in sketch.base.objects:
-        values = list(result.g.components[obj].values())
+        values = list(g.components[obj].values())
         assert len(set(values)) == len(values) == len(model.carrier[obj])
-    # the isomorphism is witnessed by gap-inverse steps in the log
-    assert any(entry["object"] == "p" for entry in result.log)
+    # the isomorphism is witnessed by gap-inverse steps: peaks that the closure reaches at p
+    assert any(d == "p" and how == PEAK for d, _, how, _ in reached(trace.core, trace.rho, sketch))
 
 
 def test_solver_rejects_non_model_codomain():
@@ -114,8 +116,8 @@ def test_solver_accepts_f_from_an_equal_copy_of_the_source():
     copy = iso_fixture(sketch)
     assert copy is not pres and copy == pres
     f = next(t for t in enumerate_nat_trans(copy, model).transformations)
-    result = solve_factorisation(trace.rho, f, model, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
 
 
 def test_solver_works_on_kelly_traces():
@@ -132,10 +134,10 @@ def test_solver_works_on_kelly_traces():
             "W": {"0": "0", "1": "1"},
         },
     )
-    result = solve_factorisation(trace.rho, f, model, sketch)
-    assert compose_nat(result.g, trace.rho).components == f.components
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    assert compose_nat(g, trace.rho).components == f.components
     # two elements at each of four objects into two: (2**2)**4 candidates
-    assert check_uniqueness(result) == 256
+    assert check_uniqueness(g) == 256
 
 
 def test_enumeration_of_empty_source_is_single():
@@ -219,23 +221,29 @@ def test_uniqueness_on_an_ungenerated_core_is_an_engine_error():
         solve_factorisation(rho, f, model, sketch)
 
 
-# -- the factorisation from a unit: its log and its refusals ------------------
+# -- the factorisation from a unit: its gap inverses and its refusals --------
 
 
-def test_factorisation_log_records_each_gap_inverse():
+def test_factorisation_takes_the_gap_inverse_at_each_reached_peak():
     sketch = binary_sketch()
     pres, model = binary_fixture(sketch), binary_model(sketch)
     trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
     f = nat(pres, model, {"a": {"u": "u", "v": "v"}, "p": {}})
-    result = solve_factorisation(trace.rho, f, model, sketch)
+    g = solve_factorisation(trace.rho, f, model, sketch)
+    (cone,) = sketch.cones
+    peaks = [(d, y, via) for d, y, how, via in reached(trace.core, trace.rho, sketch) if how == PEAK]
     # X has no pairs, so every element at p is a peak reached through the gap map
-    assert sorted(entry["element"] for entry in result.log) == sorted(trace.core.carrier["p"])
-    for entry in result.log:
-        assert set(entry) == {"object", "element", "cone", "tuple", "gap_inverse"}
-        assert (entry["object"], entry["cone"]) == ("p", "c0")
-        assert result.g.components["p"][entry["element"]] == entry["gap_inverse"]
+    assert sorted(y for _, y, _ in peaks) == sorted(trace.core.carrier["p"])
+    for d, y, via in peaks:
+        assert (d, via) == ("p", cone.name)
+        images = tuple(
+            g.components[cone.diagram.on_object(z)][trace.core.action[cone.legs[z]][y]]
+            for z in cone.shape_order()
+        )
+        # g at the peak is the element of M whose gap tuple is the leg images under g
+        assert gap_map(model, cone)[g.components["p"][y]] == images
         # binary_model names each pair by its two projections
-        assert entry["tuple"] == list(entry["gap_inverse"])
+        assert images == tuple(g.components["p"][y])
 
 
 def test_factorisation_of_an_ungenerated_core_is_an_engine_error():
@@ -354,14 +362,14 @@ def test_certificate_matches_one_commuting_transformation(name):
             if enum.status == "inconclusive":
                 continue
             commuting = [
-                g for g in enum.transformations
-                if compose_nat(g, trace.rho).components == f.components
+                h for h in enum.transformations
+                if compose_nat(h, trace.rho).components == f.components
             ]
             closure = generated(trace.core, trace.rho, sketch)
             assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
-            result = solve_factorisation(trace.rho, f, model, sketch)
-            assert [g.components for g in commuting] == [result.g.components], (seed, trace)
-            assert check_uniqueness(result) == enum.search_space
+            g = solve_factorisation(trace.rho, f, model, sketch)
+            assert [h.components for h in commuting] == [g.components], (seed, trace)
+            assert check_uniqueness(g) == enum.search_space
             compared += 1
     assert compared >= 16
 
@@ -441,8 +449,8 @@ def test_factorisation_is_deterministic():
     for _ in range(2):
         trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED)
         f = nat(pres, model, f_components)
-        result = solve_factorisation(trace.rho, f, model, sketch)
-        outputs.append(result.g.components)
+        g = solve_factorisation(trace.rho, f, model, sketch)
+        outputs.append(g.components)
     assert outputs[0] == outputs[1]
 
 
