@@ -61,10 +61,10 @@ def replay(
     completion step i (at stage 0, both identities): the square alpha_i .
     p = unit_i . alpha_(i-1) at x.  Two x of one fibre with different
     images raise :class:`EngineError`.  The free part maps row by row
-    (``free_rows`` over ``limits_prev``): the k-th id of a row over arrow
-    t maps to the class, under the completion's projection, of the formal
-    pair (t, k-th image), the id at the image's place in the completion's
-    row over t.  Every row of a cone, here and in the completion, lists
+    (``rows`` over ``limits``): the k-th id of a row over arrow t maps to
+    the class, under the completion's projection, of the formal pair (t,
+    k-th image), the id at the image's place in the completion's row over
+    t.  Every row of a cone, here and in the completion, lists
     its elements in the order of the cone's tuples, so the tuples are
     imaged once per cone and stage, a column at a time, and each image's
     place is looked up once, in a map built from the completion's
@@ -105,8 +105,8 @@ def replay(
         # per cone, the places of its imaged tuples in the completion's limits
         places: dict[str, list[int | None]] = {}
         blocks: dict[tuple[str, str], list[str]] = {}
-        for (cone, arrow), ids in stage.free_rows.items():
-            maps, tuples = position_maps[cone], stage.limits_prev[cone]
+        for (cone, arrow), ids in stage.rows.items():
+            maps, tuples = position_maps[cone], stage.limits[cone]
             if cone not in places:
                 at = {w: k for k, w in enumerate(step.limits[cone])}
                 places[cone] = list(map(at.get, _imaged(maps, tuples)))
@@ -125,8 +125,8 @@ def replay(
                     f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
                     f"missing in the completion sum at {d!r}"
                 ) from None
-        for _, key in sorted((ids[0], key) for key, ids in stage.free_rows.items() if ids):
-            d, ids = arrows[key[1]].cod, stage.free_rows[key]
+        for _, key in sorted((ids[0], key) for key, ids in stage.rows.items() if ids):
+            d, ids = arrows[key[1]].cod, stage.rows[key]
             at = len(values[d])
             values[d] += blocks.pop(key)
             # a row shares its strings with the carrier, so this compares by identity
@@ -159,7 +159,7 @@ def _squares_hold(stage: Stage, target: SetPresentation, values: dict[str, list[
     False means a test failed, not that a square does.
     """
     source = stage.total
-    base, carrier, rows = source.base, source.carrier, stage.free_rows
+    base, carrier, rows = source.base, source.carrier, stage.rows
     cut = {d: len(c) for d, c in stage.quotient.target.carrier.items()}
     on_base = {d: dict(zip(carrier[d][:n], values[d][:n])) for d, n in cut.items()}
     cod = {t: base.arrows[t].cod for _, t in rows}

@@ -29,11 +29,11 @@ tuples w with p . w = u, so the large limit of S is never enumerated.
 Element identifiers name their provenance by position.  A base
 identifier is the least member of the merged class, tagged ``B:``; a free
 identifier, tagged ``E:``, encodes its cone, its arrow and the position k
-of its limit tuple in the stage's ``limits_prev`` of that cone, each field
+of its limit tuple in the stage's ``limits`` of that cone, each field
 length-prefixed, so no escaping is needed, the ids of one row sort in row
 order, and an id grows by two characters a stage as a base tag, never by
-the tuple it lies over.  The tuples themselves are the per-stage table,
-``limits_prev``, which a report lists as ``"limits"``.
+the tuple it lies over.  The tuples themselves are the per-stage table
+``limits``, which a report lists under the same name.
 """
 
 from __future__ import annotations
@@ -92,26 +92,41 @@ class Stage:
     the previous total, its ``target`` the base, and its ``projection``
     relates the two, each base class the fibre over its id (at stage 0,
     the identity of X).  ``total`` is the tagged disjoint sum of the
-    base and the free part; ``limits_prev`` holds, per cone, the limit
-    tuples of the previous total that the free part is built from (all of
-    them in faithful mode, only those over tuples unhit in this base in
-    pruned mode); ``free_rows[c, t]`` lists the ids in ``total`` of the
-    free elements over ``limits_prev[c]`` in order, for each arrow t out of
-    the peak of c, and is the only record of the free part.  ``rule1`` and
-    ``rule2`` are the generating pairs of the quotient.
+    base and the free part; ``limits`` holds, per cone, the limit tuples
+    of the previous total that the free part is built from (all of them in
+    faithful mode, only those over tuples unhit in this base in pruned
+    mode); ``rows[c, t]`` lists the ids in ``total`` of the free elements
+    over ``limits[c]`` in order, for each arrow t out of the peak of c, and
+    is the only record of the free part.  ``rule1`` and ``rule2`` are the
+    generating pairs of the quotient.
     """
 
     index: int
     quotient: QuotientMap
     total: SetPresentation
-    limits_prev: dict[str, tuple[tuple[str, ...], ...]]
-    free_rows: dict[tuple[str, str], list[str]]
+    limits: dict[str, tuple[tuple[str, ...], ...]]
+    rows: dict[tuple[str, str], list[str]]
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
         return self.total.carrier[obj][len(self.quotient.target.carrier[obj]) :]
+
+    @property
+    def free(self) -> SetPresentation:
+        """The free part, tagged ``E:``: ``total`` on :meth:`free_part` at each object."""
+        return _subpresentation(self.total, {o: self.free_part(o) for o in self.total.base.objects})
+
+    @property
+    def kan_unit_raw(self) -> dict[str, dict[tuple[str, ...], str]]:
+        """Per cone c, each tuple of ``limits[c]`` sent to its witness at the identity of the peak.
+
+        Built on each read from the row of that identity.  No engine reads it or :attr:`free`.
+        """
+        is_identity = self.total.base.is_identity
+        rows = self.rows.items()
+        return {c: dict(zip(self.limits[c], row)) for (c, t), row in rows if is_identity(t)}
 
     def pair_counts(self) -> tuple[int, int]:
         one = sum(len(v) for v in self.rule1.values())
@@ -139,7 +154,7 @@ class ReflectionTrace(Reflection):
                     "index": st.index,
                     "base": st.quotient.target.carrier,
                     "free": {o: [x[cut:] for x in st.free_part(o)] for o in objects},
-                    "limits": limits_table(st.limits_prev),
+                    "limits": limits_table(st.limits),
                     "total": st.total.carrier,
                     "p": st.quotient.projection if st.index else None,
                     "rule1": r1,
@@ -154,7 +169,7 @@ def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
     empty = empty_presentation(sketch.base)
     total, _, _ = disjoint_sum(pres, empty, tags=(BASE_TAG, FREE_TAG))
     identity = QuotientMap(pres, pres, identity_nat(pres).components)
-    return Stage(index=0, quotient=identity, total=total, limits_prev={}, free_rows={})
+    return Stage(index=0, quotient=identity, total=total, limits={}, rows={})
 
 
 def relation_one(
@@ -188,43 +203,16 @@ def relation_two(
     """Rule (2) pairs: a free witness against the base element it rectifies.
 
     These are :func:`~limsketch.sketchlib.rectification_pairs` of the
-    previous total: the free element over a tuple w of ``limits_prev`` in
-    the row of leg_z is paired with the base class of w_z.  The tuples w
-    are those the free part was built from, so every free element named
-    here exists in both modes: ``free_rows`` has its id.
+    previous total: the free element over a tuple w of ``limits`` in the
+    row of leg_z is paired with the base class of w_z.  The tuples w are
+    those the free part was built from, so every free element named here
+    exists in both modes: ``rows`` has its id.
     """
     if stage.index < 1:
         return {}
     quotient = stage.quotient
     into = {d: {x: tag_base(k) for x, k in proj.items()} for d, proj in quotient.projection.items()}
-    return rectification_pairs(sketch, stage.limits_prev, stage.free_rows, into)
-
-
-@dataclass
-class FreeStep:
-    """The next total (Q plus the free part), the tuples the free part is built from, its rows."""
-
-    total: SetPresentation
-    limits: dict[str, tuple[tuple[str, ...], ...]]
-    rows: dict[tuple[str, str], list[str]]
-
-    @property
-    def free(self) -> SetPresentation:
-        """The free part, tagged ``E:``: :func:`_subpresentation` of ``total`` on the rows."""
-        keep: dict[str, list[str]] = {}
-        for (_, t), row in self.rows.items():
-            keep.setdefault(self.total.base.arrows[t].cod, []).extend(row)
-        return _subpresentation(self.total, keep)
-
-    @property
-    def kan_unit_raw(self) -> dict[str, dict[tuple[str, ...], str]]:
-        """Per cone c, each tuple of ``limits[c]`` sent to its witness at the identity of the peak.
-
-        Built on each read from the row of that identity.  No engine reads it or :attr:`free`.
-        """
-        is_identity = self.total.base.is_identity
-        rows = self.rows.items()
-        return {c: dict(zip(self.limits[c], row)) for (c, t), row in rows if is_identity(t)}
+    return rectification_pairs(sketch, stage.limits, stage.rows, into)
 
 
 def e_step(
@@ -235,8 +223,8 @@ def e_step(
     quotient: QuotientMap,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
-) -> FreeStep:
-    """Build the next total, Q plus the free part, from the current stage's limits.
+) -> Stage:
+    """The next stage: Q plus a free part built from the current stage's limits.
 
     ``quotient`` is the projection p of the total onto the next base Q.
     Faithful mode adds one element per (cone, arrow out of the peak,
@@ -245,7 +233,8 @@ def e_step(
     transient population from growing without changing the reflection up
     to isomorphism.  It finds them with :func:`_unhit_lifts`, without
     enumerating the limit of the total.  ``limits`` holds the tuples
-    kept, in the product order of the total's carriers.
+    kept, in the product order of the total's carriers.  The rule pairs
+    stay empty; :func:`elim_stage` sets them.
 
     ``max_tuples`` bounds the candidates visited per cone: in the limit of
     the total in faithful mode; in the limit of Q plus all the lifts, as
@@ -266,7 +255,7 @@ def e_step(
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     label, tags = f"stage {stage.index + 1}", (BASE_TAG, FREE_TAG)
     total, _, rows = witness_sum(label, quotient.target, "F", summands, tags, max_elements)
-    return FreeStep(total, limits, rows)
+    return Stage(stage.index + 1, quotient, total, limits, rows)
 
 
 def _unhit_lifts(
@@ -315,7 +304,7 @@ def elim_stage(
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> Stage:
-    """One full step: quotient the total, then re-extend freely."""
+    """One full step: the rule pairs, the quotient they generate, then :func:`e_step`."""
     pairs1 = relation_one(stage, sketch)
     pairs2 = relation_two(stage, sketch)
     merged: dict[str, list[tuple[str, str]]] = {}
@@ -323,18 +312,11 @@ def elim_stage(
         for d, pairs in source.items():
             merged.setdefault(d, []).extend(pairs)
     quotient = functorial_quotient(stage.total, merged)
-    step = e_step(
+    next_stage = e_step(
         stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
     )
-    return Stage(
-        index=stage.index + 1,
-        quotient=quotient,
-        total=step.total,
-        limits_prev=step.limits,
-        free_rows=step.rows,
-        rule1=pairs1,
-        rule2=pairs2,
-    )
+    next_stage.rule1, next_stage.rule2 = pairs1, pairs2
+    return next_stage
 
 
 def _subpresentation(pres: SetPresentation, keep: dict[str, Sequence[str]]) -> SetPresentation:
@@ -342,8 +324,8 @@ def _subpresentation(pres: SetPresentation, keep: dict[str, Sequence[str]]) -> S
 
     Both callers pass such a subfunctor: the stable core is the classes
     that hold a ``B:`` element, the image of the previous base, and the
-    free part is the witness rows; the sum's left injection and its rows
-    are each closed under every action.
+    free part is the carrier past the ``B:`` block, the witness rows; the
+    sum's left injection and its rows are each closed under every action.
     """
     base, act = pres.base, pres.action
     carrier = {o: tuple(sorted(keep.get(o, ()))) for o in base.objects}
@@ -419,7 +401,7 @@ def reflect_elim(
                 converged_at = stage.index
                 core_kind = "stable-core"
                 break
-        if not any(stage.free_rows.values()):
+        if not any(stage.rows.values()):
             if is_model(stage.quotient.target, sketch, max_tuples=max_tuples).is_model:
                 core_pres = stage.quotient.target
                 converged_at = stage.index

@@ -14,6 +14,7 @@ only as the engines generate them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import getitem
 
@@ -472,8 +473,8 @@ class PerElement:
     """A staged step seen element by element, as :func:`brute_replay` reads it.
 
     It lists the base classes with their members, then each free element
-    at ``obj`` with its one witness, read from ``free_rows[c, t]`` zipped
-    with ``limits_prev[c]``.
+    at ``obj`` with its one witness, read from ``rows[c, t]`` zipped
+    with ``limits[c]``.
     """
 
     def __init__(self, stage: Stage) -> None:
@@ -534,13 +535,13 @@ def replay_steps(trace) -> list:
 def free_witnesses(stage: Stage, obj: str) -> Iterator[tuple[str, Witness]]:
     """Each free element of ``stage`` at ``obj`` with its witness (c, t, w).
 
-    The element is read from ``free_rows[c, t]`` and w from
-    ``limits_prev[c]`` at the same position.
+    The element is read from ``rows[c, t]`` and w from
+    ``limits[c]`` at the same position.
     """
     arrows = stage.total.base.arrows
-    for (cone, t), ids in stage.free_rows.items():
+    for (cone, t), ids in stage.rows.items():
         if arrows[t].cod == obj:
-            for w, fid in zip(stage.limits_prev[cone], ids):
+            for w, fid in zip(stage.limits[cone], ids):
                 yield fid, (cone, t, w)
 
 
@@ -928,3 +929,76 @@ def iso_chain_sketch(n: int) -> LimitSketch:
         for i in range(n)
     )
     return LimitSketch(base, cones, name=f"iso_chain_{n}")
+
+
+def _monotone(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The monotone maps [m] -> [n], each as its tuple of values, in lexicographic order."""
+    return itertools.combinations_with_replacement(range(n + 1), m + 1)
+
+
+def _simplicial_arrow(n: int, theta: tuple[int, ...]) -> str:
+    """The arrow s_n -> s_m of the monotone map theta: [m] -> [n], given by its values."""
+    if theta == tuple(range(n + 1)):
+        return f"id_s{n}"
+    return f"s{n}_{''.join(map(str, theta))}"
+
+
+def segal_sketch() -> LimitSketch:
+    """Δ≤3^op with the Segal cones: a model is the 3-truncated nerve of a category.
+
+    Objects are ``s0`` ... ``s3``, with one arrow s_n -> s_m per monotone
+    map theta: [m] -> [n], acting on an m-simplex x as x . theta.  Cone
+    ``segal<n>`` (n = 2, 3) has peak s_n over the spine zig-zag e0 -> v1
+    <- e1 -> ... <- e(n-1): each edge e_i is sent to s1 with leg (i, i+1),
+    each inner vertex v_i to s0 with leg (i), so s_n is forced to be the
+    composable strings of n edges.
+    """
+    maps = {(n, m): list(_monotone(m, n)) for n in range(4) for m in range(4)}
+    arrow = _simplicial_arrow
+    named = [(arrow(n, theta), f"s{n}", f"s{m}") for (n, m), ts in maps.items() for theta in ts]
+    compose = {
+        (arrow(m, phi), arrow(n, theta)): arrow(n, tuple(theta[i] for i in phi))
+        for (n, m), thetas in maps.items()
+        for theta in thetas
+        for k in range(4)
+        for phi in maps[m, k]
+    }
+    generators = [a for a in named if not a[0].startswith("id_")]
+    base = FinCategory.build("delta_3_op", [f"s{n}" for n in range(4)], generators, compose)
+    cones = []
+    for n in (2, 3):
+        edges, inner = [f"e{i}" for i in range(n)], [f"v{i}" for i in range(1, n)]
+        spine = [(f"t{i}", f"e{i - 1}", f"v{i}") for i in range(1, n)]
+        spine += [(f"s{i}", f"e{i}", f"v{i}") for i in range(1, n)]
+        shape = FinCategory.build(f"spine_{n}", edges + inner, spine, {})
+        on_objects = dict.fromkeys(edges, "s1") | dict.fromkeys(inner, "s0")
+        on_arrows = {f"id_{z}": f"id_{d}" for z, d in on_objects.items()}
+        on_arrows |= {a: "s1_1" if a[0] == "t" else "s1_0" for a, _, _ in spine}
+        legs = {f"e{i}": f"s{n}_{i}{i + 1}" for i in range(n)}
+        legs |= {f"v{i}": f"s{n}_{i}" for i in range(1, n)}
+        diagram = CatFunctor(shape, base, on_objects, on_arrows)
+        cones.append(Cone(f"segal{n}", base, f"s{n}", shape, diagram, legs))
+    return LimitSketch(base, tuple(cones), name="segal_3")
+
+
+def segal_path_presentation(sketch: LimitSketch, edges: int) -> SetPresentation:
+    """The path of ``edges`` edges: the monotone maps x: [k] -> [edges] spanning at most one edge.
+
+    The simplex x is named by its values, dot-separated; an arrow theta
+    sends it to x . theta, which spans no more than x does.
+    """
+    carrier = {f"s{k}": [x for x in _monotone(k, edges) if x[-1] - x[0] <= 1] for k in range(4)}
+
+    def name(x: tuple[int, ...]) -> str:
+        return ".".join(map(str, x))
+
+    action = {}
+    for a, arrow in sketch.base.non_identities.items():
+        theta = tuple(map(int, a.split("_")[1]))
+        action[a] = {name(x): name(tuple(x[i] for i in theta)) for x in carrier[arrow.dom]}
+    return make_presentation(sketch.base, {d: map(name, xs) for d, xs in carrier.items()}, action)
+
+
+def segal_path_reflection_size(edges: int) -> dict[str, int]:
+    """|L(X)(s_k)| = C(edges + k + 1, k + 1): L(X) is the nerve of the poset [edges]."""
+    return {f"s{k}": math.comb(edges + k + 1, k + 1) for k in range(4)}

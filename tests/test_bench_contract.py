@@ -23,6 +23,8 @@ from tests.fixtures import binary_fixture, binary_model, binary_sketch
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 REQUIRED_METRICS = (
+    "elim.e_step.free_added",
+    "elim.e_step.kept",
     "elim.e_step.limit_tuples",
     "elim.relation_one.pairs",
     "elim.relation_two.pairs",

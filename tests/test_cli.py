@@ -326,6 +326,31 @@ def test_presentation_over_wrong_category_exits_two(workspace):
     assert "differs" in proc.stderr or "unknown" in proc.stderr
 
 
+NO_PROJECTIONS = {"pi1": {}, "pi2": {}}  # binary_product's arrows, each on an empty carrier
+
+
+@pytest.mark.parametrize(
+    "category, carrier, action, message",
+    [
+        ("binary_product", {"zz": []}, NO_PROJECTIONS, "carrier names unknown object 'zz'"),
+        ("binary_product", {}, {**NO_PROJECTIONS, "nope": {}}, "action names unknown arrow 'nope'"),
+        ("nosuch", {}, {}, "unknown category name 'nosuch'"),
+        ("iso_forcing", {}, {}, "presentation category differs from the sketch category"),
+        ("binary_product", {}, {"pi2": {}}, "no action given for arrow 'pi1'"),
+    ],
+    ids=["unknown-object", "unknown-arrow", "unknown-category", "other-category", "missing-action"],
+)
+def test_presentation_loader_refusals_exit_two(tmp_path, capsys, category, carrier, action, message):
+    from limsketch import cli
+
+    doc, out = tmp_path / "X.json", tmp_path / "report.json"
+    doc.write_text(json.dumps({"category": category, "carrier": carrier, "action": action}))
+    argv = ["reflect", "--sketch", "binary_product", "--presentation", str(doc), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"input error: {doc}: {message}\n")
+    assert not out.exists()
+
+
 def test_reflect_kelly_budget_zero_exits_three(workspace):
     proc = run_cli(
         "reflect", "--sketch", str(workspace["iso_sketch"]),

@@ -324,7 +324,7 @@ def test_a_corrupted_source_row_gets_the_witness_of_naturality_break():
     before = build_alpha(faithful, stages, sketch)
     stage, target = faithful.stages[1], stages.object_at(1)
     alpha_1 = before.stages[1].components
-    x = stage.free_rows["c0", "id_p"][-1]
+    x = stage.rows["c0", "id_p"][-1]
     action = stage.total.action["pi1"]
     image = alpha_1["a"][action[x]]
     action[x] = next(y for y in stage.total.carrier["a"] if alpha_1["a"][y] != image)
@@ -341,7 +341,7 @@ def _extra_carrier_element(stage) -> None:
 
 
 def _row_without_its_last_id(stage) -> None:
-    stage.free_rows["c0", "pi1"].pop()
+    stage.rows["c0", "pi1"].pop()
 
 
 @pytest.mark.parametrize("corrupt", [_extra_carrier_element, _row_without_its_last_id])

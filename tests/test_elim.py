@@ -69,7 +69,7 @@ def test_free_sizes_iso_stage_one():
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
     assert free_size(stage1) == {"a": 1, "b": 1}
     # the single limit tuple is the tagged y
-    assert stage1.limits_prev["c0"] == ((tag_base("y"),),)
+    assert stage1.limits["c0"] == ((tag_base("y"),),)
 
 
 def test_free_sizes_binary_stage_one():
@@ -92,7 +92,7 @@ def test_free_action_post_composes_arrows():
     assert len(witnesses) == 4
     for fid, (cone, arrow, w) in witnesses:
         assert arrow == "id_p"
-        k = stage1.limits_prev[cone].index(w)
+        k = stage1.limits[cone].index(w)
         for proj in ("pi1", "pi2"):
             image = stage1.total.action[proj][fid]
             assert image == tag_free(witness_id("F", cone, proj, k))
@@ -103,11 +103,11 @@ def test_kan_unit_points_at_identity_witnesses():
     stage0 = initial_stage(iso_fixture(sketch), sketch)
     step = e_step(stage0, sketch, FAITHFUL, quotient=next_quotient(stage0, sketch))
     stage1 = elim_stage(stage0, sketch, FAITHFUL)
-    (w,) = stage1.limits_prev["c0"]
-    unit = dict(zip(stage1.limits_prev["c0"], stage1.free_rows["c0", "id_a"]))
+    (w,) = stage1.limits["c0"]
+    unit = dict(zip(stage1.limits["c0"], stage1.rows["c0", "id_a"]))
     assert unit[w] == tag_free(witness_id("F", "c0", "id_a", 0))
     assert unit[w] in stage1.total.carrier["a"]
-    # the unit the free step reports is the one its rows give, built when read, not stored
+    # the unit the stage reports is the one its rows give, built when read, not stored
     assert step.kan_unit_raw == {"c0": unit}
     assert "kan_unit_raw" not in vars(step)
 
@@ -154,7 +154,7 @@ def test_rule_two_iso_stage_one_pair():
     sketch = iso_sketch()
     stage1 = elim_stage(initial_stage(iso_fixture(sketch), sketch), sketch, FAITHFUL)
     pairs = relation_two(stage1, sketch)
-    assert stage1.limits_prev["c0"] == ((tag_base("y"),),)
+    assert stage1.limits["c0"] == ((tag_base("y"),),)
     expected = (tag_free(witness_id("F", "c0", "t", 0)), tag_base(tag_base("y")))
     assert pairs == {"b": (expected,)}
 
@@ -440,13 +440,13 @@ def _stage_invariants(trace, sketch):
             assert quotient.source is trace.stages[stage.index - 1].total
             for obj in sketch.base.objects:
                 assert set(quotient.projection[obj].values()) == set(quotient.target.carrier[obj])
-        at = {c: {w: k for k, w in enumerate(ts)} for c, ts in stage.limits_prev.items()}
+        at = {c: {w: k for k, w in enumerate(ts)} for c, ts in stage.limits.items()}
         for name, arrow in sketch.base.arrows.items():
             for fid, (cone, t, w) in free_witnesses(stage, arrow.dom):
                 composed, k = sketch.base.compose(name, t), at[cone][w]
                 assert stage.total.action[name][fid] == tag_free(witness_id("F", cone, composed, k))
-        for (cone, t), row in stage.free_rows.items():
-            tuples = stage.limits_prev[cone]
+        for (cone, t), row in stage.rows.items():
+            tuples = stage.limits[cone]
             assert row == [tag_free(witness_id("F", cone, t, k)) for k in range(len(tuples))]
             # the rows hold the total's own strings
             own = {id(x) for x in stage.total.carrier[sketch.base.arrows[t].cod]}
@@ -498,13 +498,13 @@ def test_stage_element_provenance_view():
     trace = reflect_elim(iso_fixture(sketch), sketch, budget=8, mode=FAITHFUL)
     stage1 = trace.stages[1]
     seen = set()
-    # the replay reads base classes from the projection, free elements from ``free_rows``
-    # over the tuples of ``limits_prev``
+    # the replay reads base classes from the projection, free elements from ``rows``
+    # over the tuples of ``limits``
     classes = fibres(stage1.quotient.projection["b"])
     view = [(tag_base(k), members, ()) for k, members in classes.items()]
-    for (cone, arrow), ids in stage1.free_rows.items():
+    for (cone, arrow), ids in stage1.rows.items():
         if sketch.base.arrows[arrow].cod == "b":
-            tuples = stage1.limits_prev[cone]
+            tuples = stage1.limits[cone]
             view.extend((tagged, (), ((cone, arrow, w),)) for w, tagged in zip(tuples, ids))
     for tagged, members, witnesses in view:
         seen.add(tagged)
@@ -529,7 +529,7 @@ def _assert_pruned_limits_match_oracle(pres, sketch, budget=8):
         quotient = stage.quotient
         expected = pushed_filter_limits(prev.total, quotient.target, quotient.projection, sketch)
         for cone in sketch.cones:
-            kept = stage.limits_prev[cone.name]
+            kept = stage.limits[cone.name]
             assert len(set(kept)) == len(kept)
             assert set(kept) == expected[cone.name], (cone.name, stage.index)
     return trace
@@ -580,6 +580,6 @@ def test_pruned_limits_match_oracle_on_several_lifts():
         )
         for stage in trace.stages[1:]:
             p = stage.quotient.projection
-            images = [(p["b"][wb], p["c"][wc]) for wb, wc in stage.limits_prev["c0"]]
+            images = [(p["b"][wb], p["c"][wc]) for wb, wc in stage.limits["c0"]]
             several += len(images) - len(set(images))
     assert several > 0

@@ -1,4 +1,4 @@
-"""Two localisation families whose reflections are known in closed form.
+"""Three localisation families whose reflections are known in closed form.
 
 - **Monoid actions with s inverted**, the discrete shadow of localising a
   ring at an element: the cyclic monoid s^(k+p) = s^k on one object, and
@@ -7,6 +7,11 @@
 - **Iso chains**, the discrete shadow of prespectra -> Omega-spectra: the
   chain x0 -> ... -> xn with its composites, and a cone per i forcing
   x_i -> x_(i+1) bijective, so |L(X)_i| = |X_n|.
+- **Segal paths**, the paper's simplicial example: Δ≤3^op with the Segal
+  cones at s2 and s3, whose models are nerves of categories.  The path
+  of n edges reflects to the nerve of the poset [n], so |L(X)(s_k)| =
+  C(n+k+1, k+1).  Only pruned ``elim`` is checked here: ``kelly`` is
+  refused its completion sum from n = 2 on.
 
 Every converged pruned ``elim`` and ``kelly`` run must match the closed
 form, and rho must generate its core.  Budget refusals and exhausted
@@ -25,7 +30,7 @@ import pytest
 from limsketch.elim import PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded
 from limsketch.kelly import reflect_kelly
-from limsketch.sketchlib import is_model
+from limsketch.sketchlib import is_model, validate_sketch
 from limsketch.universal import generated
 
 from tests.oracles import (
@@ -35,6 +40,9 @@ from tests.oracles import (
     monoid_action_sketch,
     random_monoid_action,
     random_valid_presentation,
+    segal_path_presentation,
+    segal_path_reflection_size,
+    segal_sketch,
 )
 
 ENGINES = {
@@ -137,3 +145,35 @@ def test_kelly_converges_on_every_iso_chain_of_length_eight():
 )
 def test_pruned_elim_converges_on_every_iso_chain_of_length_eight():
     assert iso_chain_runs(8)["pruned", "converged"] == 8
+
+
+@pytest.fixture(scope="module")
+def segal():
+    sketch = segal_sketch()
+    assert validate_sketch(sketch).ok
+    return sketch
+
+
+@pytest.mark.parametrize(
+    "n, stage, kind", [(1, 0, "model-input"), (2, 3, "base-fixpoint"), (3, 3, "base-fixpoint")]
+)
+def test_pruned_elim_reflects_segal_paths_to_the_closed_form(segal, n, stage, kind):
+    pres = segal_path_presentation(segal, n)
+    trace = reflect_elim(pres, segal, mode=PRUNED)
+    assert (trace.converged_at, trace.core_kind) == (stage, kind)
+    assert trace.core.size() == segal_path_reflection_size(n)
+    closure = generated(trace.core, trace.rho, segal)
+    assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=BudgetExceeded,
+    reason="stage 4 visits more than 10^6 candidates at cone segal3 while merging "
+    "proceeds one rule (1) round per stage; ROADMAP item 1 (saturate rule (1) within "
+    "a stage) should mend it",
+)
+def test_pruned_elim_converges_on_the_four_edge_segal_path(segal):
+    trace = reflect_elim(segal_path_presentation(segal, 4), segal, mode=PRUNED)
+    assert trace.converged
+    assert trace.core.size() == segal_path_reflection_size(4)

@@ -36,7 +36,7 @@ def _elim_checks(trace, sketch):
             quotient = prev.quotient
             into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in quotient.projection.items()}
             every.append(
-                brute_leg_pairs(quotient.source, sketch, prev.limits_prev, "F", FREE_TAG, into)
+                brute_leg_pairs(quotient.source, sketch, prev.limits, "F", FREE_TAG, into)
             )
         yield stage.quotient, _union(stage.rule1, stage.rule2), _union(*every)
 

@@ -88,7 +88,7 @@ def _moved_member():
     sketch, pres = _binary()
     elim_trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
     kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
-    assert elim_trace.stages[1].limits_prev["c0"][1] == ("B:u", "B:v")
+    assert elim_trace.stages[1].limits["c0"][1] == ("B:u", "B:v")
     projection = elim_trace.stages[2].quotient.projection["a"]
     assert projection[MOVED] == "B:B:u" and OTHER in projection.values()
     projection[MOVED] = OTHER

@@ -88,7 +88,7 @@ def _layers(trace):
             yield step.quotient.source.carrier, step.rows, step.limits
     else:
         for stage in trace.stages:
-            yield stage.total.carrier, stage.free_rows, stage.limits_prev
+            yield stage.total.carrier, stage.rows, stage.limits
 
 
 def assert_ids_by_position(trace) -> int:
@@ -169,10 +169,10 @@ def test_report_limits_table_round_trips(label, sketch, pres):
             cut = len(elim.FREE_TAG) + 1
             for stage, entry in zip(trace.stages, report["stages"], strict=True):
                 table = {c: [decode_tail(r) for r in rows] for c, rows in entry["limits"].items()}
-                assert table == {c: list(ts) for c, ts in stage.limits_prev.items()}
+                assert table == {c: list(ts) for c, ts in stage.limits.items()}
                 witness = {
-                    wid[cut:]: (cone, t, stage.limits_prev[cone][k])
-                    for (cone, t), row in stage.free_rows.items()
+                    wid[cut:]: (cone, t, stage.limits[cone][k])
+                    for (cone, t), row in stage.rows.items()
                     for k, wid in enumerate(row)
                 }
                 for fids in entry["free"].values():

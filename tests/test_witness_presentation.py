@@ -168,7 +168,7 @@ def test_report_free_lists_and_free_steps_read_the_total(monkeypatch, name):
             except BudgetExceeded:
                 continue
             for stage, entry in zip(trace.stages, trace.to_json_dict()["stages"], strict=True):
-                limits = [(c, peak, stage.limits_prev.get(c, ())) for c, peak in cones]
+                limits = [(c, peak, stage.limits.get(c, ())) for c, peak in cones]
                 want, _ = brute_witness_presentation("F", sketch.base, limits)
                 assert entry["free"] == {d: list(xs) for d, xs in want.carrier.items()}
             for step, stage in zip(steps, trace.stages[1:], strict=True):
@@ -228,7 +228,7 @@ def test_rectification_pairs_match_their_definition():
         for stage in (st for trace in elim_traces for st in trace.stages[1:]):
             quotient = stage.quotient
             into = {d: {x: tag_base(k) for x, k in p.items()} for d, p in quotient.projection.items()}
-            args = (quotient.source, sketch, stage.limits_prev, "F", elim.FREE_TAG, into)
+            args = (quotient.source, sketch, stage.limits, "F", elim.FREE_TAG, into)
             got = relation_two(stage, sketch)
             at_identities = brute_leg_pairs(*args, identities_only=True)
             assert _sets(got) == _sets(at_identities)
