@@ -68,8 +68,8 @@ def replay(
     its elements in the order of the cone's tuples, so the tuples are
     imaged once per cone and stage, a column at a time, and each image's
     place is looked up once, in a map built from the completion's
-    ``limits``.  Each completion row is read through the projection once
-    and indexed by the places.  An image without a place, or a pair the
+    ``limits``.  Only the pairs at those places are read, each through the
+    projection once.  An image without a place, or a reached pair the
     projection lacks, raises :class:`EngineError` naming the first.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
@@ -113,13 +113,9 @@ def replay(
             d, row, place = arrows[arrow].cod, step.rows[cone, arrow], places[cone]
             pairs = step.quotient.projection[d]
             try:
-                row_classes = list(map(pairs.__getitem__, row))
-                blocks[cone, arrow] = list(map(row_classes.__getitem__, place))
+                blocks[cone, arrow] = list(map(pairs.__getitem__, map(row.__getitem__, place)))
             except (KeyError, TypeError):
-                j = next((j for j, k in enumerate(place) if k is None or row[k] not in pairs), None)
-                if j is None:  # only pairs that no tuple reaches are missing
-                    blocks[cone, arrow] = list(map(pairs.__getitem__, map(row.__getitem__, place)))
-                    continue
+                j = next(j for j, k in enumerate(place) if k is None or row[k] not in pairs)
                 w = tuple(m[x] for m, x in zip(maps, tuples[j]))
                 raise EngineError(
                     f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "

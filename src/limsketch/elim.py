@@ -61,9 +61,9 @@ from .setops import (
 from .sketchlib import (
     Cone,
     LimitSketch,
-    check_presentation,
     cone_limit,
     gap_map,
+    input_is_model,
     is_model,
     rectification_pairs,
     restrict_along,
@@ -139,14 +139,13 @@ class ReflectionTrace(Reflection):
     """The full staged record of one reflection run."""
 
     mode: str
-    sketch: LimitSketch
     stages: list[Stage]
     converged_at: int | None
     rho: NatTransSpec | None  # the unit X -> core, once converged
     core_kind: str | None = None  # "model-input" | "stable-core" | "base-fixpoint"
 
     def engine_fields(self) -> dict:
-        stages, objects, cut = [], self.sketch.base.objects, len(FREE_TAG) + 1
+        stages, objects, cut = [], self.stages[0].total.base.objects, len(FREE_TAG) + 1
         for st in self.stages:
             r1, r2 = st.pair_counts()
             stages.append(
@@ -165,7 +164,7 @@ class ReflectionTrace(Reflection):
 
 
 def initial_stage(pres: SetPresentation, sketch: LimitSketch) -> Stage:
-    check_presentation(pres, sketch)
+    """Stage 0: X as the base and no free part; X is trusted, as :func:`reflect_elim` checks it."""
     empty = empty_presentation(sketch.base)
     total, _, _ = disjoint_sum(pres, empty, tags=(BASE_TAG, FREE_TAG))
     identity = QuotientMap(pres, pres, identity_nat(pres).components)
@@ -374,16 +373,10 @@ def reflect_elim(
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
-    if budget < 0:
-        raise InputError("budget must be >= 0")
-    stage0 = initial_stage(pres, sketch)
-    stages = [stage0]
-    try:
-        model_input = is_model(pres, sketch, max_tuples=max_tuples).is_model
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"stage 0: {exc}") from None
+    model_input = input_is_model(pres, sketch, budget, max_tuples)
+    stages = [initial_stage(pres, sketch)]
     if model_input:
-        return ReflectionTrace(mode, sketch, stages, 0, identity_nat(pres), core_kind="model-input")
+        return ReflectionTrace(mode, stages, 0, identity_nat(pres), core_kind="model-input")
     prev_core = {d: tuple(pres.carrier[d]) for d in sketch.base.objects}
     core_pres: SetPresentation | None = None
     converged_at: int | None = None
@@ -409,7 +402,7 @@ def reflect_elim(
                 break
         prev_core = core_ids
     if core_pres is None:
-        return ReflectionTrace(mode, sketch, stages, None, None)
+        return ReflectionTrace(mode, stages, None, None)
     rho_components: dict[str, dict[str, str]] = {}
     for d in sketch.base.objects:
         comp: dict[str, str] = {}
@@ -420,4 +413,4 @@ def reflect_elim(
             comp[x] = v
         rho_components[d] = comp
     rho = NatTransSpec(pres, core_pres, rho_components)
-    return ReflectionTrace(mode, sketch, stages, converged_at, rho, core_kind=core_kind)
+    return ReflectionTrace(mode, stages, converged_at, rho, core_kind=core_kind)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded
 from .setops import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_STAGE_BUDGET,
@@ -47,9 +47,9 @@ from .setops import (
 )
 from .sketchlib import (
     LimitSketch,
-    check_presentation,
     cone_limit,
     gap_map,
+    input_is_model,
     is_model,
     rectification_pairs,
 )
@@ -124,7 +124,6 @@ def kelly_P(
 
 @dataclass
 class KellyTrace(Reflection):
-    sketch: LimitSketch
     start: SetPresentation
     stages: list[CompletionStep]  # stage n at ``stages[n - 1]``
     converged_at: int | None
@@ -167,15 +166,8 @@ def reflect_kelly(
     that to line stages up with another trace.  A tuple or element cap
     exceeded in a completion raises :class:`BudgetExceeded` naming its stage.
     """
-    if budget < 0:
-        raise InputError("budget must be >= 0")
-    check_presentation(pres, sketch)
     stages: list[CompletionStep] = []
-    try:
-        model_input = is_model(pres, sketch, max_tuples=max_tuples).is_model
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"stage 0: {exc}") from None
-    converged_at: int | None = 0 if model_input else None
+    converged_at = 0 if input_is_model(pres, sketch, budget, max_tuples) else None
     current = pres
     for n in range(1, budget + 1):
         if converged_at is not None and stop_on_convergence:
@@ -189,8 +181,8 @@ def reflect_kelly(
         if converged_at is None and is_model(current, sketch, max_tuples=max_tuples).is_model:
             converged_at = n
     if converged_at is None:
-        return KellyTrace(sketch, pres, stages, None, None)
+        return KellyTrace(pres, stages, None, None)
     rho = identity_nat(pres)
     for step in stages[:converged_at]:
         rho = compose_nat(step.unit, rho)
-    return KellyTrace(sketch, pres, stages, converged_at, rho)
+    return KellyTrace(pres, stages, converged_at, rho)

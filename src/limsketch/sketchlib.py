@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 from .fincat import (
     CATEGORY_SCHEMA,
     CatFunctor,
@@ -108,15 +108,6 @@ def validate_sketch(sketch: LimitSketch) -> ValidationReport:
         for v in sub.violations:
             report.add(f"cone {cone.name}: {prefix}{v.rule}", v.detail)
     return report
-
-
-def check_presentation(pres: SetPresentation, sketch: LimitSketch) -> None:
-    """Refuse an invalid presentation, or one over another category than the sketch's."""
-    report = validate_presentation(pres)
-    if not report.ok:
-        raise InputError(f"invalid presentation: {report.violations[0]}")
-    if pres.base != sketch.base:
-        raise InputError("presentation is not over the sketch category")
 
 
 def restrict_along(pres: SetPresentation, cone: Cone) -> SetPresentation:
@@ -239,6 +230,24 @@ def is_model(
             ConeCheck(cone.name, inj_witness is None, unhit is None, inj_witness, unhit)
         )
     return ModelReport(checks)
+
+
+def input_is_model(
+    pres: SetPresentation, sketch: LimitSketch, budget: int, max_tuples: int
+) -> bool:
+    """Stage 0 of both engines: is X a model?  Refuses first a negative budget, an invalid X,
+    then an X over another category; a model check over its tuple budget names stage 0."""
+    if budget < 0:
+        raise InputError("budget must be >= 0")
+    report = validate_presentation(pres)
+    if not report.ok:
+        raise InputError(f"invalid presentation: {report.violations[0]}")
+    if pres.base != sketch.base:
+        raise InputError("presentation is not over the sketch category")
+    try:
+        return is_model(pres, sketch, max_tuples=max_tuples).is_model
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"stage 0: {exc}") from None
 
 
 # -- built-in sketches -------------------------------------------------------

@@ -116,6 +116,20 @@ def test_pruned_elim_converges_on_the_index_three_chain():
     assert trace.core.size() == {"o": monoid_action_reflection_size(f, 1)} == {"o": 1}
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="kelly stays at 2 elements for all 8 stages while both elim modes converge to "
+    "one point; ROADMAP item 3 (a stable-image criterion for kelly) should mend it",
+)
+def test_kelly_converges_on_an_idempotent_action():
+    # s idempotent, s^2 = s, sending both points of X to 1: L(X) is one point
+    sketch = monoid_action_sketch(1, 1)
+    f = [1, 1]
+    trace = reflect_kelly(monoid_action_presentation(sketch, f), sketch, budget=8)
+    assert trace.converged
+    assert trace.core.size() == {"o": monoid_action_reflection_size(f, 1)} == {"o": 1}
+
+
 def iso_chain_runs(n: int) -> Counter:
     """Eight draws over the chain of length n, each checked against |L(X)_i| = |X_n|."""
     sketch, rng, outcomes = iso_chain_sketch(n), random.Random(3), Counter()

@@ -6,6 +6,9 @@ engines only the modes it knows, and refuses an invalid presentation, or
 one over another category, when it loads it.  So these refusals are
 reached only by a library caller.  Each must raise
 :class:`~limsketch.errors.InputError` (exit 2) with its own message.
+Both engines refuse X in one entry check, whose stage-0 budget refusal
+(exit 3) the command line reaches only in a subprocess; it is pinned
+here in process too.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import pytest
 
 from limsketch.compare import build_alpha
 from limsketch.elim import FAITHFUL, e_step, initial_stage, reflect_elim
-from limsketch.errors import InputError
+from limsketch.errors import BudgetExceeded, InputError
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import SetPresentation, functorial_quotient
+from limsketch.setops import SetPresentation, functorial_quotient, make_presentation
 from limsketch.universal import enumerate_nat_trans
 
 from tests.fixtures import binary_fixture, binary_sketch, iso_fixture, iso_model, iso_sketch
@@ -75,6 +78,23 @@ def _elim_in_an_unknown_mode():
     reflect_elim(iso_fixture(sketch), sketch, mode="lazy")
 
 
+def _elim_with_a_negative_budget_over_an_invalid_presentation():
+    reflect_elim(_stray_presentation(), iso_sketch(), budget=-1)
+
+
+def _kelly_with_a_negative_budget_over_an_invalid_presentation():
+    reflect_kelly(_stray_presentation(), iso_sketch(), budget=-1)
+
+
+def _kelly_over_an_invalid_presentation_and_another_category():
+    reflect_kelly(_stray_presentation(), binary_sketch())
+
+
+def _elim_in_an_unknown_mode_with_a_negative_budget():
+    sketch = iso_sketch()
+    reflect_elim(iso_fixture(sketch), sketch, mode="lazy", budget=-1)
+
+
 STRAY = "invalid presentation: carrier-object: carrier at unknown object 'zz'"
 OTHER = "presentation is not over the sketch category"
 
@@ -88,6 +108,12 @@ CASES = [
     (_elim_over_another_category, OTHER),
     (_kelly_over_another_category, OTHER),
     (_elim_in_an_unknown_mode, "unknown mode 'lazy'"),
+    # the one entry check refuses the budget before X, X's validity before its
+    # category, and elim's mode before all of them
+    (_elim_with_a_negative_budget_over_an_invalid_presentation, "budget must be >= 0"),
+    (_kelly_with_a_negative_budget_over_an_invalid_presentation, "budget must be >= 0"),
+    (_kelly_over_an_invalid_presentation_and_another_category, STRAY),
+    (_elim_in_an_unknown_mode_with_a_negative_budget, "unknown mode 'lazy'"),
 ]
 
 
@@ -96,4 +122,16 @@ def test_library_guard_refuses_with_its_message_and_exit_class(call, message):
     with pytest.raises(InputError) as refused:
         call()
     assert type(refused.value) is InputError and refused.value.exit_code == 2
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("reflect", [reflect_elim, reflect_kelly], ids=["elim", "kelly"])
+def test_stage_zero_model_check_names_its_stage_in_process(reflect):
+    """The model check of X itself is stage 0: 3 points give 9 pairs, over a tuple budget of 0."""
+    sketch = binary_sketch()
+    pres = make_presentation(sketch.base, {"a": ["x0", "x1", "x2"]}, {"pi1": {}, "pi2": {}})
+    with pytest.raises(BudgetExceeded) as refused:
+        reflect(pres, sketch, max_tuples=0)
+    assert type(refused.value) is BudgetExceeded and refused.value.exit_code == 3
+    message = "stage 0: limit tuple budget exceeded at cone c0: product exceeds 0"
     assert str(refused.value) == message

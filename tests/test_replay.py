@@ -5,9 +5,11 @@ engine could: two classes with different images are merged, one element
 is sent to another class, a formal pair is dropped from a completion's
 projection, or a tuple from a completion's limits.  A quotient is its
 projection, so each of the first three edits one.  ``build_alpha`` must
-raise ``EngineError``.  The factorisation reads no stage, only a trace's
-unit rho, so a corrupted stage cannot reach it; ``tests.test_universal``
-covers the errors it still raises.
+raise ``EngineError``.  A completion pair that no tuple reaches is never
+looked up, so its absence from the projection changes nothing.  The
+factorisation reads no stage, only a trace's unit rho, so a corrupted
+stage cannot reach it; ``tests.test_universal`` covers the errors it
+still raises.
 
 The replay maps a staged step's free part row by row; ``brute_replay`` in
 ``tests.oracles`` maps it element by element.  The two must build the same
@@ -25,6 +27,7 @@ import pytest
 from limsketch.compare import build_alpha
 from limsketch.elim import FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded, EngineError
+from limsketch.fincat import report_text
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import make_presentation, witness_id
 from limsketch.sketchlib import BUILDERS, build_sketch
@@ -154,6 +157,26 @@ def test_alpha_refuses_an_image_missing_from_the_completion_limits(binary):
     assert w == ("u", "u")
     with pytest.raises(EngineError, match=message + "completion sum at 'a'"):
         build_alpha(elim_trace, kelly_trace, sketch)
+
+
+def test_alpha_ignores_a_pair_no_tuple_reaches():
+    # only the pairs at the places of imaged tuples are looked up, so a completion tuple
+    # that no image takes may have a pair the projection lacks
+    sketch, pres = _binary()
+
+    def alpha(tamper: bool) -> str:
+        elim_trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
+        kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
+        if tamper:
+            step = kelly_trace.stages[0]
+            step.limits["c0"] = (*step.limits["c0"], ("?", "?"))
+            for (cone, _), row in step.rows.items():
+                if cone == "c0":
+                    row.append("P:unreached")
+        # alpha's components are SortedMaps, compared by the report bytes they write
+        return report_text(build_alpha(elim_trace, kelly_trace, sketch).to_json_dict())
+
+    assert alpha(tamper=True) == alpha(tamper=False)
 
 
 # -- the row replay against the element-by-element replay ------------------------

@@ -93,8 +93,9 @@ def _layers(trace):
 
 def assert_ids_by_position(trace) -> int:
     """Check every witness id and the depth bound on every id of ``trace``; return the ids seen."""
-    kind, tag, base_tag = KELLY if isinstance(trace, kelly.KellyTrace) else ELIM
-    base = trace.sketch.base
+    is_kelly = isinstance(trace, kelly.KellyTrace)
+    kind, tag, base_tag = KELLY if is_kelly else ELIM
+    base = (trace.start if is_kelly else trace.stages[0].total).base
     layers = list(_layers(trace))
     # added[i][d]: the ids stage i adds at d, the whole start at stage 0
     added = [{d: set(xs) for d, xs in layers[0][0].items()}]
