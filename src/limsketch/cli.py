@@ -167,7 +167,7 @@ def cmd_reflect(args: argparse.Namespace) -> int:
         sizes = [st.total.size() for st in trace.stages]
     else:
         trace = kelly.reflect_kelly(pres, sketch, **_caps(args))
-        sizes = [trace.object_at(n).size() for n in range(len(trace.stages) + 1)]
+        sizes = [step.obj.size() for step in trace.stages]
     _emit(trace.to_json_dict(), args.out)
     for index, size in enumerate(sizes):
         print(f"stage {index}: {_size_line(size)}")

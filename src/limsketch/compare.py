@@ -46,7 +46,7 @@ from .universal import Components, factor_through_model
 def replay(
     stages: list[Stage], steps: list[CompletionStep], sketch: LimitSketch
 ) -> Iterator[dict[str, list[str]]]:
-    """Alpha at each staged stage, from the identity on X; ``steps[i - 1]`` matches stage i.
+    """Alpha at each staged stage, from the identity on X; ``steps[i]`` matches stage i.
 
     Alpha at stage i is a list of values per object, aligned with the
     stage total's sorted carrier: the base block, then each witness row,
@@ -73,24 +73,19 @@ def replay(
     projection lacks, raises :class:`EngineError` naming the first.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
-    current: Components = identity_nat(stages[0].quotient.target).components
+    before = values = stages[0].quotient.source.carrier
     cone_objects = {c.name: [c.diagram.on_object(z) for z in c.shape_order()] for c in sketch.cones}
-    for i, stage in enumerate(stages):
-        if i:
-            before = stages[i - 1].total.carrier
-            current = {d: dict(zip(before[d], values[d])) for d in objects}
-        step = steps[i - 1] if i else None
+    for i, (stage, step) in enumerate(zip(stages, steps)):
+        current = {d: dict(zip(before[d], values[d])) for d in objects}
         # per cone, the current map at each tuple position
         position_maps = {c: [current[o] for o in objs] for c, objs in cone_objects.items()}
-        carrier = stage.total.carrier
+        before = carrier = stage.total.carrier
         values: dict[str, list[str]] = {}
         fits: dict[str, bool] = {}  # does the layout so far match the carrier?
         for d in objects:
             # the projection lists the previous total in its sorted carrier order
             proj = stage.quotient.projection[d]
-            image = list(map(current[d].__getitem__, proj))
-            if step is not None:
-                image = list(map(step.unit.components[d].__getitem__, image))
+            image = list(map(step.unit.components[d].__getitem__, map(current[d].__getitem__, proj)))
             out: dict[str, str] = {}
             for k, value in zip(proj.values(), image):
                 if out.setdefault(k, value) != value:
@@ -245,18 +240,17 @@ def build_alpha(
     """
     if elim_trace.mode != FAITHFUL:
         raise PreconditionError("alpha comparison needs a faithful staged trace")
-    x_elim = elim_trace.stages[0].quotient.target
-    if x_elim != kelly_trace.start:
+    if elim_trace.stages[0].quotient.target != kelly_trace.stages[0].obj:
         raise InputError("the two traces start from different presentations")
     depth = len(elim_trace.stages) - 1
-    if len(kelly_trace.stages) < depth:
+    if len(kelly_trace.stages) <= depth:
         raise InputError(
-            f"completion trace has {len(kelly_trace.stages)} stages, need {depth}"
+            f"completion trace has {len(kelly_trace.stages) - 1} stages, need {depth}"
         )
-    steps = kelly_trace.stages[:depth]
+    steps = kelly_trace.stages[: depth + 1]
     stages: list[AlphaStage] = []
     for i, values in enumerate(replay(elim_trace.stages, steps, sketch)):
-        stage, target = elim_trace.stages[i], kelly_trace.object_at(i)
+        stage, target = elim_trace.stages[i], steps[i].obj
         alpha = AlphaStage(i, stage.total.carrier, values, True)
         if not _squares_hold(stage, target, values):
             if square := naturality_break(stage.total, target, alpha.components):

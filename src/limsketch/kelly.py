@@ -124,19 +124,13 @@ def kelly_P(
 
 @dataclass
 class KellyTrace(Reflection):
-    start: SetPresentation
-    stages: list[CompletionStep]  # stage n at ``stages[n - 1]``
+    stages: list[CompletionStep]  # stage n at ``stages[n]``, X under its identity at 0
     converged_at: int | None
     rho: NatTransSpec | None  # the unit X -> core, once converged
 
-    def object_at(self, index: int) -> SetPresentation:
-        if index == 0:
-            return self.start
-        return self.stages[index - 1].obj
-
     def engine_fields(self) -> dict:
         stages = []
-        for n, step in enumerate(self.stages, 1):
+        for n, step in enumerate(self.stages[1:], 1):
             r0, r1 = step.r_counts()
             stages.append(
                 {
@@ -166,23 +160,22 @@ def reflect_kelly(
     that to line stages up with another trace.  A tuple or element cap
     exceeded in a completion raises :class:`BudgetExceeded` naming its stage.
     """
-    stages: list[CompletionStep] = []
     converged_at = 0 if input_is_model(pres, sketch, budget, max_tuples) else None
-    current = pres
+    unit = identity_nat(pres)
+    stages = [CompletionStep(unit, QuotientMap(pres, pres, unit.components), {}, {}, {}, {})]
     for n in range(1, budget + 1):
         if converged_at is not None and stop_on_convergence:
             break
         try:
-            step = kelly_P(current, sketch, max_tuples=max_tuples, max_elements=max_elements)
+            step = kelly_P(stages[-1].obj, sketch, max_tuples=max_tuples, max_elements=max_elements)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {n}: {exc}") from None
         stages.append(step)
-        current = step.obj
-        if converged_at is None and is_model(current, sketch, max_tuples=max_tuples).is_model:
+        if converged_at is None and is_model(step.obj, sketch, max_tuples=max_tuples).is_model:
             converged_at = n
     if converged_at is None:
-        return KellyTrace(pres, stages, None, None)
-    rho = identity_nat(pres)
-    for step in stages[:converged_at]:
+        return KellyTrace(stages, None, None)
+    rho = stages[0].unit
+    for step in stages[1 : converged_at + 1]:
         rho = compose_nat(step.unit, rho)
-    return KellyTrace(pres, stages, converged_at, rho)
+    return KellyTrace(stages, converged_at, rho)

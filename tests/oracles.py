@@ -523,10 +523,10 @@ def replay_steps(trace) -> list:
 
     A staged trace replays stages 0..``converged_at`` element by element,
     then renames each core element k from its base id B:k; a completion
-    trace replays steps 1..``converged_at``.
+    trace replays steps 1..``converged_at``, as its stage 0 is X itself.
     """
     if isinstance(trace, KellyTrace):
-        return [CompletionClasses(step) for step in trace.stages[: trace.converged_at]]
+        return [CompletionClasses(step) for step in trace.stages[1 : trace.converged_at + 1]]
     core = trace.core
     leave = Rename({d: {k: tag_base(k) for k in core.carrier[d]} for d in core.base.objects})
     return [*map(PerElement, trace.stages[: trace.converged_at + 1]), leave]
@@ -565,11 +565,11 @@ def brute_pair_class(
 def brute_alpha(elim_trace, kelly_trace, sketch, depth: int) -> list[Components]:
     """The components of alpha at stages 0..``depth``, replayed element by element."""
     x = elim_trace.stages[0].quotient.target
-    kelly_steps = [None, *kelly_trace.stages[:depth]]
-    units = [None] + [step.unit.components for step in kelly_steps[1:]]
-    at = [None] + [
+    kelly_steps = kelly_trace.stages[: depth + 1]
+    units = [step.unit.components for step in kelly_steps]
+    at = [
         {c: {w: k for k, w in enumerate(ts)} for c, ts in step.limits.items()}
-        for step in kelly_steps[1:]
+        for step in kelly_steps
     ]
     return list(
         brute_replay(
@@ -593,7 +593,7 @@ def commutation_breaks(elim_trace, kelly_trace, alpha) -> list[tuple[int, str, s
     out = []
     for i in range(1, len(alpha.stages)):
         here, before = alpha.stages[i].components, alpha.stages[i - 1].components
-        unit = kelly_trace.stages[i - 1].unit.components
+        unit = kelly_trace.stages[i].unit.components
         for d, projection in elim_trace.stages[i].quotient.projection.items():
             for x, k in projection.items():
                 if here[d][tag_base(k)] != unit[d][before[d][x]]:

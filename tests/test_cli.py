@@ -361,6 +361,29 @@ def test_reflect_kelly_budget_zero_exits_three(workspace):
 
 
 @pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["compare", "--budget", "0"], "budget exhausted before both constructions converged"),
+        (["compare", "--budget", "1"], "budget exhausted before both constructions converged"),
+        (
+            ["universal", "--budget", "0", "--model", "{binary_model}", "--map", "{binary_map}"],
+            "budget exhausted before convergence",
+        ),
+    ],
+    ids=["compare-0", "compare-1", "universal-0"],
+)
+def test_budget_exits_three_with_no_report(workspace, tmp_path, capsys, argv, message):
+    from limsketch import cli
+
+    out = tmp_path / "report.json"
+    inputs = ["--sketch", "binary_product", "--presentation", str(workspace["binary_pres"])]
+    args = [a.format(**workspace) for a in argv]
+    assert cli.main([*args, *inputs, "--out", str(out)]) == 3
+    assert capsys.readouterr() == (message + "\n", "")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     ("flag", "command"),
     [
         ("--budget", ["reflect", "--engine", "elim"]),

@@ -14,11 +14,12 @@ from limsketch.compare import (
     build_alpha,
     comparison_to_json_dict,
     reflector_iso_check,
+    unit_iso_check,
 )
 from limsketch.elim import BASE_TAG, FAITHFUL, PRUNED, reflect_elim
 from limsketch.errors import BudgetExceeded, EngineError, PreconditionError
 from limsketch.kelly import reflect_kelly
-from limsketch.setops import make_presentation, naturality_break
+from limsketch.setops import NatTransSpec, make_presentation, naturality_break
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -91,7 +92,7 @@ def test_alpha_reports_the_first_broken_naturality_square(arrow, first):
     )
     before = build_alpha(faithful, stages, sketch)
     assert before.ok
-    source, target = faithful.stages[1].total, stages.object_at(1)
+    source, target = faithful.stages[1].total, stages.stages[1].obj
     alpha_1 = before.stages[1].components
     for name in (arrow, "pi2"):
         dom, cod = sketch.base.arrows[name].dom, sketch.base.arrows[name].cod
@@ -152,6 +153,36 @@ def test_reflector_iso_for_model_input_is_transported_identity():
     assert verdict.forward.components == {
         "a": {"m": "m"}, "b": {"n": "n"}
     }
+
+
+@pytest.mark.parametrize(
+    ("swap", "detail"),
+    [
+        (False, "backward . forward is not the identity on the first core"),
+        (True, "forward . backward is not the identity on the second core"),
+    ],
+    ids=["first", "second"],
+)
+def test_unit_iso_check_names_the_core_where_a_round_trip_fails(swap, detail):
+    """C = {a: [u], p: [p1, p2]} is no model: its gap map sends p1 and p2 to (u, u).
+
+    D = {a: [u], p: [q]} is.  Both units send u to u, so the round trip on
+    C sends p1 and p2 through q to one of them.
+    """
+    sketch = binary_sketch()
+
+    def core(peak):
+        projection = {x: "u" for x in peak}
+        return make_presentation(
+            sketch.base, {"a": ["u"], "p": peak}, {"pi1": projection, "pi2": projection}
+        )
+
+    x = make_presentation(sketch.base, {"a": ["u"], "p": []}, {"pi1": {}, "pi2": {}})
+    unit = {"a": {"u": "u"}, "p": {}}
+    rho_c, rho_d = NatTransSpec(x, core(["p1", "p2"]), unit), NatTransSpec(x, core(["q"]), unit)
+    first, second = (rho_d, rho_c) if swap else (rho_c, rho_d)
+    verdict = unit_iso_check(first, second, sketch)
+    assert (verdict.ok, verdict.detail) == (False, detail)
 
 
 def test_reflector_iso_requires_converged_traces():
@@ -250,7 +281,7 @@ def assert_row_decision_agrees(faithful, stages, sketch, rng, count: int = 8) ->
     assert alpha.ok
     found: Counter = Counter()
     for alpha_stage, stage in zip(alpha.stages, faithful.stages):
-        target, components = stages.object_at(stage.index), alpha_stage.components
+        target, components = stages.stages[stage.index].obj, alpha_stage.components
         assert _squares_hold(stage, target, alpha_stage.values)
         assert naturality_break(stage.total, target, components) is None
         classes = stage.quotient.target.carrier
@@ -322,7 +353,7 @@ def test_a_corrupted_source_row_gets_the_witness_of_naturality_break():
     faithful = reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
     stages = reflect_kelly(pres, sketch, budget=1, stop_on_convergence=False)
     before = build_alpha(faithful, stages, sketch)
-    stage, target = faithful.stages[1], stages.object_at(1)
+    stage, target = faithful.stages[1], stages.stages[1].obj
     alpha_1 = before.stages[1].components
     x = stage.rows["c0", "id_p"][-1]
     action = stage.total.action["pi1"]

@@ -389,6 +389,28 @@ def test_foreign_name_in_a_cone_map_exits_two(tmp_path, field, violation):
     assert err == f"input error: {sketch}: invalid sketch: cone c0: {violation}\n"
 
 
+@pytest.mark.parametrize(
+    ("edit", "violation"),
+    [
+        (lambda cone: cone.update(peak="zz"), "peak: peak 'zz' not an object of the base"),
+        (lambda cone: cone["legs"].pop("zl"), "leg-missing: no leg at shape object 'zl'"),
+        (
+            lambda cone: cone["legs"].update(zl="nope"),
+            "leg-unknown: leg 'nope' is not a base arrow",
+        ),
+    ],
+    ids=["peak", "leg-missing", "leg-unknown"],
+)
+def test_a_cone_with_a_bad_peak_or_leg_exits_two(tmp_path, edit, violation):
+    doc = sketch_to_json_dict(build_sketch("binary_product"))
+    edit(doc["cones"][0])
+    sketch = write(tmp_path, "S.json", doc)
+    pres = write(tmp_path, "X.json", {"carrier": {}, "action": {}})
+    code, out, err = run_main(["reflect", "--sketch", sketch, "--presentation", pres])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {sketch}: invalid sketch: cone c0: {violation}\n"
+
+
 def test_null_category_exits_two(tmp_path):
     pres = write(tmp_path, "X.json", {**EQUALIZER_EMPTY, "category": None})
     code, out, err = check("equalizer", pres)

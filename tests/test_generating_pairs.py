@@ -43,15 +43,14 @@ def _elim_checks(trace, sketch):
 
 def _kelly_checks(trace, sketch):
     """Per completion step: R0 and R1 as generated, and at every arrow."""
-    previous = trace.start
-    for step in trace.stages:
+    for prev, step in zip(trace.stages, trace.stages[1:]):
+        previous = prev.obj
         into = {d: {x: f"{SUM_BASE_TAG}:{x}" for x in xs} for d, xs in previous.carrier.items()}
         every = (
             every_arrow_r0(previous, sketch),
             brute_leg_pairs(previous, sketch, step.limits, "K", SUM_PAIR_TAG, into),
         )
         yield step.quotient, _union(step.r0, step.r1), _union(*every)
-        previous = step.obj
 
 
 def test_identity_pairs_generate_the_every_arrow_quotient():

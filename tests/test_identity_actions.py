@@ -54,7 +54,7 @@ def _built(sketch, fixture):
     for stage in faithful.stages[1:]:
         built[f"stage {stage.index} total"] = stage.total
         built[f"stage {stage.index} quotient target"] = stage.quotient.target
-    for i, step in enumerate(completion.stages, 1):
+    for i, step in enumerate(completion.stages[1:], 1):
         built[f"completion {i} sum"] = step.quotient.source
         built[f"completion {i} quotient target"] = step.obj
     for cone in sketch.cones:
@@ -116,7 +116,7 @@ def test_naturality_break_reads_no_identity_that_neither_side_stores():
     faithful = reflect_elim(pres, sketch, budget=1, mode=FAITHFUL)
     stages = reflect_kelly(pres, sketch, budget=1, stop_on_convergence=False)
     before = build_alpha(faithful, stages, sketch)
-    source, target = faithful.stages[1].total, stages.object_at(1)
+    source, target = faithful.stages[1].total, stages.stages[1].obj
     assert naturality_break(source, target, before.stages[1].components) is None
     assert _stored_identities(source) == _stored_identities(target) == []
 
@@ -137,10 +137,10 @@ def test_alpha_reports_a_broken_identity_stored_on_the_source_side():
     first = source.carrier["a"][0]
     other = next(y for y in source.carrier["a"] if alpha_1[y] != alpha_1[first])
     source.action["id_a"][first] = other
-    assert "id_a" not in stages.object_at(1).action
+    assert "id_a" not in stages.stages[1].obj.action
 
     alpha = build_alpha(faithful, stages, sketch)
     witness = f"naturality breaks at arrow 'id_a' on {first!r}"
     assert [(s.naturality_ok, s.witness) for s in alpha.stages] == [(True, None), (False, witness)]
-    square = naturality_break(source, stages.object_at(1), alpha.stages[1].components)
+    square = naturality_break(source, stages.stages[1].obj, alpha.stages[1].components)
     assert square == ("id_a", first, alpha_1[first], alpha_1[other])

@@ -158,14 +158,14 @@ def test_reflect_sheaf_core_sections():
 def test_stages_past_convergence_when_requested():
     sketch = iso_sketch()
     trace = reflect_kelly(iso_fixture(sketch), sketch, budget=3, stop_on_convergence=False)
-    assert len(trace.stages) == 3
+    assert len(trace.stages) == 4
     assert trace.converged_at == 1
 
 
 def test_rho_starts_from_the_sum_base_copy():
     sketch = iso_sketch()
     trace = reflect_kelly(iso_fixture(sketch), sketch, budget=4)
-    step = trace.stages[0]
+    step = trace.stages[1]
     for x in ("x1", "x2"):
         assert trace.rho.components["a"][x] == step.quotient.projection["a"][f"{SUM_BASE_TAG}:{x}"]
 

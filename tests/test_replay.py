@@ -114,7 +114,7 @@ def drop_formal_pair(elim_trace, kelly_trace) -> tuple[str, str, tuple[str, ...]
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     # alpha at stage 0 strips the base tag from each tuple component
     w = tuple(x.split(":", 1)[1] for x in w)
-    step = kelly_trace.stages[0]
+    step = kelly_trace.stages[1]
     pid = witness_id("K", cone, arrow, step.limits[cone].index(w))
     del step.quotient.projection["p"][f"P:{pid}"]
     return cone, arrow, w
@@ -139,7 +139,7 @@ def drop_limit_tuple(elim_trace, kelly_trace) -> tuple[str, str, tuple[str, ...]
     cone, arrow, w = next(free_witnesses(elim_trace.stages[1], "p"))[1]
     # alpha at stage 0 strips the base tag from each tuple component
     w = tuple(x.split(":", 1)[1] for x in w)
-    step = kelly_trace.stages[0]
+    step = kelly_trace.stages[1]
     tuples = step.limits[cone]
     k = tuples.index(w)
     stand_in = ("?",) * len(w)
@@ -168,7 +168,7 @@ def test_alpha_ignores_a_pair_no_tuple_reaches():
         elim_trace = reflect_elim(pres, sketch, budget=2, mode=FAITHFUL)
         kelly_trace = reflect_kelly(pres, sketch, budget=2, stop_on_convergence=False)
         if tamper:
-            step = kelly_trace.stages[0]
+            step = kelly_trace.stages[1]
             step.limits["c0"] = (*step.limits["c0"], ("?", "?"))
             for (cone, _), row in step.rows.items():
                 if cone == "c0":

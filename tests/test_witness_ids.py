@@ -82,20 +82,17 @@ def _layers(trace):
     For elim the ids are the stage's total and stage 0 is the tagged input;
     for kelly they are the completion sum and stage 0 is the input itself.
     """
-    if isinstance(trace, kelly.KellyTrace):
-        yield trace.start.carrier, {}, {}
-        for step in trace.stages:
-            yield step.quotient.source.carrier, step.rows, step.limits
-    else:
-        for stage in trace.stages:
-            yield stage.total.carrier, stage.rows, stage.limits
+    is_kelly = isinstance(trace, kelly.KellyTrace)
+    for stage in trace.stages:
+        ids = stage.quotient.source if is_kelly else stage.total
+        yield ids.carrier, stage.rows, stage.limits
 
 
 def assert_ids_by_position(trace) -> int:
     """Check every witness id and the depth bound on every id of ``trace``; return the ids seen."""
     is_kelly = isinstance(trace, kelly.KellyTrace)
     kind, tag, base_tag = KELLY if is_kelly else ELIM
-    base = (trace.start if is_kelly else trace.stages[0].total).base
+    base = trace.stages[0].quotient.source.base
     layers = list(_layers(trace))
     # added[i][d]: the ids stage i adds at d, the whole start at stage 0
     added = [{d: set(xs) for d, xs in layers[0][0].items()}]
@@ -150,7 +147,7 @@ def test_report_limits_table_round_trips(label, sketch, pres):
     for trace in _traces(sketch, pres):
         report = json.loads(trace.dumps())
         if isinstance(trace, kelly.KellyTrace):
-            for step, entry in zip(trace.stages, report["stages"], strict=True):
+            for step, entry in zip(trace.stages[1:], report["stages"], strict=True):
                 table = {c: [decode_tail(r) for r in rows] for c, rows in entry["limits"].items()}
                 assert table == {c: list(ts) for c, ts in step.limits.items()}
                 # each tuple's place in the table, as ``compare`` builds it

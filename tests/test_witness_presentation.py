@@ -119,7 +119,7 @@ def test_fixture_stages_match_oracle(sums, sketch, fixture):
     pruned = reflect_elim(pres, s, mode=PRUNED)
     kelly_trace = reflect_kelly(pres, s, budget=2, stop_on_convergence=False)
     assert pruned.converged
-    built = len(faithful.stages) - 1 + len(pruned.stages) - 1 + len(kelly_trace.stages)
+    built = len(faithful.stages) - 1 + len(pruned.stages) - 1 + len(kelly_trace.stages) - 1
     assert len(sums) == built > 0
 
 
@@ -235,9 +235,8 @@ def test_rectification_pairs_match_their_definition():
             want = brute_leg_pairs(*args)
             assert _projection(stage.total, got) == _projection(stage.total, want)
             compared += sum(map(len, want.values()))
-        previous = kelly_trace.start
-        for step in kelly_trace.stages:
-            x_tag = kelly.SUM_BASE_TAG
+        for prev, step in zip(kelly_trace.stages, kelly_trace.stages[1:]):
+            previous, x_tag = prev.obj, kelly.SUM_BASE_TAG
             into = {d: {x: f"{x_tag}:{x}" for x in xs} for d, xs in previous.carrier.items()}
             args = (previous, sketch, step.limits, "K", kelly.SUM_PAIR_TAG, into)
             at_identities = brute_leg_pairs(*args, identities_only=True)
@@ -246,7 +245,6 @@ def test_rectification_pairs_match_their_definition():
             source = step.quotient.source
             assert _projection(source, step.r1) == _projection(source, want)
             compared += sum(map(len, want.values()))
-            previous = step.obj
     assert compared >= 1_000, compared
 
 
