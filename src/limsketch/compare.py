@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -68,9 +69,10 @@ def replay(
     its elements in the order of the cone's tuples, so the tuples are
     imaged once per cone and stage, a column at a time, and each image's
     place is looked up once, in a map built from the completion's
-    ``limits``.  Only the pairs at those places are read, each through the
-    projection once.  An image without a place, or a reached pair the
-    projection lacks, raises :class:`EngineError` naming the first.
+    ``limits``.  Each completion row is sent through the projection once,
+    and the block is that list read at the places.  An image without a
+    place, or a reached pair the projection lacks, reads None there and
+    raises :class:`EngineError` naming the first.
     """
     objects, arrows = sketch.base.objects, sketch.base.arrows
     before = values = stages[0].quotient.source.carrier
@@ -104,18 +106,18 @@ def replay(
             maps, tuples = position_maps[cone], stage.limits[cone]
             if cone not in places:
                 at = {w: k for k, w in enumerate(step.limits[cone])}
-                places[cone] = list(map(at.get, _imaged(maps, tuples)))
-            d, row, place = arrows[arrow].cod, step.rows[cone, arrow], places[cone]
-            pairs = step.quotient.projection[d]
-            try:
-                blocks[cone, arrow] = list(map(pairs.__getitem__, map(row.__getitem__, place)))
-            except (KeyError, TypeError):
-                j = next(j for j, k in enumerate(place) if k is None or row[k] not in pairs)
+                # an image without a place goes to the None that ends each mapped row
+                places[cone] = list(map(at.get, _imaged(maps, tuples), repeat(-1)))
+            d, place = arrows[arrow].cod, places[cone]
+            classes = [*map(step.quotient.projection[d].get, step.rows[cone, arrow]), None]
+            block = blocks[cone, arrow] = list(map(classes.__getitem__, place))
+            if None in block:
+                j = block.index(None)
                 w = tuple(m[x] for m, x in zip(maps, tuples[j]))
                 raise EngineError(
                     f"pair of cone {cone!r} at arrow {arrow!r} over tuple {witness_tail(w)!r} "
                     f"missing in the completion sum at {d!r}"
-                ) from None
+                )
         for _, key in sorted((ids[0], key) for key, ids in stage.rows.items() if ids):
             d, ids = arrows[key[1]].cod, stage.rows[key]
             at = len(values[d])

@@ -17,14 +17,19 @@ along an arrow t are the pairs the rule defines at t.  A stage's pair
 counts are these generators, not every pair they imply.
 
 The free part of the next stage is rebuilt from the current limits, and
-a run converges either when the stable core of the base is a model or
-when the free part dies out on a model base.  Faithful mode adds a
-witness for every limit tuple of S.  Pruned mode adds one only for the
-tuples w whose image p . w in the next base Q is not hit by Q's gap map,
-and finds them quotient first: it enumerates the small limit of Q, drops
-the hit tuples, and lifts each unhit tuple u to the limit of S restricted
-to the fibres of p over u's components.  Those lifts are exactly the
-tuples w with p . w = u, so the large limit of S is never enumerated.
+a run converges either, in faithful mode, when the stable core of the
+base is a model, or when the free part dies out on a model base.
+Faithful mode adds a witness for every limit tuple of S.  Pruned mode
+first saturates rule (1): it applies the rule to the quotient's target
+and quotients again until no pair is left, as the chase runs its
+equality rules to a fixpoint before it adds anything.  It then adds a witness only over the
+tuples u of the limit of that base Q that Q's gap map misses, the
+triggers Q does not yet satisfy.  Q's class ids are least members of S,
+so each such u is a tuple of S's elements too, and rule (2) glues the
+witness's legs to u's components at the next stage.  Each round builds
+Q's gap maps once, and the last round's maps serve the rule (1) test,
+the filter of the unhit tuples and the model check of Q.  Only the small
+limit of Q is enumerated, never the large limit of S.
 
 Element identifiers name their provenance by position.  A base
 identifier is the least member of the merged class, tagged ``B:``; a free
@@ -46,7 +51,6 @@ from .setops import (
     DEFAULT_ELEMENT_CAP,
     DEFAULT_STAGE_BUDGET,
     DEFAULT_TUPLE_BUDGET,
-    LimitJoin,
     NatTransSpec,
     QuotientMap,
     Reflection,
@@ -59,14 +63,15 @@ from .setops import (
     witness_sum,
 )
 from .sketchlib import (
-    Cone,
+    ConeCheck,
     LimitSketch,
+    ModelReport,
+    cone_check,
     cone_limit,
     gap_map,
     input_is_model,
     is_model,
     rectification_pairs,
-    restrict_along,
 )
 
 FAITHFUL = "faithful"
@@ -74,6 +79,9 @@ PRUNED = "pruned"
 
 BASE_TAG = "B"
 FREE_TAG = "E"
+
+Pairs = dict[str, tuple[tuple[str, str], ...]]  # per object, generating pairs
+GapMaps = dict[str, dict[str, tuple[str, ...]]]  # per cone, its gap map
 
 
 def tag_base(class_id: str) -> str:
@@ -92,13 +100,16 @@ class Stage:
     the previous total, its ``target`` the base, and its ``projection``
     relates the two, each base class the fibre over its id (at stage 0,
     the identity of X).  ``total`` is the tagged disjoint sum of the
-    base and the free part; ``limits`` holds, per cone, the limit tuples
-    of the previous total that the free part is built from (all of them in
-    faithful mode, only those over tuples unhit in this base in pruned
-    mode); ``rows[c, t]`` lists the ids in ``total`` of the free elements
-    over ``limits[c]`` in order, for each arrow t out of the peak of c, and
-    is the only record of the free part.  ``rule1`` and ``rule2`` are the
-    generating pairs of the quotient.
+    base and the free part; ``limits`` holds, per cone, the tuples the
+    free part is built from: every limit tuple of the previous total in
+    faithful mode, the limit tuples of this base that its gap map misses
+    in pruned mode; ``rows[c, t]`` lists the ids in ``total`` of the free
+    elements over ``limits[c]`` in order, for each arrow t out of the peak
+    of c, and is the only record of the free part.  ``rule1`` and
+    ``rule2`` are the generating pairs of the quotient: in pruned mode,
+    ``rule1`` holds every saturation round's pairs.  ``check`` is, in
+    pruned mode, the model check of the base, read from the gap maps and
+    limits the stage built (None in faithful mode and at stage 0).
     """
 
     index: int
@@ -108,6 +119,7 @@ class Stage:
     rows: dict[tuple[str, str], list[str]]
     rule1: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     rule2: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
+    check: ModelReport | None = None
 
     def free_part(self, obj: str) -> tuple[str, ...]:
         """The free elements of ``total`` at ``obj``: its sorted carrier past the ``B:`` block."""
@@ -142,7 +154,7 @@ class ReflectionTrace(Reflection):
     stages: list[Stage]
     converged_at: int | None
     rho: NatTransSpec | None  # the unit X -> core, once converged
-    core_kind: str | None = None  # "model-input" | "stable-core" | "base-fixpoint"
+    core_kind: str | None = None  # "model-input" | "stable-core" (faithful) | "base-fixpoint"
 
     def engine_fields(self) -> dict:
         stages, objects, cut = [], self.stages[0].total.base.objects, len(FREE_TAG) + 1
@@ -183,15 +195,23 @@ def relation_one(
     them along every arrow t out of the peak, which identifies what the
     pushout of the gap map along t identifies.
     """
-    total = stage.total
+    return _rule_one(sketch, {c.name: gap_map(stage.total, c) for c in sketch.cones})
+
+
+def _rule_one(sketch: LimitSketch, gaps: GapMaps) -> Pairs:
+    """The rule (1) pairs of a presentation whose gap map at each cone c is ``gaps[c]``."""
     out: dict[str, set[tuple[str, str]]] = {d: set() for d in sketch.base.objects}
     for cone in sketch.cones:
-        fibres: dict[tuple[str, ...], list[str]] = {}
-        for a, image in gap_map(total, cone).items():
-            fibres.setdefault(image, []).append(a)
+        gap = gaps[cone.name]
+        if len(set(gap.values())) == len(gap):
+            continue
+        # the peak in carrier order, each element chained to the last one with its image
+        last: dict[tuple[str, ...], str] = {}
         pairs = out[cone.peak]
-        for members in fibres.values():
-            pairs.update(zip(members, members[1:]))
+        for a, image in gap.items():
+            if image in last:
+                pairs.add((last[image], a))
+            last[image] = a
     return {d: tuple(sorted(out[d])) for d in sketch.base.objects if out[d]}
 
 
@@ -220,6 +240,7 @@ def e_step(
     mode: str,
     *,
     quotient: QuotientMap,
+    gaps: GapMaps | None = None,
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> Stage:
@@ -227,73 +248,71 @@ def e_step(
 
     ``quotient`` is the projection p of the total onto the next base Q.
     Faithful mode adds one element per (cone, arrow out of the peak,
-    limit tuple of the total).  Pruned mode keeps only the limit tuples
-    w whose image p . w is not in the gap image of Q, which keeps the
-    transient population from growing without changing the reflection up
-    to isomorphism.  It finds them with :func:`_unhit_lifts`, without
-    enumerating the limit of the total.  ``limits`` holds the tuples
-    kept, in the product order of the total's carriers.  The rule pairs
-    stay empty; :func:`elim_stage` sets them.
+    limit tuple of the total).  Pruned mode adds them only over the limit
+    tuples of Q itself that Q's gap map misses, read against ``gaps``, the
+    gap maps of Q per cone (built here when not given); the same tuples
+    and maps give the stage's ``check``.  ``limits`` holds the tuples
+    kept, in product order.  The rule pairs stay empty; :func:`elim_stage`
+    sets them.
 
     ``max_tuples`` bounds the candidates visited per cone: in the limit of
-    the total in faithful mode; in the limit of Q plus all the lifts, as
-    one running count, in pruned mode.  ``max_elements`` bounds each
-    object of the next total, checked in closed form before it is built.
+    the total in faithful mode, in the limit of Q in pruned mode.
+    ``max_elements`` bounds each object of the next total, checked in
+    closed form before it is built.
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
+    target = quotient.target
+    if mode == PRUNED and gaps is None:
+        gaps = {c.name: gap_map(target, c) for c in sketch.cones}
     limits: dict[str, tuple[tuple[str, ...], ...]] = {}
+    checks: list[ConeCheck] = []
     for cone in sketch.cones:
         try:
             if mode == FAITHFUL:
                 limits[cone.name] = cone_limit(stage.total, cone, max_tuples=max_tuples)
             else:
-                limits[cone.name] = _unhit_lifts(stage.total, quotient, cone, max_tuples)
+                tuples = cone_limit(target, cone, max_tuples=max_tuples)
+                check, limits[cone.name] = cone_check(cone.name, gaps[cone.name], tuples)
+                checks.append(check)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {stage.index + 1}: {exc}") from None
     summands = [(c.name, c.peak, limits[c.name]) for c in sketch.cones]
     label, tags = f"stage {stage.index + 1}", (BASE_TAG, FREE_TAG)
-    total, _, rows = witness_sum(label, quotient.target, "F", summands, tags, max_elements)
-    return Stage(stage.index + 1, quotient, total, limits, rows)
+    total, _, rows = witness_sum(label, target, "F", summands, tags, max_elements)
+    check = ModelReport(checks) if mode == PRUNED else None
+    return Stage(stage.index + 1, quotient, total, limits, rows, check=check)
 
 
-def _unhit_lifts(
-    total: SetPresentation,
-    quotient: QuotientMap,
-    cone: Cone,
-    max_tuples: int,
-) -> tuple[tuple[str, ...], ...]:
-    """The limit tuples w of ``total`` at ``cone`` with p . w unhit in the quotient.
+def _saturate(
+    quotient: QuotientMap, sketch: LimitSketch, rule1: Pairs
+) -> tuple[QuotientMap, GapMaps, Pairs]:
+    """Rule (1) on the quotient's target, quotiented again, until no pair is left.
 
-    Each such w lies over a tuple u of the quotient's limit outside its
-    gap image, and the w over u are the limit of ``total`` restricted to
-    the fibres of p over u's components.  One join plan serves the
-    quotient's limit and every lift, and one count of visited candidates
-    runs through all of them.
+    Each round builds the target's gap maps once; the last round's find no
+    pair, so they are injective, and they are returned for :func:`e_step`.
+    Each round's quotient is composed onto the last, from the same source.
+    Class ids are least members, so every round's pairs are elements of
+    the source, and they join ``rule1``: the returned pairs with the
+    stage's rule (2) pairs generate the returned quotient.
     """
-    join = LimitJoin.of_shape(cone.shape)
-    label = f"cone {cone.name}"
-    target = quotient.target
-    qdiag = restrict_along(target, cone)
-    small, spent = join.run(qdiag.action, qdiag.carrier, max_tuples, label)
-    hit = set(gap_map(target, cone).values())
-    order = cone.shape_order()
-    objs = [cone.diagram.on_object(z) for z in order]
-    # p inverted on the diagram objects, each fibre in the total's sorted carrier order
-    inverse: dict[str, dict[str, list[str]]] = {d: {} for d in objs}
-    for d, over in inverse.items():
-        for x, k in quotient.projection[d].items():
-            over.setdefault(k, []).append(x)
-    diag = restrict_along(total, cone)
-    lifted: list[tuple[str, ...]] = []
-    for u in small:
-        if u in hit:
-            continue
-        fibres = {z: inverse[d][x] for z, d, x in zip(order, objs, u)}
-        tuples, spent = join.run(diag.action, fibres, max_tuples, label, spent=spent)
-        lifted.extend(tuples)
-    # the total's carriers are sorted, so sorting restores their product order
-    return tuple(sorted(lifted))
+    objects = sketch.base.objects
+    while True:
+        gaps = {c.name: gap_map(quotient.target, c) for c in sketch.cones}
+        pairs = _rule_one(sketch, gaps)
+        if not pairs:
+            return quotient, gaps, rule1
+        step = functorial_quotient(quotient.target, pairs)
+        composed = {
+            d: dict(zip(p, map(step.projection[d].__getitem__, p.values())))
+            for d, p in quotient.projection.items()
+        }
+        quotient = QuotientMap(quotient.source, step.target, composed)
+        rule1 = {
+            d: tuple(sorted({*rule1.get(d, ()), *pairs.get(d, ())}))
+            for d in objects
+            if d in rule1 or d in pairs
+        }
 
 
 def elim_stage(
@@ -303,16 +322,27 @@ def elim_stage(
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
     max_elements: int = DEFAULT_ELEMENT_CAP,
 ) -> Stage:
-    """One full step: the rule pairs, the quotient they generate, then :func:`e_step`."""
+    """One full step: the rule pairs, the quotient they generate, then :func:`e_step`.
+
+    Pruned mode saturates rule (1) on the quotient first (:func:`_saturate`).
+    """
     pairs1 = relation_one(stage, sketch)
     pairs2 = relation_two(stage, sketch)
     merged: dict[str, list[tuple[str, str]]] = {}
     for source in (pairs1, pairs2):
         for d, pairs in source.items():
             merged.setdefault(d, []).extend(pairs)
-    quotient = functorial_quotient(stage.total, merged)
+    quotient, gaps = functorial_quotient(stage.total, merged), None
+    if mode == PRUNED:
+        quotient, gaps, pairs1 = _saturate(quotient, sketch, pairs1)
     next_stage = e_step(
-        stage, sketch, mode, quotient=quotient, max_tuples=max_tuples, max_elements=max_elements
+        stage,
+        sketch,
+        mode,
+        quotient=quotient,
+        gaps=gaps,
+        max_tuples=max_tuples,
+        max_elements=max_elements,
     )
     next_stage.rule1, next_stage.rule2 = pairs1, pairs2
     return next_stage
@@ -365,11 +395,18 @@ def reflect_elim(
 ) -> ReflectionTrace:
     """Iterate the staged construction until a model core stabilizes.
 
-    Convergence is declared when either (a) the core of the new base (the
-    classes reached from the previous base) is carried bijectively from
-    the previous core and is a model, or (b) the free part is empty while
-    the whole base is a model.  Exhausting the stage budget returns the
-    trace with a "budget-exhausted" verdict rather than failing.
+    Convergence is declared when either (a) in faithful mode, the core of
+    the new base (the classes reached from the previous base) is carried
+    bijectively from the previous core and is a model, or (b) the free
+    part is empty while the whole base is a model; a pruned stage decides
+    (b) from its own ``check``.  Pruned mode needs no (a): once the core
+    of its saturated base Q is a model, a witness over u has the gap image
+    of the core element over u, so rule (1) has merged the two and Q is
+    its core; and a previous core carried bijectively onto it was a model
+    too, which would have stopped the run a stage earlier.  A model check
+    over the tuple budget names its stage.  Exhausting the stage budget
+    returns the trace with a "budget-exhausted" verdict rather than
+    failing.
     """
     if mode not in (FAITHFUL, PRUNED):
         raise InputError(f"unknown mode {mode!r}")
@@ -377,32 +414,37 @@ def reflect_elim(
     stages = [initial_stage(pres, sketch)]
     if model_input:
         return ReflectionTrace(mode, stages, 0, identity_nat(pres), core_kind="model-input")
+
+    def check(candidate: SetPresentation, n: int) -> ModelReport:
+        try:
+            return is_model(candidate, sketch, max_tuples=max_tuples)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"stage {n}: {exc}") from None
+
     prev_core = {d: tuple(pres.carrier[d]) for d in sketch.base.objects}
     core_pres: SetPresentation | None = None
-    converged_at: int | None = None
     core_kind: str | None = None
     for _ in range(budget):
         stage = elim_stage(
             stages[-1], sketch, mode, max_tuples=max_tuples, max_elements=max_elements
         )
         stages.append(stage)
-        core_ids = _core_class_ids(stage)
-        if _core_stable(prev_core, stage, core_ids):
-            candidate = _subpresentation(stage.quotient.target, core_ids)
-            if is_model(candidate, sketch, max_tuples=max_tuples).is_model:
-                core_pres = candidate
-                converged_at = stage.index
-                core_kind = "stable-core"
-                break
+        if mode == FAITHFUL:
+            core_ids = _core_class_ids(stage)
+            if _core_stable(prev_core, stage, core_ids):
+                candidate = _subpresentation(stage.quotient.target, core_ids)
+                if check(candidate, stage.index).is_model:
+                    core_pres, core_kind = candidate, "stable-core"
+                    break
+            prev_core = core_ids
         if not any(stage.rows.values()):
-            if is_model(stage.quotient.target, sketch, max_tuples=max_tuples).is_model:
-                core_pres = stage.quotient.target
-                converged_at = stage.index
-                core_kind = "base-fixpoint"
+            base = stage.quotient.target
+            if (stage.check or check(base, stage.index)).is_model:
+                core_pres, core_kind = base, "base-fixpoint"
                 break
-        prev_core = core_ids
     if core_pres is None:
         return ReflectionTrace(mode, stages, None, None)
+    converged_at = stages[-1].index
     rho_components: dict[str, dict[str, str]] = {}
     for d in sketch.base.objects:
         comp: dict[str, str] = {}

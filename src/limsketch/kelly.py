@@ -158,7 +158,8 @@ def reflect_kelly(
     With ``stop_on_convergence`` off the full ``budget`` worth of stages
     is materialized even past convergence; the comparison machinery uses
     that to line stages up with another trace.  A tuple or element cap
-    exceeded in a completion raises :class:`BudgetExceeded` naming its stage.
+    exceeded in a completion or in its model check raises
+    :class:`BudgetExceeded` naming its stage.
     """
     converged_at = 0 if input_is_model(pres, sketch, budget, max_tuples) else None
     unit = identity_nat(pres)
@@ -168,11 +169,11 @@ def reflect_kelly(
             break
         try:
             step = kelly_P(stages[-1].obj, sketch, max_tuples=max_tuples, max_elements=max_elements)
+            if converged_at is None and is_model(step.obj, sketch, max_tuples=max_tuples).is_model:
+                converged_at = n
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"stage {n}: {exc}") from None
         stages.append(step)
-        if converged_at is None and is_model(step.obj, sketch, max_tuples=max_tuples).is_model:
-            converged_at = n
     if converged_at is None:
         return KellyTrace(stages, None, None)
     rho = stages[0].unit

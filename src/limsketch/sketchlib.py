@@ -8,6 +8,7 @@ diagram is a bijection; the checker reports a witness for each failure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -132,10 +133,14 @@ def cone_limit(
 
 
 def gap_map(pres: SetPresentation, cone: Cone) -> dict[str, tuple[str, ...]]:
-    """The canonical map peak carrier -> limit, sending x to its leg images."""
-    order = cone.shape_order()
-    legs = [pres.action[cone.legs[z]] for z in order]
-    return {x: tuple(act[x] for act in legs) for x in pres.carrier[cone.peak]}
+    """The canonical map peak carrier -> limit, sending x to its leg images.
+
+    Built a leg at a time: each leg's column of images over the peak, zipped into tuples.
+    """
+    peak = pres.carrier[cone.peak]
+    columns = [list(map(pres.action[cone.legs[z]].__getitem__, peak)) for z in cone.shape_order()]
+    # a cone over the empty shape has no column, and sends every x to ()
+    return dict(zip(peak, zip(*columns))) if columns else dict.fromkeys(peak, ())
 
 
 def rectification_pairs(
@@ -210,26 +215,30 @@ def is_model(
     max_tuples: int = DEFAULT_TUPLE_BUDGET,
 ) -> ModelReport:
     """Check gap-map bijectivity cone by cone, with explicit witnesses."""
-    checks: list[ConeCheck] = []
-    for cone in sketch.cones:
-        tuples = cone_limit(pres, cone, max_tuples=max_tuples)
-        gm = gap_map(pres, cone)
-        seen: dict[tuple[str, ...], str] = {}
-        inj_witness: tuple[str, str] | None = None
-        for x in pres.carrier[cone.peak]:
-            img = gm[x]
-            if img in seen and inj_witness is None:
-                inj_witness = (seen[img], x)
-            seen.setdefault(img, x)
-        unhit: tuple[str, ...] | None = None
-        for t in tuples:
-            if t not in seen:
-                unhit = t
-                break
-        checks.append(
-            ConeCheck(cone.name, inj_witness is None, unhit is None, inj_witness, unhit)
-        )
+    checks = [
+        cone_check(cone.name, gap_map(pres, cone), cone_limit(pres, cone, max_tuples=max_tuples))[0]
+        for cone in sketch.cones
+    ]
     return ModelReport(checks)
+
+
+def cone_check(
+    name: str, gap: Mapping[str, tuple[str, ...]], tuples: Sequence[tuple[str, ...]]
+) -> tuple[ConeCheck, tuple[tuple[str, ...], ...]]:
+    """Is ``gap`` a bijection onto ``tuples``?  The check, and every tuple that ``gap`` misses.
+
+    ``gap`` lists the peak in carrier order.  The witnesses are the first
+    element whose image an earlier one has, paired with that one, and the
+    first tuple missed.
+    """
+    image = set(gap.values())
+    merged: tuple[str, str] | None = None
+    if len(image) < len(gap):
+        seen: dict[tuple[str, ...], str] = {}
+        merged = next((seen[t], x) for x, t in gap.items() if seen.setdefault(t, x) != x)
+    unhit = tuple(itertools.filterfalse(image.__contains__, tuples))
+    check = ConeCheck(name, merged is None, not unhit, merged, unhit[0] if unhit else None)
+    return check, unhit
 
 
 def input_is_model(

@@ -11,7 +11,9 @@ that ``co_lines()`` names in its compiled code objects, recursively.  A
 markdown table of the lines never run, per module, is appended to
 SUMMARY.md, and the exit status is pytest's.  A CLI test that runs the
 program in a subprocess is not traced, so a line only it reaches counts
-as not run.
+as not run.  Any other argument list, or an argument that starts with
+``-`` (such as ``--help``), prints the usage line to stderr and exits 2
+without running the suite or writing a file.
 """
 
 from __future__ import annotations
@@ -84,7 +86,14 @@ def table() -> str:
     return "\n".join(rows) + "\n"
 
 
-def main(summary: str) -> int:
+USAGE = "usage: python -m tests.line_hits SUMMARY.md"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
+        return 2
+    (summary,) = argv
     sys.settrace(_call)
     try:
         import pytest
@@ -98,4 +107,4 @@ def main(summary: str) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main(sys.argv[1:]))

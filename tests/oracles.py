@@ -206,31 +206,19 @@ def model_oracle(pres, sketch) -> bool:
     return True
 
 
-def pushed_filter_limits(
-    total: SetPresentation,
-    next_base: SetPresentation,
-    projection: Mapping[str, Mapping[str, str]],
-    sketch,
-) -> dict[str, set[tuple[str, ...]]]:
-    """The pruning rule by its definition, per cone.
+def unhit_limits(pres: SetPresentation, sketch) -> dict[str, set[tuple[str, ...]]]:
+    """Per cone, the limit tuples of ``pres`` that no peak element hits through the legs.
 
-    Enumerates the whole limit of ``total`` by brute force, pushes each
-    tuple through ``projection`` into ``next_base``, and keeps the tuples
-    whose image no peak element of ``next_base`` hits through the legs.
+    The limit is enumerated by brute force and the gap image read off the
+    legs element by element.
     """
     out: dict[str, set[tuple[str, ...]]] = {}
     for cone in sketch.cones:
         order = sorted(cone.shape.objects)
-        objs = [cone.diagram.object_map[z] for z in order]
         hit = {
-            tuple(next_base.action[cone.legs[z]][x] for z in order)
-            for x in next_base.carrier[cone.peak]
+            tuple(pres.action[cone.legs[z]][x] for z in order) for x in pres.carrier[cone.peak]
         }
-        out[cone.name] = {
-            w
-            for w in brute_limit(cone.shape, restrict_along(total, cone))
-            if tuple(projection[d][c] for d, c in zip(objs, w)) not in hit
-        }
+        out[cone.name] = brute_limit(cone.shape, restrict_along(pres, cone)) - hit
     return out
 
 

@@ -509,6 +509,35 @@ def test_stage_zero_model_check_names_its_stage(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    ("engine", "stage"),
+    [("kelly", 1), ("elim", 2)],
+)
+def test_a_stage_whose_limit_outgrows_the_budget_names_its_stage(tmp_path, capsys, engine, stage):
+    """X has the one pair (b0, c0), within a budget of 1; the witness over it adds its s-image
+    at b, so stage 1 has two pairs.  ``kelly`` finds them in its model check of stage 1, and
+    pruned ``elim`` in its limit of the stage-2 base."""
+    base = FinCategory.build(
+        "stray", ["a", "b", "c"], [("t", "a", "b"), ("s", "a", "b"), ("r", "a", "c")], {}
+    )
+    shape = FinCategory.build("pair_shape", ["zb", "zc"], [], {})
+    diagram = CatFunctor(shape, base, {"zb": "b", "zc": "c"}, {"id_zb": "id_b", "id_zc": "id_c"})
+    sketch = LimitSketch(base, (Cone("c0", base, "a", shape, diagram, {"zb": "t", "zc": "r"}),))
+    sketch_path, pres, out = tmp_path / "stray.json", tmp_path / "X.json", tmp_path / "r.json"
+    sketch_path.write_text(sketch_dumps(sketch))
+    carrier, action = {"a": [], "b": ["b0"], "c": ["c0"]}, {"t": {}, "s": {}, "r": {}}
+    pres.write_text(json.dumps({"carrier": carrier, "action": action}))
+    from limsketch import cli
+
+    argv = ["reflect", "--engine", engine, "--sketch", str(sketch_path), "--presentation", str(pres)]
+    assert cli.main([*argv, "--max-tuples", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"budget error: stage {stage}: limit tuple budget exceeded at cone c0: product exceeds 1\n",
+    )
+    assert not out.exists()
+
+
 def test_universal_max_tuples_bounds_the_model_check(tmp_path):
     """The model check of M honours ``--max-tuples``: 40 points give 1,600 pairs."""
     pres, model, f = (tmp_path / n for n in ("X2.json", "M40.json", "f2.json"))

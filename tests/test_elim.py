@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import limsketch.elim as elim_mod
 import limsketch.setops as setops_mod
 
 from limsketch.elim import (
@@ -26,12 +28,21 @@ from limsketch.errors import BudgetExceeded, InputError
 from limsketch.fincat import CatFunctor, FinCategory
 from limsketch.kelly import reflect_kelly
 from limsketch.setops import (
+    LimitJoin,
     functorial_quotient,
     make_presentation,
     validate_presentation,
     witness_id,
 )
-from limsketch.sketchlib import BUILDERS, Cone, LimitSketch, build_sketch, gap_map, is_model
+from limsketch.sketchlib import (
+    BUILDERS,
+    Cone,
+    LimitSketch,
+    build_sketch,
+    gap_map,
+    is_model,
+    restrict_along,
+)
 
 from tests.fixtures import (
     binary_collapsed_fixture,
@@ -45,7 +56,14 @@ from tests.fixtures import (
     sheaf_model,
     sheaf_sketch,
 )
-from tests.oracles import fibres, free_witnesses, pushed_filter_limits, random_valid_presentation
+from tests.test_adjunction import CAPS, draws
+from tests.oracles import (
+    brute_limit,
+    fibres,
+    free_witnesses,
+    random_valid_presentation,
+    unhit_limits,
+)
 
 
 def free_size(stage) -> dict[str, int]:
@@ -289,6 +307,92 @@ def test_convergence_rule_per_fixture(fixture, make_sketch, expected):
     assert got == expected
 
 
+def test_a_pruned_base_is_a_model_once_its_core_is():
+    # why pruned mode needs no stable-core rule: once the classes that hold
+    # a previous base element form a model, saturated rule (1) has merged
+    # every witness into them, so they are all of Q and Q has no unhit tuple
+    outcomes: Counter = Counter()
+    for _, sketch, draws_of_sketch in draws("pruned-core", count=4):
+        for pres in draws_of_sketch:
+            try:
+                trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, **CAPS)
+            except BudgetExceeded:
+                continue
+            for stage in trace.stages[1:]:
+                base = stage.quotient.target
+                core = {
+                    d: {k for x, k in p.items() if x.startswith(f"{BASE_TAG}:")}
+                    for d, p in stage.quotient.projection.items()
+                }
+                action = {
+                    a: {x: base.action[a][x] for x in core[arrow.dom]}
+                    for a, arrow in sketch.base.non_identities.items()
+                }
+                if is_model(make_presentation(sketch.base, core, action), sketch).is_model:
+                    assert core == {d: set(xs) for d, xs in base.carrier.items()}
+                    assert not any(stage.rows.values()) and stage.check.is_model
+                    outcomes["core is a model"] += 1
+                else:
+                    outcomes["core is no model"] += 1
+    assert outcomes["core is a model"] >= 40 and outcomes["core is no model"] >= 100, outcomes
+
+
+def test_a_pruned_stage_builds_each_gap_map_of_q_once(monkeypatch):
+    # per stage and cone: one gap map for rule (1) on the total, one per
+    # saturation round on a quotient's target, and the last of these also
+    # serves the unhit filter and the model check of the base, which calls
+    # no is_model; the only limit enumerated is Q's, once
+    calls: Counter = Counter()
+    built: list = []
+
+    def spy(name, fn, keep=False):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if keep:
+                built.append((args[0], args[1].name))
+            return result
+
+        monkeypatch.setattr(elim_mod, name, counted)
+
+    spy("gap_map", gap_map, keep=True)
+    spy("functorial_quotient", functorial_quotient)
+    spy("cone_limit", elim_mod.cone_limit)
+    spy("is_model", is_model)
+    rounds = 0
+    for _, sketch, draws_of_sketch in draws("gap-maps", count=2):
+        for pres in draws_of_sketch:
+            calls.clear()
+            built.clear()
+            try:
+                trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, **CAPS)
+            except BudgetExceeded:
+                continue
+            cones, stages = len(sketch.cones), len(trace.stages) - 1
+            assert calls["gap_map"] == cones * (calls["functorial_quotient"] + stages)
+            assert len({(id(p), c) for p, c in built}) == len(built)
+            assert calls["cone_limit"] == cones * stages and calls["is_model"] == 0
+            rounds += calls["functorial_quotient"] - stages
+    # some stage saturates in more than one round
+    assert rounds > 0
+
+
+def test_a_faithful_convergence_check_over_budget_names_its_stage(monkeypatch):
+    # the first model check after stage 0 is the stable-core check that converges at stage 2
+    sketch, stage = iso_sketch(), 2
+    pres = iso_fixture(sketch)
+    trace = reflect_elim(pres, sketch, budget=3, mode=FAITHFUL)
+    assert (trace.converged_at, trace.core_kind) == (stage, "stable-core")
+
+    def refuse(*args, **kwargs):
+        raise BudgetExceeded("limit tuple budget exceeded at cone c0: product exceeds 0")
+
+    monkeypatch.setattr(elim_mod, "is_model", refuse)
+    message = f"stage {stage}: limit tuple budget exceeded at cone c0: product exceeds 0"
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        reflect_elim(pres, sketch, budget=3, mode=FAITHFUL)
+
+
 def _points(sketch, n):
     return make_presentation(
         sketch.base, {"a": [f"x{i:02d}" for i in range(n)], "p": []}, {"pi1": {}, "pi2": {}}
@@ -318,18 +422,32 @@ def test_pruned_binary_24_converges_to_the_closed_form():
     assert verdict.ok, verdict.detail
 
 
-def test_pruned_budget_counts_the_quotient_limit_and_the_lifts():
-    # stage 1 visits the 16 pairs of the quotient, then lifts each unhit
-    # pair to its one preimage: 32 candidates in one running count
+def test_pruned_budget_counts_the_quotient_limit_alone():
+    # each stage visits the 16 pairs of its base Q and nothing else, so the
+    # 16 that the stage-0 model check of X needs is enough for the run
     sketch = binary_sketch()
     pres = _points(sketch, 4)
-    with pytest.raises(
-        BudgetExceeded,
-        match="^stage 1: limit tuple budget exceeded at cone c0: visited candidates exceed 31$",
-    ):
-        reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=31)
-    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=32)
+    message = "stage 0: limit tuple budget exceeded at cone c0: product exceeds 15"
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=15)
+    trace = reflect_elim(pres, sketch, budget=8, mode=PRUNED, max_tuples=16)
     assert trace.converged and trace.core.size() == {"a": 4, "p": 16}
+
+
+def test_pruned_step_budget_is_the_visit_count_of_the_join_over_q():
+    sketch = sheaf_sketch()
+    stage = initial_stage(sheaf_fixture(sketch), sketch)
+    quotient = next_quotient(stage, sketch)
+    (cone,) = sketch.cones
+    diag = restrict_along(quotient.target, cone)
+    _, visited = LimitJoin.of_shape(cone.shape).run(diag.action, diag.carrier, None)
+    step = e_step(stage, sketch, PRUNED, quotient=quotient)
+    assert e_step(stage, sketch, PRUNED, quotient=quotient, max_tuples=visited) == step
+    message = (
+        f"stage 1: limit tuple budget exceeded at cone c0: visited candidates exceed {visited - 1}"
+    )
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+        e_step(stage, sketch, PRUNED, quotient=quotient, max_tuples=visited - 1)
 
 
 CAP_CASES = [
@@ -524,13 +642,13 @@ def test_stage_element_provenance_view():
 
 
 def _assert_pruned_limits_match_oracle(pres, sketch, budget=8):
+    """Each pruned stage's ``limits`` are the limit tuples of its base Q that Q's gap map misses."""
     trace = reflect_elim(pres, sketch, budget=budget, mode=PRUNED)
-    for prev, stage in zip(trace.stages, trace.stages[1:]):
-        quotient = stage.quotient
-        expected = pushed_filter_limits(prev.total, quotient.target, quotient.projection, sketch)
+    for stage in trace.stages[1:]:
+        expected = unhit_limits(stage.quotient.target, sketch)
         for cone in sketch.cones:
             kept = stage.limits[cone.name]
-            assert len(set(kept)) == len(kept)
+            assert kept == tuple(sorted(set(kept)))
             assert set(kept) == expected[cone.name], (cone.name, stage.index)
     return trace
 
@@ -562,24 +680,29 @@ def test_pruned_limits_match_oracle_on_random_presentations(name):
         _assert_pruned_limits_match_oracle(pres, sketch)
 
 
-def test_pruned_limits_match_oracle_on_several_lifts():
+def test_pruned_limits_match_oracle_where_a_tuple_of_q_has_several_preimages():
     # s: a -> b is no leg, so rule (1) merges its images at b and an unhit
-    # pair of the quotient lifts to several pairs of the total; the
-    # reflection is infinite, so the runs stop at the stage budget
+    # pair of the quotient Q is the image of several pairs of the total;
+    # the stage keeps the one pair of Q; the reflection is infinite, so the
+    # runs stop at the stage budget
     base = FinCategory.build(
         "stray", ["a", "b", "c"], [("t", "a", "b"), ("s", "a", "b"), ("r", "a", "c")], {}
     )
     shape = FinCategory.build("pair_shape", ["zb", "zc"], [], {})
     diagram = CatFunctor(shape, base, {"zb": "b", "zc": "c"}, {"id_zb": "id_b", "id_zc": "id_c"})
-    sketch = LimitSketch(base, (Cone("c0", base, "a", shape, diagram, {"zb": "t", "zc": "r"}),))
+    cone = Cone("c0", base, "a", shape, diagram, {"zb": "t", "zc": "r"})
+    sketch = LimitSketch(base, (cone,))
     rng = random.Random("pruned-oracle:stray")
     several = 0
     for _ in range(12):
         trace = _assert_pruned_limits_match_oracle(
             random_valid_presentation(rng, base, max_size=4), sketch, budget=2
         )
-        for stage in trace.stages[1:]:
+        for prev, stage in zip(trace.stages, trace.stages[1:]):
             p = stage.quotient.projection
-            images = [(p["b"][wb], p["c"][wc]) for wb, wc in stage.limits["c0"]]
-            several += len(images) - len(set(images))
+            over = Counter(
+                (p["b"][wb], p["c"][wc])
+                for wb, wc in brute_limit(shape, restrict_along(prev.total, cone))
+            )
+            several += sum(over[u] > 1 for u in stage.limits["c0"])
     assert several > 0

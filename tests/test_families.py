@@ -73,7 +73,6 @@ def converged_sizes(pres, sketch, outcomes: Counter, label) -> dict[str, dict[st
 def test_monoid_actions_match_the_closed_form():
     rng = random.Random(1)
     outcomes: Counter = Counter()
-    unconverged_indices = set()
     for _ in range(300):
         k, p, n = rng.randint(0, 3), rng.randint(1, 4), rng.randint(1, 8)
         f = random_monoid_action(rng, k, p, n)
@@ -89,24 +88,16 @@ def test_monoid_actions_match_the_closed_form():
             # a model is its own reflection, in either engine
             assert set(sizes) == set(ENGINES) and want == pres.size(), (k, p, f)
             outcomes["model input"] += 1
-        if "pruned" not in sizes:
-            unconverged_indices.add(k)
     valid = 300 - outcomes["no draw"]
     for engine in ENGINES:
         runs = ("refused", "budget exhausted", "converged")
         assert sum(outcomes[engine, r] for r in runs) == valid, outcomes
     assert valid >= 250, outcomes
-    assert outcomes["pruned", "converged"] >= 250, outcomes
+    # saturated rule (1) lets pruned elim converge on every draw, index 3 included
+    assert outcomes["pruned", "converged"] == valid, outcomes
     assert outcomes["kelly", "converged"] >= 90 and outcomes["model input"] >= 90, outcomes
-    # index k = 3 is where pruned elim still cycles
-    assert unconverged_indices <= {3}, unconverged_indices
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="pruned elim merges one level of the chain per stage while each free witness "
-    "brings a fresh chain; ROADMAP item 1 (saturate rule (1) within a stage) should mend it",
-)
 def test_pruned_elim_converges_on_the_index_three_chain():
     # a -> b -> c -> d with d fixed, under s^4 = s^3: L(X) is one point
     sketch = monoid_action_sketch(3, 1)
@@ -119,7 +110,7 @@ def test_pruned_elim_converges_on_the_index_three_chain():
 @pytest.mark.xfail(
     strict=True,
     reason="kelly stays at 2 elements for all 8 stages while both elim modes converge to "
-    "one point; ROADMAP item 3 (a stable-image criterion for kelly) should mend it",
+    "one point; ROADMAP item 2 (a stable-image criterion for kelly) should mend it",
 )
 def test_kelly_converges_on_an_idempotent_action():
     # s idempotent, s^2 = s, sending both points of X to 1: L(X) is one point
@@ -154,7 +145,7 @@ def test_kelly_converges_on_every_iso_chain_of_length_eight():
 @pytest.mark.xfail(
     strict=True,
     reason="a witness at x_i exists only one stage after the witness at x_(i+1) that it "
-    "lifts, so pruned elim needs about n + 1 stages; ROADMAP item 4 (glue and lift "
+    "lifts, so pruned elim needs about n + 1 stages; ROADMAP item 5 (glue and lift "
     "within a stage) should mend it",
 )
 def test_pruned_elim_converges_on_every_iso_chain_of_length_eight():
@@ -169,7 +160,14 @@ def segal():
 
 
 @pytest.mark.parametrize(
-    "n, stage, kind", [(1, 0, "model-input"), (2, 3, "base-fixpoint"), (3, 3, "base-fixpoint")]
+    "n, stage, kind",
+    [
+        (1, 0, "model-input"),
+        (2, 2, "base-fixpoint"),
+        (3, 2, "base-fixpoint"),
+        (4, 3, "base-fixpoint"),
+        (8, 4, "base-fixpoint"),
+    ],
 )
 def test_pruned_elim_reflects_segal_paths_to_the_closed_form(segal, n, stage, kind):
     pres = segal_path_presentation(segal, n)
@@ -178,16 +176,3 @@ def test_pruned_elim_reflects_segal_paths_to_the_closed_form(segal, n, stage, ki
     assert trace.core.size() == segal_path_reflection_size(n)
     closure = generated(trace.core, trace.rho, segal)
     assert closure == {d: set(c) for d, c in trace.core.carrier.items()}
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=BudgetExceeded,
-    reason="stage 4 visits more than 10^6 candidates at cone segal3 while merging "
-    "proceeds one rule (1) round per stage; ROADMAP item 1 (saturate rule (1) within "
-    "a stage) should mend it",
-)
-def test_pruned_elim_converges_on_the_four_edge_segal_path(segal):
-    trace = reflect_elim(segal_path_presentation(segal, 4), segal, mode=PRUNED)
-    assert trace.converged
-    assert trace.core.size() == segal_path_reflection_size(4)

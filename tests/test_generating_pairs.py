@@ -5,7 +5,9 @@ per arrow out of a peak or a diagram object; the engines generate them at
 identities only and let the congruence closure push them along the other
 arrows.  Here every stage both engines build is quotiented again by the
 pairs of the definition at every arrow, built by the oracles, and must
-have the projection the engine's own pairs gave it.
+have the projection the engine's own pairs gave it.  A pruned stage
+applies rule (1) again to its quotient until no pair is left, and so does
+its every-arrow oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ def _union(*relations) -> dict[str, list[tuple[str, str]]]:
 
 
 def _elim_checks(trace, sketch):
-    """Per stage k >= 1: the pairs that built it and the every-arrow pairs over its source."""
+    """Per stage k >= 1: the pairs that built it and the every-arrow pairs over its source.
+
+    A pruned stage saturates rule (1), so its every-arrow pairs do too: rule
+    (1) at every arrow runs on the target of their quotient until it finds
+    no pair, each round's pairs joining the set.  Class ids are least
+    members, so those pairs are elements of the source.
+    """
     for prev, stage in zip(trace.stages, trace.stages[1:]):
         every = [every_arrow_rule_one(prev.total, sketch)]
         if prev.index >= 1:
@@ -38,7 +46,13 @@ def _elim_checks(trace, sketch):
             every.append(
                 brute_leg_pairs(quotient.source, sketch, prev.limits, "F", FREE_TAG, into)
             )
-        yield stage.quotient, _union(stage.rule1, stage.rule2), _union(*every)
+        pairs = _union(*every)
+        while trace.mode == PRUNED:
+            more = every_arrow_rule_one(functorial_quotient(prev.total, pairs).target, sketch)
+            if not any(more.values()):
+                break
+            pairs = _union(pairs, more)
+        yield stage.quotient, _union(stage.rule1, stage.rule2), pairs
 
 
 def _kelly_checks(trace, sketch):

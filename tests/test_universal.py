@@ -390,7 +390,8 @@ def test_rho_generates_every_converged_core_on_random_sketches():
     refusals and traces that exhaust their stages are counted, not
     filtered out, and at least 1,600 of the 1,920 traces must converge.
     The convergence rule of each ``elim`` trace is counted per engine:
-    pruned ``stable-core`` occurs only on sketches like these.  Every two
+    faithful ``elim`` reaches ``stable-core`` on sketches like these, and
+    pruned ``elim``, which has no such rule, converges by its base.  Every two
     engines that converge on one presentation give isomorphic reflections
     (``reflector_iso_check``), and the faithful trace lines up with a
     2-stage ``kelly`` trace run past convergence (``build_alpha``).
@@ -435,7 +436,8 @@ def test_rho_generates_every_converged_core_on_random_sketches():
     traces = ("refused", "budget exhausted", "converged")
     assert sum(outcomes[k] for k in traces) == 160 * 4 * len(RANDOM_SKETCH_ENGINES)
     assert outcomes["converged"] >= 1_600, outcomes
-    assert core_kinds["pruned", "stable-core"] >= 1, core_kinds
+    assert core_kinds["faithful", "stable-core"] >= 1, core_kinds
+    assert core_kinds["pruned", "base-fixpoint"] >= 1, core_kinds
     assert outcomes["isomorphic"] >= 1_300, outcomes
     assert outcomes["alpha"] >= 600, outcomes
 
